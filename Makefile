@@ -27,13 +27,14 @@ verify-full:
 # verified bit-identical to the batch path and every shared-memory
 # segment verified unlinked on shutdown — once with the serving
 # defaults and once pinned to an explicit coalescing window with a
-# small batch-max so the batch-max flush path runs), then the suite
-# plus the
-# generator fallback with numpy import-blocked (a shim module shadows
-# it) to exercise the stdlib fallbacks and the clean "unavailable"
-# error paths of the ensemble engine and the vectorized generator;
-# the serve smoke runs again on the no-numpy leg (the service is pure
-# stdlib).
+# small batch-max so the batch-max flush path runs), then the
+# perfbench self-test (toy sizes; its serve-hop workload builds with
+# the vectorized generator, so it runs on the numpy leg only), then
+# the suite plus the generator fallback with numpy import-blocked (a
+# shim module shadows it) to exercise the stdlib fallbacks and the
+# clean "unavailable" error paths of the ensemble engine and the
+# vectorized generator; the serve smoke runs again on the no-numpy
+# leg (the service is pure stdlib).
 ci:
 	$(PYTEST) -x -q
 	PYTHONPATH=src python -m repro list
@@ -64,6 +65,7 @@ ci:
 	PYTHONPATH=src python -m repro run E21 --quick --engine ensemble --backend frozen
 	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --smoke
 	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
+	python3 perfbench/selftest.py
 	@mkdir -p .ci-no-numpy && printf 'raise ImportError("numpy disabled for the no-numpy CI leg")\n' > .ci-no-numpy/numpy.py
 	! PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1 --generator vectorized 2> .ci-no-numpy/err.log
 	grep -q "requires numpy" .ci-no-numpy/err.log
@@ -73,20 +75,13 @@ ci:
 	PYTHONPATH=.ci-no-numpy:src python -m pytest -x -q; \
 		status=$$?; rm -rf .ci-no-numpy; exit $$status
 
-# Bench point: the serving stack under load — the PR 9 per-query
-# path (unbatched dispatch, PR 9 wire behavior) vs the batched
-# coalescing dispatcher (gate >= 3x sustained qps on bit-identical
-# answers, plus a nodelay-only arm so the wire fix and the coalescing
-# win are reported separately), a cache-warm pass (gate: hit-path p50
-# below the pool-dispatch p50), and a non-gating open-loop overload
-# probe recording batch depth and tail latency.  Writes
-# BENCH_PR10.json (pinned by tests/test_bench_schema.py);
-# `PYTHONPATH=src python benchmarks/bench_smoke.py --pr9` regenerates
-# BENCH_PR9.json, `--pr8` BENCH_PR8.json, `--pr7` BENCH_PR7.json,
-# `--pr6` BENCH_PR6.json, `--pr5` BENCH_PR5.json, `--pr4`
-# BENCH_PR4.json, `--pr3` BENCH_PR3.json and `--pr2` BENCH_PR2.json.
+# The layered benchmark's self-test: both workloads at toy sizes,
+# checking every metric BENCHMARK.json declares is emitted with its
+# unit (no timing gates).  Real runs:
+# `python3 perfbench/run.py --workload <batch|serve-hop> --seed N`
+# (see perfbench/README.md).  BENCH_PR2..10.json are frozen history.
 bench-smoke:
-	PYTHONPATH=src python benchmarks/bench_smoke.py
+	python3 perfbench/selftest.py
 
 # Paper-scale benchmark harness.  REPRO_BENCH_JOBS fans trials out
 # over worker processes; REPRO_BENCH_CACHE_DIR replays finished trials.

@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one experiment (a "table/figure" of the
-reproduction — see DESIGN.md's index), records the result under
+reproduction — see the README's "How to reproduce each table?"
+index), records the result under
 ``benchmarks/results/`` (JSON for machines, text for humans), prints it
 (visible with ``pytest -s``), and asserts the *shape* claims the paper
 makes — who wins, which exponents clear which floors — never absolute

@@ -1,4 +1,4 @@
-"""Named experiments E1–E20 (see DESIGN.md's index).
+"""Named experiments E1–E22 (see the README's experiment index).
 
 Each experiment regenerates one "table/figure" of the reproduction: it
 runs the workload, folds measurements into printable

@@ -109,7 +109,7 @@ class ExperimentResult:
     Attributes
     ----------
     experiment_id:
-        Stable id matching DESIGN.md's index (``"E1"`` ... ``"E14"``).
+        Stable registry id (``"E1"`` ... ``"E22"``).
     title:
         Human-readable experiment name.
     params:

@@ -7,8 +7,8 @@ story:
 
 * :mod:`repro.service.core` — graph catalog (family grid or on-disk
   corpus), query validation, and the worker-side execution path that
-  attaches shared-memory snapshots and answers one cell through the
-  exact batch seed derivation;
+  attaches shared-memory snapshots and answers a batch of cells through
+  the exact batch seed derivation;
 * :mod:`repro.service.daemon` — the long-lived ``repro serve`` HTTP
   daemon (stdlib ``http.server`` + a process pool over shared-memory
   graphs) with graceful shm lifecycle;
@@ -36,7 +36,6 @@ from repro.service.core import (
     build_grid_entries,
     entry_from_snapshot,
     load_corpus_entries,
-    shm_search_trial,
     validate_query,
 )
 from repro.service.daemon import SearchService
@@ -57,6 +56,5 @@ __all__ = [
     "entry_from_snapshot",
     "load_corpus_entries",
     "run_load",
-    "shm_search_trial",
     "validate_query",
 ]

@@ -4,7 +4,7 @@
 daemon's JSON routes; :func:`run_load` drives N concurrent clients
 over a fixed query list and reports latency percentiles and sustained
 throughput — the serving-performance numbers the P2P resource-
-discovery literature reports (and ``BENCH_PR9.json`` records).
+discovery literature reports.
 
 Responses come back *in query order* regardless of which client
 thread carried which query, so a load run doubles as a determinism

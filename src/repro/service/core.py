@@ -12,23 +12,16 @@ owns the *meaning* of a query:
   cell are the same function application;
 * :func:`validate_query` maps malformed input to 400 and unknown
   graph/algorithm ids to 404 before anything reaches a worker;
-* :func:`execute_service_query` runs inside a pool worker: it attaches
+* :func:`execute_service_batch` runs inside a pool worker: it attaches
   the entry's shared-memory segment once (cached per process) and
-  answers through :func:`~repro.core.trials._execute_cells` with
-  ``seed = graph seed`` — the same ``run_substream`` fan-out as every
-  batch loop.
-
-The two benchmark trial functions at the bottom are the PR's measured
-pair: :func:`shm_search_trial` (attach-by-name, the new path) versus
-:func:`payload_search_trial` (the whole CSR pickled into every spec,
-the old cost model), both funneling into ``_execute_cells`` so their
-outputs are bit-identical by construction.
+  answers a batch of cells through
+  :func:`~repro.core.trials._execute_cells` with ``seed = graph seed``
+  — the same ``run_substream`` fan-out as every batch loop.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -41,13 +34,8 @@ from repro.core.trials import (
     portfolio_factories,
 )
 from repro.errors import ExperimentError
-from repro.graphs.frozen import FrozenGraph, HAVE_NUMPY
+from repro.graphs.frozen import FrozenGraph
 from repro.graphs.shm import attach_graph
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - the container always has numpy
-    _np = None
 
 __all__ = [
     "GraphEntry",
@@ -56,16 +44,11 @@ __all__ = [
     "build_grid_entries",
     "entry_from_snapshot",
     "execute_service_batch",
-    "execute_service_query",
-    "graph_payload",
     "load_corpus_entries",
-    "payload_search_trial",
     "portfolio_algorithms",
     "query_cell",
     "service_answer_trial",
     "service_worker_init",
-    "shm_search_trial",
-    "snapshot_from_payload",
     "validate_query",
 ]
 
@@ -351,23 +334,6 @@ def execute_service_batch(
     )
 
 
-def execute_service_query(
-    graph_id: str,
-    algorithm: str,
-    run_index: int,
-    start: Optional[int],
-    target: Optional[int],
-) -> Dict[str, Any]:
-    """Answer one validated query inside a pool worker.
-
-    The single-cell form of :func:`execute_service_batch` — kept as
-    the per-query dispatch target (``batch_window=0``) and for
-    callers of the PR 9 surface.
-    """
-    cell = query_cell(algorithm, run_index, start, target)
-    return execute_service_batch(graph_id, [cell])[0]
-
-
 def query_cell(
     algorithm: str,
     run_index: int,
@@ -468,126 +434,4 @@ def answer_spec(
         trial=trial_ref(service_answer_trial),
         params=params,
         seed=entry.seed,
-    )
-
-
-# ----------------------------------------------------------------------
-# Benchmark trial functions (the measured pair)
-# ----------------------------------------------------------------------
-
-#: Attached segments cached per worker process for the bench trial —
-#: the analog of ``_WORKER_STATE["graphs"]`` keyed by segment name.
-_ATTACH_CACHE: Dict[str, FrozenGraph] = {}
-
-
-def attach_shared_graph(name: str) -> FrozenGraph:
-    """Attach (or reuse) the published segment ``name``.
-
-    Usable as a ``run_trials`` initializer target and from trial
-    bodies; one attach per worker process regardless of trial count.
-    """
-    graph = _ATTACH_CACHE.get(name)
-    if graph is None:
-        graph = attach_graph(name)
-        _ATTACH_CACHE[name] = graph
-    return graph
-
-
-def shm_search_trial(
-    *,
-    shm: str,
-    portfolio: str,
-    cells: List[Dict[str, Any]],
-    start: int,
-    target: int,
-    budget: Optional[int] = None,
-    neighbor_success: bool = False,
-    seed: int = 0,
-) -> List[Dict[str, Any]]:
-    """Search cells against a shared-memory snapshot, by name.
-
-    The spec carries only the segment *name* — the CSR buffers cross
-    the process boundary zero times.  ``seed`` is the graph's build
-    seed, so results match :func:`payload_search_trial` (and the batch
-    path) bit for bit.
-    """
-    graph = attach_shared_graph(shm)
-    factories = portfolio_factories(portfolio)
-    return _execute_cells(
-        graph,
-        factories,
-        cells,
-        default_start=start,
-        default_target=target,
-        budget=budget,
-        neighbor_success=neighbor_success,
-        seed=seed,
-    )
-
-
-def graph_payload(snapshot: FrozenGraph) -> Dict[str, Any]:
-    """A snapshot as a JSON-serializable dict (the baseline's cargo).
-
-    This is what 'pickle the graph into every spec' costs: the full
-    CSR — endpoint columns, offsets, slots, degrees — rides along
-    with each :class:`~repro.runner.trial.TrialSpec`.
-    """
-    tails = [tail for tail, _ in snapshot._endpoints]
-    heads = [head for _, head in snapshot._endpoints]
-    return {
-        "n": snapshot.num_vertices,
-        "num_loops": snapshot.num_self_loops(),
-        "tails": tails,
-        "heads": heads,
-        "offsets": list(snapshot._offsets),
-        "slot_edges": list(snapshot._slot_edges),
-        "slot_targets": list(snapshot._slot_targets),
-        "indegree": list(snapshot._indegree),
-        "outdegree": list(snapshot._outdegree),
-    }
-
-
-def snapshot_from_payload(payload: Dict[str, Any]) -> FrozenGraph:
-    """Inverse of :func:`graph_payload`."""
-    if HAVE_NUMPY:
-        def column(name):
-            return _np.asarray(payload[name], dtype="<i8")
-    else:
-        def column(name):
-            return array("q", payload[name])
-    return FrozenGraph(
-        num_vertices=payload["n"],
-        endpoints=list(zip(payload["tails"], payload["heads"])),
-        indegree=list(payload["indegree"]),
-        outdegree=list(payload["outdegree"]),
-        offsets=column("offsets"),
-        slot_edges=column("slot_edges"),
-        slot_targets=column("slot_targets"),
-        num_loops=payload["num_loops"],
-    )
-
-
-def payload_search_trial(
-    *,
-    graph: Dict[str, Any],
-    portfolio: str,
-    cells: List[Dict[str, Any]],
-    start: int,
-    target: int,
-    budget: Optional[int] = None,
-    neighbor_success: bool = False,
-    seed: int = 0,
-) -> List[Dict[str, Any]]:
-    """The baseline arm: the CSR shipped inside the spec, per trial."""
-    snapshot = snapshot_from_payload(graph)
-    factories = portfolio_factories(portfolio)
-    return _execute_cells(
-        snapshot,
-        factories,
-        cells,
-        default_start=start,
-        default_target=target,
-        budget=budget,
-        neighbor_success=neighbor_success,
-        seed=seed,
     )

@@ -27,7 +27,8 @@ The load-once/serve-many shape:
    versioned trial records).
 
 Robustness: every query future carries a deadline (timeout -> 503
-with a structured body), the dispatch queue is bounded (full -> 429
+with a structured body, and a still-queued query is cancelled so it
+never reaches a worker), the dispatch queue is bounded (full -> 429
 shed instead of thread pile-up), and a worker death fails only the
 in-flight batch — the daemon swaps in a fresh pool and keeps serving.
 
@@ -115,8 +116,8 @@ class SearchService:
         publishes newly appeared snapshots without a restart.
     batch_window:
         Query-coalescing window in seconds (default 5 ms).  ``0``
-        disables coalescing: every query is its own pool call (the
-        PR 9 per-query path).
+        disables coalescing: every query is its own pool call
+        (per-query dispatch).
     batch_max:
         Flush a graph's queue early once it holds this many queries.
     max_queue:
@@ -124,7 +125,8 @@ class SearchService:
         queries shed with 429.
     query_timeout:
         Seconds an HTTP thread waits for its answer before returning
-        a structured 503.
+        a structured 503; a query still queued at that point is
+        cancelled and never runs.
     cache_size:
         Hot-cell answer-cache capacity (entries); ``0`` disables.
     cache_store:
@@ -155,7 +157,6 @@ class SearchService:
         cache_store: Any = None,
         engine: Optional[str] = None,
         stats_interval: float = 0.0,
-        nodelay: bool = True,
     ):
         if not entries:
             raise ExperimentError("a service needs at least one graph")
@@ -187,10 +188,6 @@ class SearchService:
         self.max_queue = max_queue
         self.query_timeout = query_timeout
         self.engine = engine
-        # nodelay=False restores the PR 9 wire behavior (Nagle on, so
-        # the two-send HTTP reply stalls behind delayed ACK) — kept
-        # solely so the benchmark can reconstruct that baseline.
-        self.nodelay = nodelay
         self.stats = ServiceStats()
         self.cache = AnswerCache(cache_size)
         self.cache_store = cache_store
@@ -251,10 +248,7 @@ class SearchService:
                     daemon=True,
                 )
                 self._stats_thread.start()
-            handler = _Handler if self.nodelay else _LegacyWireHandler
-            self._server = _Server(
-                (self.host, self.port), handler
-            )
+            self._server = _Server((self.host, self.port), _Handler)
             self._server.daemon_threads = True
             self._server.service = self  # type: ignore[attr-defined]
             self.port = self._server.server_address[1]
@@ -426,7 +420,7 @@ class SearchService:
             future = dispatcher.submit(graph_id, cell)
         else:
             # Per-query dispatch (batch_window=0): one pool call per
-            # request, the PR 9 path.
+            # request.
             self.stats.record_batch(1)
             try:
                 batch = self._submit_batch(graph_id, [cell])
@@ -439,6 +433,10 @@ class SearchService:
         except QueryError:
             raise
         except FutureTimeoutError:
+            # A still-queued query must not reach a worker: the
+            # dispatcher drops cancelled items when it assembles a
+            # batch, and the executor skips a cancelled pool future.
+            future.cancel()
             self.stats.record_timeout()
             raise QueryError(
                 503,
@@ -551,6 +549,9 @@ class _Unbatch:
 
     def result(self, timeout: Optional[float] = None):
         return self._batch.result(timeout=timeout)[0]
+
+    def cancel(self) -> bool:
+        return self._batch.cancel()
 
 
 class _Server(ThreadingHTTPServer):
@@ -675,15 +676,3 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(
                 404, {"error": f"unknown path {self.path!r}"}
             )
-
-
-class _LegacyWireHandler(_Handler):
-    """The PR 9 wire behavior: Nagle left on.
-
-    The reply's two small sends then serialize behind delayed ACK
-    (~40 ms per request on loopback).  Exists only so the serving
-    benchmark can measure the batched dispatch layer against the PR 9
-    per-query path as it actually shipped; never the default.
-    """
-
-    disable_nagle_algorithm = False

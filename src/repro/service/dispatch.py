@@ -1,8 +1,8 @@
 """Query coalescing and answer caching for the search daemon.
 
-The PR 9 daemon paid one pool round-trip — one pickle, one IPC hop,
-one serially executed cell — per HTTP request.  This module amortizes
-that cost two ways:
+Per-query dispatch pays one pool round-trip — one pickle, one IPC
+hop, one serially executed cell — per HTTP request.  This module
+amortizes that cost two ways:
 
 * :class:`BatchDispatcher` — HTTP threads enqueue validated queries
   into a per-graph coalescing queue and block on a future; a single
@@ -278,6 +278,13 @@ class BatchDispatcher:
                     else:
                         del self._queues[graph_id]
                     self._total -= len(take)
+                    # Claim each item; a cancelled one (its query
+                    # timed out while queued) never reaches a worker,
+                    # and an all-cancelled group takes no busy slot.
+                    take = [
+                        item for item in take
+                        if item.future.set_running_or_notify_cancel()
+                    ]
                     if take:
                         self._busy[graph_id] = (
                             self._busy.get(graph_id, 0) + 1

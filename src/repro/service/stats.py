@@ -8,10 +8,10 @@ one printed by the daemon are the same estimator over the same bucket
 layout — comparable by construction, never two codepaths drifting.
 
 The histogram is fixed-size (geometric buckets from 0.1 ms to ~2
-minutes, ~12%% resolution) so recording a sample is O(1) and the
-daemon's memory footprint is constant no matter how many queries it
-serves — the property a per-request ``list.append`` would lose at
-million-user volumes.
+minutes, each 25% wider than the last) so recording a sample is O(1)
+and the daemon's memory footprint is constant no matter how many
+queries it serves — the property a per-request ``list.append`` would
+lose at million-user volumes.
 
 :class:`ServiceStats` aggregates the daemon-side view: per-route
 request/error counts and latency, the dispatcher's batch-size
@@ -32,7 +32,8 @@ __all__ = ["LatencyHistogram", "ServiceStats"]
 #: Lowest bucket upper bound, seconds.  Anything faster lands in
 #: bucket 0 — sub-0.1ms resolution is measurement noise over HTTP.
 _FLOOR = 1e-4
-#: Geometric growth per bucket: ~12% relative resolution.
+#: Geometric growth per bucket: each bucket spans 25% of its lower
+#: bound, so percentiles (bucket upper bounds) can read up to 25% high.
 _GROWTH = 1.25
 #: 64 buckets: _FLOOR * _GROWTH**63 ≈ 124 s, past any sane timeout.
 _BUCKETS = 64
@@ -56,9 +57,10 @@ class LatencyHistogram:
 
     ``record`` is O(1); ``percentile`` is a nearest-rank scan over the
     64 buckets returning the matched bucket's upper bound (clamped to
-    the exact observed max), so reported percentiles are conservative
-    to within one bucket (~12%) — plenty for p50/p90/p99 serving
-    dashboards and for relative A/B comparisons like the bench gates.
+    the exact observed max), so a reported percentile is never below
+    the true one and at most one 25%-wide bucket above it — fine for
+    p50/p90/p99 serving dashboards, too coarse to tell apart two arms
+    less than 25% apart.
     """
 
     def __init__(self) -> None:

@@ -192,27 +192,51 @@ class TestRegistrySemantics:
         }
 
 
+#: The registry's whole surface: every id in order, with the axes it
+#: declares.  Adding or re-declaring an experiment changes this on
+#: purpose, alongside the README index.
+_SEARCH_AXES = ("jobs", "cache", "backend", "engine", "generator", "store")
+EXPECTED_CAPABILITY_MATRIX = {
+    "E1": _SEARCH_AXES,
+    "E2": _SEARCH_AXES,
+    "E3": _SEARCH_AXES,
+    "E4": (),
+    "E5": (),
+    "E6": ("jobs", "cache", "backend", "store"),
+    "E7": ("jobs", "cache", "backend", "engine", "store"),
+    # E8 stays axis-free on purpose: greedy routing navigates by
+    # lattice coordinates, not through the oracle machinery.
+    "E8": (),
+    "E9": _SEARCH_AXES,
+    "E10": (),
+    "E11": _SEARCH_AXES,
+    "E12": ("backend",),
+    "E13": _SEARCH_AXES,
+    "E14": _SEARCH_AXES,
+    "E15": (),
+    "E16": (),
+    "E17": ("jobs", "cache", "backend", "mode", "generator", "store"),
+    "E18": (
+        "jobs", "cache", "backend", "engine", "mode", "generator",
+        "store",
+    ),
+    "E19": (
+        "jobs", "cache", "backend", "engine", "mode", "generator",
+        "store",
+    ),
+    "E20": _SEARCH_AXES,
+    "E21": _SEARCH_AXES,
+    "E22": ("jobs", "cache", "backend", "generator", "store"),
+}
+
+
 class TestAuditedAxes:
-    """Satellite audit: E9/E12/E18/E19 gained their missing axes."""
+    """The audited capability surface (E9/E12/E18/E19 gained their
+    missing axes), pinned whole: every id in order, every row."""
 
     def test_matrix_rows(self):
-        matrix = REGISTRY.capability_matrix()
-        assert matrix["E9"] == (
-            "jobs", "cache", "backend", "engine", "generator",
-            "store",
-        )
-        assert matrix["E12"] == ("backend",)
-        assert matrix["E18"] == (
-            "jobs", "cache", "backend", "engine", "mode", "generator",
-            "store",
-        )
-        assert matrix["E19"] == (
-            "jobs", "cache", "backend", "engine", "mode", "generator",
-            "store",
-        )
-        # E8 stays axis-free on purpose: greedy routing navigates by
-        # lattice coordinates, not through the oracle machinery.
-        assert matrix["E8"] == ()
+        assert REGISTRY.ids() == [f"E{index}" for index in range(1, 23)]
+        assert REGISTRY.capability_matrix() == EXPECTED_CAPABILITY_MATRIX
 
     def test_e12_backend_invariant(self):
         from repro.core.experiments import e12_percolation

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -74,8 +75,6 @@ class _FakePool:
         self.lock = threading.Lock()
 
     def submit(self, graph_id, cells):
-        from concurrent.futures import Future
-
         with self.lock:
             self.batches.append((graph_id, list(cells)))
         done = Future()
@@ -83,6 +82,30 @@ class _FakePool:
             {"graph": graph_id, **cell} for cell in cells
         ])
         return done
+
+
+class _BlockingPool(_FakePool):
+    """A :class:`_FakePool` whose first batch stays in flight until
+    ``blocker`` resolves, holding its graph's only busy slot."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocker = Future()
+
+    def submit(self, graph_id, cells):
+        answered = super().submit(graph_id, cells)
+        return self.blocker if len(self.batches) == 1 else answered
+
+    def wait_for_first_batch(self):
+        deadline = time.monotonic() + 5
+        while not self.batches and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+    def run_indexes(self):
+        return [
+            [cell["run_index"] for cell in cells]
+            for _, cells in self.batches
+        ]
 
 
 class TestBatchDispatcher:
@@ -211,9 +234,28 @@ class TestBatchDispatcher:
             dispatcher.submit("g", {"run_index": 1})
         dispatcher.close()  # idempotent
 
-    def test_batch_failure_isolated_to_its_graph(self):
-        from concurrent.futures import Future
+    def test_cancelled_query_is_dropped_and_frees_the_slot(self):
+        pool = _BlockingPool()
+        dispatcher = BatchDispatcher(
+            pool.submit, window=0.005, batch_max=8
+        )
+        try:
+            first = dispatcher.submit("g", {"run_index": 0})
+            pool.wait_for_first_batch()
+            # Queued behind the blocked batch, then abandoned.
+            abandoned = dispatcher.submit("g", {"run_index": 1})
+            assert abandoned.cancel()
+            pool.blocker.set_result([{"run_index": 0}])
+            assert first.result(timeout=5) == {"run_index": 0}
+            # The all-cancelled group took no busy slot: a later
+            # query for the same graph still dispatches.
+            later = dispatcher.submit("g", {"run_index": 2})
+            assert later.result(timeout=5)["run_index"] == 2
+            assert pool.run_indexes() == [[0], [2]]
+        finally:
+            dispatcher.close()
 
+    def test_batch_failure_isolated_to_its_graph(self):
         seen_errors = []
 
         def submit(graph_id, cells):
@@ -280,7 +322,7 @@ class TestLatencyHistogram:
         for _ in range(10):
             histogram.record(0.100)
         assert histogram.count == 100
-        # Geometric buckets are ~12% wide; p50 must land at ~10ms
+        # Geometric buckets are 25% wide; p50 must land at ~10ms
         # and p99 at ~100ms within one bucket either way.
         assert 0.010 / 1.25 <= histogram.percentile(0.50) <= 0.010 * 1.25
         assert 0.100 / 1.25 <= histogram.percentile(0.99) <= 0.100 * 1.25
@@ -452,6 +494,42 @@ class TestRobustness:
                     client.search(GRAPH_ID, "random-walk", 0)
             assert info.value.status == 503
             assert service.stats.snapshot()["timeouts"] == 1
+
+    def test_timed_out_query_never_reaches_a_worker(self):
+        pool = _BlockingPool()
+        service = SearchService(
+            _entries(),
+            portfolio=PORTFOLIO,
+            workers=1,
+            batch_window=0.005,
+            query_timeout=0.2,
+            cache_size=0,
+        )
+        # The dispatcher binds the pool hook at start(); this one
+        # holds the graph's only in-flight slot until released.
+        service._submit_batch = pool.submit
+        with service:
+            query = {"graph": GRAPH_ID, "algorithm": "random-walk"}
+            head_statuses = []
+
+            def head_query():
+                try:
+                    service.handle_search({**query, "run_index": 0})
+                except QueryError as error:
+                    head_statuses.append(error.status)
+
+            head = threading.Thread(target=head_query)
+            head.start()
+            pool.wait_for_first_batch()
+            with pytest.raises(QueryError) as info:
+                service.handle_search({**query, "run_index": 1})
+            assert info.value.status == 503
+            head.join(timeout=5)
+            assert head_statuses == [503]
+            pool.blocker.set_result([{"run_index": 0}])
+            later = service.handle_search({**query, "run_index": 2})
+            assert later["run_index"] == 2
+        assert pool.run_indexes() == [[0], [2]]
 
     def test_timeout_error_body_carries_timeout_s(self):
         import http.client
