@@ -1,25 +1,16 @@
 """Fast validation of the committed benchmark-trajectory records.
 
-Each PR appends one point to the bench trajectory: ``BENCH_PR2.json``
-(FrozenGraph cell batching, regenerable with
-``PYTHONPATH=src python benchmarks/bench_smoke.py --pr2``),
-``BENCH_PR3.json`` (growth-trajectory checkpoint engine, ``--pr3``),
-``BENCH_PR4.json`` (vectorized walker-ensemble engine, ``--pr4``),
-``BENCH_PR5.json`` (declarative experiment registry, ``--pr5``) and
-``BENCH_PR6.json`` (vectorized generation engine + corpus store,
-``--pr6``), ``BENCH_PR7.json`` (pluggable trial store, ``--pr7``)
-``BENCH_PR8.json`` (dynamic-graph overlay, ``--pr8``) and
-``BENCH_PR9.json`` (shared-memory graph workers + search service,
-written by ``make bench-smoke``).  These tests never run the
-benchmarks (that
-takes minutes) but pin the committed artifacts: the schema the
-trajectory tooling consumes and each PR's recorded acceptance claim
-(>= 3x on the PR2 flooding/BFS cell batch; >= 2x on the PR3
-grid-realisation workload; >= 3x on the PR4 ensemble-vs-serial walk
-cell, frozen backend with numpy; the PR5 registry-enumeration smoke
-must match the *live* registry, so re-declaring an experiment
-without regenerating the artifact fails here; >= 5x on the PR6
-vectorized-vs-serial Móri generation at n=10^6, with the bench-built
+``BENCH_PR2.json`` .. ``BENCH_PR10.json`` are frozen history: each
+recorded one point of the old per-PR bench trajectory and nothing
+regenerates them any more (current measurements come from
+``perfbench/``; see ``perfbench/README.md``).  These tests never run a
+benchmark but pin the committed artifacts, so a stray edit to the
+history fails here: the schema the trajectory tooling consumes and
+each point's recorded acceptance claim (>= 3x on the PR2 flooding/BFS
+cell batch; >= 2x on the PR3 grid-realisation workload; >= 3x on the
+PR4 ensemble-vs-serial walk cell, frozen backend with numpy; the PR5
+registry-enumeration block covering E1..E20; >= 5x on the PR6
+vectorized-vs-serial Mori generation at n=10^6, with the bench-built
 corpus passing ``verify``; >= 2x warm trial replay and >= 5x fewer
 inodes for the PR7 sqlite store vs the json-files baseline, with the
 in-bench migration verifying every record bit-identical; >= 3x for
@@ -28,7 +19,8 @@ churn step, with both strategies digest- and request-identical;
 >= 2x for the PR9 shared-memory dispatch vs pickling the CSR into
 every spec, on bit-identical trial values, with the service-load
 block recording p50/p99 latency and sustained qps under >= 4
-concurrent clients).
+concurrent clients; the PR10 serving arms and their gates).  The live
+registry surface is pinned in ``tests/test_registry.py``.
 """
 
 from __future__ import annotations
@@ -61,14 +53,18 @@ VALID_DISPATCHES = {"pickle-per-spec", "shared-memory", "service"}
 VALID_SERVING_DISPATCHES = {"per-query", "coalesced", "cache-warm"}
 
 
+def _load_frozen(path):
+    assert os.path.exists(path), (
+        f"{os.path.basename(path)} missing; it is frozen history and "
+        "must stay committed"
+    )
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 @pytest.fixture(scope="module")
 def payload():
-    assert os.path.exists(BENCH_PATH), (
-        "BENCH_PR2.json missing; run "
-        "`PYTHONPATH=src python benchmarks/bench_smoke.py --pr2`"
-    )
-    with open(BENCH_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_frozen(BENCH_PATH)
 
 
 class TestBenchSchema:
@@ -125,11 +121,7 @@ class TestBenchSchema:
 
 @pytest.fixture(scope="module")
 def pr3_payload():
-    assert os.path.exists(BENCH_PR3_PATH), (
-        "BENCH_PR3.json missing; run `make bench-smoke`"
-    )
-    with open(BENCH_PR3_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_frozen(BENCH_PR3_PATH)
 
 
 class TestBenchPR3Schema:
@@ -201,11 +193,7 @@ class TestBenchPR3Schema:
 
 @pytest.fixture(scope="module")
 def pr4_payload():
-    assert os.path.exists(BENCH_PR4_PATH), (
-        "BENCH_PR4.json missing; run `make bench-smoke`"
-    )
-    with open(BENCH_PR4_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_frozen(BENCH_PR4_PATH)
 
 
 class TestBenchPR4Schema:
@@ -276,12 +264,7 @@ class TestBenchPR4Schema:
 
 @pytest.fixture(scope="module")
 def pr5_payload():
-    assert os.path.exists(BENCH_PR5_PATH), (
-        "BENCH_PR5.json missing; run "
-        "`PYTHONPATH=src python benchmarks/bench_smoke.py --pr5`"
-    )
-    with open(BENCH_PR5_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_frozen(BENCH_PR5_PATH)
 
 
 class TestBenchPR5Schema:
@@ -314,9 +297,9 @@ class TestBenchPR5Schema:
 
     def test_registry_block_shape(self, pr5_payload):
         registry = pr5_payload["registry"]
-        # The registry grows with later PRs (the artifact snapshots
-        # the live surface); the PR5 claim is that the original
-        # E1..E20 surface is still fully declared.
+        # The artifact is a frozen snapshot of the registry at the
+        # time it was written; the PR5 claim is that the original
+        # E1..E20 surface is fully declared in it.
         assert registry["count"] == len(registry["experiments"])
         assert registry["count"] >= 20
         for experiment_id in (f"E{i}" for i in range(1, 21)):
@@ -329,28 +312,10 @@ class TestBenchPR5Schema:
         for capabilities in matrix.values():
             assert set(capabilities) <= valid_capabilities
 
-    def test_registry_block_matches_live_registry(self, pr5_payload):
-        """The committed enumeration is the *current* surface: adding
-        or re-declaring an experiment without regenerating the
-        artifact (`make bench-smoke`) fails here."""
-        from repro.core.registry import REGISTRY
-
-        registry = pr5_payload["registry"]
-        assert registry["experiments"] == REGISTRY.ids()
-        assert registry["capability_matrix"] == {
-            experiment_id: list(capabilities)
-            for experiment_id, capabilities in
-            REGISTRY.capability_matrix().items()
-        }
-
 
 @pytest.fixture(scope="module")
 def pr6_payload():
-    assert os.path.exists(BENCH_PR6_PATH), (
-        "BENCH_PR6.json missing; run `make bench-smoke`"
-    )
-    with open(BENCH_PR6_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_frozen(BENCH_PR6_PATH)
 
 
 class TestBenchPR6Schema:
@@ -425,11 +390,7 @@ class TestBenchPR6Schema:
 
 @pytest.fixture(scope="module")
 def pr7_payload():
-    assert os.path.exists(BENCH_PR7_PATH), (
-        "BENCH_PR7.json missing; run `make bench-smoke`"
-    )
-    with open(BENCH_PR7_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_frozen(BENCH_PR7_PATH)
 
 
 class TestBenchPR7Schema:
@@ -515,11 +476,7 @@ class TestBenchPR7Schema:
 
 @pytest.fixture(scope="module")
 def pr8_payload():
-    assert os.path.exists(BENCH_PR8_PATH), (
-        "BENCH_PR8.json missing; run `make bench-smoke`"
-    )
-    with open(BENCH_PR8_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_frozen(BENCH_PR8_PATH)
 
 
 class TestBenchPR8Schema:
@@ -603,11 +560,7 @@ class TestBenchPR8Schema:
 
 @pytest.fixture(scope="module")
 def pr9_payload():
-    assert os.path.exists(BENCH_PR9_PATH), (
-        "BENCH_PR9.json missing; run `make bench-smoke`"
-    )
-    with open(BENCH_PR9_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_frozen(BENCH_PR9_PATH)
 
 
 class TestBenchPR9Schema:
@@ -687,11 +640,7 @@ class TestBenchPR9Schema:
 
 @pytest.fixture(scope="module")
 def pr10_payload():
-    assert os.path.exists(BENCH_PR10_PATH), (
-        "BENCH_PR10.json missing; run `make bench-smoke`"
-    )
-    with open(BENCH_PR10_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_frozen(BENCH_PR10_PATH)
 
 
 class TestBenchPR10Schema:
