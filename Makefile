@@ -17,10 +17,13 @@ verify-full:
 # What .github/workflows/ci.yml runs, locally: the tier-1 suite with
 # numpy, then the registry CLI smoke (the capability matrix plus one
 # downsized registry-driven experiment through the real CLI, both
-# engines), then the corpus-cache smoke (cold fill, warm replay with
-# identical output, verify), then the trial-store smoke (sqlite
-# cold fill, warm replay with identical output and a nonzero hit
-# tally, stat, a verified migration back to json-files), then the
+# engines), then the reference-arm diff (E1, E11 and E20 at the
+# fastest-available defaults and pinned to the serial engine and
+# generator must print byte-identical output), then the corpus-cache
+# smoke (cold fill, warm replay with identical output, verify), then
+# the trial-store smoke (sqlite cold fill, warm replay with identical
+# output and a nonzero hit tally, stat, a verified migration back to
+# json-files), then the
 # churn smoke (a downsized E21 through the dynamic-graph flags, both
 # engines), then the serve smoke (a live `repro serve` daemon on a
 # small grid answering a concurrent query stream, every answer
@@ -40,6 +43,10 @@ ci:
 	PYTHONPATH=src python -m repro list
 	PYTHONPATH=src python -m repro run E20 --quick --jobs 2 --backend frozen
 	PYTHONPATH=src python -m repro run E20 --quick --jobs 2 --engine ensemble --backend frozen
+	PYTHONPATH=src python -m repro run E1,E11,E20 --quick > .ci-default.out
+	PYTHONPATH=src python -m repro run E1,E11,E20 --quick --engine serial --generator serial > .ci-reference.out
+	cmp .ci-default.out .ci-reference.out
+	rm -f .ci-default.out .ci-reference.out
 	rm -rf .ci-corpus
 	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --generator vectorized --corpus-dir .ci-corpus | tee .ci-corpus-cold.log
 	grep -q "corpus: 0 hits, 4 misses" .ci-corpus-cold.log
@@ -69,6 +76,7 @@ ci:
 	@mkdir -p .ci-no-numpy && printf 'raise ImportError("numpy disabled for the no-numpy CI leg")\n' > .ci-no-numpy/numpy.py
 	! PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1 --generator vectorized 2> .ci-no-numpy/err.log
 	grep -q "requires numpy" .ci-no-numpy/err.log
+	PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1
 	PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1 --generator serial
 	PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 120 --seeds 3 --smoke
 	PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke

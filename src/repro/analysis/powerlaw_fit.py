@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Optional, Sequence
 
 from repro.errors import AnalysisError, InvalidParameterError
@@ -61,7 +62,9 @@ class PowerLawFit:
 def _log_likelihood(
     k: float, log_sum: float, n: int, support: Sequence[int]
 ) -> float:
-    z = sum(d ** (-k) for d in support)
+    # map(pow, ...) performs the same left-to-right additions of the
+    # same d ** (-k) terms as a generator, without a frame per term.
+    z = sum(map(pow, support, repeat(-k)))
     return -k * log_sum - n * math.log(z)
 
 
@@ -141,16 +144,20 @@ def fit_power_law(
             raise InvalidParameterError(
                 f"d_min must be >= 1, got {d_min}"
             )
-        return _fit_at(positive, d_min)
+        return _fit_at(Counter(positive), d_min)
 
-    candidates = sorted(set(positive))
+    all_counts = Counter(positive)
     best: Optional[PowerLawFit] = None
-    for cutoff in candidates:
-        tail_size = sum(1 for d in positive if d >= cutoff)
+    # Tail sizes by one ascending pass: the tail at each cutoff is the
+    # previous tail minus the observations equal to the previous cutoff.
+    remaining = len(positive)
+    for cutoff in sorted(all_counts):
+        tail_size = remaining
+        remaining -= all_counts[cutoff]
         if tail_size < min_tail:
             break
         try:
-            fit = _fit_at(positive, cutoff)
+            fit = _fit_at(all_counts, cutoff)
         except AnalysisError:
             continue
         if best is None or fit.ks_distance < best.ks_distance:
@@ -162,8 +169,11 @@ def fit_power_law(
     return best
 
 
-def _fit_at(positive: Sequence[int], d_min: int) -> PowerLawFit:
-    counts = Counter(d for d in positive if d >= d_min)
+def _fit_at(all_counts: Dict[int, int], d_min: int) -> PowerLawFit:
+    # Filtering keeps first-appearance key order, so the likelihood's
+    # log-sum adds its terms in the same order as a Counter built from
+    # the tail observations alone.
+    counts = {d: c for d, c in all_counts.items() if d >= d_min}
     num_tail = sum(counts.values())
     if num_tail < 2:
         raise AnalysisError(

@@ -55,10 +55,13 @@ serial; requires numpy).  ``--generator vectorized`` builds each graph
 through the batched kernels in :mod:`repro.graphs.fastgen`, consuming
 the RNG in exactly the serial draw order so snapshots are bit-identical
 to the reference builders (requires numpy; families without a kernel
-build serially).  Whether a flag applies is read off the experiment's
-*declared capabilities*, not guessed from signatures: requesting an
-axis an experiment does not declare emits a warning on stderr instead
-of silently ignoring it.
+build serially).  Without either flag a run takes the fastest
+available arm (the numpy one when numpy imports, else serial);
+``--engine serial --generator serial`` pins the reference arms.
+Whether a flag applies is read off the experiment's *declared
+capabilities*, not guessed from signatures: requesting an axis an
+experiment does not declare emits a warning on stderr instead of
+silently ignoring it.
 
 ``--corpus-dir`` (equivalently the ``REPRO_CORPUS_DIR`` environment
 variable) points runs at a memory-mapped on-disk corpus of generated
@@ -314,11 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "ensemble"),
         default=None,
         help=(
-            "search-cell execution engine: 'serial' (default) steps "
-            "each run through the oracle one at a time; 'ensemble' "
-            "advances all runs of each walk-family cell together "
-            "through the lock-step numpy kernel (requires numpy); "
-            "numbers are identical either way"
+            "search-cell execution engine (default: the fastest "
+            "available, 'ensemble' when numpy imports, else "
+            "'serial'): 'serial' steps each run through the oracle "
+            "one at a time; 'ensemble' advances all runs of each "
+            "walk-family cell together through the lock-step numpy "
+            "kernel (requires numpy); numbers are identical either way"
         ),
     )
     run.add_argument(
@@ -326,13 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("serial", "vectorized"),
         default=None,
         help=(
-            "graph construction strategy: 'serial' (default) grows "
-            "each realisation one edge at a time through the "
-            "reference builders; 'vectorized' builds the same "
-            "realisation through the batched numpy kernels, consuming "
-            "the RNG in the serial draw order (requires numpy; "
-            "families without a kernel build serially); numbers are "
-            "identical either way"
+            "graph construction strategy (default: the fastest "
+            "available, 'vectorized' when numpy imports, else "
+            "'serial'): 'serial' grows each realisation one edge at "
+            "a time through the reference builders; 'vectorized' "
+            "builds the same realisation through the batched numpy "
+            "kernels, consuming the RNG in the serial draw order "
+            "(requires numpy; families without a kernel build "
+            "serially); numbers are identical either way"
         ),
     )
     run.add_argument(

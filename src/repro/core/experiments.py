@@ -257,8 +257,8 @@ def e1_mori_weak(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E1: every weak-model algorithm respects the Ω(√n) floor on Móri graphs.
@@ -366,8 +366,8 @@ def e2_mori_strong(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E2: strong-model algorithms respect Ω(n^{1/2-p-eps}) for p < 1/2."""
@@ -463,8 +463,8 @@ def e3_cooper_frieze(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E3: the Ω(√n) floor holds in the Cooper–Frieze model (Theorem 2)."""
@@ -861,7 +861,7 @@ def e7_adamic(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
+    engine: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E7: high-degree search beats the random walk on power-law graphs.
@@ -1060,8 +1060,8 @@ def e9_diameter_vs_search(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E9: O(log n) diameter yet polynomial search cost (the headline).
@@ -1225,8 +1225,8 @@ def e11_lemma1_floor(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E11: measured costs sit above the Lemma-1 floor; omniscient ~ Θ(√n)."""
@@ -1440,8 +1440,8 @@ def e13_ablation_p(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E13: the √n floor is insensitive to the attachment mixture p."""
@@ -1523,8 +1523,8 @@ def e14_ablation_m(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E14: the √n floor holds for every merge arity m (Theorem 1)."""
@@ -1863,7 +1863,7 @@ def e17_simulation_slowdown(
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
     mode: str = "independent",
-    generator: str = "serial",
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E17: weak simulation of a strong algorithm pays <= max-degree slowdown.
@@ -1981,9 +1981,9 @@ def e18_start_rule(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
+    engine: Optional[str] = None,
     mode: str = "independent",
-    generator: str = "serial",
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E18: the Ω(√n) floor is start-vertex independent.
@@ -2148,9 +2148,9 @@ def e19_trajectory_scaling(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
+    engine: Optional[str] = None,
     mode: str = "trajectory",
-    generator: str = "serial",
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E19: request cost vs n measured *along* single evolving networks.
@@ -2325,8 +2325,8 @@ def e20_cross_model(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E20: one harness, three models, both knowledge models.
@@ -2510,8 +2510,8 @@ def e21_churn_search(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E21: does non-searchability survive live churn?
@@ -2679,7 +2679,7 @@ def e22_giant_survival(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    generator: str = "serial",
+    generator: Optional[str] = None,
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E22: how fast does the searchable substrate itself dissolve?

@@ -91,13 +91,17 @@ CAPABILITIES = ("jobs", "cache", "backend", "engine", "mode",
 #: "auto" (the ``REPRO_STORE_BACKEND`` environment variable, else
 #: ``json-files``) so a whole run — or a whole CI leg — can be
 #: switched without threading the choice through every call.
+#: ``engine`` and ``generator`` default to ``None`` too, meaning "the
+#: fastest available arm" (ensemble/vectorized when numpy imports,
+#: else serial), resolved inside the trial functions by
+#: :func:`repro.core.trials.fastest_available`.
 CAPABILITY_PARAMS = {
     "jobs": ("jobs", 1),
     "cache": ("cache_dir", None),
     "backend": ("backend", "frozen"),
-    "engine": ("engine", "serial"),
+    "engine": ("engine", None),
     "mode": ("mode", "independent"),
-    "generator": ("generator", "serial"),
+    "generator": ("generator", None),
     "store": ("store_backend", None),
 }
 
@@ -174,9 +178,9 @@ class ExecutionContext:
     jobs: int = 1
     store: Optional[TrialStore] = None
     backend: str = "frozen"
-    engine: str = "serial"
+    engine: Optional[str] = None
     mode: str = "independent"
-    generator: str = "serial"
+    generator: Optional[str] = None
     store_backend: Optional[str] = None
 
     def run_trials(self, specs: Sequence[TrialSpec]) -> list:
@@ -185,20 +189,23 @@ class ExecutionContext:
         return run_trials(specs, jobs=self.jobs, store=self.store)
 
     def trial_params_extra(self) -> Dict[str, Any]:
-        """The non-default backend/engine/generator trial-param entries.
+        """The explicitly chosen backend/engine/generator trial params.
 
-        The backend/engine/generator cache-key policy (defaults stay
-        out of trial params so pre-existing cache entries keep
-        replaying; only a forced non-default choice gets its own
-        entries) spelled once.  ``store_backend`` never enters: where
-        a value is stored cannot change what the value is.
+        The backend/engine/generator cache-key policy spelled once:
+        defaults stay out of trial params, so pre-existing cache
+        entries keep replaying.  The default ``engine``/``generator``
+        is ``None`` ("fastest available", resolved inside the trial),
+        so any explicit choice — ``serial`` included — gets its own
+        entries, as a non-default backend does.  ``store_backend``
+        never enters: where a value is stored cannot change what the
+        value is.
         """
         extra: Dict[str, Any] = {}
         if self.backend != "frozen":
             extra["backend"] = self.backend
-        if self.engine != "serial":
+        if self.engine is not None:
             extra["engine"] = self.engine
-        if self.generator != "serial":
+        if self.generator is not None:
             extra["generator"] = self.generator
         return extra
 

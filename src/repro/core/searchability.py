@@ -137,8 +137,8 @@ def _build_cell_specs(
     neighbor_success: bool,
     start_rule: str,
     backend: str,
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
 ) -> List[TrialSpec]:
     """One :class:`TrialSpec` per graph realisation of a (size, seed) cell."""
     from repro.core.trials import family_spec, search_cost_graph_trial
@@ -155,13 +155,15 @@ def _build_cell_specs(
     }
     # Neither backend, engine nor generator ever changes a trial's
     # value (the equivalence batteries pin this), so the defaults stay
-    # out of the params — keeping cache keys identical to earlier runs;
-    # only a forced non-default choice gets its own cache entries.
+    # out of the params — keeping cache keys identical to earlier runs.
+    # The engine/generator default is None ("fastest available",
+    # resolved inside the trial), so only an explicit choice, serial
+    # included, gets its own cache entries.
     if backend != "frozen":
         params["backend"] = backend
-    if engine != "serial":
+    if engine is not None:
         params["engine"] = engine
-    if generator != "serial":
+    if generator is not None:
         params["generator"] = generator
     return [
         TrialSpec(
@@ -184,7 +186,7 @@ def _portfolio_grid_in_process(
     budget: Optional[int],
     neighbor_success: bool,
     graph_seed: int,
-    engine: str,
+    engine: Optional[str],
 ):
     """One graph's whole portfolio grid through the shared executor.
 
@@ -250,8 +252,8 @@ def measure_search_cost(
     store: Optional[ResultStore] = None,
     experiment_id: str = "adhoc",
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
 ) -> CostMeasurement:
     """Estimate expected request counts on ``family`` at ``size``.
 
@@ -280,15 +282,16 @@ def measure_search_cost(
     (default) snapshots each realisation into a read-optimised
     :class:`~repro.graphs.frozen.FrozenGraph` once built,
     ``"multigraph"`` searches the mutable object directly.  ``engine``
-    picks the cell execution strategy: ``"serial"`` (default) steps
-    runs one at a time, ``"ensemble"`` advances all runs of each
-    walk-family cell through the lock-step numpy kernel (see
+    picks the cell execution strategy: ``"serial"`` steps runs one at
+    a time, ``"ensemble"`` advances all runs of each walk-family cell
+    through the lock-step numpy kernel (see
     :data:`repro.core.trials.ENGINES`; requires numpy).  ``generator``
-    picks the graph construction strategy: ``"serial"`` (default) uses
-    the reference builders, ``"vectorized"`` the batched fastgen
-    kernels (see :data:`repro.core.trials.GENERATORS`; requires
-    numpy).  Like ``jobs``/``store`` none of them changes a number,
-    only wall-clock time.
+    picks the graph construction strategy: ``"serial"`` uses the
+    reference builders, ``"vectorized"`` the batched fastgen kernels
+    (see :data:`repro.core.trials.GENERATORS`; requires numpy).  Both
+    default to ``None``, the fastest available arm (the numpy one when
+    numpy imports).  Like ``jobs``/``store`` none of them changes a
+    number, only wall-clock time.
     """
     if num_graphs < 1 or runs_per_graph < 1:
         raise ExperimentError(
@@ -451,8 +454,8 @@ def measure_scaling(
     experiment_id: str = "adhoc",
     backend: str = "frozen",
     mode: str = "independent",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
 ) -> ScalingMeasurement:
     """Run :func:`measure_search_cost` across a size grid.
 
@@ -588,8 +591,8 @@ def _measure_scaling_trajectory(
     store: Optional[ResultStore],
     experiment_id: str,
     backend: str,
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
 ) -> ScalingMeasurement:
     """The ``mode='trajectory'`` body of :func:`measure_scaling`.
 
@@ -618,14 +621,14 @@ def _measure_scaling_trajectory(
             "neighbor_success": neighbor_success,
             "start_rule": start_rule,
         }
-        # Same cache-key policy as the independent cells: only forced
-        # non-default choices enter the params (values are backend-,
-        # engine- and generator-independent).
+        # Same cache-key policy as the independent cells: only explicit
+        # choices enter the params (values are backend-, engine- and
+        # generator-independent).
         if backend != "frozen":
             params["backend"] = backend
-        if engine != "serial":
+        if engine is not None:
             params["engine"] = engine
-        if generator != "serial":
+        if generator is not None:
             params["generator"] = generator
         specs = trajectory_specs(
             experiment_id,
@@ -649,8 +652,13 @@ def _measure_scaling_trajectory(
             "portfolio name from repro.core.trials.PORTFOLIOS"
         )
 
-    from repro.core.trials import trajectory_snapshots
+    from repro.core.trials import (
+        GENERATORS,
+        fastest_available,
+        trajectory_snapshots,
+    )
 
+    generator = fastest_available(generator, GENERATORS)
     collected: Dict[int, Dict[str, List[SearchResult]]] = {
         size: {name: [] for name in factories} for size in ordered
     }

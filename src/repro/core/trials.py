@@ -49,7 +49,7 @@ from repro.graphs.base import MultiGraph
 from repro.graphs.churn import CHURN_BIASES, ChurnProcess
 from repro.graphs.components import connected_components
 from repro.graphs.delta import DeltaGraph
-from repro.graphs.frozen import GraphBackend, freeze
+from repro.graphs.frozen import HAVE_NUMPY, GraphBackend, freeze
 from repro.graphs.cooper_frieze import CooperFriezeParams
 from repro.graphs.kleinberg import kleinberg_grid
 from repro.rng import make_rng, run_substream, substream
@@ -76,6 +76,7 @@ __all__ = [
     "strong_factories",
     "portfolio_factories",
     "choose_start",
+    "fastest_available",
     "snapshot_graph",
     "build_graph_snapshot",
     "trajectory_snapshots",
@@ -94,26 +95,49 @@ __all__ = [
 #: Valid values of the ``backend`` trial parameter.
 BACKENDS = ("frozen", "multigraph")
 
-#: Valid values of the ``engine`` trial parameter.  ``"serial"`` (the
-#: default) steps every search cell through the oracle machinery one
-#: run at a time; ``"ensemble"`` advances all runs of each walk-family
-#: (algorithm, start, target) cell together through the numpy kernel in
+#: Valid values of the ``engine`` trial parameter.  ``"serial"`` steps
+#: every search cell through the oracle machinery one run at a time;
+#: ``"ensemble"`` advances all runs of each walk-family (algorithm,
+#: start, target) cell together through the numpy kernel in
 #: :mod:`repro.search.ensemble` (non-walk algorithms fall back to the
-#: serial path per cell).  Like ``backend``, the engine never changes a
-#: number — per-run costs, flags, and oracle traces are bit-identical
+#: serial path per cell).  ``None`` (the default everywhere) means the
+#: fastest available arm — see :func:`fastest_available`.  Like
+#: ``backend``, the engine never changes a number — per-run costs,
+#: flags, and oracle traces are bit-identical
 #: (``tests/test_search_ensemble.py``) — only wall-clock time.
 ENGINES = ("serial", "ensemble")
 
 #: Valid values of the ``generator`` trial parameter.  ``"serial"``
-#: (the default) grows graphs one edge at a time through the reference
-#: builders; ``"vectorized"`` builds the same realisation through the
-#: batched kernels in :mod:`repro.graphs.fastgen`, which consume the
-#: RNG in exactly the serial draw order (families without a kernel
-#: build serially).  Like ``backend`` and ``engine``, the generator
-#: never changes a number — edge lists, edge ids, and snapshot hashes
-#: are bit-identical (``tests/test_fastgen_equivalence.py``) — only
-#: wall-clock time.
+#: grows graphs one edge at a time through the reference builders;
+#: ``"vectorized"`` builds the same realisation through the batched
+#: kernels in :mod:`repro.graphs.fastgen`, which consume the RNG in
+#: exactly the serial draw order (families without a kernel build
+#: serially).  ``None`` (the default everywhere) means the fastest
+#: available arm — see :func:`fastest_available`.  Like ``backend``
+#: and ``engine``, the generator never changes a number — edge lists,
+#: edge ids, and snapshot hashes are bit-identical
+#: (``tests/test_fastgen_equivalence.py``) — only wall-clock time.
 GENERATORS = ("serial", "vectorized")
+
+
+def fastest_available(choice: Optional[str], axis) -> str:
+    """Resolve and validate an ``engine``/``generator`` choice.
+
+    ``axis`` is :data:`ENGINES` or :data:`GENERATORS`: ``(reference,
+    fast)``.  ``None`` resolves to the fast numpy arm when numpy
+    imports and to the stdlib reference arm otherwise; an explicit
+    choice must be a member of ``axis``.  Trial functions resolve
+    here, in whichever process runs them, so ``None`` never has to
+    enter trial params (and hence cache keys).
+    """
+    if choice is None:
+        return axis[1] if HAVE_NUMPY else axis[0]
+    if choice not in axis:
+        label = "search engine" if axis == ENGINES else "graph generator"
+        raise ExperimentError(
+            f"unknown {label} {choice!r}; valid: {', '.join(axis)}"
+        )
+    return choice
 
 
 def snapshot_graph(graph: MultiGraph, backend: str) -> GraphBackend:
@@ -172,7 +196,7 @@ def build_graph_snapshot(
     size: int,
     seed: int,
     backend: str = "frozen",
-    generator: str = "serial",
+    generator: Optional[str] = None,
 ) -> GraphBackend:
     """Build one family instance and snapshot it per ``backend``.
 
@@ -196,11 +220,7 @@ def build_graph_snapshot(
 
     Numbers never depend on any of this — only wall-clock time.
     """
-    if generator not in GENERATORS:
-        raise ExperimentError(
-            f"unknown graph generator {generator!r}; valid: "
-            f"{', '.join(GENERATORS)}"
-        )
+    generator = fastest_available(generator, GENERATORS)
 
     def _build() -> GraphBackend:
         if generator == "vectorized":
@@ -467,7 +487,7 @@ def _execute_cells(
     budget: Optional[int],
     neighbor_success: bool,
     seed: int,
-    engine: str = "serial",
+    engine: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Run a batch of search cells against one (snapshotted) graph.
 
@@ -485,11 +505,7 @@ def _execute_cells(
     each run seeded exactly as its serial counterpart; groups without a
     kernel run serially.  Results come back in cell order either way.
     """
-    if engine not in ENGINES:
-        raise ExperimentError(
-            f"unknown search engine {engine!r}; valid: "
-            f"{', '.join(ENGINES)}"
-        )
+    engine = fastest_available(engine, ENGINES)
     ensemble_groups: Dict[Any, List[int]] = {}
     ensemble_graph = graph
     if engine == "ensemble":
@@ -583,8 +599,8 @@ def search_cost_graph_trial(
     neighbor_success: bool = False,
     start_rule: str = "default",
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, List[Dict[str, Any]]]:
     """One graph realisation searched by a whole portfolio.
@@ -638,8 +654,8 @@ def batched_search_trial(
     neighbor_success: bool = False,
     start_rule: str = "default",
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """One generated graph snapshot serving an explicit batch of cells.
@@ -719,8 +735,8 @@ def churn_search_trial(
     budget: Optional[int] = None,
     neighbor_success: bool = False,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One churned graph realisation searched by a whole portfolio.
@@ -801,7 +817,7 @@ def churn_survival_trial(
     churn_bias: str = "uniform",
     resnapshot_every: int = 0,
     backend: str = "frozen",
-    generator: str = "serial",
+    generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Any]:
     """Giant-component survival of one realisation under pure decay.
@@ -873,8 +889,8 @@ def trajectory_scaling_trial(
     neighbor_success: bool = False,
     start_rule: str = "default",
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
+    engine: Optional[str] = None,
+    generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Dict[str, List[Dict[str, Any]]]]:
     """One growth trajectory serving a whole scaling grid of cells.
@@ -889,11 +905,7 @@ def trajectory_scaling_trial(
     regression pins enforce it).  Keys are strings so the value
     round-trips unchanged through the JSON result store.
     """
-    if generator not in GENERATORS:
-        raise ExperimentError(
-            f"unknown graph generator {generator!r}; valid: "
-            f"{', '.join(GENERATORS)}"
-        )
+    generator = fastest_available(generator, GENERATORS)
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
     full_graph, marks = family_obj.build_trajectory(
@@ -935,7 +947,7 @@ def trajectory_slowdown_trial(
     family: Dict[str, Any],
     sizes: List[int],
     backend: str = "frozen",
-    generator: str = "serial",
+    generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Dict[str, int]]:
     """E17's simulation-slowdown cells along one growth trajectory.
@@ -947,11 +959,7 @@ def trajectory_slowdown_trial(
     """
     from repro.core.families import theorem_target_for_size
 
-    if generator not in GENERATORS:
-        raise ExperimentError(
-            f"unknown graph generator {generator!r}; valid: "
-            f"{', '.join(GENERATORS)}"
-        )
+    generator = fastest_available(generator, GENERATORS)
     family_obj = build_family(family)
     full_graph, marks = family_obj.build_trajectory(
         sizes, seed=seed, generator=generator
@@ -1003,7 +1011,7 @@ def simulation_slowdown_trial(
     family: Dict[str, Any],
     size: int,
     backend: str = "frozen",
-    generator: str = "serial",
+    generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One E17 instance: strong vs simulated-weak cost and max degree.

@@ -16,7 +16,10 @@ is ``(1 - p) * (t - 1)`` (one unit per existing vertex), so we flip a
 coin with probability ``p(t-2) / (p(t-2) + (1-p)(t-1))`` and then either
 draw the head of a uniformly random existing edge (which is exactly
 indegree-proportional) or a uniformly random existing vertex.  Both
-draws are O(1) via :class:`repro.graphs.sampling.EndpointUrn`.
+draws are O(1): the heads of the existing edges are exactly the parent
+vector's entries ``parents[2:t]``, so the sampler indexes the parent
+vector where an :class:`repro.graphs.sampling.EndpointUrn` holding one
+token per edge head would sample its tokens.
 
 The **merged m-out Móri graph** ``G^(m)_t`` of size ``n`` (paper,
 Section 1) is obtained by building the Móri tree on ``n * m`` vertices
@@ -38,6 +41,7 @@ Degenerate notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from repro.errors import InvalidParameterError
@@ -65,13 +69,15 @@ def _validate_p(p: float) -> None:
 class MoriTree:
     """A realised Móri random tree.
 
+    The realisation *is* its parent vector; the :class:`MultiGraph`
+    form is derived from it lazily, on first access to :attr:`graph`,
+    and cached.  Samplers that only test an event on the parents (E4
+    draws thousands of trees per cell) never pay for a graph.
+
     Attributes
     ----------
     p:
         The preferential/uniform mixture parameter used to build it.
-    graph:
-        The tree as a :class:`MultiGraph`; edge ``t - 2`` is the edge
-        added at time ``t`` (edge 0 is ``2 -> 1``).
     parents:
         ``parents[k]`` is ``N_k``, the destination of vertex ``k``'s
         outgoing edge, for ``2 <= k <= n``; entries 0 and 1 are 0
@@ -81,13 +87,25 @@ class MoriTree:
     """
 
     p: float
-    graph: MultiGraph
     parents: Tuple[int, ...]
+
+    @cached_property
+    def graph(self) -> MultiGraph:
+        """The tree as a :class:`MultiGraph`, built once on first use.
+
+        Edge ``t - 2`` is the edge ``t -> parents[t]`` added at time
+        ``t`` (edge 0 is ``2 -> 1``).
+        """
+        parents = self.parents
+        graph = MultiGraph(len(parents) - 1)
+        for t in range(2, len(parents)):
+            graph.add_edge(t, parents[t])
+        return graph
 
     @property
     def n(self) -> int:
         """Number of vertices."""
-        return self.graph.num_vertices
+        return len(self.parents) - 1
 
     def parent(self, k: int) -> int:
         """``N_k``, the father of vertex ``k`` (``k >= 2``)."""
@@ -176,29 +194,27 @@ def mori_tree(n: int, p: float, seed: RandomLike = None) -> MoriTree:
         raise InvalidParameterError(f"Mori tree needs n >= 2, got {n}")
     _validate_p(p)
     rng = make_rng(seed)
+    # randrange(k) for k > 0 *is* _randbelow(k), and randint(1, k) is
+    # 1 + _randbelow(k): binding it skips argument validation without
+    # changing a variate, so the generator ends in the same state.
+    draw = rng._randbelow
+    coin = rng.random
 
-    graph = MultiGraph(2)
-    graph.add_edge(2, 1)
     parents = [0, 0, 1]
-
-    urn = EndpointUrn()
-    urn.add(1)  # head of the initial edge 2 -> 1
-
     for t in range(3, n + 1):
         num_edges = t - 2      # edges among the t - 1 existing vertices
         num_vertices = t - 1
         preferential_mass = p * num_edges
         total_mass = preferential_mass + (1.0 - p) * num_vertices
-        if rng.random() * total_mass < preferential_mass:
-            u = urn.sample(rng)
+        if coin() * total_mass < preferential_mass:
+            # An urn of the edge heads, in insertion order, holds
+            # exactly parents[2:t].
+            u = parents[2 + draw(num_edges)]
         else:
-            u = rng.randint(1, num_vertices)
-        graph.add_vertex()
-        graph.add_edge(t, u)
+            u = 1 + draw(num_vertices)
         parents.append(u)
-        urn.add(u)
 
-    return MoriTree(p=p, graph=graph, parents=tuple(parents))
+    return MoriTree(p=p, parents=tuple(parents))
 
 
 def merged_mori_graph(

@@ -8,9 +8,10 @@ helpers instead pack a whole cell list into each spec (one per graph
 seed) so the trial function builds the topology once, snapshots it, and
 serves every cell from the snapshot — the batched layout
 :func:`repro.core.trials.batched_search_trial` executes.  The optional
-``engine`` axis rides along the same way: ``engine="ensemble"`` makes
-the trial advance each walk-family cell group through the lock-step
-numpy kernel (:mod:`repro.search.ensemble`), bit-identically to serial.
+``engine`` axis rides along the same way: under the ensemble engine
+(the default whenever numpy imports) the trial advances each
+walk-family cell group through the lock-step numpy kernel
+(:mod:`repro.search.ensemble`), bit-identically to serial.
 
 The helpers are trial-agnostic: any pure trial whose parameters carry a
 list of cells and whose value is the same-length list of per-cell
@@ -28,7 +29,7 @@ re-fans into per-size, per-graph streams.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.runner.trial import TrialResult, TrialSpec
@@ -48,7 +49,7 @@ def batched_specs(
     cells: Sequence[Mapping[str, Any]],
     graph_seeds: Sequence[int],
     cells_key: str = "cells",
-    engine: str = "serial",
+    engine: Optional[str] = None,
 ) -> List[TrialSpec]:
     """One :class:`TrialSpec` per graph seed, each carrying every cell.
 
@@ -68,15 +69,17 @@ def batched_specs(
         with :func:`repro.rng.substream` exactly as for unbatched specs.
     engine:
         Cell execution strategy forwarded to the trial (see
-        :data:`repro.core.trials.ENGINES`).  Follows the backend
-        cache-key policy: values are engine-independent, so only a
-        non-default engine enters the params (and hence the cache
-        key) — flipping the engine replays existing serial caches.
+        :data:`repro.core.trials.ENGINES`).  The default ``None`` lets
+        the trial pick the fastest available engine and stays out of
+        the params, so default specs keep their earlier cache keys;
+        values are engine-independent, and only an explicit engine
+        (``"serial"`` included) enters the params and gets its own
+        cache entries.
     """
     if not cells:
         raise ExperimentError("batched specs need at least one cell")
     params: Dict[str, Any] = dict(base_params)
-    if engine != "serial":
+    if engine is not None:
         params["engine"] = engine
     params[cells_key] = [dict(cell) for cell in cells]
     return [

@@ -16,12 +16,16 @@ arrays instead:
   into the slot arrays for every live run plus one scalar RNG draw per
   run (the draw is the only per-run Python left);
 * the variable-candidate walks (self-avoiding, degree-biased) run
-  per-run on flat arrays — bytearray discovered/requested rows, slot
-  lists, shared per-vertex answer/weight caches — because their
-  candidate filter is a variable-length scan that vectorises per
-  vertex, not per ensemble.  Runs are independent, so per-run and
-  lock-step scheduling are interchangeable (pinned by the
-  run-order-permutation property test).
+  per-run on flat state — discovered/requested sets, CSR slot views,
+  shared per-vertex answer/weight caches — because their candidate
+  filter is a variable-length scan that vectorises per vertex, not per
+  ensemble.  Runs are independent, so per-run and lock-step scheduling
+  are interchangeable (pinned by the run-order-permutation property
+  test);
+* a narrow ensemble (at most ``_SCALAR_CUTOVER`` runs, e.g. one served
+  query) costs O(walk), not O(n): the scalar paths keep sets, not
+  bitmaps, and index no-copy memoryviews of the CSR arrays until the
+  walk has done O(n) work of its own.
 
 Bit-identical determinism is the contract, not an aspiration:
 
@@ -69,6 +73,7 @@ omniscient, mixtures) keep their serial path;
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -164,19 +169,52 @@ class _Cell:
             graph._slot_targets, dtype=_np.int64
         )
         self.slot_edges = _np.asarray(graph._slot_edges, dtype=_np.int64)
-        zone = [target]
+        zone = {target}
         if neighbor_success:
-            zone.extend(graph.unique_neighbors(target))
-        self.zone_mask = _np.zeros(n + 1, dtype=bool)
-        self.zone_mask[zone] = True
-        self.zone_bytes = bytearray(n + 1)
-        for member in zone:
-            self.zone_bytes[member] = 1
+            zone.update(graph.unique_neighbors(target))
+        self.zone = frozenset(zone)
         self.rngs = [make_rng(seed) for seed in run_seeds]
-        self.start_found = bool(self.zone_bytes[start])
+        self.start_found = start in self.zone
         self.traces: Optional[List[List[tuple]]] = (
             [[] for _ in range(self.n_runs)] if collect_traces else None
         )
+        # Scalar-path state is O(walk), never O(n): discovered sets,
+        # not bitmaps, and no-copy memoryviews of the CSR arrays.  A
+        # memoryview index costs more than a list index, so once the
+        # cell's scalar runs have taken as many steps as the graph has
+        # vertices (the walk has done work comparable to an O(n)
+        # conversion) the views switch to lists for the rest of it.
+        self.edge_view = (
+            memoryview(self.slot_edges) if collect_traces else None
+        )
+        self._csr_views = (
+            memoryview(self.offsets),
+            memoryview(self.slot_targets),
+        )
+        self._view_steps = n
+
+    def advance(self, run, state: tuple, max_moves: int) -> tuple:
+        """Drive one scalar run to completion on the CSR views.
+
+        ``run(offsets, slot_targets, cap, *state)`` continues a run
+        until it finishes or its hop count (``state[3]``) reaches
+        ``cap``, returning the new state.  Pausing at a cap and
+        resuming is invisible to the run — the whole loop state is in
+        ``state`` and the run's generator — so the switch from
+        memoryviews to lists changes no draw and no number.
+        """
+        if self._view_steps > 0:
+            hops = state[3]
+            cap = min(max_moves, hops + self._view_steps)
+            state = run(*self._csr_views, cap, *state)
+            self._view_steps -= state[3] - hops
+            if self._view_steps > 0:
+                return state
+            self._csr_views = (
+                self.offsets.tolist(),
+                self.slot_targets.tolist(),
+            )
+        return run(*self._csr_views, max_moves, *state)
 
     def results(
         self,
@@ -293,33 +331,33 @@ def run_ensemble(
 _SCALAR_CUTOVER = 8
 
 
-def _finish_uniform_run(
+def _uniform_run(
     cell: _Cell,
     run: int,
-    rng,
     restart_prob: Optional[float],
-    offsets: List[int],
-    slot_targets: List[int],
-    discovered: bytearray,
+    discovered: set,
+    offsets: Sequence[int],
+    slot_targets: Sequence[int],
+    max_moves: int,
     v: int,
     found: bool,
     requests: int,
     hops: int,
     restarts: int,
-    budget: int,
-    max_moves: int,
 ):
-    """Advance one run to completion on flat scalar state.
+    """Advance one run on flat scalar state (see :meth:`_Cell.advance`).
 
     Continues the serial loop exactly from wherever the lock-step
-    phase left it — same guards, same draw order — and returns the
-    final ``(v, found, requests, hops, restarts)``.
+    phase (or an earlier stretch) left it — same guards, same draw
+    order — until the run ends or ``hops`` reaches ``max_moves``, and
+    returns ``(v, found, requests, hops, restarts)``.
     """
+    rng = cell.rngs[run]
     draw = rng._randbelow  # == randrange(n) for n > 0
     coin = rng.random
-    zone = cell.zone_bytes
+    zone = cell.zone
+    budget = cell.budget
     trace = cell.traces[run] if cell.traces is not None else None
-    slot_edges = cell.slot_edges if trace is not None else None
     start = cell.start
     while not found and requests < budget and hops < max_moves:
         if restart_prob is not None and coin() < restart_prob:
@@ -333,13 +371,13 @@ def _finish_uniform_run(
             break  # isolated start vertex: nowhere to go
         slot = lo + draw(hi - lo)
         far = slot_targets[slot]
-        if not discovered[far]:
+        if far not in discovered:
             requests += 1
-            discovered[far] = 1
-            if zone[far]:
+            discovered.add(far)
+            if far in zone:
                 found = True
             if trace is not None:
-                trace.append(("weak", v, int(slot_edges[slot]), far))
+                trace.append(("weak", v, cell.edge_view[slot], far))
         v = far
         hops += 1
     return v, found, requests, hops, restarts
@@ -350,7 +388,67 @@ def _uniform_walk_kernel(
     algorithm: SearchAlgorithm,
     restart_prob: Optional[float],
 ) -> List[SearchResult]:
-    """Lock-step random walk, with or without restart coins.
+    """Random walk, with or without restart coins.
+
+    Wide ensembles advance in lock step (:func:`_lock_step`) until at
+    most ``_SCALAR_CUTOVER`` runs are live; the scalar path finishes
+    the stragglers, and runs a narrow ensemble from the start.  Per-run
+    state is ``(v, found, requests, hops, restarts)``.
+    """
+    budget = cell.budget
+    max_moves = algorithm._MOVES_PER_REQUEST * max(budget, 1)
+    # A walk can only stand on the start vertex or a vertex it moved
+    # into along an edge, so a degree-0 position is possible only at
+    # the (isolated) start — precompute that one flag instead of
+    # checking every iteration.
+    start_isolated = cell.graph.degree(cell.start) == 0
+    if cell.start_found or budget == 0 or (
+        # Serial: empty incidence list -> immediate break, zero hops.
+        start_isolated and restart_prob is None
+    ):
+        live: List[int] = []
+    else:
+        live = list(range(cell.n_runs))
+    states = [(cell.start, cell.start_found, 0, 0, 0)] * cell.n_runs
+    discovered = None
+    if len(live) > _SCALAR_CUTOVER:
+        live, states, discovered = _lock_step(
+            cell, restart_prob, max_moves, live, start_isolated
+        )
+    # Narrow ensemble (or lock-step stragglers): the scalar path
+    # finishes each remaining run without paying one numpy dispatch
+    # per surviving step.
+    for i in live:
+        seen = (
+            {cell.start}
+            if discovered is None
+            else set(_np.flatnonzero(discovered[i]).tolist())
+        )
+        states[i] = cell.advance(
+            partial(_uniform_run, cell, i, restart_prob, seen),
+            states[i],
+            max_moves,
+        )
+
+    found = [state[1] for state in states]
+    requests = [state[2] for state in states]
+    hops = [state[3] for state in states]
+    if restart_prob is None:
+        return cell.results(algorithm, found, requests, hops=hops)
+    restarts = [state[4] for state in states]
+    return cell.results(
+        algorithm, found, requests, hops=hops, restarts=restarts
+    )
+
+
+def _lock_step(
+    cell: _Cell,
+    restart_prob: Optional[float],
+    max_moves: int,
+    live: List[int],
+    start_isolated: bool,
+):
+    """Advance a wide ensemble in lock step until it narrows.
 
     One iteration advances every live run by exactly one serial loop
     iteration.  Liveness is event-driven: a run leaves the live set
@@ -359,13 +457,15 @@ def _uniform_walk_kernel(
     counter, because every live run has taken exactly one move per
     iteration since the start — the serial ``hops`` of all live runs
     are equal by construction.
+
+    Returns ``(live, states, discovered)``: the runs the scalar path
+    must finish (none once the move guard is spent), every run's state
+    tuple, and the ``(n_runs, n+1)`` discovered bitmap.
     """
     graph = cell.graph
     budget = cell.budget
-    max_moves = algorithm._MOVES_PER_REQUEST * max(budget, 1)
     n_runs = cell.n_runs
     offsets, targets = cell.offsets, cell.slot_targets
-    zone_mask = cell.zone_mask
     tracing = cell.traces is not None
 
     current = _np.full(n_runs, cell.start, dtype=_np.int64)
@@ -373,31 +473,16 @@ def _uniform_walk_kernel(
     hops = _np.zeros(n_runs, dtype=_np.int64)
     found = _np.full(n_runs, cell.start_found, dtype=bool)
     restarts = _np.zeros(n_runs, dtype=_np.int64)
-    discovered = _np.zeros(
-        (n_runs, graph.num_vertices + 1), dtype=bool
-    )
+    discovered = _np.zeros((n_runs, graph.num_vertices + 1), dtype=bool)
     discovered[:, cell.start] = True
-
-    # A walk can only stand on the start vertex or a vertex it moved
-    # into along an edge, so a degree-0 position is possible only at
-    # the (isolated) start — precompute that one flag instead of
-    # checking every iteration.
-    start_isolated = graph.degree(cell.start) == 0
+    zone_mask = _np.zeros(graph.num_vertices + 1, dtype=bool)
+    zone_mask[list(cell.zone)] = True
+    # degrees indexed by vertex, saving one gather+subtract per step.
+    degrees = _np.diff(offsets)
     # randrange(n) for n > 0 *is* self._randbelow(n); binding it skips
     # per-draw argument validation without changing a single variate.
     draw = [rng._randbelow for rng in cell.rngs]
     coin = [rng.random for rng in cell.rngs]
-
-    if cell.start_found or budget == 0:
-        live: List[int] = []
-    else:
-        live = list(range(n_runs))
-    if start_isolated and restart_prob is None:
-        # Serial: empty incidence list -> immediate break, zero hops.
-        live = []
-
-    # degrees indexed by vertex, saving one gather+subtract per step.
-    degrees = _np.diff(offsets)
     # Live-set views are cached and rebuilt only on departures (the
     # restart variant re-derives the movers each iteration — its coin
     # flips repartition the live set every time).
@@ -405,38 +490,7 @@ def _uniform_walk_kernel(
     draw_live = [draw[i] for i in live]
 
     iteration = 0
-    while live and iteration < max_moves:
-        if len(live) <= _SCALAR_CUTOVER:
-            # Narrow ensemble (or lock-step stragglers): the scalar
-            # path finishes each remaining run without paying one
-            # numpy dispatch per surviving step.
-            offsets_list = offsets.tolist()
-            targets_list = targets.tolist()
-            for i in live:
-                row = bytearray(discovered[i].tobytes())
-                (
-                    current[i],
-                    found[i],
-                    requests[i],
-                    hops[i],
-                    restarts[i],
-                ) = _finish_uniform_run(
-                    cell,
-                    i,
-                    cell.rngs[i],
-                    restart_prob,
-                    offsets_list,
-                    targets_list,
-                    row,
-                    int(current[i]),
-                    bool(found[i]),
-                    int(requests[i]),
-                    int(hops[i]),
-                    int(restarts[i]),
-                    budget,
-                    max_moves,
-                )
-            break
+    while len(live) > _SCALAR_CUTOVER and iteration < max_moves:
         iteration += 1
         if restart_prob is not None:
             movers = []
@@ -502,18 +556,70 @@ def _uniform_walk_kernel(
                     idx = _np.array(live, dtype=_np.int64)
                     draw_live = [draw[i] for i in live]
 
-    return (
-        cell.results(
-            algorithm, found, requests, hops=hops, restarts=restarts
+    states = list(
+        zip(
+            current.tolist(),
+            found.tolist(),
+            requests.tolist(),
+            hops.tolist(),
+            restarts.tolist(),
         )
-        if restart_prob is not None
-        else cell.results(algorithm, found, requests, hops=hops)
     )
+    return (live if iteration < max_moves else []), states, discovered
 
 
 # ----------------------------------------------------------------------
 # Per-run flat-array kernels: variable-candidate walks
 # ----------------------------------------------------------------------
+
+
+def _self_avoiding_run(
+    cell: _Cell,
+    run: int,
+    discovered: set,
+    offsets: Sequence[int],
+    slot_targets: Sequence[int],
+    max_moves: int,
+    v: int,
+    found: bool,
+    requests: int,
+    hops: int,
+):
+    """Advance one self-avoiding run (see :meth:`_Cell.advance`).
+
+    Returns ``(v, found, requests, hops)`` once the run ends or
+    ``hops`` reaches ``max_moves``.
+    """
+    draw = cell.rngs[run]._randbelow  # == randrange(n) for n > 0
+    zone = cell.zone
+    budget = cell.budget
+    trace = cell.traces[run] if cell.traces is not None else None
+    while not found and requests < budget and hops < max_moves:
+        lo = offsets[v]
+        hi = offsets[v + 1]
+        if lo == hi:
+            break  # isolated start vertex
+        candidates = [
+            slot
+            for slot in range(lo, hi)
+            if slot_targets[slot] not in discovered
+        ]
+        if candidates:
+            slot = candidates[draw(len(candidates))]
+            far = slot_targets[slot]
+            requests += 1
+            discovered.add(far)
+            if far in zone:
+                found = True
+            if trace is not None:
+                trace.append(("weak", v, cell.edge_view[slot], far))
+        else:
+            # All edges resolved: a free move (a self-loop slot
+            # targets v itself, matching the serial fallback).
+            far = slot_targets[lo + draw(hi - lo)]
+        v = far
+        hops += 1
+    return v, found, requests, hops
 
 
 def _self_avoiding_kernel(
@@ -522,58 +628,22 @@ def _self_avoiding_kernel(
     """Flat-array self-avoiding walk, one run at a time.
 
     The unresolved-edge preference is a per-step scan over the current
-    vertex's slots; with a bytearray discovered row the scan is a pure
-    index test per slot, against the serial path's tuple-key dict
+    vertex's slots; with a discovered set the scan is a pure
+    membership test per slot, against the serial path's tuple-key dict
     probe per edge plus the oracle's per-request bookkeeping.  Slot
     order equals edge-tuple order, so candidate index ``k`` picks the
     same edge the serial ``randrange`` picks.
     """
-    graph = cell.graph
-    budget = cell.budget
-    max_moves = algorithm._MOVES_PER_REQUEST * max(budget, 1)
-    n1 = graph.num_vertices + 1
-    offsets = cell.offsets.tolist()
-    slot_targets = cell.slot_targets.tolist()
-    slot_edges = cell.slot_edges.tolist() if cell.traces is not None else None
-    zone = cell.zone_bytes
-
+    max_moves = algorithm._MOVES_PER_REQUEST * max(cell.budget, 1)
     found_list = []
     requests_list = []
     hops_list = []
-    for run, rng in enumerate(cell.rngs):
-        draw = rng._randbelow  # == randrange(n) for n > 0
-        trace = cell.traces[run] if cell.traces is not None else None
-        discovered = bytearray(n1)
-        discovered[cell.start] = 1
-        v = cell.start
-        found = cell.start_found
-        requests = 0
-        hops = 0
-        while not found and requests < budget and hops < max_moves:
-            lo = offsets[v]
-            hi = offsets[v + 1]
-            if lo == hi:
-                break  # isolated start vertex
-            candidates = [
-                slot
-                for slot in range(lo, hi)
-                if not discovered[slot_targets[slot]]
-            ]
-            if candidates:
-                slot = candidates[draw(len(candidates))]
-                far = slot_targets[slot]
-                requests += 1
-                discovered[far] = 1
-                if zone[far]:
-                    found = True
-                if trace is not None:
-                    trace.append(("weak", v, slot_edges[slot], far))
-            else:
-                # All edges resolved: a free move (a self-loop slot
-                # targets v itself, matching the serial fallback).
-                far = slot_targets[lo + draw(hi - lo)]
-            v = far
-            hops += 1
+    for run in range(cell.n_runs):
+        _, found, requests, hops = cell.advance(
+            partial(_self_avoiding_run, cell, run, {cell.start}),
+            (cell.start, cell.start_found, 0, 0),
+            max_moves,
+        )
         found_list.append(found)
         requests_list.append(requests)
         hops_list.append(hops)
@@ -600,8 +670,7 @@ def _degree_biased_kernel(
     budget = cell.budget
     beta = algorithm.beta
     max_moves = algorithm._MOVES_PER_REQUEST * max(budget, 1)
-    n1 = graph.num_vertices + 1
-    zone = cell.zone_bytes
+    zone = cell.zone
 
     answer_cache: Dict[int, Tuple[tuple, bool]] = {}
     weight_cache: Dict[int, Tuple[List[float], float]] = {}
@@ -612,7 +681,7 @@ def _degree_biased_kernel(
             uniq = graph.unique_neighbors(v)
             cached = (
                 tuple(uniq),
-                any(zone[w] for w in uniq),
+                any(w in zone for w in uniq),
             )
             answer_cache[v] = cached
         return cached
@@ -644,18 +713,18 @@ def _degree_biased_kernel(
         draw = rng._randbelow
         uniform = rng.random
         trace = cell.traces[run] if cell.traces is not None else None
-        requested = bytearray(n1)
+        requested = set()
         v = cell.start
         found = cell.start_found
         requests = 0
         hops = 0
         while not found and hops < max_moves:
-            if not requested[v]:
+            if v not in requested:
                 if requests >= budget:
                     break
                 answer, zone_hit = neighbors_of(v)
                 requests += 1
-                requested[v] = 1
+                requested.add(v)
                 if trace is not None:
                     trace.append(("strong", v, answer))
                 if zone_hit:

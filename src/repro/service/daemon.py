@@ -70,8 +70,8 @@ from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
+from repro.core.trials import ENGINES, fastest_available
 from repro.errors import ExperimentError
-from repro.graphs.frozen import HAVE_NUMPY
 from repro.graphs.shm import publish_graph
 from repro.service.core import (
     GraphEntry,
@@ -164,13 +164,7 @@ class SearchService:
             raise ExperimentError(
                 f"workers must be >= 1, got {workers}"
             )
-        if engine is None:
-            engine = "ensemble" if HAVE_NUMPY else "serial"
-        elif engine not in ("serial", "ensemble"):
-            raise ExperimentError(
-                f"unknown service engine {engine!r}; "
-                "valid: serial, ensemble"
-            )
+        engine = fastest_available(engine, ENGINES)
         if query_timeout <= 0:
             raise ExperimentError(
                 f"query_timeout must be > 0, got {query_timeout}"

@@ -316,7 +316,9 @@ class TestCacheProtocol:
 
 
 class TestGeneratorCacheKey:
-    """The generator axis follows the backend/engine cache-key policy."""
+    """The generator axis follows the backend/engine cache-key policy:
+    the default (``None``, fastest available) stays out of trial
+    params; any explicit choice, ``serial`` included, enters."""
 
     def test_default_generator_stays_out_of_trial_params(self):
         from repro.core.searchability import _build_cell_specs
@@ -324,21 +326,22 @@ class TestGeneratorCacheKey:
         def keys(generator):
             specs = _build_cell_specs(
                 "E1", MoriFamily(p=0.5, m=1), 60, "weak", 1, 1, None,
-                1, False, "default", "frozen", "serial", generator,
+                1, False, "default", "frozen", None, generator,
             )
             return [spec.params for spec in specs]
 
-        serial_params = keys("serial")
-        assert all("generator" not in p for p in serial_params)
-        vector_params = keys("vectorized")
-        assert all(
-            p["generator"] == "vectorized" for p in vector_params
-        )
-        stripped = [
-            {k: v for k, v in p.items() if k != "generator"}
-            for p in vector_params
-        ]
-        assert stripped == serial_params
+        default_params = keys(None)
+        assert all("generator" not in p for p in default_params)
+        for explicit in ("serial", "vectorized"):
+            explicit_params = keys(explicit)
+            assert all(
+                p["generator"] == explicit for p in explicit_params
+            )
+            stripped = [
+                {k: v for k, v in p.items() if k != "generator"}
+                for p in explicit_params
+            ]
+            assert stripped == default_params
 
 
 class TestCorpusCli:

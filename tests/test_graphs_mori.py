@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
 from collections import Counter
 
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.graphs.base import MultiGraph
 from repro.graphs.mori import merged_mori_graph, mori_tree
 
 
@@ -113,6 +117,88 @@ class TestMoriTree:
             mori_tree(3, p, seed=s).parents[3] == 1 for s in range(4000)
         )
         assert abs(hits / 4000 - expected) < 0.03
+
+
+#: Recorded on the urn-based sampler that built a MultiGraph while it
+#: drew: (n, p) -> (rng.random() after ``mori_tree(n, p, seed=rng)``
+#: with ``rng = random.Random(20261017)``, sha256 of the tree's JSON
+#: edge list).  The parents-only sampler must consume the generator
+#: variate for variate and derive the same graph.
+_SAMPLER_SEED = 20261017
+_SAMPLER_PINS = {
+    (12, 0.0): (
+        0.3268723039107998,
+        "0c8670c8235f01a6673c156352f04b40f13def4febc2dfaecaa5470c61295ba4",
+    ),
+    (12, 0.5): (
+        0.709226622055351,
+        "fb3cf940683b59bec5a581eae12ff1a2e96604127ef511087ed6fedbc811c19b",
+    ),
+    (12, 1.0): (
+        0.13653676740248955,
+        "f624dc5cb459eba81bc96dc11347ffd5cea7ec2a7767d615fe0892db87d78618",
+    ),
+    (500, 0.0): (
+        0.8168693733085697,
+        "a54beff02dd187ba35e8a082fbb07dcb08a73dbc1f3159673453566e9787e252",
+    ),
+    (500, 0.5): (
+        0.7742939934906314,
+        "fbf989aea3ed6e1a88fe643cee4e0cc4ca13b6e982a29fb0e275f8c166259aac",
+    ),
+    (500, 1.0): (
+        0.7742939934906314,
+        "d9ecc06d25bf2f145501ffd2cd7796356c25a6073483e59d4e21ae4f4d2db765",
+    ),
+}
+
+
+def _edges_digest(graph) -> str:
+    edges = [
+        list(graph.edge_endpoints(eid))
+        for eid in range(graph.num_edges)
+    ]
+    return hashlib.sha256(json.dumps(edges).encode()).hexdigest()
+
+
+def _grown_graph(parents) -> MultiGraph:
+    """The tree grown one vertex and edge at a time, as it is drawn."""
+    graph = MultiGraph(2)
+    graph.add_edge(2, 1)
+    for t in range(3, len(parents)):
+        graph.add_vertex()
+        graph.add_edge(t, parents[t])
+    return graph
+
+
+class TestParentsOnlySampler:
+    """E4's sampler draws the parent vector only; the graph is lazy."""
+
+    @pytest.mark.parametrize("n, p", sorted(_SAMPLER_PINS))
+    def test_generator_end_state_pinned(self, n, p):
+        rng = random.Random(_SAMPLER_SEED)
+        mori_tree(n, p, seed=rng)
+        assert rng.random() == _SAMPLER_PINS[(n, p)][0]
+
+    @pytest.mark.parametrize("n, p", sorted(_SAMPLER_PINS))
+    def test_lazy_graph_equals_the_grown_tree(self, n, p):
+        tree = mori_tree(n, p, seed=random.Random(_SAMPLER_SEED))
+        assert tree.graph is tree.graph
+        assert _edges_digest(tree.graph) == _SAMPLER_PINS[(n, p)][1]
+        grown = _grown_graph(tree.parents)
+        assert tree.graph == grown
+        assert hash(tree.graph) == hash(grown)
+        assert tree.n == n == tree.graph.num_vertices
+
+    def test_event_estimate_builds_no_graph(self, monkeypatch):
+        from repro.equivalence.events import estimate_event_probability
+
+        def forbidden(self, tail, head):
+            raise AssertionError("E4's sampler must not build a graph")
+
+        monkeypatch.setattr(MultiGraph, "add_edge", forbidden)
+        estimate = estimate_event_probability(10, 13, 0.5, 50, seed=4)
+        assert 0.0 < estimate <= 1.0
 
 
 class TestMergedMoriGraph:

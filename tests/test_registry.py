@@ -178,17 +178,31 @@ class TestRegistrySemantics:
         assert context.backend == CAPABILITY_PARAMS["backend"][1]
         assert context.engine == CAPABILITY_PARAMS["engine"][1]
         assert context.mode == CAPABILITY_PARAMS["mode"][1]
+        assert context.generator == CAPABILITY_PARAMS["generator"][1]
         assert context.store_backend is CAPABILITY_PARAMS["store"][1]
+        # engine/generator default to None: "fastest available",
+        # resolved inside the trial functions.
+        assert CAPABILITY_PARAMS["engine"][1] is None
+        assert CAPABILITY_PARAMS["generator"][1] is None
+        assert context.engine is None and context.generator is None
 
     def test_trial_params_extra_policy(self):
-        # Defaults stay out of trial params (cache-key stability);
-        # forced non-defaults enter.
+        # Defaults (None engine/generator, frozen backend) stay out of
+        # trial params (cache-key stability); any explicit engine or
+        # generator enters, serial included, as a forced non-default
+        # backend does.
         assert ExecutionContext().trial_params_extra() == {}
         assert ExecutionContext(
             backend="multigraph", engine="ensemble"
         ).trial_params_extra() == {
             "backend": "multigraph",
             "engine": "ensemble",
+        }
+        assert ExecutionContext(
+            engine="serial", generator="serial"
+        ).trial_params_extra() == {
+            "engine": "serial",
+            "generator": "serial",
         }
 
 

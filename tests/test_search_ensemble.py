@@ -254,6 +254,49 @@ class TestEnsembleSpecialCases:
                 assert results[run] == serial_result
                 assert traces[run] == serial_trace
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_wide_ensemble_lock_step_identical(self, model):
+        # More runs than the scalar cutover: the lock-step phase, its
+        # hand-off of the stragglers to the scalar path, and the
+        # traces of both.
+        graph = model_graph(model, seed=5)
+        target = graph.num_vertices
+        budget = 2 * graph.num_edges + 17
+        for builder in (
+            RandomWalkSearch,
+            lambda: RestartingWalkSearch(restart_prob=0.1),
+        ):
+            algorithm = builder()
+            seeds = [
+                run_substream(41, algorithm.name, run)
+                for run in range(24)
+            ]
+            results, traces = run_ensemble(
+                builder(), graph, 1, target, seeds,
+                budget=budget, collect_traces=True,
+            )
+            for run, seed in enumerate(seeds):
+                assert (results[run], traces[run]) == serial_traced(
+                    builder(), graph, 1, target, budget, seed
+                )
+
+    def test_long_narrow_walk_switches_views_invisibly(self):
+        # One run walking more hops than the graph has vertices moves
+        # its CSR views from memoryviews to lists mid-run.
+        graph = model_graph("mori", seed=2)
+        target = graph.num_vertices
+        budget = 4 * graph.num_edges + 16
+        for builder in (RandomWalkSearch, SelfAvoidingWalkSearch):
+            seeds = [run_substream(43, builder().name, 0)]
+            results, traces = run_ensemble(
+                builder(), graph, 1, target, seeds,
+                budget=budget, collect_traces=True,
+            )
+            assert results[0].extra["hops"] > graph.num_vertices
+            assert (results[0], traces[0]) == serial_traced(
+                builder(), graph, 1, target, budget, seeds[0]
+            )
+
     def test_empty_ensemble_is_empty(self):
         graph = model_graph("mori", seed=1)
         assert run_ensemble(
