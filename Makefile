@@ -16,16 +16,17 @@ verify-full:
 
 # What .github/workflows/ci.yml runs, locally: the tier-1 suite with
 # numpy, then the registry CLI smoke (the capability matrix plus one
-# downsized registry-driven experiment through the real CLI, both
-# engines), then the reference-arm diff (E1, E11 and E20 at the
-# fastest-available defaults and pinned to the serial engine and
-# generator must print byte-identical output), then the corpus-cache
+# downsized registry-driven experiment through the real CLI), then the
+# reference-arm diff (E1, E11 and E20 at the fastest-available defaults
+# and with `repro.core.trials.HAVE_NUMPY` switched off in-process, which
+# selects the serial engine and generator, must print byte-identical
+# output), then the corpus-cache
 # smoke (cold fill, warm replay with identical output, verify), then
 # the trial-store smoke (sqlite cold fill, warm replay with identical
 # output and a nonzero hit tally, stat, a verified migration back to
 # json-files), then the
-# churn smoke (a downsized E21 through the dynamic-graph flags, both
-# engines), then the serve smoke (a live `repro serve` daemon on a
+# churn smoke (a downsized E21 through the dynamic-graph flags, then at
+# the default arms), then the serve smoke (a live `repro serve` daemon on a
 # small grid answering a concurrent query stream, every answer
 # verified bit-identical to the batch path and every shared-memory
 # segment verified unlinked on shutdown — once with the serving
@@ -36,21 +37,21 @@ verify-full:
 # the suite plus the generator fallback with numpy import-blocked (a
 # shim module shadows it) to exercise the stdlib fallbacks and the
 # clean "unavailable" error paths of the ensemble engine and the
-# vectorized generator; the serve smoke runs again on the no-numpy
+# vectorized generator (`repro serve --generator vectorized` must exit
+# 1); the serve smoke runs again on the no-numpy
 # leg (the service is pure stdlib).
 ci:
 	$(PYTEST) -x -q
 	PYTHONPATH=src python -m repro list
 	PYTHONPATH=src python -m repro run E20 --quick --jobs 2 --backend frozen
-	PYTHONPATH=src python -m repro run E20 --quick --jobs 2 --engine ensemble --backend frozen
 	PYTHONPATH=src python -m repro run E1,E11,E20 --quick > .ci-default.out
-	PYTHONPATH=src python -m repro run E1,E11,E20 --quick --engine serial --generator serial > .ci-reference.out
+	PYTHONPATH=src python -c "import repro.core.trials as t; t.HAVE_NUMPY = False; from repro.cli import main; raise SystemExit(main(['run','E1,E11,E20','--quick']))" > .ci-reference.out
 	cmp .ci-default.out .ci-reference.out
 	rm -f .ci-default.out .ci-reference.out
 	rm -rf .ci-corpus
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --generator vectorized --corpus-dir .ci-corpus | tee .ci-corpus-cold.log
+	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --corpus-dir .ci-corpus | tee .ci-corpus-cold.log
 	grep -q "corpus: 0 hits, 4 misses" .ci-corpus-cold.log
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --generator vectorized --corpus-dir .ci-corpus | tee .ci-corpus-warm.log
+	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --corpus-dir .ci-corpus | tee .ci-corpus-warm.log
 	grep -q "corpus: 4 hits, 0 misses" .ci-corpus-warm.log
 	grep -v "^corpus:" .ci-corpus-cold.log > .ci-corpus-cold.trimmed
 	grep -v "^corpus:" .ci-corpus-warm.log > .ci-corpus-warm.trimmed
@@ -69,15 +70,14 @@ ci:
 	PYTHONPATH=src python -m repro store migrate .ci-store --from sqlite --to json-files
 	rm -rf .ci-store .ci-store-cold.log .ci-store-warm.log .ci-store-cold.trimmed .ci-store-warm.trimmed
 	PYTHONPATH=src python -m repro run E21 --quick --churn-rate 0.1 --churn-bias degree --resnapshot-every 5
-	PYTHONPATH=src python -m repro run E21 --quick --engine ensemble --backend frozen
+	PYTHONPATH=src python -m repro run E21 --quick --backend frozen
 	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --smoke
 	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
 	python3 perfbench/selftest.py
 	@mkdir -p .ci-no-numpy && printf 'raise ImportError("numpy disabled for the no-numpy CI leg")\n' > .ci-no-numpy/numpy.py
-	! PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1 --generator vectorized 2> .ci-no-numpy/err.log
+	! PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 60 --seeds 0 --generator vectorized --smoke 2> .ci-no-numpy/err.log
 	grep -q "requires numpy" .ci-no-numpy/err.log
 	PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1
-	PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1 --generator serial
 	PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 120 --seeds 3 --smoke
 	PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
 	PYTHONPATH=.ci-no-numpy:src python -m pytest -x -q; \

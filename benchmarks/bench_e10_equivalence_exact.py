@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e10_equivalence_exact
+from repro.core import run_experiment
 
 
 def test_e10_equivalence_exact(benchmark):
     result = benchmark.pedantic(
-        lambda: e10_equivalence_exact(
-            n=8, p_values=(0.25, 0.5, 0.75, 1.0)
-        ),
+        lambda: run_experiment("E10", n=8, p_values=(0.25, 0.5, 0.75, 1.0)),
         rounds=1,
         iterations=1,
     )

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e11_lemma1_floor
+from repro.core import run_experiment
 
 
 def test_e11_lemma1_floor(benchmark):
     result = benchmark.pedantic(
-        lambda: e11_lemma1_floor(
+        lambda: run_experiment(
+            "E11",
             sizes=(200, 400, 800, 1600),
             p=0.5,
             num_graphs=6,

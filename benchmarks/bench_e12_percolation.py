@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e12_percolation
+from repro.core import run_experiment
 
 REPLICAS = (0, 4, 16, 64)
 
 
 def test_e12_percolation(benchmark):
     result = benchmark.pedantic(
-        lambda: e12_percolation(
+        lambda: run_experiment(
+            "E12",
             n=4000,
             exponent=2.3,
             replica_counts=REPLICAS,

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e13_ablation_p
+from repro.core import run_experiment
 
 P_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def test_e13_ablation_p(benchmark):
     result = benchmark.pedantic(
-        lambda: e13_ablation_p(
+        lambda: run_experiment(
+            "E13",
             sizes=(200, 400, 800, 1600),
             p_values=P_VALUES,
             num_graphs=4,

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e14_ablation_m
+from repro.core import run_experiment
 
 M_VALUES = (1, 2, 4, 8)
 
 
 def test_e14_ablation_m(benchmark):
     result = benchmark.pedantic(
-        lambda: e14_ablation_m(
+        lambda: run_experiment(
+            "E14",
             sizes=(200, 400, 800, 1600),
             m_values=M_VALUES,
             p=0.5,

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e15_cf_equivalence
+from repro.core import run_experiment
 
 SIZES = (100, 200, 400, 800, 1600)
 
 
 def test_e15_cf_equivalence(benchmark):
     result = benchmark.pedantic(
-        lambda: e15_cf_equivalence(
-            sizes=SIZES, alpha=0.75, num_samples=400, seed=15
+        lambda: run_experiment(
+            "E15", sizes=SIZES, alpha=0.75, num_samples=400, seed=15
         ),
         rounds=1,
         iterations=1,

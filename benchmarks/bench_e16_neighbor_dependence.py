@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e16_neighbor_dependence
+from repro.core import run_experiment
 
 EVOLVING = ("mori(p=0.5, m=2)", "cooper-frieze(a=0.75)", "ba(m=2)")
 
 
 def test_e16_neighbor_dependence(benchmark):
     result = benchmark.pedantic(
-        lambda: e16_neighbor_dependence(n=10000, seed=16),
+        lambda: run_experiment("E16", n=10000, seed=16),
         rounds=1,
         iterations=1,
     )

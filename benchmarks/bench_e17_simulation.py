@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from bench_utils import record_result, runner_kwargs
 
-from repro.core.experiments import e17_simulation_slowdown
+from repro.core import run_experiment
 
 SIZES = (200, 400, 800, 1600)
 
 
 def test_e17_simulation_slowdown(benchmark):
     result = benchmark.pedantic(
-        lambda: e17_simulation_slowdown(
+        lambda: run_experiment(
+            "E17",
             sizes=SIZES, p=0.25, num_graphs=5, seed=17,
             **runner_kwargs(),
         ),

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e18_start_rule
+from repro.core import run_experiment
 
 RULES = ("default", "random", "newest-other")
 
 
 def test_e18_start_rule(benchmark):
     result = benchmark.pedantic(
-        lambda: e18_start_rule(
+        lambda: run_experiment(
+            "E18",
             sizes=(200, 400, 800, 1600),
             p=0.5,
             num_graphs=4,

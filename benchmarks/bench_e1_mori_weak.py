@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from bench_utils import record_result, runner_kwargs
 
-from repro.core.experiments import e1_mori_weak
+from repro.core import run_experiment
 
 SIZES = (200, 400, 800, 1600, 3200)
 
 
 def test_e1_mori_weak(benchmark):
     result = benchmark.pedantic(
-        lambda: e1_mori_weak(
+        lambda: run_experiment(
+            "E1",
             sizes=SIZES, p=0.5, m=1, num_graphs=5, runs_per_graph=2,
             seed=1, **runner_kwargs(),
         ),

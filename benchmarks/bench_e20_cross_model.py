@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bench_utils import record_result, runner_kwargs
 
-from repro.core.experiments import e20_cross_model
+from repro.core import run_experiment
 
 SIZES = (200, 400, 800)
 FAMILIES = (
@@ -25,7 +25,8 @@ FAMILIES = (
 
 def test_e20_cross_model(benchmark):
     result = benchmark.pedantic(
-        lambda: e20_cross_model(
+        lambda: run_experiment(
+            "E20",
             sizes=SIZES, num_graphs=4, runs_per_graph=2, seed=20,
             **runner_kwargs(),
         ),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bench_utils import record_result, runner_kwargs
 
-from repro.core.experiments import e2_mori_strong
+from repro.core import run_experiment
 
 SIZES = (200, 400, 800, 1600, 3200)
 P = 0.25
@@ -19,7 +19,8 @@ EPSILON = 0.05
 
 def test_e2_mori_strong(benchmark):
     result = benchmark.pedantic(
-        lambda: e2_mori_strong(
+        lambda: run_experiment(
+            "E2",
             sizes=SIZES,
             p=P,
             m=1,

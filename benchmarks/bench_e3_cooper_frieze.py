@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from bench_utils import record_result, runner_kwargs
 
-from repro.core.experiments import e3_cooper_frieze
+from repro.core import run_experiment
 
 SIZES = (200, 400, 800, 1600)
 
 
 def test_e3_cooper_frieze(benchmark):
     result = benchmark.pedantic(
-        lambda: e3_cooper_frieze(
+        lambda: run_experiment(
+            "E3",
             sizes=SIZES,
             alpha=0.75,
             num_graphs=4,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e4_event_probability
+from repro.core import run_experiment
 
 
 def test_e4_event_probability(benchmark):
     result = benchmark.pedantic(
-        lambda: e4_event_probability(
+        lambda: run_experiment(
+            "E4",
             a_values=(10, 50, 100, 400, 1000),
             p_values=(0.1, 0.25, 0.5, 0.75, 1.0),
             num_samples=2000,

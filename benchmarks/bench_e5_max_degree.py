@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e5_max_degree
+from repro.core import run_experiment
 
 P_VALUES = (0.25, 0.5, 0.75, 1.0)
 
 
 def test_e5_max_degree(benchmark):
     result = benchmark.pedantic(
-        lambda: e5_max_degree(
-            n=30000, p_values=P_VALUES, num_trees=5, seed=5
+        lambda: run_experiment(
+            "E5", n=30000, p_values=P_VALUES, num_trees=5, seed=5
         ),
         rounds=1,
         iterations=1,

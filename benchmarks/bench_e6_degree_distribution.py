@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from bench_utils import record_result, runner_kwargs
 
-from repro.core.experiments import e6_degree_distribution
+from repro.core import run_experiment
 
 
 def test_e6_degree_distribution(benchmark):
     result = benchmark.pedantic(
-        lambda: e6_degree_distribution(n=20000, seed=6, **runner_kwargs()),
+        lambda: run_experiment("E6", n=20000, seed=6, **runner_kwargs()),
         rounds=1,
         iterations=1,
     )

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e7_adamic
+from repro.core import run_experiment
 
 SIZES = (400, 800, 1600, 3200)
 
 
 def test_e7_adamic(benchmark):
     result = benchmark.pedantic(
-        lambda: e7_adamic(
+        lambda: run_experiment(
+            "E7",
             sizes=SIZES,
             exponent=2.5,
             num_graphs=8,

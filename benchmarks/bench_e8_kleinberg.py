@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e8_kleinberg
+from repro.core import run_experiment
 
 R_VALUES = (0.0, 1.0, 2.0, 3.0, 4.0)
 
 
 def test_e8_kleinberg(benchmark):
     result = benchmark.pedantic(
-        lambda: e8_kleinberg(
+        lambda: run_experiment(
+            "E8",
             sides=(10, 16, 24, 36, 50, 70, 100),
             r_values=R_VALUES,
             pairs_per_grid=60,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from bench_utils import record_result
 
-from repro.core.experiments import e9_diameter_vs_search
+from repro.core import run_experiment
 
 
 def test_e9_diameter_vs_search(benchmark):
     result = benchmark.pedantic(
-        lambda: e9_diameter_vs_search(
+        lambda: run_experiment(
+            "E9",
             sizes=(200, 400, 800, 1600, 3200),
             p=0.5,
             m=2,

@@ -2,13 +2,13 @@
 
 Every benchmark regenerates one experiment (a "table/figure" of the
 reproduction — see the README's "How to reproduce each table?"
-index), records the result under
-``benchmarks/results/`` (JSON for machines, text for humans), prints it
-(visible with ``pytest -s``), and asserts the *shape* claims the paper
-makes — who wins, which exponents clear which floors — never absolute
-numbers.
+index) through :func:`repro.core.run_experiment`, records the result
+under ``benchmarks/results/`` (JSON for machines, text for humans),
+prints it (visible with ``pytest -s``), and asserts the *shape* claims
+the paper makes — who wins, which exponents clear which floors — never
+absolute numbers.
 
-Runner-dispatched benchmarks (E1, E2, E3, E6, E17) honour two
+Runner-dispatched benchmarks (E1, E2, E3, E6, E17, E20) honour two
 environment variables so BENCH numbers can exercise the parallel and
 cached paths without editing code::
 
@@ -32,8 +32,8 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 def runner_kwargs() -> dict:
     """``jobs``/``cache_dir`` overrides from the environment.
 
-    Returns an empty dict when neither variable is set, so experiments
-    that predate the runner keep their exact historical call shape.
+    Returns an empty dict when neither variable is set, so the
+    experiment runs at its registered ``jobs``/``cache_dir`` defaults.
     """
     kwargs = {}
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))

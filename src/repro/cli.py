@@ -9,7 +9,7 @@ Usage::
     repro run E20 --set sizes=200,400 --set num_graphs=2
     repro run E1,E3,E20 --quick
     repro run all --json-dir results/ [--quick]
-    repro run E17 --generator vectorized --corpus-dir corpus/
+    repro run E17 --corpus-dir corpus/
     repro corpus build corpus/ --model mori --sizes 1000,2000
     repro corpus list corpus/
     repro corpus verify corpus/
@@ -26,9 +26,8 @@ the experiment registry (:mod:`repro.core.registry`); every number it
 prints is regenerable from the seed it echoes.
 
 ``repro list`` prints the registry's capability matrix — which of the
-execution axes (``jobs``, ``cache``, ``backend``, ``engine``,
-``mode``, ``generator``) each experiment declares; ``--markdown``
-emits the same
+execution axes (``jobs``, ``cache``, ``backend``, ``mode``, ``store``)
+each experiment declares; ``--markdown`` emits the same
 index as a markdown table (the README's experiment index is generated
 from it).  ``repro run`` accepts one id, a comma-separated list, or
 ``all``; ``--set key=value`` overrides any declared experiment
@@ -49,15 +48,11 @@ convert it between backends, and drop entries stale under the current
 code (see :mod:`repro.runner.store`).
 ``--mode trajectory`` serves scaling sweeps from checkpoint snapshots
 of shared growth trajectories (one construction pass per sweep).
-``--engine ensemble`` advances all runs of each walk-family search
-cell together through the lock-step numpy kernel (bit-identical to
-serial; requires numpy).  ``--generator vectorized`` builds each graph
-through the batched kernels in :mod:`repro.graphs.fastgen`, consuming
-the RNG in exactly the serial draw order so snapshots are bit-identical
-to the reference builders (requires numpy; families without a kernel
-build serially).  Without either flag a run takes the fastest
-available arm (the numpy one when numpy imports, else serial);
-``--engine serial --generator serial`` pins the reference arms.
+Graphs are built and searched by the fastest available arms: the
+lock-step ensemble kernel and the batched :mod:`repro.graphs.fastgen`
+builders when numpy imports, else the serial reference arms, with
+bit-identical numbers either way
+(:func:`repro.core.trials.fastest_available`).
 Whether a flag applies is read off the experiment's *declared
 capabilities*, not guessed from signatures: requesting an axis an
 experiment does not declare emits a warning on stderr instead of
@@ -151,9 +146,7 @@ _CAPABILITY_FLAGS = {
     "jobs": "--jobs",
     "cache": "--cache-dir",
     "backend": "--backend",
-    "engine": "--engine",
     "mode": "--mode",
-    "generator": "--generator",
     "store": "--store-backend",
 }
 
@@ -313,34 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--engine",
-        choices=("serial", "ensemble"),
-        default=None,
-        help=(
-            "search-cell execution engine (default: the fastest "
-            "available, 'ensemble' when numpy imports, else "
-            "'serial'): 'serial' steps each run through the oracle "
-            "one at a time; 'ensemble' advances all runs of each "
-            "walk-family cell together through the lock-step numpy "
-            "kernel (requires numpy); numbers are identical either way"
-        ),
-    )
-    run.add_argument(
-        "--generator",
-        choices=("serial", "vectorized"),
-        default=None,
-        help=(
-            "graph construction strategy (default: the fastest "
-            "available, 'vectorized' when numpy imports, else "
-            "'serial'): 'serial' grows each realisation one edge at "
-            "a time through the reference builders; 'vectorized' "
-            "builds the same realisation through the batched numpy "
-            "kernels, consuming the RNG in the serial draw order "
-            "(requires numpy; families without a kernel build "
-            "serially); numbers are identical either way"
-        ),
-    )
-    run.add_argument(
         "--store-backend",
         choices=("json-files", "sqlite"),
         default=None,
@@ -444,15 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_list,
         default=(0,),
         help="comma-separated graph seeds (default 0)",
-    )
-    corpus_build.add_argument(
-        "--generator",
-        choices=("serial", "vectorized"),
-        default="serial",
-        help=(
-            "construction strategy for missing entries (stored bytes "
-            "are identical either way)"
-        ),
     )
     corpus_list = corpus_commands.add_parser(
         "list", help="enumerate the entries of a corpus directory"
@@ -739,9 +695,9 @@ def _warn_ignored(
     """Tell the user a CLI knob has no effect on this experiment.
 
     Silently dropping ``--cache-dir`` (or ``--jobs``/``--backend``/
-    ``--mode``/``--engine``/``--set``) would let users believe results
-    were cached or parallelised when the experiment never declared the
-    capability (or parameter).
+    ``--mode``/``--seed``/``--set``) would let users believe results
+    were cached, parallelised or reseeded when the experiment never
+    declared the capability (or parameter).
     """
     print(
         f"warning: {flag} has no effect on {experiment_id} (this "
@@ -765,9 +721,7 @@ def _context_kwargs(spec: ExperimentSpec, args) -> Dict[str, Any]:
         "jobs": args.jobs,
         "cache": args.cache_dir,
         "backend": args.backend,
-        "engine": args.engine,
         "mode": args.mode,
-        "generator": args.generator,
         "store": args.store_backend,
     }
     kwargs: Dict[str, Any] = {}
@@ -807,8 +761,11 @@ def _resolve_overrides(
                 if key in spec.param_names
             }
         )
-    if args.seed is not None and "seed" in spec.param_names:
-        overrides["seed"] = args.seed
+    if args.seed is not None:
+        if "seed" in spec.param_names:
+            overrides["seed"] = args.seed
+        else:
+            _warn_ignored(spec.id, f"--seed {args.seed}", "seed")
     for dest, candidates in _CHURN_FLAG_PARAMS.items():
         value = getattr(args, dest, None)
         if value is None:
@@ -988,8 +945,13 @@ def _corpus_main(args) -> int:
     corpus = GraphCorpus(args.dir)
 
     if args.corpus_command == "build":
-        from repro.core.trials import family_spec
+        from repro.core.trials import (
+            GENERATORS,
+            family_spec,
+            fastest_available,
+        )
 
+        generator = fastest_available(None, GENERATORS)
         family_obj = _corpus_family(args)
         spec = family_spec(family_obj)
         built = 0
@@ -1000,11 +962,10 @@ def _corpus_main(args) -> int:
                     present += 1
                     continue
                 snapshot = family_obj.build_frozen(
-                    size, seed=seed, generator=args.generator
+                    size, seed=seed, generator=generator
                 )
                 corpus.put(
-                    spec, size, seed, snapshot,
-                    generator=args.generator,
+                    spec, size, seed, snapshot, generator=generator
                 )
                 built += 1
         print(

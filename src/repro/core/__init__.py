@@ -7,10 +7,11 @@
 * :mod:`repro.core.registry` — the declarative experiment registry:
   typed param schemas, capability declarations, and the
   :class:`~repro.core.registry.ExecutionContext` carrying the resolved
-  jobs/store/backend/engine/mode axes once per run;
-* :mod:`repro.core.experiments` — the registered experiments E1–E20
-  that regenerate every table/figure of the reproduction (plus their
-  thin public wrappers);
+  jobs/store/backend/mode axes once per run, and
+  :func:`~repro.core.registry.run_experiment`, the one way to run an
+  experiment;
+* :mod:`repro.core.experiments` — the registered experiments E1–E22
+  that regenerate every table/figure of the reproduction;
 * :mod:`repro.core.results` — printable tables and JSON records;
 * :mod:`repro.core.sweep` — parameter-grid helpers.
 """
@@ -41,7 +42,7 @@ from repro.core.searchability import (
     measure_search_cost,
     omniscient_factory,
 )
-from repro.core.experiments import ALL_EXPERIMENTS
+from repro.core import experiments  # noqa: F401  (registers E1..E22)
 
 __all__ = [
     "GraphFamily",
@@ -67,5 +68,4 @@ __all__ = [
     "Registry",
     "REGISTRY",
     "run_experiment",
-    "ALL_EXPERIMENTS",
 ]

@@ -11,14 +11,11 @@ Experiments are *registered specs* (:mod:`repro.core.registry`): each
 body declares its typed parameter schema and the execution
 capabilities it supports — ``jobs`` (worker fan-out), ``cache``
 (persistent trial store), ``backend`` (frozen CSR vs mutable
-multigraph), ``engine`` (serial vs lock-step ensemble search cells),
-``mode`` (independent vs trajectory-coupled scaling sweeps) — and
-receives one :class:`~repro.core.registry.ExecutionContext` instead of
-five copy-pasted kwargs.  The public ``e1_mori_weak(...)``-style
-wrappers below are thin registry delegates with the historical
-signatures, so every pin in ``tests/test_experiment_regression.py``
-(and every downstream caller) keeps working bit-identically;
-``tests/test_registry.py`` asserts wrapper/spec parity.
+multigraph), ``mode`` (independent vs trajectory-coupled scaling
+sweeps), ``store`` (the cache's persistence layout) — and receives one
+:class:`~repro.core.registry.ExecutionContext` instead of
+copy-pasted kwargs.  Run one with
+``run_experiment("E1", sizes=(200, 400))`` or ``REGISTRY["E1"].run``.
 
 Every experiment takes an explicit ``seed`` so a published number can
 be regenerated bit-for-bit.  The Monte-Carlo-heavy experiments
@@ -32,7 +29,7 @@ trials across invocations.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.diameter import estimate_diameter
 from repro.analysis.scaling import (
@@ -59,7 +56,6 @@ from repro.core.registry import (
     STR,
     Param,
     REGISTRY,
-    run_experiment,
 )
 from repro.core.results import ExperimentResult, Table
 from repro.errors import ExperimentError
@@ -107,31 +103,8 @@ from repro.search.algorithms import (
     replicate_content,
 )
 
-__all__ = [
-    "e1_mori_weak",
-    "e2_mori_strong",
-    "e3_cooper_frieze",
-    "e4_event_probability",
-    "e5_max_degree",
-    "e6_degree_distribution",
-    "e7_adamic",
-    "e8_kleinberg",
-    "e9_diameter_vs_search",
-    "e10_equivalence_exact",
-    "e11_lemma1_floor",
-    "e12_percolation",
-    "e13_ablation_p",
-    "e14_ablation_m",
-    "e15_cf_equivalence",
-    "e16_neighbor_dependence",
-    "e17_simulation_slowdown",
-    "e18_start_rule",
-    "e19_trajectory_scaling",
-    "e20_cross_model",
-    "e21_churn_search",
-    "e22_giant_survival",
-    "ALL_EXPERIMENTS",
-]
+#: Nothing to import: experiments are reached through the registry.
+__all__: list = []
 
 
 def _scaling_table(
@@ -186,8 +159,7 @@ def _exponent_table(measurement, algorithms: Sequence[str]) -> Table:
 @REGISTRY.register(
     "E1",
     title="Weak-model search cost on merged Mori graphs (Theorem 1)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -198,6 +170,12 @@ def _exponent_table(measurement, algorithms: Sequence[str]) -> Table:
     ),
 )
 def _e1_body(ctx, *, sizes, p, m, num_graphs, runs_per_graph, seed):
+    """E1: every weak-model algorithm respects the Ω(√n) floor on Móri graphs.
+
+    Sweeps graph size, measures mean requests for the weak portfolio
+    plus the omniscient baseline, fits per-algorithm exponents, and
+    overlays the concrete Theorem 1 floor ``⌊√(n-2)⌋ P(E)/2``.
+    """
     family = MoriFamily(p=p, m=m)
     measurement = ctx.measure_scaling(
         family,
@@ -247,43 +225,6 @@ def _e1_body(ctx, *, sizes, p, m, num_graphs, runs_per_graph, seed):
     return result
 
 
-def e1_mori_weak(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    m: int = 1,
-    num_graphs: int = 5,
-    runs_per_graph: int = 2,
-    seed: int = 1,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E1: every weak-model algorithm respects the Ω(√n) floor on Móri graphs.
-
-    Sweeps graph size, measures mean requests for the weak portfolio
-    plus the omniscient baseline, fits per-algorithm exponents, and
-    overlays the concrete Theorem 1 floor ``⌊√(n-2)⌋ P(E)/2``.
-    """
-    return run_experiment(
-        "E1",
-        sizes=sizes,
-        p=p,
-        m=m,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E2: Theorem 1, strong model
 # ----------------------------------------------------------------------
@@ -292,8 +233,7 @@ def e1_mori_weak(
 @REGISTRY.register(
     "E2",
     title="Strong-model search cost on Mori graphs (Theorem 1, p<1/2)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.25),
@@ -307,6 +247,7 @@ def e1_mori_weak(
 def _e2_body(
     ctx, *, sizes, p, m, epsilon, num_graphs, runs_per_graph, seed
 ):
+    """E2: strong-model algorithms respect Ω(n^{1/2-p-eps}) for p < 1/2."""
     family = MoriFamily(p=p, m=m)
     measurement = ctx.measure_scaling(
         family,
@@ -355,40 +296,6 @@ def _e2_body(
     return result
 
 
-def e2_mori_strong(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.25,
-    m: int = 1,
-    epsilon: float = 0.05,
-    num_graphs: int = 5,
-    runs_per_graph: int = 2,
-    seed: int = 2,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E2: strong-model algorithms respect Ω(n^{1/2-p-eps}) for p < 1/2."""
-    return run_experiment(
-        "E2",
-        sizes=sizes,
-        p=p,
-        m=m,
-        epsilon=epsilon,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E3: Theorem 2, Cooper-Frieze
 # ----------------------------------------------------------------------
@@ -397,8 +304,7 @@ def e2_mori_strong(
 @REGISTRY.register(
     "E3",
     title="Weak-model search cost on Cooper-Frieze graphs (Theorem 2)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("alpha", FLOAT, 0.75),
@@ -408,6 +314,7 @@ def e2_mori_strong(
     ),
 )
 def _e3_body(ctx, *, sizes, alpha, num_graphs, runs_per_graph, seed):
+    """E3: the Ω(√n) floor holds in the Cooper–Frieze model (Theorem 2)."""
     params = CooperFriezeParams(alpha=alpha)
     family = CooperFriezeFamily(params=params)
     measurement = ctx.measure_scaling(
@@ -454,36 +361,6 @@ def _e3_body(ctx, *, sizes, alpha, num_graphs, runs_per_graph, seed):
     return result
 
 
-def e3_cooper_frieze(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    alpha: float = 0.75,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 3,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E3: the Ω(√n) floor holds in the Cooper–Frieze model (Theorem 2)."""
-    return run_experiment(
-        "E3",
-        sizes=sizes,
-        alpha=alpha,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E4: Lemma 3, event probability
 # ----------------------------------------------------------------------
@@ -500,6 +377,7 @@ def e3_cooper_frieze(
     ),
 )
 def _e4_body(ctx, *, a_values, p_values, num_samples, seed):
+    """E4: exact and Monte-Carlo P(E_{a,b}) vs Lemma 3's e^{-(1-p)} bound."""
     result = ExperimentResult(
         experiment_id="E4",
         title="Event probability P(E_{a,b}) vs the Lemma 3 bound",
@@ -544,22 +422,6 @@ def _e4_body(ctx, *, a_values, p_values, num_samples, seed):
     return result
 
 
-def e4_event_probability(
-    a_values: Sequence[int] = (10, 50, 100, 400, 1000),
-    p_values: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 1.0),
-    num_samples: int = 2000,
-    seed: int = 4,
-) -> ExperimentResult:
-    """E4: exact and Monte-Carlo P(E_{a,b}) vs Lemma 3's e^{-(1-p)} bound."""
-    return run_experiment(
-        "E4",
-        a_values=a_values,
-        p_values=p_values,
-        num_samples=num_samples,
-        seed=seed,
-    )
-
-
 # ----------------------------------------------------------------------
 # E5: max degree growth
 # ----------------------------------------------------------------------
@@ -576,6 +438,7 @@ def e4_event_probability(
     ),
 )
 def _e5_body(ctx, *, n, p_values, num_trees, seed):
+    """E5: Móri max degree grows like t^p; BA grows like t^{1/2}."""
     checkpoints = _geometric_checkpoints(64, n)
     result = ExperimentResult(
         experiment_id="E5",
@@ -627,18 +490,6 @@ def _e5_body(ctx, *, n, p_values, num_trees, seed):
     return result
 
 
-def e5_max_degree(
-    n: int = 20000,
-    p_values: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    num_trees: int = 5,
-    seed: int = 5,
-) -> ExperimentResult:
-    """E5: Móri max degree grows like t^p; BA grows like t^{1/2}."""
-    return run_experiment(
-        "E5", n=n, p_values=p_values, num_trees=num_trees, seed=seed
-    )
-
-
 def _geometric_checkpoints(first: int, last: int) -> list:
     checkpoints = []
     t = first
@@ -664,6 +515,7 @@ def _geometric_checkpoints(first: int, last: int) -> list:
     ),
 )
 def _e6_body(ctx, *, n, seed):
+    """E6: evolving models are power-law; Kleinberg's lattice is not."""
     result = ExperimentResult(
         experiment_id="E6",
         title="Degree distributions: scale-free models vs Kleinberg lattice",
@@ -734,26 +586,6 @@ def _e6_body(ctx, *, n, seed):
     return result
 
 
-def e6_degree_distribution(
-    n: int = 20000,
-    seed: int = 6,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E6: evolving models are power-law; Kleinberg's lattice is not."""
-    return run_experiment(
-        "E6",
-        n=n,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E7: Adamic et al. comparison
 # ----------------------------------------------------------------------
@@ -762,7 +594,7 @@ def e6_degree_distribution(
 @REGISTRY.register(
     "E7",
     title="Adamic et al. search on power-law configuration graphs",
-    capabilities=("jobs", "cache", "backend", "engine", "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (400, 800, 1600, 3200)),
         Param("exponent", FLOAT, 2.5),
@@ -772,6 +604,17 @@ def e6_degree_distribution(
     ),
 )
 def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
+    """E7: high-degree search beats the random walk on power-law graphs.
+
+    Adamic et al. predict mean cost ``~ n^{2(1-2/k)}`` for degree-greedy
+    and ``~ n^{3(1-2/k)}`` for the walk; the reproducible shape is the
+    *ordering* and the growth gap.
+
+    Uses Adamic's knowledge model (``neighbor_success=True``): a search
+    succeeds once a visited vertex is within distance 2 of the target,
+    matching their "nodes know their second neighbors" assumption from
+    which the quoted exponents are derived.
+    """
     family = ConfigurationFamily(exponent=exponent, min_degree=1)
     measurement = ctx.measure_scaling(
         family,
@@ -852,44 +695,6 @@ def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
     return result
 
 
-def e7_adamic(
-    sizes: Sequence[int] = (400, 800, 1600, 3200),
-    exponent: float = 2.5,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 7,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E7: high-degree search beats the random walk on power-law graphs.
-
-    Adamic et al. predict mean cost ``~ n^{2(1-2/k)}`` for degree-greedy
-    and ``~ n^{3(1-2/k)}`` for the walk; the reproducible shape is the
-    *ordering* and the growth gap.
-
-    Uses Adamic's knowledge model (``neighbor_success=True``): a search
-    succeeds once a visited vertex is within distance 2 of the target,
-    matching their "nodes know their second neighbors" assumption from
-    which the quoted exponents are derived.
-    """
-    return run_experiment(
-        "E7",
-        sizes=sizes,
-        exponent=exponent,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E8: Kleinberg navigability crossover
 # ----------------------------------------------------------------------
@@ -898,11 +703,10 @@ def e7_adamic(
 @REGISTRY.register(
     "E8",
     title="Greedy routing on Kleinberg small-worlds (navigable contrast)",
-    # Audited for the backend/engine axes and excluded on purpose:
-    # greedy routing navigates by lattice *coordinates* on the
-    # KleinbergGrid wrapper (not through the oracle machinery), so
-    # neither a CSR snapshot nor the ensemble kernel has anything to
-    # act on.
+    # Audited for the backend axis and excluded on purpose: greedy
+    # routing navigates by lattice *coordinates* on the KleinbergGrid
+    # wrapper (not through the oracle machinery), so a CSR snapshot
+    # has nothing to act on.
     params=(
         Param("sides", INT_TUPLE, (10, 16, 24, 36, 50)),
         Param("r_values", FLOAT_TUPLE, (0.0, 1.0, 2.0, 3.0, 4.0)),
@@ -911,6 +715,7 @@ def e7_adamic(
     ),
 )
 def _e8_body(ctx, *, sides, r_values, pairs_per_grid, seed):
+    """E8: greedy routing is poly-log at r=2 and polynomial elsewhere."""
     result = ExperimentResult(
         experiment_id="E8",
         title="Greedy routing on Kleinberg small-worlds (navigable contrast)",
@@ -950,22 +755,6 @@ def _e8_body(ctx, *, sides, r_values, pairs_per_grid, seed):
     return result
 
 
-def e8_kleinberg(
-    sides: Sequence[int] = (10, 16, 24, 36, 50),
-    r_values: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0),
-    pairs_per_grid: int = 20,
-    seed: int = 8,
-) -> ExperimentResult:
-    """E8: greedy routing is poly-log at r=2 and polynomial elsewhere."""
-    return run_experiment(
-        "E8",
-        sides=sides,
-        r_values=r_values,
-        pairs_per_grid=pairs_per_grid,
-        seed=seed,
-    )
-
-
 # ----------------------------------------------------------------------
 # E9: diameter vs search cost
 # ----------------------------------------------------------------------
@@ -974,8 +763,7 @@ def e8_kleinberg(
 @REGISTRY.register(
     "E9",
     title="Diameter vs search cost on merged Mori graphs",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -985,6 +773,12 @@ def e8_kleinberg(
     ),
 )
 def _e9_body(ctx, *, sizes, p, m, num_graphs, seed):
+    """E9: O(log n) diameter yet polynomial search cost (the headline).
+
+    The search cells honour ``backend`` like every other search-running
+    experiment; the diameter estimate walks the freshly built graph
+    directly (it is BFS-bound either way).
+    """
     family = MoriFamily(p=p, m=m)
 
     result = ExperimentResult(
@@ -1051,41 +845,6 @@ def _e9_body(ctx, *, sizes, p, m, num_graphs, seed):
     return result
 
 
-def e9_diameter_vs_search(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    m: int = 2,
-    num_graphs: int = 4,
-    seed: int = 9,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E9: O(log n) diameter yet polynomial search cost (the headline).
-
-    The search cells honour ``backend``/``engine``/``generator`` like
-    every other search-running experiment; the diameter estimate walks
-    the freshly built graph directly (it is BFS-bound either way).
-    """
-    return run_experiment(
-        "E9",
-        sizes=sizes,
-        p=p,
-        m=m,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E10: exact Lemma 2 verification
 # ----------------------------------------------------------------------
@@ -1100,6 +859,7 @@ def e9_diameter_vs_search(
     ),
 )
 def _e10_body(ctx, *, n, p_values):
+    """E10: exhaustive exact verification of Lemma 2 at small n."""
     result = ExperimentResult(
         experiment_id="E10",
         title="Exact Lemma 2 verification (Fraction arithmetic)",
@@ -1139,14 +899,6 @@ def _e10_body(ctx, *, n, p_values):
     return result
 
 
-def e10_equivalence_exact(
-    n: int = 7,
-    p_values: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-) -> ExperimentResult:
-    """E10: exhaustive exact verification of Lemma 2 at small n."""
-    return run_experiment("E10", n=n, p_values=p_values)
-
-
 # ----------------------------------------------------------------------
 # E11: Lemma 1 floor vs measurements
 # ----------------------------------------------------------------------
@@ -1155,8 +907,7 @@ def e10_equivalence_exact(
 @REGISTRY.register(
     "E11",
     title="Lemma 1 floor vs measured costs; tightness via omniscient",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1166,6 +917,7 @@ def e10_equivalence_exact(
     ),
 )
 def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
+    """E11: measured costs sit above the Lemma-1 floor; omniscient ~ Θ(√n)."""
     family = MoriFamily(p=p, m=1)
     measurement = ctx.measure_scaling(
         family,
@@ -1216,36 +968,6 @@ def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
     return result
 
 
-def e11_lemma1_floor(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    num_graphs: int = 5,
-    runs_per_graph: int = 2,
-    seed: int = 11,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E11: measured costs sit above the Lemma-1 floor; omniscient ~ Θ(√n)."""
-    return run_experiment(
-        "E11",
-        sizes=sizes,
-        p=p,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E12: percolation search with replication
 # ----------------------------------------------------------------------
@@ -1256,9 +978,7 @@ def e11_lemma1_floor(
     title="Percolation search with content replication",
     # Audited: the query cascade reads the graph through the same
     # neighbor/edge API the searches use, so the backend axis applies
-    # (one snapshot serves every query); the engine axis does not —
-    # percolation is an epidemic broadcast, not an (algorithm, start,
-    # target) oracle cell.
+    # (one snapshot serves every query).
     capabilities=("backend",),
     params=(
         Param("n", INT, 4000),
@@ -1279,6 +999,7 @@ def _e12_body(
     num_queries,
     seed,
 ):
+    """E12: replication turns broadcast search sublinear (Sarshar et al.)."""
     family = ConfigurationFamily(exponent=exponent, min_degree=2)
     graph = snapshot_graph(
         family.build(n, seed=substream(seed, 0)), ctx.backend
@@ -1349,28 +1070,6 @@ def _e12_body(
     return result
 
 
-def e12_percolation(
-    n: int = 4000,
-    exponent: float = 2.3,
-    replica_counts: Sequence[int] = (0, 4, 16, 64),
-    broadcast_probability: float = 0.25,
-    num_queries: int = 30,
-    seed: int = 12,
-    backend: str = "frozen",
-) -> ExperimentResult:
-    """E12: replication turns broadcast search sublinear (Sarshar et al.)."""
-    return run_experiment(
-        "E12",
-        n=n,
-        exponent=exponent,
-        replica_counts=replica_counts,
-        broadcast_probability=broadcast_probability,
-        num_queries=num_queries,
-        seed=seed,
-        backend=backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E13/E14: ablations
 # ----------------------------------------------------------------------
@@ -1379,8 +1078,7 @@ def e12_percolation(
 @REGISTRY.register(
     "E13",
     title="Ablation: attachment mixture p vs searchability",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("p_values", FLOAT_TUPLE, (0.0, 0.25, 0.5, 0.75, 1.0)),
@@ -1389,6 +1087,7 @@ def e12_percolation(
     ),
 )
 def _e13_body(ctx, *, sizes, p_values, num_graphs, seed):
+    """E13: the √n floor is insensitive to the attachment mixture p."""
     result = ExperimentResult(
         experiment_id="E13",
         title="Ablation: attachment mixture p vs searchability",
@@ -1432,39 +1131,10 @@ def _e13_body(ctx, *, sizes, p_values, num_graphs, seed):
     return result
 
 
-def e13_ablation_p(
-    sizes: Sequence[int] = (200, 400, 800),
-    p_values: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    num_graphs: int = 4,
-    seed: int = 13,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E13: the √n floor is insensitive to the attachment mixture p."""
-    return run_experiment(
-        "E13",
-        sizes=sizes,
-        p_values=p_values,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 @REGISTRY.register(
     "E14",
     title="Ablation: merge arity m vs searchability",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("m_values", INT_TUPLE, (1, 2, 4, 8)),
@@ -1474,6 +1144,7 @@ def e13_ablation_p(
     ),
 )
 def _e14_body(ctx, *, sizes, m_values, p, num_graphs, seed):
+    """E14: the √n floor holds for every merge arity m (Theorem 1)."""
     result = ExperimentResult(
         experiment_id="E14",
         title="Ablation: merge arity m vs searchability",
@@ -1514,36 +1185,6 @@ def _e14_body(ctx, *, sizes, m_values, p, num_graphs, seed):
     return result
 
 
-def e14_ablation_m(
-    sizes: Sequence[int] = (200, 400, 800),
-    m_values: Sequence[int] = (1, 2, 4, 8),
-    p: float = 0.5,
-    num_graphs: int = 4,
-    seed: int = 14,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E14: the √n floor holds for every merge arity m (Theorem 1)."""
-    return run_experiment(
-        "E14",
-        sizes=sizes,
-        m_values=m_values,
-        p=p,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E15: Cooper-Frieze equivalence window (Theorem 2's proof sketch)
 # ----------------------------------------------------------------------
@@ -1560,6 +1201,16 @@ def e14_ablation_m(
     ),
 )
 def _e15_body(ctx, *, sizes, alpha, num_samples, seed):
+    """E15: a Θ(√n) untouched window exists in CF graphs w.p. Ω(1).
+
+    The paper proves Theorem 2 "the same way" as Theorem 1, from the
+    existence of a set of Θ(√n) equivalent vertices; this experiment
+    exhibits that set: the probability that the theorem-style window
+    is untouched (every member born by a single NEW edge below the
+    window, never touched again) stays bounded away from 0 as n grows,
+    and conditional on the event the per-position parent-degree profile
+    is flat (exchangeability).
+    """
     from repro.core.families import theorem_target_for_size
     from repro.equivalence.cooper_frieze import (
         estimate_untouched_probability,
@@ -1625,31 +1276,6 @@ def _e15_body(ctx, *, sizes, alpha, num_samples, seed):
     return result
 
 
-def e15_cf_equivalence(
-    sizes: Sequence[int] = (100, 200, 400, 800),
-    alpha: float = 0.75,
-    num_samples: int = 400,
-    seed: int = 15,
-) -> ExperimentResult:
-    """E15: a Θ(√n) untouched window exists in CF graphs w.p. Ω(1).
-
-    The paper proves Theorem 2 "the same way" as Theorem 1, from the
-    existence of a set of Θ(√n) equivalent vertices; this experiment
-    exhibits that set: the probability that the theorem-style window
-    is untouched (every member born by a single NEW edge below the
-    window, never touched again) stays bounded away from 0 as n grows,
-    and conditional on the event the per-position parent-degree profile
-    is flat (exchangeability).
-    """
-    return run_experiment(
-        "E15",
-        sizes=sizes,
-        alpha=alpha,
-        num_samples=num_samples,
-        seed=seed,
-    )
-
-
 # ----------------------------------------------------------------------
 # E16: neighbor-degree dependence (evolving vs pure random graphs)
 # ----------------------------------------------------------------------
@@ -1664,6 +1290,13 @@ def e15_cf_equivalence(
     ),
 )
 def _e16_body(ctx, *, n, seed):
+    """E16: neighbor degrees correlate in evolving models, not in pure ones.
+
+    The paper's "Related works" distinction: in Molloy–Reed graphs
+    neighbor degrees are independent; in evolving models degree and age
+    are positively correlated, so neighbor degrees are not — "a real
+    difference whenever we aim at analysing a search process".
+    """
     from repro.analysis.correlation import (
         age_degree_correlation,
         degree_assortativity,
@@ -1724,20 +1357,6 @@ def _e16_body(ctx, *, n, seed):
     return result
 
 
-def e16_neighbor_dependence(
-    n: int = 5000,
-    seed: int = 16,
-) -> ExperimentResult:
-    """E16: neighbor degrees correlate in evolving models, not in pure ones.
-
-    The paper's "Related works" distinction: in Molloy–Reed graphs
-    neighbor degrees are independent; in evolving models degree and age
-    are positively correlated, so neighbor degrees are not — "a real
-    difference whenever we aim at analysing a search process".
-    """
-    return run_experiment("E16", n=n, seed=seed)
-
-
 # ----------------------------------------------------------------------
 # E17: the strong->weak simulation argument (paper, Section 2)
 # ----------------------------------------------------------------------
@@ -1746,8 +1365,7 @@ def e16_neighbor_dependence(
 @REGISTRY.register(
     "E17",
     title="Strong-to-weak simulation slowdown (Theorem 1, strong case)",
-    capabilities=("jobs", "cache", "backend", "mode", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "mode", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.25),
@@ -1756,6 +1374,30 @@ def e16_neighbor_dependence(
     ),
 )
 def _e17_body(ctx, *, sizes, p, num_graphs, seed):
+    """E17: weak simulation of a strong algorithm pays <= max-degree slowdown.
+
+    The strong-model half of Theorem 1 rests on simulating any strong
+    algorithm in the weak model by expanding each strong request into
+    weak requests on all incident edges — a slowdown of at most the
+    maximum degree.  This experiment runs the high-degree strong
+    searcher both natively and through the simulation adapter on the
+    same Móri instances and checks the inequality
+
+        weak_requests  <=  strong_requests * max_degree
+
+    instance by instance (the inner algorithm is deterministic, so
+    this is an exact check, not a statistical one).
+
+    ``mode='trajectory'`` evolves each of the ``num_graphs``
+    realisations once to ``max(sizes)`` and serves every size cell
+    from the checkpoint snapshots (one construction pass per
+    realisation instead of ``Σ nᵢ``); the default keeps the fully
+    independent per-size realisations the existing pins replay.
+    Because the checkpoints of one realisation form a set, trajectory
+    mode canonicalises ``sizes`` (sorted, de-duplicated) — one row per
+    distinct size — whereas independent mode keeps one row per grid
+    position, repeats and caller order included, exactly as before.
+    """
     mode = ctx.mode
     family = MoriFamily(p=p, m=1)
     result = ExperimentResult(
@@ -1854,57 +1496,6 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
     return result
 
 
-def e17_simulation_slowdown(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.25,
-    num_graphs: int = 5,
-    seed: int = 17,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    mode: str = "independent",
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E17: weak simulation of a strong algorithm pays <= max-degree slowdown.
-
-    The strong-model half of Theorem 1 rests on simulating any strong
-    algorithm in the weak model by expanding each strong request into
-    weak requests on all incident edges — a slowdown of at most the
-    maximum degree.  This experiment runs the high-degree strong
-    searcher both natively and through the simulation adapter on the
-    same Móri instances and checks the inequality
-
-        weak_requests  <=  strong_requests * max_degree
-
-    instance by instance (the inner algorithm is deterministic, so
-    this is an exact check, not a statistical one).
-
-    ``mode='trajectory'`` evolves each of the ``num_graphs``
-    realisations once to ``max(sizes)`` and serves every size cell
-    from the checkpoint snapshots (one construction pass per
-    realisation instead of ``Σ nᵢ``); the default keeps the fully
-    independent per-size realisations the existing pins replay.
-    Because the checkpoints of one realisation form a set, trajectory
-    mode canonicalises ``sizes`` (sorted, de-duplicated) — one row per
-    distinct size — whereas independent mode keeps one row per grid
-    position, repeats and caller order included, exactly as before.
-    """
-    return run_experiment(
-        "E17",
-        sizes=sizes,
-        p=p,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        mode=mode,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E18: start-vertex ablation ("starting from any vertex")
 # ----------------------------------------------------------------------
@@ -1913,8 +1504,7 @@ def e17_simulation_slowdown(
 @REGISTRY.register(
     "E18",
     title="Ablation: start-vertex rule vs searchability",
-    capabilities=("jobs", "cache", "backend", "engine", "mode",
-                  "generator", "store"),
+    capabilities=("jobs", "cache", "backend", "mode", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1924,6 +1514,19 @@ def e17_simulation_slowdown(
     ),
 )
 def _e18_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
+    """E18: the Ω(√n) floor is start-vertex independent.
+
+    Theorem 1 quantifies over the start ("starting from any vertex").
+    This ablation sweeps three start rules — the hub-adjacent oldest
+    vertex (searcher-favourable), a uniformly random vertex, and a
+    young peripheral vertex just below the equivalence window — and
+    checks that the fitted search exponent stays >= ~1/2 under all of
+    them.
+
+    ``mode='trajectory'`` serves each size sweep from checkpoint
+    snapshots of shared growth trajectories (see
+    :func:`repro.core.searchability.measure_scaling`).
+    """
     result = ExperimentResult(
         experiment_id="E18",
         title="Ablation: start-vertex rule vs searchability",
@@ -1972,50 +1575,6 @@ def _e18_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
     return result
 
 
-def e18_start_rule(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 18,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    mode: str = "independent",
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E18: the Ω(√n) floor is start-vertex independent.
-
-    Theorem 1 quantifies over the start ("starting from any vertex").
-    This ablation sweeps three start rules — the hub-adjacent oldest
-    vertex (searcher-favourable), a uniformly random vertex, and a
-    young peripheral vertex just below the equivalence window — and
-    checks that the fitted search exponent stays >= ~1/2 under all of
-    them.
-
-    ``mode='trajectory'`` serves each size sweep from checkpoint
-    snapshots of shared growth trajectories (see
-    :func:`repro.core.searchability.measure_scaling`).
-    """
-    return run_experiment(
-        "E18",
-        sizes=sizes,
-        p=p,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        mode=mode,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E19: searchability along coupled growth trajectories
 # ----------------------------------------------------------------------
@@ -2028,9 +1587,7 @@ def e18_start_rule(
         "jobs",
         "cache",
         "backend",
-        "engine",
         ("mode", "trajectory"),
-        "generator",
         "store",
     ),
     params=(
@@ -2046,6 +1603,26 @@ def e18_start_rule(
 def _e19_body(
     ctx, *, sizes, p, m, alpha, num_graphs, runs_per_graph, seed
 ):
+    """E19: request cost vs n measured *along* single evolving networks.
+
+    The scaling curves of E1/E3 sample an independent realisation per
+    size; this experiment instead follows the regime of dynamic P2P
+    overlays and resource-discovery systems — the network keeps
+    growing and searchability is re-measured on the *same* realisation
+    at checkpoint sizes.  Each of the ``num_graphs`` trajectories per
+    family (Móri and Cooper–Frieze) is evolved once to ``max(sizes)``,
+    the high-degree weak searcher is costed at every checkpoint, and
+    the per-size spread across trajectories gives the confidence band.
+    Marginally each checkpoint is an exact sample of the independent
+    per-size law (checkpoint snapshots are bit-identical to
+    independent same-seed builds), so the Ω(√n) floor applies
+    unchanged along the growth process.
+
+    ``mode`` exists so ``repro run E19 --mode trajectory`` composes
+    like every other sweep, but coupled trajectories are this
+    experiment's *subject*: only ``'trajectory'`` is accepted (E1/E3
+    already measure the independent per-size curves).
+    """
     from repro.core.families import theorem_target_for_size
 
     if ctx.mode != "trajectory":
@@ -2137,61 +1714,6 @@ def _e19_body(
     return result
 
 
-def e19_trajectory_scaling(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    m: int = 1,
-    alpha: float = 0.75,
-    num_graphs: int = 5,
-    runs_per_graph: int = 2,
-    seed: int = 19,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    mode: str = "trajectory",
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E19: request cost vs n measured *along* single evolving networks.
-
-    The scaling curves of E1/E3 sample an independent realisation per
-    size; this experiment instead follows the regime of dynamic P2P
-    overlays and resource-discovery systems — the network keeps
-    growing and searchability is re-measured on the *same* realisation
-    at checkpoint sizes.  Each of the ``num_graphs`` trajectories per
-    family (Móri and Cooper–Frieze) is evolved once to ``max(sizes)``,
-    the high-degree weak searcher is costed at every checkpoint, and
-    the per-size spread across trajectories gives the confidence band.
-    Marginally each checkpoint is an exact sample of the independent
-    per-size law (checkpoint snapshots are bit-identical to
-    independent same-seed builds), so the Ω(√n) floor applies
-    unchanged along the growth process.
-
-    ``mode`` exists so ``repro run E19 --mode trajectory`` composes
-    like every other sweep, but coupled trajectories are this
-    experiment's *subject*: only ``'trajectory'`` is accepted (E1/E3
-    already measure the independent per-size curves).
-    """
-    return run_experiment(
-        "E19",
-        sizes=sizes,
-        p=p,
-        m=m,
-        alpha=alpha,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        mode=mode,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E20: cross-model search-cost grid (the registry's extension proof)
 # ----------------------------------------------------------------------
@@ -2200,8 +1722,7 @@ def e19_trajectory_scaling(
 @REGISTRY.register(
     "E20",
     title="Cross-model search-cost grid (weak + strong portfolios)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("p", FLOAT, 0.5),
@@ -2216,6 +1737,21 @@ def e19_trajectory_scaling(
 def _e20_body(
     ctx, *, sizes, p, m, alpha, exponent, num_graphs, runs_per_graph, seed
 ):
+    """E20: one harness, three models, both knowledge models.
+
+    The registry's extension proof: a cross-model search-cost grid —
+    Móri merged graphs vs Cooper–Frieze vs the configuration-model
+    giant component at matched size and degree scale — swept by both
+    the weak and the strong portfolio on one pipeline.  The experiment
+    is a *pure spec*: it exercises ``jobs``/``cache``/``backend``
+    through nothing but its capability declaration, with no
+    experiment-specific CLI code.
+
+    Headline shape: the cheapest fitted exponent stays bounded away
+    from 0 for the evolving models (the paper's non-navigability), and
+    the cross-model rows expose how much of the cost is the *model*
+    rather than the algorithm.
+    """
     families = [
         MoriFamily(p=p, m=m),
         CooperFriezeFamily(CooperFriezeParams(alpha=alpha)),
@@ -2313,56 +1849,6 @@ def _e20_body(
     return result
 
 
-def e20_cross_model(
-    sizes: Sequence[int] = (200, 400, 800),
-    p: float = 0.5,
-    m: int = 2,
-    alpha: float = 0.75,
-    exponent: float = 2.5,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 20,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E20: one harness, three models, both knowledge models.
-
-    The registry's extension proof: a cross-model search-cost grid —
-    Móri merged graphs vs Cooper–Frieze vs the configuration-model
-    giant component at matched size and degree scale — swept by both
-    the weak and the strong portfolio on one pipeline.  The experiment
-    is a *pure spec*: it exercises ``jobs``/``cache``/``backend``/
-    ``engine`` through nothing but its capability declaration, with no
-    experiment-specific CLI code.
-
-    Headline shape: the cheapest fitted exponent stays bounded away
-    from 0 for the evolving models (the paper's non-navigability), and
-    the cross-model rows expose how much of the cost is the *model*
-    rather than the algorithm.
-    """
-    return run_experiment(
-        "E20",
-        sizes=sizes,
-        p=p,
-        m=m,
-        alpha=alpha,
-        exponent=exponent,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E21: search cost under churn (the dynamic-overlay proof)
 # ----------------------------------------------------------------------
@@ -2371,8 +1857,7 @@ def e20_cross_model(
 @REGISTRY.register(
     "E21",
     title="Search cost vs churn rate (weak + strong portfolios)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("size", INT, 400),
         Param("p", FLOAT, 0.5),
@@ -2398,6 +1883,23 @@ def _e21_body(
     runs_per_graph,
     seed,
 ):
+    """E21: does non-searchability survive live churn?
+
+    Sweeps the churn rate (steps per vertex of population-preserving
+    leave+join turnover on the overlay layer) and re-measures the
+    weak and strong portfolios on the churned graph.  A pure spec per
+    the PR 5 recipe: churn parameters are ordinary registry params
+    (the CLI's ``--churn-rate/--churn-bias/--resnapshot-every`` sugar
+    maps onto them generically), and every cell is one
+    :func:`~repro.core.trials.churn_search_trial` replayable from the
+    store across ``--jobs`` and engines.
+
+    Headline: ``churn_penalty/<portfolio>`` — the cost ratio between
+    the stormiest and calmest rate.  The paper's Ω(√n) floor is about
+    a static snapshot; the dynamic rows show turnover does not open a
+    cheap route (if anything, degree-biased leaves remove exactly the
+    hubs cheap searches lean on).
+    """
     spec = family_spec(MoriFamily(p=p, m=m))
     result = ExperimentResult(
         experiment_id="E21",
@@ -2497,60 +1999,6 @@ def _e21_body(
     return result
 
 
-def e21_churn_search(
-    size: int = 400,
-    p: float = 0.5,
-    m: int = 2,
-    churn_rates: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
-    churn_bias: str = "uniform",
-    resnapshot_every: int = 0,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 21,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E21: does non-searchability survive live churn?
-
-    Sweeps the churn rate (steps per vertex of population-preserving
-    leave+join turnover on the overlay layer) and re-measures the
-    weak and strong portfolios on the churned graph.  A pure spec per
-    the PR 5 recipe: churn parameters are ordinary registry params
-    (the CLI's ``--churn-rate/--churn-bias/--resnapshot-every`` sugar
-    maps onto them generically), and every cell is one
-    :func:`~repro.core.trials.churn_search_trial` replayable from the
-    store across ``--jobs`` and engines.
-
-    Headline: ``churn_penalty/<portfolio>`` — the cost ratio between
-    the stormiest and calmest rate.  The paper's Ω(√n) floor is about
-    a static snapshot; the dynamic rows show turnover does not open a
-    cheap route (if anything, degree-biased leaves remove exactly the
-    hubs cheap searches lean on).
-    """
-    return run_experiment(
-        "E21",
-        size=size,
-        p=p,
-        m=m,
-        churn_rates=churn_rates,
-        churn_bias=churn_bias,
-        resnapshot_every=resnapshot_every,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        engine=engine,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # E22: giant-component survival under decay
 # ----------------------------------------------------------------------
@@ -2559,7 +2007,7 @@ def e21_churn_search(
 @REGISTRY.register(
     "E22",
     title="Giant-component survival under decay",
-    capabilities=("jobs", "cache", "backend", "generator", "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("size", INT, 600),
         Param("p", FLOAT, 0.5),
@@ -2578,6 +2026,14 @@ def _e22_body(
     ctx, *, size, p, m, remove_fractions, resnapshot_every, num_graphs,
     seed
 ):
+    """E22: how fast does the searchable substrate itself dissolve?
+
+    Pure decay on the overlay layer (leaves, no joins), uniform vs
+    degree-biased, tracking the giant component of the surviving
+    graph.  Complements E21: before asking how expensive search under
+    churn is, this measures when the network stops having anything to
+    search.  A pure spec with zero experiment-specific CLI code.
+    """
     spec = family_spec(MoriFamily(p=p, m=m))
     result = ExperimentResult(
         experiment_id="E22",
@@ -2604,7 +2060,6 @@ def _e22_body(
     )
     reference = trial_ref(churn_survival_trial)
     extra = ctx.trial_params_extra()
-    extra.pop("engine", None)  # no searches run; engine is not declared
     specs = []
     for bias_index, bias in enumerate(CHURN_BIASES):
         cell_seed = substream(seed, bias_index)
@@ -2666,72 +2121,3 @@ def _e22_body(
     )
     result.tables.append(table)
     return result
-
-
-def e22_giant_survival(
-    size: int = 600,
-    p: float = 0.5,
-    m: int = 2,
-    remove_fractions: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9),
-    resnapshot_every: int = 0,
-    num_graphs: int = 4,
-    seed: int = 22,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    backend: str = "frozen",
-    generator: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E22: how fast does the searchable substrate itself dissolve?
-
-    Pure decay on the overlay layer (leaves, no joins), uniform vs
-    degree-biased, tracking the giant component of the surviving
-    graph.  Complements E21: before asking how expensive search under
-    churn is, this measures when the network stops having anything to
-    search.  A pure spec with zero experiment-specific CLI code.
-    """
-    return run_experiment(
-        "E22",
-        size=size,
-        p=p,
-        m=m,
-        remove_fractions=remove_fractions,
-        resnapshot_every=resnapshot_every,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        backend=backend,
-        generator=generator,
-        store_backend=store_backend,
-    )
-
-
-#: Public wrappers by experiment id (one per registered spec), used by
-#: the benchmark harness and kept importable for downstream callers.
-#: The CLI itself runs on the registry (:data:`repro.core.registry.
-#: REGISTRY`) and never touches these.
-ALL_EXPERIMENTS = {
-    "E1": e1_mori_weak,
-    "E2": e2_mori_strong,
-    "E3": e3_cooper_frieze,
-    "E4": e4_event_probability,
-    "E5": e5_max_degree,
-    "E6": e6_degree_distribution,
-    "E7": e7_adamic,
-    "E8": e8_kleinberg,
-    "E9": e9_diameter_vs_search,
-    "E10": e10_equivalence_exact,
-    "E11": e11_lemma1_floor,
-    "E12": e12_percolation,
-    "E13": e13_ablation_p,
-    "E14": e14_ablation_m,
-    "E15": e15_cf_equivalence,
-    "E16": e16_neighbor_dependence,
-    "E17": e17_simulation_slowdown,
-    "E18": e18_start_rule,
-    "E19": e19_trajectory_scaling,
-    "E20": e20_cross_model,
-    "E21": e21_churn_search,
-    "E22": e22_giant_survival,
-}

@@ -1,13 +1,8 @@
 """Declarative experiment registry and the unified execution context.
 
-Before this module, every experiment function re-declared and
-re-plumbed the same execution axes by hand — ``jobs``, ``cache_dir``,
-``backend``, ``engine``, ``mode`` — and the CLI re-discovered them per
-function with ``inspect.signature`` plus bespoke warning branches.
-Adding an axis meant signature surgery on a dozen functions; adding an
-experiment meant copying the whole kwargs trellis.
-
-The registry replaces that with three declarative pieces:
+Every experiment runs through one entry point,
+:func:`run_experiment` (equivalently ``REGISTRY[id].run``), built from
+three declarative pieces:
 
 * :class:`Param` — one typed experiment parameter (name, CLI coercion
   rule, default).  The types double as the ``repro run --set
@@ -15,10 +10,8 @@ The registry replaces that with three declarative pieces:
   overrides for free.
 * :class:`ExperimentSpec` — one experiment: id, title, its param
   schema, and the **capabilities** it declares from
-  :data:`CAPABILITIES` (``jobs``, ``cache``, ``backend``, ``engine``,
-  ``mode``, ``generator``, ``store``).  Capabilities are data, not
-  signatures:
-  the CLI derives
+  :data:`CAPABILITIES` (``jobs``, ``cache``, ``backend``, ``mode``,
+  ``store``).  Capabilities are data, not signatures: the CLI derives
   its capability matrix and its "flag has no effect" warnings from
   them, and a new axis lands in exactly one place.
 * :class:`ExecutionContext` — the resolved execution axes carried
@@ -26,14 +19,12 @@ The registry replaces that with three declarative pieces:
   it to dispatch work (:meth:`ExecutionContext.run_trials`,
   :meth:`ExecutionContext.measure_scaling`,
   :meth:`ExecutionContext.measure_search_cost`) instead of forwarding
-  five copy-pasted kwargs to every call.
+  copy-pasted kwargs to every call.
 
-Experiment bodies register with :meth:`Registry.register`; the public
-``e1_mori_weak(...)``-style wrappers in :mod:`repro.core.experiments`
-stay as thin delegates through :func:`run_experiment`, so every
-existing pin and caller keeps working bit-identically.
-``tests/test_registry.py`` asserts wrapper/spec parity so the two
-views cannot drift.
+Experiment bodies register with :meth:`Registry.register`.  The search
+engine and the graph generator are not axes: trials pick the fastest
+available arm (:func:`repro.core.trials.fastest_available`), and every
+arm gives the same numbers.
 """
 
 from __future__ import annotations
@@ -79,10 +70,8 @@ __all__ = [
     "run_experiment",
 ]
 
-#: The execution axes an experiment may declare, in canonical order
-#: (also the order their keyword parameters appear in public wrappers).
-CAPABILITIES = ("jobs", "cache", "backend", "engine", "mode",
-                "generator", "store")
+#: The execution axes an experiment may declare, in canonical order.
+CAPABILITIES = ("jobs", "cache", "backend", "mode", "store")
 
 #: Capability -> (public keyword parameter, default value).  ``cache``
 #: surfaces as ``cache_dir`` because the public unit is a directory;
@@ -91,17 +80,11 @@ CAPABILITIES = ("jobs", "cache", "backend", "engine", "mode",
 #: "auto" (the ``REPRO_STORE_BACKEND`` environment variable, else
 #: ``json-files``) so a whole run — or a whole CI leg — can be
 #: switched without threading the choice through every call.
-#: ``engine`` and ``generator`` default to ``None`` too, meaning "the
-#: fastest available arm" (ensemble/vectorized when numpy imports,
-#: else serial), resolved inside the trial functions by
-#: :func:`repro.core.trials.fastest_available`.
 CAPABILITY_PARAMS = {
     "jobs": ("jobs", 1),
     "cache": ("cache_dir", None),
     "backend": ("backend", "frozen"),
-    "engine": ("engine", None),
     "mode": ("mode", "independent"),
-    "generator": ("generator", None),
     "store": ("store_backend", None),
 }
 
@@ -166,8 +149,8 @@ class Param:
 class ExecutionContext:
     """The resolved execution axes of one experiment run.
 
-    Carries ``jobs``/``store``/``backend``/``engine``/``mode`` (and the
-    owning ``experiment_id``) exactly once, resolved from the declared
+    Carries ``jobs``/``store``/``backend``/``mode`` (and the owning
+    ``experiment_id``) exactly once, resolved from the declared
     capability defaults plus any caller overrides.  Experiment bodies
     dispatch through the helper methods instead of re-plumbing the
     axes into every call, so an axis added here reaches every
@@ -178,9 +161,7 @@ class ExecutionContext:
     jobs: int = 1
     store: Optional[TrialStore] = None
     backend: str = "frozen"
-    engine: Optional[str] = None
     mode: str = "independent"
-    generator: Optional[str] = None
     store_backend: Optional[str] = None
 
     def run_trials(self, specs: Sequence[TrialSpec]) -> list:
@@ -189,31 +170,23 @@ class ExecutionContext:
         return run_trials(specs, jobs=self.jobs, store=self.store)
 
     def trial_params_extra(self) -> Dict[str, Any]:
-        """The explicitly chosen backend/engine/generator trial params.
+        """The explicitly chosen backend as trial params.
 
-        The backend/engine/generator cache-key policy spelled once:
-        defaults stay out of trial params, so pre-existing cache
-        entries keep replaying.  The default ``engine``/``generator``
-        is ``None`` ("fastest available", resolved inside the trial),
-        so any explicit choice — ``serial`` included — gets its own
-        entries, as a non-default backend does.  ``store_backend``
-        never enters: where a value is stored cannot change what the
-        value is.
+        The backend cache-key policy spelled once: the default stays
+        out of trial params, so pre-existing cache entries keep
+        replaying, and a non-default backend gets its own entries.
+        ``store_backend`` never enters: where a value is stored cannot
+        change what the value is.
         """
-        extra: Dict[str, Any] = {}
         if self.backend != "frozen":
-            extra["backend"] = self.backend
-        if self.engine is not None:
-            extra["engine"] = self.engine
-        if self.generator is not None:
-            extra["generator"] = self.generator
-        return extra
+            return {"backend": self.backend}
+        return {}
 
     def measure_scaling(self, family, sizes, factories, **kwargs):
         """A size sweep through this context's execution axes.
 
         Delegates to :func:`repro.core.searchability.measure_scaling`
-        with ``jobs``/``store``/``backend``/``engine``/``mode`` and the
+        with ``jobs``/``store``/``backend``/``mode`` and the
         experiment id filled in from the context (callers may still
         override ``mode`` explicitly, as E19 does to pin its subject).
         """
@@ -228,8 +201,6 @@ class ExecutionContext:
             store=self.store,
             experiment_id=self.experiment_id,
             backend=self.backend,
-            engine=self.engine,
-            generator=self.generator,
             **kwargs,
         )
 
@@ -245,8 +216,6 @@ class ExecutionContext:
             store=self.store,
             experiment_id=self.experiment_id,
             backend=self.backend,
-            engine=self.engine,
-            generator=self.generator,
             **kwargs,
         )
 
@@ -280,28 +249,16 @@ def _validated_context_values(
 
 
 def _validate_axis_values(resolved: Dict[str, Any]) -> None:
-    """Check backend/engine/mode/generator values against their axis
+    """Check backend/mode/store values against their axis
     vocabularies."""
     from repro.core.searchability import MODES
-    from repro.core.trials import BACKENDS, ENGINES, GENERATORS
+    from repro.core.trials import BACKENDS
 
     backend = resolved.get("backend")
     if backend is not None and backend not in BACKENDS:
         raise ExperimentError(
             f"unknown graph backend {backend!r}; valid: "
             f"{', '.join(BACKENDS)}"
-        )
-    engine = resolved.get("engine")
-    if engine is not None and engine not in ENGINES:
-        raise ExperimentError(
-            f"unknown search engine {engine!r}; valid: "
-            f"{', '.join(ENGINES)}"
-        )
-    generator = resolved.get("generator")
-    if generator is not None and generator not in GENERATORS:
-        raise ExperimentError(
-            f"unknown graph generator {generator!r}; valid: "
-            f"{', '.join(GENERATORS)}"
         )
     mode = resolved.get("mode")
     if mode is not None and mode not in MODES:
@@ -363,9 +320,7 @@ class ExperimentSpec:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         backend: Optional[str] = None,
-        engine: Optional[str] = None,
         mode: Optional[str] = None,
-        generator: Optional[str] = None,
         store_backend: Optional[str] = None,
     ) -> ExecutionContext:
         """Resolve execution-axis overrides into an :class:`ExecutionContext`.
@@ -381,9 +336,7 @@ class ExperimentSpec:
                 "jobs": jobs,
                 "cache": cache_dir,
                 "backend": backend,
-                "engine": engine,
                 "mode": mode,
-                "generator": generator,
                 "store": store_backend,
             },
         )
@@ -395,7 +348,7 @@ class ExperimentSpec:
             kwargs["store"] = store_for(
                 resolved["cache"], resolved.get("store")
             )
-        for axis in ("backend", "engine", "mode", "generator"):
+        for axis in ("backend", "mode"):
             if axis in resolved:
                 kwargs[axis] = resolved[axis]
         if "store" in resolved:
@@ -419,9 +372,7 @@ class ExperimentSpec:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         backend: Optional[str] = None,
-        engine: Optional[str] = None,
         mode: Optional[str] = None,
-        generator: Optional[str] = None,
         store_backend: Optional[str] = None,
     ):
         """Execute the experiment body with resolved params + context."""
@@ -430,9 +381,7 @@ class ExperimentSpec:
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,
-            engine=engine,
             mode=mode,
-            generator=generator,
             store_backend=store_backend,
         )
         return self.body(context, **params)
@@ -592,12 +541,13 @@ REGISTRY = Registry()
 def run_experiment(experiment_id: str, **kwargs):
     """Run a registered experiment from flat keyword arguments.
 
-    The convenience entry the public ``e<n>_...`` wrappers delegate
-    through: ``kwargs`` may mix declared experiment parameters with
-    the capability parameters the spec declares (``jobs``,
-    ``cache_dir``, ``backend``, ``engine``, ``mode``,
+    The one way to run an experiment from Python, e.g.
+    ``run_experiment("E1", sizes=(200, 400), jobs=2)``: ``kwargs`` may
+    mix declared experiment parameters with the capability parameters
+    the spec declares (``jobs``, ``cache_dir``, ``backend``, ``mode``,
     ``store_backend``); they are split per the spec and dispatched via
-    :meth:`ExperimentSpec.run`.
+    :meth:`ExperimentSpec.run`.  Omitted parameters take their
+    registered defaults.
     """
     spec = REGISTRY.get(experiment_id)
     context_kwargs: Dict[str, Any] = {}

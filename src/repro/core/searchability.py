@@ -137,8 +137,6 @@ def _build_cell_specs(
     neighbor_success: bool,
     start_rule: str,
     backend: str,
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
 ) -> List[TrialSpec]:
     """One :class:`TrialSpec` per graph realisation of a (size, seed) cell."""
     from repro.core.trials import family_spec, search_cost_graph_trial
@@ -153,18 +151,11 @@ def _build_cell_specs(
         "neighbor_success": neighbor_success,
         "start_rule": start_rule,
     }
-    # Neither backend, engine nor generator ever changes a trial's
-    # value (the equivalence batteries pin this), so the defaults stay
-    # out of the params — keeping cache keys identical to earlier runs.
-    # The engine/generator default is None ("fastest available",
-    # resolved inside the trial), so only an explicit choice, serial
-    # included, gets its own cache entries.
+    # The backend never changes a trial's value (the equivalence
+    # batteries pin this), so the default stays out of the params —
+    # keeping cache keys identical to earlier runs.
     if backend != "frozen":
         params["backend"] = backend
-    if engine is not None:
-        params["engine"] = engine
-    if generator is not None:
-        params["generator"] = generator
     return [
         TrialSpec(
             experiment_id=experiment_id,
@@ -186,7 +177,6 @@ def _portfolio_grid_in_process(
     budget: Optional[int],
     neighbor_success: bool,
     graph_seed: int,
-    engine: Optional[str],
 ):
     """One graph's whole portfolio grid through the shared executor.
 
@@ -213,7 +203,6 @@ def _portfolio_grid_in_process(
         budget=budget,
         neighbor_success=neighbor_success,
         seed=graph_seed,
-        engine=engine,
     )
     for cell, value in zip(cells, cell_results):
         yield cell["algorithm"], result_from_dict(value)
@@ -252,8 +241,6 @@ def measure_search_cost(
     store: Optional[ResultStore] = None,
     experiment_id: str = "adhoc",
     backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
 ) -> CostMeasurement:
     """Estimate expected request counts on ``family`` at ``size``.
 
@@ -281,16 +268,10 @@ def measure_search_cost(
     ``backend`` picks the graph form the searches run on: ``"frozen"``
     (default) snapshots each realisation into a read-optimised
     :class:`~repro.graphs.frozen.FrozenGraph` once built,
-    ``"multigraph"`` searches the mutable object directly.  ``engine``
-    picks the cell execution strategy: ``"serial"`` steps runs one at
-    a time, ``"ensemble"`` advances all runs of each walk-family cell
-    through the lock-step numpy kernel (see
-    :data:`repro.core.trials.ENGINES`; requires numpy).  ``generator``
-    picks the graph construction strategy: ``"serial"`` uses the
-    reference builders, ``"vectorized"`` the batched fastgen kernels
-    (see :data:`repro.core.trials.GENERATORS`; requires numpy).  Both
-    default to ``None``, the fastest available arm (the numpy one when
-    numpy imports).  Like ``jobs``/``store`` none of them changes a
+    ``"multigraph"`` searches the mutable object directly.  Graphs are
+    built and searched by the fastest available arms (see
+    :func:`repro.core.trials.fastest_available`).  Like
+    ``jobs``/``store``, neither the backend nor those arms changes a
     number, only wall-clock time.
     """
     if num_graphs < 1 or runs_per_graph < 1:
@@ -316,8 +297,6 @@ def measure_search_cost(
             neighbor_success,
             start_rule,
             backend,
-            engine,
-            generator,
         )
         outcomes = run_trials(specs, jobs=jobs, store=store)
         return _fold_cell(
@@ -340,9 +319,7 @@ def measure_search_cost(
 
     for graph_index in range(num_graphs):
         graph_seed = substream(seed, graph_index)
-        graph = build_graph_snapshot(
-            family, size, graph_seed, backend, generator
-        )
+        graph = build_graph_snapshot(family, size, graph_seed, backend)
         target = family.theorem_target(graph)
         start = _choose_start(
             family, graph, target, start_rule, graph_seed
@@ -356,7 +333,6 @@ def measure_search_cost(
             budget=budget,
             neighbor_success=neighbor_success,
             graph_seed=graph_seed,
-            engine=engine,
         ):
             collected[name].append(result)
 
@@ -454,8 +430,6 @@ def measure_scaling(
     experiment_id: str = "adhoc",
     backend: str = "frozen",
     mode: str = "independent",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
 ) -> ScalingMeasurement:
     """Run :func:`measure_search_cost` across a size grid.
 
@@ -481,10 +455,6 @@ def measure_scaling(
       which is also what makes the mode a pure wall-clock win.
       Requires a prefix-stable family (the evolving models; the
       configuration model is rejected).
-
-    ``engine`` selects the per-cell execution strategy exactly as in
-    :func:`measure_search_cost` (``"ensemble"`` batches each walk-family
-    cell through the numpy kernel; numbers are engine-independent).
     """
     ordered = sorted(set(sizes))
     if len(ordered) < 2:
@@ -523,8 +493,6 @@ def measure_scaling(
             store,
             experiment_id,
             backend,
-            engine,
-            generator,
         )
 
     if isinstance(factories, str):
@@ -543,8 +511,6 @@ def measure_scaling(
                 neighbor_success,
                 start_rule,
                 backend,
-                engine,
-                generator,
             )
             offsets.append((size, len(grid_specs), len(cell_specs)))
             grid_specs.extend(cell_specs)
@@ -571,8 +537,6 @@ def measure_scaling(
             store=store,
             experiment_id=experiment_id,
             backend=backend,
-            engine=engine,
-            generator=generator,
         )
     return measurement
 
@@ -591,8 +555,6 @@ def _measure_scaling_trajectory(
     store: Optional[ResultStore],
     experiment_id: str,
     backend: str,
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
 ) -> ScalingMeasurement:
     """The ``mode='trajectory'`` body of :func:`measure_scaling`.
 
@@ -621,15 +583,9 @@ def _measure_scaling_trajectory(
             "neighbor_success": neighbor_success,
             "start_rule": start_rule,
         }
-        # Same cache-key policy as the independent cells: only explicit
-        # choices enter the params (values are backend-, engine- and
-        # generator-independent).
+        # Same cache-key policy as the independent cells.
         if backend != "frozen":
             params["backend"] = backend
-        if engine is not None:
-            params["engine"] = engine
-        if generator is not None:
-            params["generator"] = generator
         specs = trajectory_specs(
             experiment_id,
             trial_ref(trajectory_scaling_trial),
@@ -658,7 +614,7 @@ def _measure_scaling_trajectory(
         trajectory_snapshots,
     )
 
-    generator = fastest_available(generator, GENERATORS)
+    generator = fastest_available(None, GENERATORS)
     collected: Dict[int, Dict[str, List[SearchResult]]] = {
         size: {name: [] for name in factories} for size in ordered
     }
@@ -682,7 +638,6 @@ def _measure_scaling_trajectory(
                 budget=None,
                 neighbor_success=neighbor_success,
                 graph_seed=graph_seed,
-                engine=engine,
             ):
                 collected[size][name].append(result)
     for size in ordered:

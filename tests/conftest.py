@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.graphs.base import MultiGraph
@@ -45,3 +47,24 @@ def small_tree():
 def small_merged():
     """A deterministic small merged Móri graph (seeded)."""
     return merged_mori_graph(20, 2, 0.5, seed=42)
+
+
+@pytest.fixture
+def reference_arms(monkeypatch):
+    """A context manager that runs its block on the serial reference arms.
+
+    Inside ``with reference_arms():`` every trial resolves the search
+    engine and the graph generator as a host without numpy does: to
+    the stdlib ``serial`` arms (see
+    :func:`repro.core.trials.fastest_available`).  Run experiments in
+    it with ``jobs=1`` so that no worker process escapes the patch.
+    """
+    import repro.core.trials as trials
+
+    @contextlib.contextmanager
+    def serial_arms():
+        with monkeypatch.context() as patch:
+            patch.setattr(trials, "HAVE_NUMPY", False)
+            yield
+
+    return serial_arms

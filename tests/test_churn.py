@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.core import run_experiment
 from repro.core.families import (
     BarabasiAlbertFamily,
     ConfigurationFamily,
@@ -336,41 +337,32 @@ class TestChurnExperiments:
         assert "E22" in REGISTRY.ids()
         e21 = REGISTRY.get("E21")
         assert set(e21.capabilities) == {
-            "jobs", "cache", "backend", "engine", "generator", "store",
+            "jobs", "cache", "backend", "store",
         }
         for name in (
             "churn_rates", "churn_bias", "resnapshot_every",
         ):
             assert name in e21.param_names
         e22 = REGISTRY.get("E22")
-        # E22 runs no searches, so it does not declare the engine axis.
-        assert "engine" not in e22.capabilities
         assert "remove_fractions" in e22.param_names
 
     def test_e21_identical_across_jobs(self):
-        from repro.core.experiments import e21_churn_search
-
-        solo = e21_churn_search(**self.E21_KWARGS, jobs=1)
-        fanned = e21_churn_search(**self.E21_KWARGS, jobs=2)
+        solo = run_experiment("E21", **self.E21_KWARGS, jobs=1)
+        fanned = run_experiment("E21", **self.E21_KWARGS, jobs=2)
         assert solo.derived == fanned.derived
         assert solo.tables == fanned.tables
 
     @needs_numpy
-    def test_e21_identical_across_engines(self):
-        from repro.core.experiments import e21_churn_search
-
-        serial = e21_churn_search(**self.E21_KWARGS, engine="serial")
-        ensemble = e21_churn_search(
-            **self.E21_KWARGS, engine="ensemble"
-        )
-        assert serial.derived == ensemble.derived
-        assert serial.tables == ensemble.tables
+    def test_e21_identical_across_engines(self, reference_arms):
+        default = run_experiment("E21", **self.E21_KWARGS)
+        with reference_arms():
+            serial = run_experiment("E21", **self.E21_KWARGS)
+        assert serial.derived == default.derived
+        assert serial.tables == default.tables
 
     def test_e22_derived_surface(self):
-        from repro.core.experiments import e22_giant_survival
-
-        result = e22_giant_survival(
-            size=80, remove_fractions=(0.2, 0.6), num_graphs=2
+        result = run_experiment(
+            "E22", size=80, remove_fractions=(0.2, 0.6), num_graphs=2
         )
         assert "bias_gap@mid" in result.derived
         for bias in CHURN_BIASES:

@@ -316,32 +316,17 @@ class TestCacheProtocol:
 
 
 class TestGeneratorCacheKey:
-    """The generator axis follows the backend/engine cache-key policy:
-    the default (``None``, fastest available) stays out of trial
-    params; any explicit choice, ``serial`` included, enters."""
+    """The generator never enters experiment trial params: the stored
+    numbers are generator-independent."""
 
     def test_default_generator_stays_out_of_trial_params(self):
         from repro.core.searchability import _build_cell_specs
 
-        def keys(generator):
-            specs = _build_cell_specs(
-                "E1", MoriFamily(p=0.5, m=1), 60, "weak", 1, 1, None,
-                1, False, "default", "frozen", None, generator,
-            )
-            return [spec.params for spec in specs]
-
-        default_params = keys(None)
-        assert all("generator" not in p for p in default_params)
-        for explicit in ("serial", "vectorized"):
-            explicit_params = keys(explicit)
-            assert all(
-                p["generator"] == explicit for p in explicit_params
-            )
-            stripped = [
-                {k: v for k, v in p.items() if k != "generator"}
-                for p in explicit_params
-            ]
-            assert stripped == default_params
+        specs = _build_cell_specs(
+            "E1", MoriFamily(p=0.5, m=1), 60, "weak", 2, 1, None,
+            1, False, "default", "frozen",
+        )
+        assert all("generator" not in spec.params for spec in specs)
 
 
 class TestCorpusCli:
@@ -352,7 +337,6 @@ class TestCorpusCli:
         assert main([
             "corpus", "build", root, "--model", "mori",
             "--sizes", "40,60", "--seeds", "0,1",
-            "--generator", "vectorized",
         ]) == 0
         assert "4 built" in capsys.readouterr().out
         # Rebuilding is a no-op: everything is already present.
@@ -397,8 +381,7 @@ class TestCorpusCli:
         root = str(tmp_path / "corpus")
         argv = [
             "run", "E17", "--quick", "--set", "sizes=60",
-            "--set", "num_graphs=1", "--generator", "vectorized",
-            "--corpus-dir", root,
+            "--set", "num_graphs=1", "--corpus-dir", root,
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out

@@ -1,16 +1,17 @@
-"""The fastest-available default for the engine and generator axes.
+"""The fastest-available search engine and graph generator.
 
-``engine`` and ``generator`` default to ``None``: the trial functions
-resolve it to the numpy arms (``ensemble``/``vectorized``) when numpy
-imports and to the stdlib ``serial`` arms otherwise.  The serial arms
-stay as the reference: this module checks that
+Experiments do not choose an engine or a generator: the trial
+functions resolve ``None`` to the numpy arms (``ensemble``/
+``vectorized``) when numpy imports and to the stdlib ``serial`` arms
+otherwise.  The serial arms stay as the reference: this module checks
+that
 
-* every experiment declaring either axis gives byte-identical records
-  at the default and pinned to ``engine="serial", generator="serial"``
-  (the slow arms as a differential oracle);
+* every experiment that grows or searches graphs gives byte-identical
+  records at the default and on the reference arms (the
+  ``reference_arms`` fixture; the slow arms as a differential oracle);
 * without numpy the default resolves to serial and runs cleanly;
-* the cache-key policy: ``None`` never enters trial params, so default
-  runs keep their earlier keys, while any explicit choice enters.
+* the cache-key policy: no engine or generator ever enters trial
+  params, so a record replays whichever arms computed it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import repro.graphs.fastgen as fastgen_module
 import repro.search.ensemble as ensemble_module
 from repro.cli import QUICK_OVERRIDES
 from repro.core.families import MoriFamily
-from repro.core.registry import REGISTRY, run_experiment
+from repro.core.registry import run_experiment
 from repro.core.trials import ENGINES, GENERATORS, fastest_available
 from repro.graphs.frozen import HAVE_NUMPY
 
@@ -34,11 +35,11 @@ needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="the fast arms require numpy"
 )
 
-#: Every registry id that declares the engine or generator axis.
-AXIS_IDS = [
-    spec.id
-    for spec in REGISTRY.specs()
-    if {"engine", "generator"} & set(spec.capabilities)
+#: The experiments whose trials grow or search graphs through the
+#: engine and generator arms (the ids that once declared either axis).
+ARM_IDS = [
+    "E1", "E2", "E3", "E7", "E9", "E11", "E13", "E14", "E17", "E18",
+    "E19", "E20", "E21", "E22",
 ]
 
 
@@ -46,16 +47,6 @@ def _canonical(result) -> str:
     return json.dumps(
         result.to_dict(), sort_keys=True, separators=(",", ":")
     )
-
-
-def _serial_pins(experiment_id: str):
-    capabilities = REGISTRY.get(experiment_id).capabilities
-    pins = {}
-    if "engine" in capabilities:
-        pins["engine"] = "serial"
-    if "generator" in capabilities:
-        pins["generator"] = "serial"
-    return pins
 
 
 @pytest.fixture
@@ -79,14 +70,15 @@ def captured_specs(monkeypatch):
 
 
 @needs_numpy
-@pytest.mark.parametrize("experiment_id", AXIS_IDS)
-def test_default_run_equals_serial_reference(experiment_id):
+@pytest.mark.parametrize("experiment_id", ARM_IDS)
+def test_default_run_equals_serial_reference(
+    experiment_id, reference_arms
+):
     """The slow arms as a differential oracle for the default."""
     overrides = QUICK_OVERRIDES[experiment_id]
     default = run_experiment(experiment_id, **overrides)
-    reference = run_experiment(
-        experiment_id, **overrides, **_serial_pins(experiment_id)
-    )
+    with reference_arms():
+        reference = run_experiment(experiment_id, **overrides)
     assert _canonical(default) == _canonical(reference)
 
 
@@ -146,26 +138,18 @@ class TestWithoutNumpy:
 
 
 class TestCacheKeyPolicy:
-    """``None`` stays out of trial params; explicit choices enter."""
+    """No engine or generator in experiment trial params; an explicit
+    choice at the trial level (``batched_specs``) still enters."""
 
     def test_build_cell_specs(self):
         from repro.core.searchability import _build_cell_specs
 
-        def params(engine, generator):
-            (spec,) = _build_cell_specs(
-                "E1", MoriFamily(p=0.5, m=1), 60, "weak", 1, 1, None,
-                1, False, "default", "frozen", engine, generator,
-            )
-            return spec.params
-
-        default = params(None, None)
-        assert "engine" not in default and "generator" not in default
-        for engine, generator in (
-            ("serial", "serial"), ("ensemble", "vectorized")
-        ):
-            explicit = params(engine, generator)
-            assert explicit["engine"] == engine
-            assert explicit["generator"] == generator
+        (spec,) = _build_cell_specs(
+            "E1", MoriFamily(p=0.5, m=1), 60, "weak", 1, 1, None,
+            1, False, "default", "frozen",
+        )
+        assert "engine" not in spec.params
+        assert "generator" not in spec.params
 
     def test_batched_specs(self):
         from repro.runner import batched_specs
@@ -181,25 +165,19 @@ class TestCacheKeyPolicy:
             assert explicit.key() != default.key()
 
     @pytest.mark.parametrize("mode", ["independent", "trajectory"])
-    def test_experiment_specs(self, mode, captured_specs):
+    def test_experiment_specs(self, mode, captured_specs, reference_arms):
+        """The default and the reference arms dispatch the same keys,
+        so one store serves both."""
         overrides = dict(QUICK_OVERRIDES["E18"], mode=mode)
         run_experiment("E18", **overrides)
         default_specs = list(captured_specs)
         del captured_specs[:]
-        run_experiment(
-            "E18", **overrides, engine="serial", generator="serial"
-        )
-        assert default_specs and len(captured_specs) == len(
-            default_specs
-        )
-        for default, explicit in zip(default_specs, captured_specs):
-            assert "engine" not in default.params
-            assert "generator" not in default.params
-            assert explicit.params["engine"] == "serial"
-            assert explicit.params["generator"] == "serial"
-            stripped = {
-                k: v
-                for k, v in explicit.params.items()
-                if k not in ("engine", "generator")
-            }
-            assert stripped == default.params
+        with reference_arms():
+            run_experiment("E18", **overrides)
+        assert default_specs
+        assert [spec.key() for spec in captured_specs] == [
+            spec.key() for spec in default_specs
+        ]
+        for spec in default_specs:
+            assert "engine" not in spec.params
+            assert "generator" not in spec.params

@@ -23,18 +23,11 @@ experiment's raw per-graph values through the explicit
 
 from __future__ import annotations
 
-import inspect
 import json
 
 import pytest
 
-from repro.core.experiments import (
-    e1_mori_weak,
-    e2_mori_strong,
-    e3_cooper_frieze,
-    e6_degree_distribution,
-    e17_simulation_slowdown,
-)
+from repro.core import REGISTRY, run_experiment
 
 #: Exact `derived` scalars produced by the pre-refactor serial loops.
 GOLDEN = {
@@ -110,23 +103,13 @@ GOLDEN = {
 }
 
 
-EXPERIMENTS = {
-    "E1": e1_mori_weak,
-    "E2": e2_mori_strong,
-    "E3": e3_cooper_frieze,
-    "E6": e6_degree_distribution,
-    "E17": e17_simulation_slowdown,
-}
-
-
-#: Pinned experiments whose functions accept the trajectory/independent
+#: Pinned experiments that declare the trajectory/independent
 #: construction mode (the default must stay `independent` so every pin
 #: above keeps holding without a mode argument).
 MODE_EXPERIMENTS = [
     experiment_id
     for experiment_id in sorted(GOLDEN)
-    if "mode"
-    in inspect.signature(EXPERIMENTS[experiment_id]).parameters
+    if "mode" in REGISTRY[experiment_id].capabilities
 ]
 
 
@@ -138,7 +121,7 @@ def test_derived_scalars_pinned_serial(experiment_id):
     CSR-snapshot batched path changes nothing numerically.
     """
     pin = GOLDEN[experiment_id]
-    result = EXPERIMENTS[experiment_id](**pin["kwargs"])
+    result = run_experiment(experiment_id, **pin["kwargs"])
     assert result.derived == pin["derived"]
 
 
@@ -146,8 +129,8 @@ def test_derived_scalars_pinned_serial(experiment_id):
 def test_explicit_independent_mode_matches_pins(experiment_id):
     """mode='independent' spelled out changes nothing against the pins."""
     pin = GOLDEN[experiment_id]
-    result = EXPERIMENTS[experiment_id](
-        **pin["kwargs"], mode="independent"
+    result = run_experiment(
+        experiment_id, **pin["kwargs"], mode="independent"
     )
     assert result.derived == pin["derived"]
 
@@ -195,16 +178,12 @@ class TestTrajectoryMode:
 
     def test_e17_trajectory_pinned(self):
         pin = TRAJECTORY_GOLDEN["E17"]
-        result = e17_simulation_slowdown(
-            **pin["kwargs"], mode="trajectory"
-        )
+        result = run_experiment("E17", **pin["kwargs"], mode="trajectory")
         assert result.derived == pin["derived"]
 
     def test_e19_pinned(self):
-        from repro.core.experiments import e19_trajectory_scaling
-
         pin = TRAJECTORY_GOLDEN["E19"]
-        result = e19_trajectory_scaling(**pin["kwargs"])
+        result = run_experiment("E19", **pin["kwargs"])
         assert result.derived == pin["derived"]
 
     def test_e17_trajectory_rederives_from_coupled_seeds(self):
@@ -219,9 +198,7 @@ class TestTrajectoryMode:
         )
 
         kwargs = TRAJECTORY_GOLDEN["E17"]["kwargs"]
-        result = e17_simulation_slowdown(
-            **kwargs, mode="trajectory"
-        )
+        result = run_experiment("E17", **kwargs, mode="trajectory")
         spec = family_spec(MoriFamily(p=0.25, m=1))
         seeds = trajectory_seeds(
             kwargs["seed"], kwargs["num_graphs"]
@@ -245,11 +222,9 @@ class TestTrajectoryMode:
 
     def test_e17_trajectory_backend_and_jobs_invariant(self):
         pin = TRAJECTORY_GOLDEN["E17"]
-        baseline = e17_simulation_slowdown(
-            **pin["kwargs"], mode="trajectory"
-        )
-        multigraph = e17_simulation_slowdown(
-            **pin["kwargs"], mode="trajectory", backend="multigraph"
+        baseline = run_experiment("E17", **pin["kwargs"], mode="trajectory")
+        multigraph = run_experiment(
+            "E17", **pin["kwargs"], mode="trajectory", backend="multigraph"
         )
         assert multigraph.derived == baseline.derived
 
@@ -258,8 +233,8 @@ class TestTrajectoryMode:
 
         pin = TRAJECTORY_GOLDEN["E17"]
         cache = str(tmp_path / "cache")
-        first = e17_simulation_slowdown(
-            **pin["kwargs"], mode="trajectory", cache_dir=cache
+        first = run_experiment(
+            "E17", **pin["kwargs"], mode="trajectory", cache_dir=cache
         )
 
         def exploding_execute(self):
@@ -268,8 +243,8 @@ class TestTrajectoryMode:
             )
 
         monkeypatch.setattr(TrialSpec, "execute", exploding_execute)
-        second = e17_simulation_slowdown(
-            **pin["kwargs"], mode="trajectory", cache_dir=cache
+        second = run_experiment(
+            "E17", **pin["kwargs"], mode="trajectory", cache_dir=cache
         )
         assert first.derived == second.derived
 
@@ -278,25 +253,21 @@ class TestTrajectoryMode:
         so one cache directory serves both without cross-talk."""
         pin = TRAJECTORY_GOLDEN["E17"]
         cache = str(tmp_path / "cache")
-        independent = e17_simulation_slowdown(
-            **pin["kwargs"], cache_dir=cache
-        )
-        trajectory = e17_simulation_slowdown(
-            **pin["kwargs"], mode="trajectory", cache_dir=cache
+        independent = run_experiment("E17", **pin["kwargs"], cache_dir=cache)
+        trajectory = run_experiment(
+            "E17", **pin["kwargs"], mode="trajectory", cache_dir=cache
         )
         assert independent.derived == GOLDEN["E17"]["derived"]
         assert trajectory.derived == TRAJECTORY_GOLDEN["E17"]["derived"]
         # Re-running each mode replays its own entries and still
         # produces its own pinned values.
         assert (
-            e17_simulation_slowdown(
-                **pin["kwargs"], cache_dir=cache
-            ).derived
+            run_experiment("E17", **pin["kwargs"], cache_dir=cache).derived
             == independent.derived
         )
         assert (
-            e17_simulation_slowdown(
-                **pin["kwargs"], mode="trajectory", cache_dir=cache
+            run_experiment(
+                "E17", **pin["kwargs"], mode="trajectory", cache_dir=cache
             ).derived
             == trajectory.derived
         )
@@ -306,8 +277,8 @@ class TestTrajectoryMode:
 def test_derived_scalars_pinned_multigraph(experiment_id):
     """backend='multigraph' (the pre-refactor path) matches the pins too."""
     pin = GOLDEN[experiment_id]
-    result = EXPERIMENTS[experiment_id](
-        **pin["kwargs"], backend="multigraph"
+    result = run_experiment(
+        experiment_id, **pin["kwargs"], backend="multigraph"
     )
     assert result.derived == pin["derived"]
 
@@ -366,7 +337,7 @@ class TestBatchedCellLayout:
 def test_derived_scalars_pinned_parallel(experiment_id):
     """jobs=4 reproduces the same pins (parallel == serial == golden)."""
     pin = GOLDEN[experiment_id]
-    result = EXPERIMENTS[experiment_id](**pin["kwargs"], jobs=4)
+    result = run_experiment(experiment_id, **pin["kwargs"], jobs=4)
     assert result.derived == pin["derived"]
 
 

@@ -13,44 +13,34 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.experiments import (
-    ALL_EXPERIMENTS,
-    e1_mori_weak,
-    e3_cooper_frieze,
-    e4_event_probability,
-    e5_max_degree,
-    e6_degree_distribution,
-    e8_kleinberg,
-    e9_diameter_vs_search,
-    e10_equivalence_exact,
-    e11_lemma1_floor,
-    e12_percolation,
-    e13_ablation_p,
-)
+from repro.core import REGISTRY, run_experiment
 
 
 class TestExperimentRegistry:
     def test_all_registered(self):
-        assert len(ALL_EXPERIMENTS) == 22
-        assert set(ALL_EXPERIMENTS) == {
-            f"E{i}" for i in range(1, 23)
-        }
-
-    def test_wrappers_cover_the_registry(self):
-        from repro.core.registry import REGISTRY
-
+        assert len(REGISTRY) == 22
         assert REGISTRY.ids() == [f"E{i}" for i in range(1, 23)]
-        assert set(ALL_EXPERIMENTS) == set(REGISTRY.ids())
+
+    def test_registry_is_the_only_entry_point(self):
+        import repro.core
+        import repro.core.experiments as experiments
+
+        assert experiments.__all__ == []
+        assert "run_experiment" in repro.core.__all__
+        assert not any(
+            name.startswith("e") and name[1:2].isdigit()
+            for name in vars(experiments)
+        )
 
     def test_all_have_docstrings(self):
-        for function in ALL_EXPERIMENTS.values():
-            assert function.__doc__
+        for spec in REGISTRY.specs():
+            assert spec.body.__doc__, spec.id
 
 
 class TestE1:
     def test_shape(self):
-        result = e1_mori_weak(
-            sizes=(60, 120, 240), num_graphs=2, runs_per_graph=1, seed=1
+        result = run_experiment(
+            "E1", sizes=(60, 120, 240), num_graphs=2, runs_per_graph=1, seed=1
         )
         assert result.experiment_id == "E1"
         assert result.tables
@@ -66,8 +56,8 @@ class TestE1:
 
 class TestE3:
     def test_shape(self):
-        result = e3_cooper_frieze(
-            sizes=(60, 120), num_graphs=2, runs_per_graph=1, seed=3
+        result = run_experiment(
+            "E3", sizes=(60, 120), num_graphs=2, runs_per_graph=1, seed=3
         )
         assert result.experiment_id == "E3"
         assert any(
@@ -77,7 +67,8 @@ class TestE3:
 
 class TestE4:
     def test_bound_never_violated(self):
-        result = e4_event_probability(
+        result = run_experiment(
+            "E4",
             a_values=(10, 40), p_values=(0.25, 0.75), num_samples=300,
             seed=4,
         )
@@ -87,8 +78,8 @@ class TestE4:
 
 class TestE5:
     def test_exponent_ordering(self):
-        result = e5_max_degree(
-            n=3000, p_values=(0.25, 0.75), num_trees=3, seed=5
+        result = run_experiment(
+            "E5", n=3000, p_values=(0.25, 0.75), num_trees=3, seed=5
         )
         low = result.derived["mori_exponent/p=0.25"]
         high = result.derived["mori_exponent/p=0.75"]
@@ -100,7 +91,7 @@ class TestE5:
 
 class TestE6:
     def test_scale_free_vs_lattice(self):
-        result = e6_degree_distribution(n=3000, seed=6)
+        result = run_experiment("E6", n=3000, seed=6)
         ba_exp = result.derived["exponent/ba(m=2)"]
         assert 1.5 < ba_exp < 4.0
         kleinberg_keys = [
@@ -114,7 +105,8 @@ class TestE6:
 
 class TestE8:
     def test_navigability_crossover(self):
-        result = e8_kleinberg(
+        result = run_experiment(
+            "E8",
             sides=(8, 12, 18), r_values=(0.0, 2.0, 4.0),
             pairs_per_grid=10, seed=8,
         )
@@ -128,8 +120,8 @@ class TestE8:
 
 class TestE9:
     def test_contrast(self):
-        result = e9_diameter_vs_search(
-            sizes=(100, 200, 400), num_graphs=2, seed=9
+        result = run_experiment(
+            "E9", sizes=(100, 200, 400), num_graphs=2, seed=9
         )
         assert result.derived["diameter_log_r2"] > 0.5
         assert result.derived["search_cost_exponent"] > 0.3
@@ -137,14 +129,14 @@ class TestE9:
 
 class TestE10:
     def test_exact_lemma2(self):
-        result = e10_equivalence_exact(n=6, p_values=(0.5, 1.0))
+        result = run_experiment("E10", n=6, p_values=(0.5, 1.0))
         assert result.derived["all_windows_hold"] == 1.0
 
 
 class TestE11:
     def test_floor_respected(self):
-        result = e11_lemma1_floor(
-            sizes=(100, 200), num_graphs=3, runs_per_graph=1, seed=11
+        result = run_experiment(
+            "E11", sizes=(100, 200), num_graphs=3, runs_per_graph=1, seed=11
         )
         # Lemma 1 is a theorem; sampled means can fluctuate below the
         # floor only via Monte-Carlo noise, so allow a small slack.
@@ -153,7 +145,8 @@ class TestE11:
 
 class TestE12:
     def test_replication_helps(self):
-        result = e12_percolation(
+        result = run_experiment(
+            "E12",
             n=800,
             replica_counts=(0, 32),
             num_queries=12,
@@ -167,8 +160,8 @@ class TestE12:
 
 class TestE13:
     def test_runs_across_p(self):
-        result = e13_ablation_p(
-            sizes=(60, 120), p_values=(0.0, 1.0), num_graphs=2, seed=13
+        result = run_experiment(
+            "E13", sizes=(60, 120), p_values=(0.0, 1.0), num_graphs=2, seed=13
         )
         assert "exponent/p=0" in result.derived
         assert "exponent/p=1" in result.derived
@@ -201,14 +194,13 @@ class TestCLI:
     def test_quick_overrides_cover_all_experiments(self):
         from repro.cli import QUICK_OVERRIDES
 
-        assert set(QUICK_OVERRIDES) == set(ALL_EXPERIMENTS)
+        assert set(QUICK_OVERRIDES) == set(REGISTRY.ids())
 
     def test_seed_passthrough_to_runner_dispatched_experiment(
         self, capsys
     ):
         # E17 is dispatched through repro.runner; the seed override
-        # must reach it (detected via inspect.signature, so wrapped
-        # experiment functions keep working).
+        # must reach it (read off its declared ``seed`` parameter).
         assert main(
             ["run", "E17", "--quick", "--seed", "123", "--jobs", "2"]
         ) == 0
@@ -333,10 +325,8 @@ class TestCLI:
 
 class TestE15:
     def test_window_probability_positive(self):
-        from repro.core.experiments import e15_cf_equivalence
-
-        result = e15_cf_equivalence(
-            sizes=(60, 120), num_samples=100, seed=15
+        result = run_experiment(
+            "E15", sizes=(60, 120), num_samples=100, seed=15
         )
         assert result.derived["min_p_untouched"] > 0.2
         assert result.derived["profile_spread"] >= 0.0
@@ -344,9 +334,7 @@ class TestE15:
 
 class TestE16:
     def test_evolving_vs_pure(self):
-        from repro.core.experiments import e16_neighbor_dependence
-
-        result = e16_neighbor_dependence(n=1500, seed=16)
+        result = run_experiment("E16", n=1500, seed=16)
         for name in (
             "mori(p=0.5, m=2)",
             "cooper-frieze(a=0.75)",
@@ -358,21 +346,15 @@ class TestE16:
 
 class TestE17:
     def test_simulation_inequality(self):
-        from repro.core.experiments import e17_simulation_slowdown
-
-        result = e17_simulation_slowdown(
-            sizes=(100, 200), num_graphs=2, seed=17
-        )
+        result = run_experiment("E17", sizes=(100, 200), num_graphs=2, seed=17)
         assert result.derived["worst_ratio"] <= 1.0
 
     def test_independent_mode_preserves_grid_order_and_repeats(self):
         """The mode refactor must keep the serial loop's one-row-per-
         grid-position behaviour: repeated sizes are separate cells
         (distinct seed substreams) and the caller's order is kept."""
-        from repro.core.experiments import e17_simulation_slowdown
-
-        result = e17_simulation_slowdown(
-            sizes=(200, 200, 100), num_graphs=1, seed=17
+        result = run_experiment(
+            "E17", sizes=(200, 200, 100), num_graphs=1, seed=17
         )
         assert [row[0] for row in result.tables[0].rows] == [
             200, 200, 100,
@@ -419,18 +401,15 @@ class TestCLICompare:
 
 class TestE18:
     def test_start_rules_all_measured(self):
-        from repro.core.experiments import e18_start_rule
-
-        result = e18_start_rule(
-            sizes=(60, 120), num_graphs=2, runs_per_graph=1, seed=18
+        result = run_experiment(
+            "E18", sizes=(60, 120), num_graphs=2, runs_per_graph=1, seed=18
         )
         for rule in ("default", "random", "newest-other"):
             assert f"exponent/start={rule}" in result.derived
 
     def test_trajectory_mode_runs_all_rules(self):
-        from repro.core.experiments import e18_start_rule
-
-        result = e18_start_rule(
+        result = run_experiment(
+            "E18",
             sizes=(60, 120), num_graphs=2, runs_per_graph=1, seed=18,
             mode="trajectory",
         )
@@ -441,10 +420,8 @@ class TestE18:
 
 class TestE19:
     def test_shape_and_confidence_bands(self):
-        from repro.core.experiments import e19_trajectory_scaling
-
-        result = e19_trajectory_scaling(
-            sizes=(100, 200), num_graphs=3, runs_per_graph=1, seed=19
+        result = run_experiment(
+            "E19", sizes=(100, 200), num_graphs=3, runs_per_graph=1, seed=19
         )
         assert result.experiment_id == "E19"
         assert result.params["mode"] == "trajectory"
@@ -462,19 +439,17 @@ class TestE19:
         assert "min_exponent" in result.derived
 
     def test_unknown_mode_rejected(self):
-        from repro.core.experiments import e17_simulation_slowdown
         from repro.errors import ExperimentError
 
         with pytest.raises(ExperimentError):
-            e17_simulation_slowdown(
-                sizes=(100, 200), num_graphs=1, mode="coupled"
+            run_experiment(
+                "E17", sizes=(100, 200), num_graphs=1, mode="coupled"
             )
 
     def test_e19_accepts_only_trajectory_mode(self, capsys):
         """Coupled trajectories are E19's subject: `--mode trajectory`
         composes without a bogus 'flag was ignored' warning, and
         independent mode is rejected with a pointer to E1/E3."""
-        from repro.core.experiments import e19_trajectory_scaling
         from repro.errors import ExperimentError
 
         assert main(
@@ -482,8 +457,8 @@ class TestE19:
         ) == 0
         assert "warning:" not in capsys.readouterr().err
         with pytest.raises(ExperimentError):
-            e19_trajectory_scaling(
-                sizes=(100, 200), num_graphs=1, mode="independent"
+            run_experiment(
+                "E19", sizes=(100, 200), num_graphs=1, mode="independent"
             )
         # An *explicitly typed* --mode independent must reach E19 and
         # be rejected there — not silently dropped as "the default" —

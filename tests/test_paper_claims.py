@@ -6,6 +6,8 @@ runs its experiment at the registry's default parameters (tens of
 seconds in all), so the module is ``slow``-marked and runs in the
 weekly ``make verify-full`` job, not in tier-1.
 
+* E1, E2, E3 — Theorems 1 and 2: every fitted cost exponent is at
+  least ½, the paper's Ω(√n).
 * E4 — Lemma 3: the exact ``P(E_{a,b})`` is at least the closed-form
   lower bound on every (p, a) row.
 * E10 — the exact equivalence identities hold in every window.
@@ -20,6 +22,18 @@ import pytest
 from repro.core.registry import run_experiment
 
 pytestmark = pytest.mark.slow
+
+
+@pytest.mark.parametrize("experiment_id", ["E1", "E2", "E3"])
+def test_fitted_exponents_clear_square_root(experiment_id):
+    exponents = {
+        key: value
+        for key, value in run_experiment(experiment_id).derived.items()
+        if key.startswith("exponent/")
+    }
+    assert exponents
+    for key, value in exponents.items():
+        assert value >= 0.5, f"{experiment_id} {key} = {value}"
 
 
 def test_e4_exact_probability_clears_lemma3_bound():

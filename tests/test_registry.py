@@ -2,11 +2,11 @@
 
 Three layers are pinned here:
 
-1. **Wrapper/spec parity** — every registered spec's declared params
-   and capabilities must match its public ``e<n>_...`` wrapper
-   signature exactly (names, order, defaults).  The wrappers are thin
-   registry delegates kept for API stability; this test is what
-   prevents the two views from drifting apart.
+1. **Spec declarations** — every registered spec's declared params
+   match its body's keyword-only signature exactly (names, order, no
+   defaults of its own), every declared default survives the
+   ``--set`` parser unchanged, capabilities come in canonical order,
+   and its ``--quick`` grid names only declared params.
 2. **Registry semantics** — capability declarations resolve to
    execution contexts, undeclared capabilities are rejected from the
    Python API, axis vocabularies are validated once.
@@ -20,11 +20,11 @@ Three layers are pinned here:
 from __future__ import annotations
 
 import inspect
+import os
 
 import pytest
 
 from repro.cli import QUICK_OVERRIDES, format_listing, main
-from repro.core.experiments import ALL_EXPERIMENTS
 from repro.core.registry import (
     CAPABILITIES,
     CAPABILITY_PARAMS,
@@ -40,41 +40,58 @@ from repro.errors import ExperimentError
 from repro.graphs.frozen import HAVE_NUMPY
 
 needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="ensemble engine requires numpy"
+    not HAVE_NUMPY, reason="the fast arms require numpy"
 )
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
-class TestWrapperSpecParity:
-    """The drift guard: spec schema == public wrapper signature."""
+
+def _as_cli_text(value):
+    """``value`` spelled as the text ``--set name=<text>`` takes."""
+    if isinstance(value, tuple):
+        return ",".join(repr(item) for item in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+class TestSpecDeclarations:
+    """What each registered spec declares."""
 
     @pytest.mark.parametrize("experiment_id", REGISTRY.ids())
     def test_signature_matches_declaration(self, experiment_id):
+        # The body takes the context, then exactly the declared params
+        # as keyword-only arguments with no defaults: the declaration
+        # is the one place a default is spelled.
         spec = REGISTRY.get(experiment_id)
-        wrapper = ALL_EXPERIMENTS[experiment_id]
-        signature = inspect.signature(wrapper)
-        expected = [param.name for param in spec.params] + [
-            CAPABILITY_PARAMS[capability][0]
-            for capability in spec.capabilities
-        ]
-        assert list(signature.parameters) == expected
+        parameters = list(inspect.signature(spec.body).parameters.values())
+        assert parameters[0].name == "ctx"
+        assert parameters[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        rest = parameters[1:]
+        assert [p.name for p in rest] == list(spec.param_names)
+        for parameter in rest:
+            assert parameter.kind is inspect.Parameter.KEYWORD_ONLY
+            assert parameter.default is inspect.Parameter.empty, (
+                f"{experiment_id}.{parameter.name}: the body spells a "
+                f"default ({parameter.default!r}) beside the declared one"
+            )
 
     @pytest.mark.parametrize("experiment_id", REGISTRY.ids())
     def test_defaults_match_declaration(self, experiment_id):
-        spec = REGISTRY.get(experiment_id)
-        wrapper = ALL_EXPERIMENTS[experiment_id]
-        signature = inspect.signature(wrapper)
-        declared = {p.name: p.default for p in spec.params}
-        declared.update(
-            {
-                CAPABILITY_PARAMS[capability][0]: default
-                for capability, default in spec.capabilities.items()
-            }
-        )
-        for name, parameter in signature.parameters.items():
-            assert parameter.default == declared[name], (
-                f"{experiment_id}.{name}: wrapper default "
-                f"{parameter.default!r} != declared {declared[name]!r}"
+        # ``--set name=<default>`` must reproduce the declared default
+        # exactly, element types included: a default the parser cannot
+        # give back (a list for a tuple type, an int in a float grid)
+        # would make the CLI and Python runs differ.
+        for param in REGISTRY.get(experiment_id).params:
+            parsed = param.coerce(_as_cli_text(param.default))
+            assert parsed == param.default, (
+                f"{experiment_id}.{param.name}: --set gives {parsed!r}, "
+                f"declared {param.default!r}"
             )
+            if isinstance(parsed, tuple):
+                assert [type(v) for v in parsed] == [
+                    type(v) for v in param.default
+                ]
+            else:
+                assert type(parsed) is type(param.default)
 
     @pytest.mark.parametrize("experiment_id", REGISTRY.ids())
     def test_capabilities_are_canonical(self, experiment_id):
@@ -82,7 +99,7 @@ class TestWrapperSpecParity:
         declared = tuple(spec.capabilities)
         assert set(declared) <= set(CAPABILITIES)
         # Canonical order: declaration order never leaks into the
-        # wrapper parameter order.
+        # capability matrix.
         assert declared == tuple(
             c for c in CAPABILITIES if c in declared
         )
@@ -94,14 +111,12 @@ class TestWrapperSpecParity:
             spec.param_names
         )
 
-    def test_wrapper_and_spec_run_identically(self):
-        from repro.core.experiments import e10_equivalence_exact
-
-        via_wrapper = e10_equivalence_exact(n=6, p_values=(0.5, 1.0))
+    def test_run_experiment_and_spec_run_identically(self):
+        via_function = run_experiment("E10", n=6, p_values=(0.5, 1.0))
         via_spec = REGISTRY.get("E10").run(
             {"n": 6, "p_values": (0.5, 1.0)}
         )
-        assert via_wrapper.derived == via_spec.derived
+        assert via_function.derived == via_spec.derived
 
 
 class TestRegistrySemantics:
@@ -128,8 +143,8 @@ class TestRegistrySemantics:
         spec = REGISTRY.get("E1")
         with pytest.raises(ExperimentError, match="unknown graph backend"):
             spec.make_context(backend="sparse")
-        with pytest.raises(ExperimentError, match="unknown search engine"):
-            spec.make_context(engine="gpu")
+        with pytest.raises(ExperimentError, match="unknown store backend"):
+            spec.make_context(store_backend="tape")
 
     def test_declared_defaults_reach_the_context(self):
         context = REGISTRY.get("E19").make_context()
@@ -176,48 +191,30 @@ class TestRegistrySemantics:
         assert context.jobs == CAPABILITY_PARAMS["jobs"][1]
         assert context.store is CAPABILITY_PARAMS["cache"][1]
         assert context.backend == CAPABILITY_PARAMS["backend"][1]
-        assert context.engine == CAPABILITY_PARAMS["engine"][1]
         assert context.mode == CAPABILITY_PARAMS["mode"][1]
-        assert context.generator == CAPABILITY_PARAMS["generator"][1]
         assert context.store_backend is CAPABILITY_PARAMS["store"][1]
-        # engine/generator default to None: "fastest available",
-        # resolved inside the trial functions.
-        assert CAPABILITY_PARAMS["engine"][1] is None
-        assert CAPABILITY_PARAMS["generator"][1] is None
-        assert context.engine is None and context.generator is None
 
     def test_trial_params_extra_policy(self):
-        # Defaults (None engine/generator, frozen backend) stay out of
-        # trial params (cache-key stability); any explicit engine or
-        # generator enters, serial included, as a forced non-default
-        # backend does.
+        # The default (frozen) backend stays out of trial params
+        # (cache-key stability); a non-default backend enters.
         assert ExecutionContext().trial_params_extra() == {}
         assert ExecutionContext(
-            backend="multigraph", engine="ensemble"
-        ).trial_params_extra() == {
-            "backend": "multigraph",
-            "engine": "ensemble",
-        }
-        assert ExecutionContext(
-            engine="serial", generator="serial"
-        ).trial_params_extra() == {
-            "engine": "serial",
-            "generator": "serial",
-        }
+            backend="multigraph"
+        ).trial_params_extra() == {"backend": "multigraph"}
 
 
 #: The registry's whole surface: every id in order, with the axes it
 #: declares.  Adding or re-declaring an experiment changes this on
 #: purpose, alongside the README index.
-_SEARCH_AXES = ("jobs", "cache", "backend", "engine", "generator", "store")
+_SEARCH_AXES = ("jobs", "cache", "backend", "store")
 EXPECTED_CAPABILITY_MATRIX = {
     "E1": _SEARCH_AXES,
     "E2": _SEARCH_AXES,
     "E3": _SEARCH_AXES,
     "E4": (),
     "E5": (),
-    "E6": ("jobs", "cache", "backend", "store"),
-    "E7": ("jobs", "cache", "backend", "engine", "store"),
+    "E6": _SEARCH_AXES,
+    "E7": _SEARCH_AXES,
     # E8 stays axis-free on purpose: greedy routing navigates by
     # lattice coordinates, not through the oracle machinery.
     "E8": (),
@@ -229,18 +226,12 @@ EXPECTED_CAPABILITY_MATRIX = {
     "E14": _SEARCH_AXES,
     "E15": (),
     "E16": (),
-    "E17": ("jobs", "cache", "backend", "mode", "generator", "store"),
-    "E18": (
-        "jobs", "cache", "backend", "engine", "mode", "generator",
-        "store",
-    ),
-    "E19": (
-        "jobs", "cache", "backend", "engine", "mode", "generator",
-        "store",
-    ),
+    "E17": ("jobs", "cache", "backend", "mode", "store"),
+    "E18": ("jobs", "cache", "backend", "mode", "store"),
+    "E19": ("jobs", "cache", "backend", "mode", "store"),
     "E20": _SEARCH_AXES,
     "E21": _SEARCH_AXES,
-    "E22": ("jobs", "cache", "backend", "generator", "store"),
+    "E22": _SEARCH_AXES,
 }
 
 
@@ -253,46 +244,38 @@ class TestAuditedAxes:
         assert REGISTRY.capability_matrix() == EXPECTED_CAPABILITY_MATRIX
 
     def test_e12_backend_invariant(self):
-        from repro.core.experiments import e12_percolation
-
         kwargs = dict(
             n=400, replica_counts=(0, 8), num_queries=5, seed=12
         )
-        frozen = e12_percolation(**kwargs)
-        multigraph = e12_percolation(**kwargs, backend="multigraph")
+        frozen = run_experiment("E12", **kwargs)
+        multigraph = run_experiment("E12", **kwargs, backend="multigraph")
         assert frozen.derived == multigraph.derived
 
     def test_e9_backend_invariant(self):
-        from repro.core.experiments import e9_diameter_vs_search
-
         kwargs = dict(sizes=(100, 200), num_graphs=2, seed=9)
-        frozen = e9_diameter_vs_search(**kwargs)
-        multigraph = e9_diameter_vs_search(
-            **kwargs, backend="multigraph"
-        )
+        frozen = run_experiment("E9", **kwargs)
+        multigraph = run_experiment("E9", **kwargs, backend="multigraph")
         assert frozen.derived == multigraph.derived
 
     @needs_numpy
-    def test_e18_engine_invariant(self):
-        from repro.core.experiments import e18_start_rule
-
+    def test_e18_engine_invariant(self, reference_arms):
         kwargs = dict(
             sizes=(60, 120), num_graphs=2, runs_per_graph=1, seed=18
         )
-        serial = e18_start_rule(**kwargs)
-        ensemble = e18_start_rule(**kwargs, engine="ensemble")
-        assert serial.derived == ensemble.derived
+        default = run_experiment("E18", **kwargs)
+        with reference_arms():
+            serial = run_experiment("E18", **kwargs)
+        assert serial.derived == default.derived
 
     @needs_numpy
-    def test_e19_engine_invariant(self):
-        from repro.core.experiments import e19_trajectory_scaling
-
+    def test_e19_engine_invariant(self, reference_arms):
         kwargs = dict(
             sizes=(100, 200), num_graphs=2, runs_per_graph=1, seed=19
         )
-        serial = e19_trajectory_scaling(**kwargs)
-        ensemble = e19_trajectory_scaling(**kwargs, engine="ensemble")
-        assert serial.derived == ensemble.derived
+        default = run_experiment("E19", **kwargs)
+        with reference_arms():
+            serial = run_experiment("E19", **kwargs)
+        assert serial.derived == default.derived
 
 
 class TestE20:
@@ -303,9 +286,7 @@ class TestE20:
     )
 
     def test_shape(self):
-        from repro.core.experiments import e20_cross_model
-
-        result = e20_cross_model(**self.QUICK)
+        result = run_experiment("E20", **self.QUICK)
         assert result.experiment_id == "E20"
         families = (
             "mori(m=2,p=0.5)",
@@ -329,41 +310,34 @@ class TestE20:
         assert len(fits.rows) == 3 * (8 + 3)
 
     def test_jobs_and_cache_compose(self, tmp_path, monkeypatch):
-        from repro.core.experiments import e20_cross_model
         from repro.runner import TrialSpec
 
         cache = str(tmp_path / "cache")
-        first = e20_cross_model(**self.QUICK, jobs=2, cache_dir=cache)
-        serial = e20_cross_model(**self.QUICK)
+        first = run_experiment("E20", **self.QUICK, jobs=2, cache_dir=cache)
+        serial = run_experiment("E20", **self.QUICK)
         assert first.derived == serial.derived
 
         def exploding_execute(self):
             raise AssertionError("recomputed despite warm cache")
 
         monkeypatch.setattr(TrialSpec, "execute", exploding_execute)
-        second = e20_cross_model(**self.QUICK, cache_dir=cache)
+        second = run_experiment("E20", **self.QUICK, cache_dir=cache)
         assert second.derived == first.derived
 
     def test_backend_invariant(self):
-        from repro.core.experiments import e20_cross_model
-
-        frozen = e20_cross_model(**self.QUICK)
-        multigraph = e20_cross_model(
-            **self.QUICK, backend="multigraph"
-        )
+        frozen = run_experiment("E20", **self.QUICK)
+        multigraph = run_experiment("E20", **self.QUICK, backend="multigraph")
         assert frozen.derived == multigraph.derived
 
     @needs_numpy
-    def test_engine_invariant(self):
-        from repro.core.experiments import e20_cross_model
-
-        serial = e20_cross_model(**self.QUICK)
-        ensemble = e20_cross_model(**self.QUICK, engine="ensemble")
-        assert serial.derived == ensemble.derived
+    def test_engine_invariant(self, reference_arms):
+        default = run_experiment("E20", **self.QUICK)
+        with reference_arms():
+            serial = run_experiment("E20", **self.QUICK)
+        assert serial.derived == default.derived
 
     def test_cli_acceptance_flags(self, capsys, tmp_path):
-        """The ISSUE acceptance shape, downsized: E20 through the real
-        CLI with jobs/backend (and engine under numpy) — no
+        """E20 through the real CLI with every axis it declares — no
         experiment-specific CLI code exists for it."""
         argv = [
             "run", "E20", "--quick", "--jobs", "2",
@@ -371,8 +345,6 @@ class TestE20:
             "--cache-dir", str(tmp_path / "cache"),
             "--store-backend", "sqlite",
         ]
-        if HAVE_NUMPY:
-            argv += ["--engine", "ensemble"]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "warning:" not in captured.err
@@ -389,7 +361,7 @@ class TestCLIListing:
         assert len(lines) == 22
         assert any(
             line.split()[0] == "E1"
-            and "jobs,cache,backend,engine" in line
+            and "jobs,cache,backend,store" in line
             for line in lines
         )
         # Axis-free experiments show a dash, not an empty cell.
@@ -412,6 +384,13 @@ class TestCLIListing:
             cell = line.rsplit("|", 2)[-2].strip()
             if cell != "—":
                 assert set(cell.split(", ")) <= set(CAPABILITIES)
+
+    def test_readme_index_is_current(self):
+        """The README experiment index is ``repro list --markdown``
+        verbatim: re-declaring an experiment without regenerating the
+        index fails here."""
+        with open(README, encoding="utf-8") as handle:
+            assert format_listing(markdown=True) in handle.read()
 
 
 class TestCLISetOverrides:
@@ -451,13 +430,25 @@ class TestCLISetOverrides:
 
 class TestCLICapabilityDerivation:
     def test_warning_comes_from_declaration_not_signature(self, capsys):
-        # E17 declares jobs/cache/backend/mode but not engine.
+        # E1 declares jobs/cache/backend/store but not mode.
         assert main(
-            ["run", "E17", "--quick", "--engine", "serial"]
+            ["run", "E1", "--quick", "--mode", "trajectory"]
         ) == 0
         err = capsys.readouterr().err
         assert err.count("warning:") == 1
-        assert "--engine serial has no effect on E17" in err
+        assert "--mode trajectory has no effect on E1" in err
+
+    def test_seed_warns_on_seedless_experiment(self, capsys):
+        # E10 is exact enumeration: it takes no seed parameter.
+        assert main(["run", "E10", "--quick", "--seed", "3"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "--seed 3 has no effect on E10" in err
+        assert main(["run", "E1,E10", "--quick", "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("warning:") == 1
+        assert "--seed 3 has no effect on E10" in captured.err
+        assert "seed=3" in captured.out
 
     def test_declared_axes_never_warn(self, capsys, tmp_path):
         assert main(
@@ -466,7 +457,6 @@ class TestCLICapabilityDerivation:
                 "--jobs", "2",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--backend", "frozen",
-                "--engine", "serial",
                 "--mode", "trajectory",
             ]
         ) == 0

@@ -364,10 +364,10 @@ class TestCacheSkipsRecompute:
         self, tmp_path, monkeypatch
     ):
         """E6 with a warm cache completes without recomputing a trial."""
-        from repro.core.experiments import e6_degree_distribution
+        from repro.core import run_experiment
 
         cache = str(tmp_path / "cache")
-        first = e6_degree_distribution(n=300, seed=6, cache_dir=cache)
+        first = run_experiment("E6", n=300, seed=6, cache_dir=cache)
 
         def exploding_execute(self):
             raise AssertionError(
@@ -375,13 +375,13 @@ class TestCacheSkipsRecompute:
             )
 
         monkeypatch.setattr(TrialSpec, "execute", exploding_execute)
-        second = e6_degree_distribution(n=300, seed=6, cache_dir=cache)
+        second = run_experiment("E6", n=300, seed=6, cache_dir=cache)
         assert first.derived == second.derived
 
     def test_different_params_do_not_share_cache(self, tmp_path):
-        from repro.core.experiments import e6_degree_distribution
+        from repro.core import run_experiment
 
         cache = str(tmp_path / "cache")
-        small = e6_degree_distribution(n=300, seed=6, cache_dir=cache)
-        larger = e6_degree_distribution(n=400, seed=6, cache_dir=cache)
+        small = run_experiment("E6", n=300, seed=6, cache_dir=cache)
+        larger = run_experiment("E6", n=400, seed=6, cache_dir=cache)
         assert small.derived != larger.derived
