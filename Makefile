@@ -18,9 +18,10 @@ verify-full:
 # numpy, then the registry CLI smoke (the capability matrix plus one
 # downsized registry-driven experiment through the real CLI), then the
 # reference-arm diff (E1, E11 and E20 at the fastest-available defaults
-# and with `repro.core.trials.HAVE_NUMPY` switched off in-process, which
-# selects the serial engine and generator, must print byte-identical
-# output), then the corpus-cache
+# and with `repro.core.trials.HAVE_NUMPY` switched off and
+# `repro.core.trials.freeze` made the identity in-process, which selects
+# the serial engine and generator and searches the mutable MultiGraph,
+# must print byte-identical output), then the corpus-cache
 # smoke (cold fill, warm replay with identical output, verify), then
 # the trial-store smoke (sqlite cold fill, warm replay with identical
 # output and a nonzero hit tally, stat, a verified migration back to
@@ -43,9 +44,9 @@ verify-full:
 ci:
 	$(PYTEST) -x -q
 	PYTHONPATH=src python -m repro list
-	PYTHONPATH=src python -m repro run E20 --quick --jobs 2 --backend frozen
+	PYTHONPATH=src python -m repro run E20 --quick --jobs 2
 	PYTHONPATH=src python -m repro run E1,E11,E20 --quick > .ci-default.out
-	PYTHONPATH=src python -c "import repro.core.trials as t; t.HAVE_NUMPY = False; from repro.cli import main; raise SystemExit(main(['run','E1,E11,E20','--quick']))" > .ci-reference.out
+	PYTHONPATH=src python -c "import repro.core.trials as t; t.HAVE_NUMPY = False; t.freeze = lambda g: g; from repro.cli import main; raise SystemExit(main(['run','E1,E11,E20','--quick']))" > .ci-reference.out
 	cmp .ci-default.out .ci-reference.out
 	rm -f .ci-default.out .ci-reference.out
 	rm -rf .ci-corpus
@@ -70,7 +71,7 @@ ci:
 	PYTHONPATH=src python -m repro store migrate .ci-store --from sqlite --to json-files
 	rm -rf .ci-store .ci-store-cold.log .ci-store-warm.log .ci-store-cold.trimmed .ci-store-warm.trimmed
 	PYTHONPATH=src python -m repro run E21 --quick --churn-rate 0.1 --churn-bias degree --resnapshot-every 5
-	PYTHONPATH=src python -m repro run E21 --quick --backend frozen
+	PYTHONPATH=src python -m repro run E21 --quick
 	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --smoke
 	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
 	python3 perfbench/selftest.py

@@ -26,8 +26,8 @@ the experiment registry (:mod:`repro.core.registry`); every number it
 prints is regenerable from the seed it echoes.
 
 ``repro list`` prints the registry's capability matrix — which of the
-execution axes (``jobs``, ``cache``, ``backend``, ``mode``, ``store``)
-each experiment declares; ``--markdown`` emits the same
+execution axes (``jobs``, ``cache``, ``mode``) each experiment
+declares; ``--markdown`` emits the same
 index as a markdown table (the README's experiment index is generated
 from it).  ``repro run`` accepts one id, a comma-separated list, or
 ``all``; ``--set key=value`` overrides any declared experiment
@@ -38,11 +38,13 @@ experiment needs bespoke CLI flags.
 processes and ``--cache-dir`` replays completed trials from a
 persistent store; neither changes any printed number (trial seeds are
 substream-derived, so parallel output is bit-identical to serial).
-``--store-backend`` picks the store's persistence layout —
-``json-files`` (one file per trial, the default) or ``sqlite`` (one
-WAL-mode database per cache directory; same values, a fraction of the
-inodes) — equivalently the ``REPRO_STORE_BACKEND`` environment
-variable; cached runs report their hit/miss tally afterwards.
+``--store-backend`` picks the ``--cache-dir`` store's persistence
+layout — ``json-files`` (one file per trial, the default) or
+``sqlite`` (one WAL-mode database per cache directory; same values, a
+fraction of the inodes) — equivalently the ``REPRO_STORE_BACKEND``
+environment variable; it applies wherever ``--cache-dir`` does and
+warns without one.  Cached runs report their hit/miss tally
+afterwards.
 ``repro store stat/migrate/compact`` inspect a cache directory,
 convert it between backends, and drop entries stale under the current
 code (see :mod:`repro.runner.store`).
@@ -52,7 +54,8 @@ Graphs are built and searched by the fastest available arms: the
 lock-step ensemble kernel and the batched :mod:`repro.graphs.fastgen`
 builders when numpy imports, else the serial reference arms, with
 bit-identical numbers either way
-(:func:`repro.core.trials.fastest_available`).
+(:func:`repro.core.trials.fastest_available`); every realisation is
+searched as a frozen CSR snapshot.
 Whether a flag applies is read off the experiment's *declared
 capabilities*, not guessed from signatures: requesting an axis an
 experiment does not declare emits a warning on stderr instead of
@@ -60,7 +63,7 @@ silently ignoring it.
 
 ``--corpus-dir`` (equivalently the ``REPRO_CORPUS_DIR`` environment
 variable) points runs at a memory-mapped on-disk corpus of generated
-snapshots (:mod:`repro.graphs.corpus`): independent frozen-backend
+snapshots (:mod:`repro.graphs.corpus`): independent
 builds are served from the corpus when present and persisted when not,
 and the run reports its hit/miss tally afterwards.  ``repro corpus
 build/list/verify`` pre-generates, enumerates and digest-checks corpus
@@ -140,16 +143,6 @@ _CHURN_FLAG_PARAMS = {
     "churn_bias": ("churn_bias",),
     "resnapshot_every": ("resnapshot_every",),
 }
-
-#: Capability -> the CLI flag that requests it (for warnings/help).
-_CAPABILITY_FLAGS = {
-    "jobs": "--jobs",
-    "cache": "--cache-dir",
-    "backend": "--backend",
-    "mode": "--mode",
-    "store": "--store-backend",
-}
-
 
 def _positive_int(text: str) -> int:
     """argparse type for ``--jobs``: an integer >= 1."""
@@ -283,17 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--backend",
-        choices=("frozen", "multigraph"),
-        default=None,
-        help=(
-            "graph backend for search trials: 'frozen' snapshots each "
-            "realisation into a read-optimised CSR form (default), "
-            "'multigraph' keeps the mutable object; numbers are "
-            "identical either way"
-        ),
-    )
-    run.add_argument(
         "--mode",
         choices=("independent", "trajectory"),
         default=None,
@@ -353,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpus-dir",
         default=None,
         help=(
-            "serve independent frozen-backend graph builds from this "
+            "serve independent graph builds from this "
             "on-disk snapshot corpus, persisting misses (equivalent "
             "to setting REPRO_CORPUS_DIR; requires numpy, silently "
             "inert without it)"
@@ -468,8 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--generator",
         choices=("serial", "vectorized"),
-        default="serial",
-        help="construction strategy for generated graphs",
+        default=None,
+        help=(
+            "construction strategy for generated graphs (default: "
+            "vectorized when numpy imports, else serial)"
+        ),
     )
     serve.add_argument(
         "--portfolio", default="adamic",
@@ -690,19 +675,25 @@ def _plot_scaling_tables(result) -> None:
 
 
 def _warn_ignored(
-    experiment_id: str, flag: str, parameter: str
+    experiment_id: str,
+    flag: str,
+    parameter: str,
+    reason: Optional[str] = None,
 ) -> None:
     """Tell the user a CLI knob has no effect on this experiment.
 
-    Silently dropping ``--cache-dir`` (or ``--jobs``/``--backend``/
-    ``--mode``/``--seed``/``--set``) would let users believe results
-    were cached, parallelised or reseeded when the experiment never
-    declared the capability (or parameter).
+    Silently dropping ``--cache-dir`` (or ``--jobs``/``--mode``/
+    ``--store-backend``/``--seed``/``--set``) would let users believe
+    results were cached, parallelised or reseeded when the experiment
+    never declared the capability (or parameter).  ``reason`` replaces
+    the default "takes no parameter" explanation.
     """
+    reason = reason or (
+        f"this experiment takes no {parameter!r} parameter"
+    )
     print(
-        f"warning: {flag} has no effect on {experiment_id} (this "
-        f"experiment takes no {parameter!r} parameter); the flag was "
-        "ignored",
+        f"warning: {flag} has no effect on {experiment_id} "
+        f"({reason}); the flag was ignored",
         file=sys.stderr,
     )
 
@@ -716,24 +707,30 @@ def _context_kwargs(spec: ExperimentSpec, args) -> Dict[str, Any]:
     even a default like ``--jobs 1`` or ``--mode independent`` — is
     forwarded when declared (E19, for one, rejects independent mode
     rather than silently running its trajectory default).
+    ``--store-backend`` lays out the ``--cache-dir`` store, so it is
+    forwarded with a store and warns without one.  Each capability's
+    flag is its keyword parameter spelled as an option
+    (``cache_dir`` -> ``--cache-dir``).
     """
-    requested = {
-        "jobs": args.jobs,
-        "cache": args.cache_dir,
-        "backend": args.backend,
-        "mode": args.mode,
-        "store": args.store_backend,
-    }
     kwargs: Dict[str, Any] = {}
-    for capability, value in requested.items():
+    for capability, (parameter, _) in CAPABILITY_PARAMS.items():
+        value = getattr(args, parameter)
         if value is None:
             continue
-        parameter = CAPABILITY_PARAMS[capability][0]
         if capability in spec.capabilities:
             kwargs[parameter] = value
         else:
-            flag = _CAPABILITY_FLAGS[capability]
+            flag = "--" + parameter.replace("_", "-")
             _warn_ignored(spec.id, f"{flag} {value}", parameter)
+    if args.store_backend is not None and "cache_dir" in kwargs:
+        kwargs["store_backend"] = args.store_backend
+    elif args.store_backend is not None:
+        _warn_ignored(
+            spec.id,
+            f"--store-backend {args.store_backend}",
+            "store_backend",
+            "it lays out the --cache-dir store and none is in use",
+        )
     return kwargs
 
 

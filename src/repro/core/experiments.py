@@ -10,11 +10,11 @@ exposes size overrides for larger runs.
 Experiments are *registered specs* (:mod:`repro.core.registry`): each
 body declares its typed parameter schema and the execution
 capabilities it supports — ``jobs`` (worker fan-out), ``cache``
-(persistent trial store), ``backend`` (frozen CSR vs mutable
-multigraph), ``mode`` (independent vs trajectory-coupled scaling
-sweeps), ``store`` (the cache's persistence layout) — and receives one
-:class:`~repro.core.registry.ExecutionContext` instead of
-copy-pasted kwargs.  Run one with
+(persistent trial store, in the layout ``store_backend`` picks),
+``mode`` (independent vs trajectory-coupled scaling sweeps) — and
+receives one :class:`~repro.core.registry.ExecutionContext` instead
+of copy-pasted kwargs.  Every realisation is searched as a frozen CSR
+snapshot.  Run one with
 ``run_experiment("E1", sizes=(200, 400))`` or ``REGISTRY["E1"].run``.
 
 Every experiment takes an explicit ``seed`` so a published number can
@@ -159,7 +159,7 @@ def _exponent_table(measurement, algorithms: Sequence[str]) -> Table:
 @REGISTRY.register(
     "E1",
     title="Weak-model search cost on merged Mori graphs (Theorem 1)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -233,7 +233,7 @@ def _e1_body(ctx, *, sizes, p, m, num_graphs, runs_per_graph, seed):
 @REGISTRY.register(
     "E2",
     title="Strong-model search cost on Mori graphs (Theorem 1, p<1/2)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.25),
@@ -304,7 +304,7 @@ def _e2_body(
 @REGISTRY.register(
     "E3",
     title="Weak-model search cost on Cooper-Frieze graphs (Theorem 2)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("alpha", FLOAT, 0.75),
@@ -508,7 +508,7 @@ def _geometric_checkpoints(first: int, last: int) -> list:
 @REGISTRY.register(
     "E6",
     title="Degree distributions: scale-free models vs Kleinberg lattice",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("n", INT, 20000),
         Param("seed", INT, 6),
@@ -552,14 +552,11 @@ def _e6_body(ctx, *, n, seed):
         ),
     ]
     reference = trial_ref(degree_fit_trial)
-    # The default backend stays out of params so cache keys (and hence
-    # pre-snapshot caches) are unchanged; values are backend-independent.
-    extra = ctx.trial_params_extra()
     specs = [
         TrialSpec(
             experiment_id="E6",
             trial=reference,
-            params={"family": spec, "n": n, **extra},
+            params={"family": spec, "n": n},
             seed=substream(seed, index),
         )
         for index, (_, spec) in enumerate(specimens)
@@ -594,7 +591,7 @@ def _e6_body(ctx, *, n, seed):
 @REGISTRY.register(
     "E7",
     title="Adamic et al. search on power-law configuration graphs",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("sizes", INT_TUPLE, (400, 800, 1600, 3200)),
         Param("exponent", FLOAT, 2.5),
@@ -703,10 +700,9 @@ def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
 @REGISTRY.register(
     "E8",
     title="Greedy routing on Kleinberg small-worlds (navigable contrast)",
-    # Audited for the backend axis and excluded on purpose: greedy
-    # routing navigates by lattice *coordinates* on the KleinbergGrid
-    # wrapper (not through the oracle machinery), so a CSR snapshot
-    # has nothing to act on.
+    # No CSR snapshot here: greedy routing navigates by lattice
+    # *coordinates* on the KleinbergGrid wrapper, not through the
+    # oracle machinery.
     params=(
         Param("sides", INT_TUPLE, (10, 16, 24, 36, 50)),
         Param("r_values", FLOAT_TUPLE, (0.0, 1.0, 2.0, 3.0, 4.0)),
@@ -763,7 +759,7 @@ def _e8_body(ctx, *, sides, r_values, pairs_per_grid, seed):
 @REGISTRY.register(
     "E9",
     title="Diameter vs search cost on merged Mori graphs",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -775,9 +771,9 @@ def _e8_body(ctx, *, sides, r_values, pairs_per_grid, seed):
 def _e9_body(ctx, *, sizes, p, m, num_graphs, seed):
     """E9: O(log n) diameter yet polynomial search cost (the headline).
 
-    The search cells honour ``backend`` like every other search-running
-    experiment; the diameter estimate walks the freshly built graph
-    directly (it is BFS-bound either way).
+    The search cells run on frozen snapshots like every other
+    search-running experiment; the diameter estimate walks the freshly
+    built graph directly (it is BFS-bound either way).
     """
     family = MoriFamily(p=p, m=m)
 
@@ -907,7 +903,7 @@ def _e10_body(ctx, *, n, p_values):
 @REGISTRY.register(
     "E11",
     title="Lemma 1 floor vs measured costs; tightness via omniscient",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -976,10 +972,8 @@ def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
 @REGISTRY.register(
     "E12",
     title="Percolation search with content replication",
-    # Audited: the query cascade reads the graph through the same
-    # neighbor/edge API the searches use, so the backend axis applies
-    # (one snapshot serves every query).
-    capabilities=("backend",),
+    # The query cascade reads the graph through the same neighbor/edge
+    # API the searches use, so one frozen snapshot serves every query.
     params=(
         Param("n", INT, 4000),
         Param("exponent", FLOAT, 2.3),
@@ -1002,7 +996,7 @@ def _e12_body(
     """E12: replication turns broadcast search sublinear (Sarshar et al.)."""
     family = ConfigurationFamily(exponent=exponent, min_degree=2)
     graph = snapshot_graph(
-        family.build(n, seed=substream(seed, 0)), ctx.backend
+        family.build(n, seed=substream(seed, 0)), "frozen"
     )
     rng = make_rng(substream(seed, 1))
 
@@ -1078,7 +1072,7 @@ def _e12_body(
 @REGISTRY.register(
     "E13",
     title="Ablation: attachment mixture p vs searchability",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("p_values", FLOAT_TUPLE, (0.0, 0.25, 0.5, 0.75, 1.0)),
@@ -1134,7 +1128,7 @@ def _e13_body(ctx, *, sizes, p_values, num_graphs, seed):
 @REGISTRY.register(
     "E14",
     title="Ablation: merge arity m vs searchability",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("m_values", INT_TUPLE, (1, 2, 4, 8)),
@@ -1365,7 +1359,7 @@ def _e16_body(ctx, *, n, seed):
 @REGISTRY.register(
     "E17",
     title="Strong-to-weak simulation slowdown (Theorem 1, strong case)",
-    capabilities=("jobs", "cache", "backend", "mode", "store"),
+    capabilities=("jobs", "cache", "mode"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.25),
@@ -1422,15 +1416,13 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
         ),
     )
     spec = family_spec(family)
-    # As in E6: only a forced non-default backend enters the cache key.
-    extra = ctx.trial_params_extra()
     if mode == "trajectory":
         from repro.core.searchability import trajectory_seeds
 
         specs = trajectory_specs(
             "E17",
             trial_ref(trajectory_slowdown_trial),
-            {"family": spec, **extra},
+            {"family": spec},
             sizes,
             trajectory_seeds(seed, num_graphs),
         )
@@ -1443,7 +1435,7 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
             TrialSpec(
                 experiment_id="E17",
                 trial=reference,
-                params={"family": spec, "size": size, **extra},
+                params={"family": spec, "size": size},
                 seed=substream(substream(seed, index), rep),
             )
             for index, size in enumerate(sizes)
@@ -1504,7 +1496,7 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
 @REGISTRY.register(
     "E18",
     title="Ablation: start-vertex rule vs searchability",
-    capabilities=("jobs", "cache", "backend", "mode", "store"),
+    capabilities=("jobs", "cache", "mode"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1583,13 +1575,7 @@ def _e18_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
 @REGISTRY.register(
     "E19",
     title="Search cost along coupled growth trajectories",
-    capabilities=(
-        "jobs",
-        "cache",
-        "backend",
-        ("mode", "trajectory"),
-        "store",
-    ),
+    capabilities=("jobs", "cache", ("mode", "trajectory")),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1722,7 +1708,7 @@ def _e19_body(
 @REGISTRY.register(
     "E20",
     title="Cross-model search-cost grid (weak + strong portfolios)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("p", FLOAT, 0.5),
@@ -1743,7 +1729,7 @@ def _e20_body(
     Móri merged graphs vs Cooper–Frieze vs the configuration-model
     giant component at matched size and degree scale — swept by both
     the weak and the strong portfolio on one pipeline.  The experiment
-    is a *pure spec*: it exercises ``jobs``/``cache``/``backend``
+    is a *pure spec*: it exercises ``jobs``/``cache``
     through nothing but its capability declaration, with no
     experiment-specific CLI code.
 
@@ -1857,7 +1843,7 @@ def _e20_body(
 @REGISTRY.register(
     "E21",
     title="Search cost vs churn rate (weak + strong portfolios)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("size", INT, 400),
         Param("p", FLOAT, 0.5),
@@ -1928,7 +1914,6 @@ def _e21_body(
         ),
     )
     reference = trial_ref(churn_search_trial)
-    extra = ctx.trial_params_extra()
     grid = [
         (portfolio, rate)
         for portfolio in ("weak", "strong")
@@ -1944,7 +1929,6 @@ def _e21_body(
             "churn_rate": rate,
             "churn_bias": churn_bias,
             "runs_per_graph": runs_per_graph,
-            **extra,
         }
         if resnapshot_every:
             params["resnapshot_every"] = resnapshot_every
@@ -2007,7 +1991,7 @@ def _e21_body(
 @REGISTRY.register(
     "E22",
     title="Giant-component survival under decay",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache"),
     params=(
         Param("size", INT, 600),
         Param("p", FLOAT, 0.5),
@@ -2059,7 +2043,6 @@ def _e22_body(
         ),
     )
     reference = trial_ref(churn_survival_trial)
-    extra = ctx.trial_params_extra()
     specs = []
     for bias_index, bias in enumerate(CHURN_BIASES):
         cell_seed = substream(seed, bias_index)
@@ -2068,7 +2051,6 @@ def _e22_body(
             "size": size,
             "remove_fractions": list(remove_fractions),
             "churn_bias": bias,
-            **extra,
         }
         if resnapshot_every:
             params["resnapshot_every"] = resnapshot_every

@@ -10,10 +10,11 @@ three declarative pieces:
   overrides for free.
 * :class:`ExperimentSpec` — one experiment: id, title, its param
   schema, and the **capabilities** it declares from
-  :data:`CAPABILITIES` (``jobs``, ``cache``, ``backend``, ``mode``,
-  ``store``).  Capabilities are data, not signatures: the CLI derives
-  its capability matrix and its "flag has no effect" warnings from
-  them, and a new axis lands in exactly one place.
+  :data:`CAPABILITIES` (``jobs``, ``cache``, ``mode``).  Capabilities
+  are data, not signatures: the CLI derives its capability matrix and
+  its "flag has no effect" warnings from them, and a new axis lands in
+  exactly one place.  Each axis changes either where work runs or
+  what is computed.
 * :class:`ExecutionContext` — the resolved execution axes carried
   *once* per run.  Bodies receive it as their first argument and ask
   it to dispatch work (:meth:`ExecutionContext.run_trials`,
@@ -24,7 +25,8 @@ three declarative pieces:
 Experiment bodies register with :meth:`Registry.register`.  The search
 engine and the graph generator are not axes: trials pick the fastest
 available arm (:func:`repro.core.trials.fastest_available`), and every
-arm gives the same numbers.
+arm gives the same numbers.  Nor is the graph form: every realisation
+is searched as a frozen CSR snapshot.
 """
 
 from __future__ import annotations
@@ -45,13 +47,7 @@ from typing import (
 )
 
 from repro.errors import ExperimentError
-from repro.runner import (
-    STORE_BACKENDS,
-    TrialSpec,
-    TrialStore,
-    run_trials,
-    store_for,
-)
+from repro.runner import TrialSpec, TrialStore, run_trials, store_for
 
 __all__ = [
     "CAPABILITIES",
@@ -71,22 +67,25 @@ __all__ = [
 ]
 
 #: The execution axes an experiment may declare, in canonical order.
-CAPABILITIES = ("jobs", "cache", "backend", "mode", "store")
+CAPABILITIES = ("jobs", "cache", "mode")
 
 #: Capability -> (public keyword parameter, default value).  ``cache``
 #: surfaces as ``cache_dir`` because the public unit is a directory;
 #: the context resolves it to a :class:`TrialStore` exactly once.
-#: ``store`` surfaces as ``store_backend``; its ``None`` default means
-#: "auto" (the ``REPRO_STORE_BACKEND`` environment variable, else
-#: ``json-files``) so a whole run — or a whole CI leg — can be
-#: switched without threading the choice through every call.
 CAPABILITY_PARAMS = {
     "jobs": ("jobs", 1),
     "cache": ("cache_dir", None),
-    "backend": ("backend", "frozen"),
     "mode": ("mode", "independent"),
-    "store": ("store_backend", None),
 }
+
+# Every execution keyword :func:`run_experiment` accepts.  Beside the
+# capability parameters, ``store_backend`` picks the on-disk layout of
+# the ``cache_dir`` store, so it applies wherever ``cache`` does; its
+# ``None`` default means "auto" (the ``REPRO_STORE_BACKEND``
+# environment variable, else ``json-files``).
+_CONTEXT_PARAMS = tuple(
+    parameter for parameter, _ in CAPABILITY_PARAMS.values()
+) + ("store_backend",)
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ class Param:
 class ExecutionContext:
     """The resolved execution axes of one experiment run.
 
-    Carries ``jobs``/``store``/``backend``/``mode`` (and the owning
+    Carries ``jobs``/``store``/``mode`` (and the owning
     ``experiment_id``) exactly once, resolved from the declared
     capability defaults plus any caller overrides.  Experiment bodies
     dispatch through the helper methods instead of re-plumbing the
@@ -160,33 +159,18 @@ class ExecutionContext:
     experiment_id: str = "adhoc"
     jobs: int = 1
     store: Optional[TrialStore] = None
-    backend: str = "frozen"
     mode: str = "independent"
-    store_backend: Optional[str] = None
 
     def run_trials(self, specs: Sequence[TrialSpec]) -> list:
         """Dispatch trial specs through the runner with this context's
         worker fan-out and result store."""
         return run_trials(specs, jobs=self.jobs, store=self.store)
 
-    def trial_params_extra(self) -> Dict[str, Any]:
-        """The explicitly chosen backend as trial params.
-
-        The backend cache-key policy spelled once: the default stays
-        out of trial params, so pre-existing cache entries keep
-        replaying, and a non-default backend gets its own entries.
-        ``store_backend`` never enters: where a value is stored cannot
-        change what the value is.
-        """
-        if self.backend != "frozen":
-            return {"backend": self.backend}
-        return {}
-
     def measure_scaling(self, family, sizes, factories, **kwargs):
         """A size sweep through this context's execution axes.
 
         Delegates to :func:`repro.core.searchability.measure_scaling`
-        with ``jobs``/``store``/``backend``/``mode`` and the
+        with ``jobs``/``store``/``mode`` and the
         experiment id filled in from the context (callers may still
         override ``mode`` explicitly, as E19 does to pin its subject).
         """
@@ -200,7 +184,6 @@ class ExecutionContext:
             jobs=self.jobs,
             store=self.store,
             experiment_id=self.experiment_id,
-            backend=self.backend,
             **kwargs,
         )
 
@@ -215,7 +198,6 @@ class ExecutionContext:
             jobs=self.jobs,
             store=self.store,
             experiment_id=self.experiment_id,
-            backend=self.backend,
             **kwargs,
         )
 
@@ -249,30 +231,14 @@ def _validated_context_values(
 
 
 def _validate_axis_values(resolved: Dict[str, Any]) -> None:
-    """Check backend/mode/store values against their axis
-    vocabularies."""
+    """Check mode/jobs values against their axis vocabularies (the
+    store layout is checked where the store opens)."""
     from repro.core.searchability import MODES
-    from repro.core.trials import BACKENDS
 
-    backend = resolved.get("backend")
-    if backend is not None and backend not in BACKENDS:
-        raise ExperimentError(
-            f"unknown graph backend {backend!r}; valid: "
-            f"{', '.join(BACKENDS)}"
-        )
     mode = resolved.get("mode")
     if mode is not None and mode not in MODES:
         raise ExperimentError(
             f"unknown mode {mode!r}; valid: {', '.join(MODES)}"
-        )
-    store_backend = resolved.get("store")
-    if (
-        store_backend is not None
-        and store_backend not in STORE_BACKENDS
-    ):
-        raise ExperimentError(
-            f"unknown store backend {store_backend!r}; valid: "
-            f"{', '.join(STORE_BACKENDS)}"
         )
     jobs = resolved.get("jobs")
     if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
@@ -319,7 +285,6 @@ class ExperimentSpec:
         self,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        backend: Optional[str] = None,
         mode: Optional[str] = None,
         store_backend: Optional[str] = None,
     ) -> ExecutionContext:
@@ -328,31 +293,28 @@ class ExperimentSpec:
         ``None`` means "not requested": declared capabilities fall back
         to their declared defaults, undeclared ones to the context
         defaults.  A non-``None`` value for an undeclared capability
-        raises (the CLI filters those into warnings first).
+        raises (the CLI filters those into warnings first), and so
+        does a ``store_backend`` without a ``cache_dir`` store to lay
+        out.
         """
         resolved = _validated_context_values(
             self.capabilities,
-            {
-                "jobs": jobs,
-                "cache": cache_dir,
-                "backend": backend,
-                "mode": mode,
-                "store": store_backend,
-            },
+            {"jobs": jobs, "cache": cache_dir, "mode": mode},
         )
+        if store_backend is not None and resolved.get("cache") is None:
+            raise ExperimentError(
+                f"{self.id} got no 'cache_dir'; the 'store_backend' "
+                "argument picks the cache store's layout and does not "
+                "apply without one"
+            )
         _validate_axis_values(resolved)
         kwargs: Dict[str, Any] = {"experiment_id": self.id}
         if "jobs" in resolved:
             kwargs["jobs"] = resolved["jobs"]
         if "cache" in resolved:
-            kwargs["store"] = store_for(
-                resolved["cache"], resolved.get("store")
-            )
-        for axis in ("backend", "mode"):
-            if axis in resolved:
-                kwargs[axis] = resolved[axis]
-        if "store" in resolved:
-            kwargs["store_backend"] = resolved["store"]
+            kwargs["store"] = store_for(resolved["cache"], store_backend)
+        if "mode" in resolved:
+            kwargs["mode"] = resolved["mode"]
         return ExecutionContext(**kwargs)
 
     def resolve_params(
@@ -371,7 +333,6 @@ class ExperimentSpec:
         *,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        backend: Optional[str] = None,
         mode: Optional[str] = None,
         store_backend: Optional[str] = None,
     ):
@@ -380,7 +341,6 @@ class ExperimentSpec:
         context = self.make_context(
             jobs=jobs,
             cache_dir=cache_dir,
-            backend=backend,
             mode=mode,
             store_backend=store_backend,
         )
@@ -463,10 +423,7 @@ class Registry:
                 raise ExperimentError(
                     f"{experiment_id}: duplicate parameter names"
                 )
-            reserved = {
-                CAPABILITY_PARAMS[c][0] for c in CAPABILITY_PARAMS
-            }
-            clash = reserved.intersection(names)
+            clash = set(_CONTEXT_PARAMS).intersection(names)
             if clash:
                 raise ExperimentError(
                     f"{experiment_id}: parameter names "
@@ -544,14 +501,14 @@ def run_experiment(experiment_id: str, **kwargs):
     The one way to run an experiment from Python, e.g.
     ``run_experiment("E1", sizes=(200, 400), jobs=2)``: ``kwargs`` may
     mix declared experiment parameters with the capability parameters
-    the spec declares (``jobs``, ``cache_dir``, ``backend``, ``mode``,
-    ``store_backend``); they are split per the spec and dispatched via
-    :meth:`ExperimentSpec.run`.  Omitted parameters take their
-    registered defaults.
+    the spec declares (``jobs``, ``cache_dir``, ``mode``, and
+    ``store_backend`` with ``cache_dir``); they are split per the spec
+    and dispatched via :meth:`ExperimentSpec.run`.  Omitted parameters
+    take their registered defaults.
     """
     spec = REGISTRY.get(experiment_id)
     context_kwargs: Dict[str, Any] = {}
-    for parameter, _ in CAPABILITY_PARAMS.values():
+    for parameter in _CONTEXT_PARAMS:
         if parameter in kwargs:
             context_kwargs[parameter] = kwargs.pop(parameter)
     return spec.run(kwargs, **context_kwargs)

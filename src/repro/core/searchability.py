@@ -136,7 +136,6 @@ def _build_cell_specs(
     seed: int,
     neighbor_success: bool,
     start_rule: str,
-    backend: str,
 ) -> List[TrialSpec]:
     """One :class:`TrialSpec` per graph realisation of a (size, seed) cell."""
     from repro.core.trials import family_spec, search_cost_graph_trial
@@ -151,11 +150,6 @@ def _build_cell_specs(
         "neighbor_success": neighbor_success,
         "start_rule": start_rule,
     }
-    # The backend never changes a trial's value (the equivalence
-    # batteries pin this), so the default stays out of the params —
-    # keeping cache keys identical to earlier runs.
-    if backend != "frozen":
-        params["backend"] = backend
     return [
         TrialSpec(
             experiment_id=experiment_id,
@@ -240,7 +234,6 @@ def measure_search_cost(
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     experiment_id: str = "adhoc",
-    backend: str = "frozen",
 ) -> CostMeasurement:
     """Estimate expected request counts on ``family`` at ``size``.
 
@@ -265,14 +258,12 @@ def measure_search_cost(
     serially in-process; both paths produce identical numbers for the
     same portfolio.
 
-    ``backend`` picks the graph form the searches run on: ``"frozen"``
-    (default) snapshots each realisation into a read-optimised
-    :class:`~repro.graphs.frozen.FrozenGraph` once built,
-    ``"multigraph"`` searches the mutable object directly.  Graphs are
-    built and searched by the fastest available arms (see
+    Each realisation is snapshotted into a read-optimised
+    :class:`~repro.graphs.frozen.FrozenGraph` once built, and graphs
+    are built and searched by the fastest available arms (see
     :func:`repro.core.trials.fastest_available`).  Like
-    ``jobs``/``store``, neither the backend nor those arms changes a
-    number, only wall-clock time.
+    ``jobs``/``store``, none of this changes a number, only wall-clock
+    time.
     """
     if num_graphs < 1 or runs_per_graph < 1:
         raise ExperimentError(
@@ -296,7 +287,6 @@ def measure_search_cost(
             seed,
             neighbor_success,
             start_rule,
-            backend,
         )
         outcomes = run_trials(specs, jobs=jobs, store=store)
         return _fold_cell(
@@ -319,7 +309,7 @@ def measure_search_cost(
 
     for graph_index in range(num_graphs):
         graph_seed = substream(seed, graph_index)
-        graph = build_graph_snapshot(family, size, graph_seed, backend)
+        graph = build_graph_snapshot(family, size, graph_seed)
         target = family.theorem_target(graph)
         start = _choose_start(
             family, graph, target, start_rule, graph_seed
@@ -428,7 +418,6 @@ def measure_scaling(
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     experiment_id: str = "adhoc",
-    backend: str = "frozen",
     mode: str = "independent",
 ) -> ScalingMeasurement:
     """Run :func:`measure_search_cost` across a size grid.
@@ -492,7 +481,6 @@ def measure_scaling(
             jobs,
             store,
             experiment_id,
-            backend,
         )
 
     if isinstance(factories, str):
@@ -510,7 +498,6 @@ def measure_scaling(
                 substream(seed, index),
                 neighbor_success,
                 start_rule,
-                backend,
             )
             offsets.append((size, len(grid_specs), len(cell_specs)))
             grid_specs.extend(cell_specs)
@@ -536,7 +523,6 @@ def measure_scaling(
             jobs=jobs,
             store=store,
             experiment_id=experiment_id,
-            backend=backend,
         )
     return measurement
 
@@ -554,7 +540,6 @@ def _measure_scaling_trajectory(
     jobs: int,
     store: Optional[ResultStore],
     experiment_id: str,
-    backend: str,
 ) -> ScalingMeasurement:
     """The ``mode='trajectory'`` body of :func:`measure_scaling`.
 
@@ -583,9 +568,6 @@ def _measure_scaling_trajectory(
             "neighbor_success": neighbor_success,
             "start_rule": start_rule,
         }
-        # Same cache-key policy as the independent cells.
-        if backend != "frozen":
-            params["backend"] = backend
         specs = trajectory_specs(
             experiment_id,
             trial_ref(trajectory_scaling_trial),
@@ -623,7 +605,7 @@ def _measure_scaling_trajectory(
             ordered, seed=graph_seed, generator=generator
         )
         for size, graph in trajectory_snapshots(
-            full_graph, marks, ordered, backend
+            full_graph, marks, ordered, "frozen"
         ):
             target = family.theorem_target(graph)
             start = _choose_start(

@@ -14,12 +14,14 @@ Graph families and algorithm portfolios cross process boundaries by
 :func:`portfolio_factories` resolves the latter.
 
 Search trials take a ``backend`` parameter: after the evolving
-construction finishes, ``"frozen"`` (the default) snapshots the graph
-into a :class:`~repro.graphs.frozen.FrozenGraph` so the whole batch of
-search cells runs on the read-optimised CSR form, while
-``"multigraph"`` keeps the mutable object.  The choice affects
-wall-clock time only — every number is backend-independent
-(``tests/test_frozen_graph.py`` and the regression pins enforce it).
+construction finishes, ``"frozen"`` (the default, and the only form
+experiments use) snapshots the graph into a
+:class:`~repro.graphs.frozen.FrozenGraph` so the whole batch of search
+cells runs on the read-optimised CSR form, while ``"multigraph"``
+keeps the mutable object as the reference the equivalence batteries
+call.  The choice affects wall-clock time only — every number is
+backend-independent (``tests/test_frozen_graph.py`` and the
+regression pins enforce it).
 :func:`batched_search_trial` is the general form: one generated graph
 serves an explicit batch of (algorithm, start, target, run) cells, each
 with the same substream-derived run seed the serial loops used.

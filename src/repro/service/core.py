@@ -26,11 +26,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.trials import (
+    GENERATORS,
     _execute_cells,
     build_family,
     build_graph_snapshot,
     choose_start,
     family_spec,
+    fastest_available,
     portfolio_factories,
 )
 from repro.errors import ExperimentError
@@ -151,14 +153,17 @@ def build_grid_entries(
     sizes,
     seeds,
     *,
-    generator: str = "serial",
+    generator: Optional[str] = None,
 ) -> List[GraphEntry]:
     """Build the catalog for a ``(family, sizes, seeds)`` grid.
 
     Each graph is built through :func:`build_graph_snapshot` with the
     grid seed — the very call the batch trial makes — so the served
     topology is the batch topology, not merely an equivalent one.
+    ``generator=None`` takes the fastest available generator
+    (:func:`~repro.core.trials.fastest_available`).
     """
+    generator = fastest_available(generator, GENERATORS)
     spec = family_spec(family_obj)
     entries = []
     for size in sizes:

@@ -56,15 +56,29 @@ def reference_arms(monkeypatch):
     Inside ``with reference_arms():`` every trial resolves the search
     engine and the graph generator as a host without numpy does: to
     the stdlib ``serial`` arms (see
-    :func:`repro.core.trials.fastest_available`).  Run experiments in
-    it with ``jobs=1`` so that no worker process escapes the patch.
+    :func:`repro.core.trials.fastest_available`).  The trials' graph
+    snapshot is also skipped (``freeze`` returns its argument), so
+    searches read the mutable :class:`MultiGraph` instead of a
+    ``FrozenGraph``.  The block's ``as`` target is a list that collects
+    every ``FrozenGraph`` constructed inside it.  Run experiments in it
+    with ``jobs=1`` so that no worker process escapes the patch.
     """
     import repro.core.trials as trials
+    from repro.graphs.frozen import FrozenGraph
 
     @contextlib.contextmanager
     def serial_arms():
+        built = []
+        init = FrozenGraph.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
         with monkeypatch.context() as patch:
             patch.setattr(trials, "HAVE_NUMPY", False)
-            yield
+            patch.setattr(trials, "freeze", lambda graph: graph)
+            patch.setattr(FrozenGraph, "__init__", recording_init)
+            yield built
 
     return serial_arms

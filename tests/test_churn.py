@@ -336,9 +336,7 @@ class TestChurnExperiments:
         assert "E21" in REGISTRY.ids()
         assert "E22" in REGISTRY.ids()
         e21 = REGISTRY.get("E21")
-        assert set(e21.capabilities) == {
-            "jobs", "cache", "backend", "store",
-        }
+        assert set(e21.capabilities) == {"jobs", "cache"}
         for name in (
             "churn_rates", "churn_bias", "resnapshot_every",
         ):

@@ -324,7 +324,7 @@ class TestGeneratorCacheKey:
 
         specs = _build_cell_specs(
             "E1", MoriFamily(p=0.5, m=1), 60, "weak", 2, 1, None,
-            1, False, "default", "frozen",
+            1, False, "default",
         )
         assert all("generator" not in spec.params for spec in specs)
 

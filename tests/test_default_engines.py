@@ -146,7 +146,7 @@ class TestCacheKeyPolicy:
 
         (spec,) = _build_cell_specs(
             "E1", MoriFamily(p=0.5, m=1), 60, "weak", 1, 1, None,
-            1, False, "default", "frozen",
+            1, False, "default",
         )
         assert "engine" not in spec.params
         assert "generator" not in spec.params

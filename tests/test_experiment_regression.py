@@ -14,9 +14,9 @@ serial run, and a warm `--cache-dir` re-run recomputes nothing.
 The graph-backend refactor extends the bargain: searches now default
 to running on :class:`~repro.graphs.frozen.FrozenGraph` snapshots with
 batched per-graph cells, and the *same* golden scalars must come out
-on either backend (the default serial pin exercises ``frozen``;
-``test_derived_scalars_pinned_multigraph`` forces the pre-refactor
-mutable path; ``TestBatchedCellLayout`` re-derives a pinned
+on either graph form (the default serial pin exercises ``frozen``;
+``test_derived_scalars_pinned_multigraph`` reads the pre-refactor
+mutable ``MultiGraph`` through the ``reference_arms`` fixture; ``TestBatchedCellLayout`` re-derives a pinned
 experiment's raw per-graph values through the explicit
 ``batched_search_trial`` cell layout).
 """
@@ -220,12 +220,14 @@ class TestTrajectoryMode:
                 result.derived[f"worst_ratio/n={size}"] == cell_worst
             )
 
-    def test_e17_trajectory_backend_and_jobs_invariant(self):
+    def test_e17_trajectory_backend_and_jobs_invariant(self, reference_arms):
         pin = TRAJECTORY_GOLDEN["E17"]
         baseline = run_experiment("E17", **pin["kwargs"], mode="trajectory")
-        multigraph = run_experiment(
-            "E17", **pin["kwargs"], mode="trajectory", backend="multigraph"
-        )
+        with reference_arms() as frozen:
+            multigraph = run_experiment(
+                "E17", **pin["kwargs"], mode="trajectory"
+            )
+        assert not frozen
         assert multigraph.derived == baseline.derived
 
     def test_e17_trajectory_cache_replay(self, tmp_path, monkeypatch):
@@ -274,12 +276,13 @@ class TestTrajectoryMode:
 
 
 @pytest.mark.parametrize("experiment_id", sorted(GOLDEN))
-def test_derived_scalars_pinned_multigraph(experiment_id):
-    """backend='multigraph' (the pre-refactor path) matches the pins too."""
+def test_derived_scalars_pinned_multigraph(experiment_id, reference_arms):
+    """The mutable MultiGraph (the pre-refactor path) matches the pins
+    too: the reference arms build no FrozenGraph at all."""
     pin = GOLDEN[experiment_id]
-    result = run_experiment(
-        experiment_id, **pin["kwargs"], backend="multigraph"
-    )
+    with reference_arms() as frozen:
+        result = run_experiment(experiment_id, **pin["kwargs"])
+    assert not frozen
     assert result.derived == pin["derived"]
 
 

@@ -210,8 +210,8 @@ class TestCLI:
     def test_ignored_runner_flags_warn_on_non_runner_experiment(
         self, capsys, tmp_path
     ):
-        """E4 never consults --jobs/--cache-dir/--backend/--mode; the
-        CLI must say so instead of letting the user believe results
+        """E4 never consults --jobs/--cache-dir/--store-backend/--mode;
+        the CLI must say so instead of letting the user believe results
         were cached or parallelised."""
         cache = str(tmp_path / "cache")
         assert main(
@@ -219,14 +219,14 @@ class TestCLI:
                 "run", "E4", "--quick",
                 "--jobs", "4",
                 "--cache-dir", cache,
-                "--backend", "multigraph",
+                "--store-backend", "sqlite",
                 "--mode", "trajectory",
             ]
         ) == 0
         err = capsys.readouterr().err
         assert "--jobs 4 has no effect on E4" in err
         assert f"--cache-dir {cache} has no effect on E4" in err
-        assert "--backend multigraph has no effect on E4" in err
+        assert "--store-backend sqlite has no effect on E4" in err
         assert "--mode trajectory has no effect on E4" in err
         assert err.count("warning:") == 4
 

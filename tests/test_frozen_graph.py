@@ -423,27 +423,23 @@ class TestBatchedTrials:
             snapshot_graph(MultiGraph(2), "networkx")
 
     def test_default_backend_keeps_cache_keys_stable(self):
-        """Trial values are backend-independent, so the default backend
-        must stay out of the cache key: pre-snapshot stores keep
-        replaying, and only a forced non-default backend forks keys."""
+        """Existing stores are filed under keys without a backend: this
+        cell's key, recorded when ``backend`` was still an experiment
+        axis and left at its ``frozen`` default, must not move."""
         from repro.core.families import MoriFamily as Fam
         from repro.core.searchability import _build_cell_specs
 
-        def keys(backend):
-            specs = _build_cell_specs(
-                "E1", Fam(p=0.5, m=1), 60, "weak", 1, 1, None, 1,
-                False, "default", backend,
-            )
-            return [spec.key() for spec in specs]
-
-        frozen_keys = keys("frozen")
-        assert "backend" not in dict(
-            _build_cell_specs(
-                "E1", Fam(p=0.5, m=1), 60, "weak", 1, 1, None, 1,
-                False, "default", "frozen",
-            )[0].params
+        (spec,) = _build_cell_specs(
+            "E1", Fam(p=0.5, m=1), 60, "weak", 1, 1, None, 1,
+            False, "default",
         )
-        assert keys("multigraph") != frozen_keys
+        assert "backend" not in spec.params
+        assert spec.key() == (
+            "E1",
+            "4349c08dd8dd4ac96d7205f3d1a8b6de"
+            "46cf506699273e46fcbf1cec2541976d",
+            627405149472732430,
+        )
 
 
 def _snapshot_digest(graph) -> str:

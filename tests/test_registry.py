@@ -136,15 +136,16 @@ class TestRegistrySemantics:
         with pytest.raises(ExperimentError, match="bogus"):
             run_experiment("E10", bogus=1)
 
-    def test_axis_vocabulary_validated_once(self):
+    def test_axis_vocabulary_validated_once(self, tmp_path):
         spec = REGISTRY.get("E17")
         with pytest.raises(ExperimentError, match="unknown mode"):
             spec.make_context(mode="coupled")
         spec = REGISTRY.get("E1")
-        with pytest.raises(ExperimentError, match="unknown graph backend"):
-            spec.make_context(backend="sparse")
         with pytest.raises(ExperimentError, match="unknown store backend"):
-            spec.make_context(store_backend="tape")
+            spec.make_context(
+                cache_dir=str(tmp_path / "cache"), store_backend="tape"
+            )
+        assert not (tmp_path / "cache").exists()
 
     def test_declared_defaults_reach_the_context(self):
         context = REGISTRY.get("E19").make_context()
@@ -187,26 +188,42 @@ class TestRegistrySemantics:
         """The axis defaults are spelled in CAPABILITY_PARAMS *and* as
         ExecutionContext field defaults (undeclared capabilities fall
         back to the latter); this pins the two against drifting."""
+        assert CAPABILITIES == ("jobs", "cache", "mode")
         context = ExecutionContext()
         assert context.jobs == CAPABILITY_PARAMS["jobs"][1]
         assert context.store is CAPABILITY_PARAMS["cache"][1]
-        assert context.backend == CAPABILITY_PARAMS["backend"][1]
         assert context.mode == CAPABILITY_PARAMS["mode"][1]
-        assert context.store_backend is CAPABILITY_PARAMS["store"][1]
 
-    def test_trial_params_extra_policy(self):
-        # The default (frozen) backend stays out of trial params
-        # (cache-key stability); a non-default backend enters.
-        assert ExecutionContext().trial_params_extra() == {}
-        assert ExecutionContext(
-            backend="multigraph"
-        ).trial_params_extra() == {"backend": "multigraph"}
+    @pytest.mark.parametrize(
+        "experiment_id, extra",
+        [("E6", {}), ("E17", {"mode": "trajectory"}), ("E21", {})],
+    )
+    def test_no_backend_in_default_trial_params(
+        self, experiment_id, extra, monkeypatch
+    ):
+        # No trial param of a default run names a graph backend, so
+        # stores filled before the axis was retired keep replaying.
+        import repro.core.registry as registry_module
+
+        seen = []
+        original = registry_module.run_trials
+
+        def capture(specs, *args, **kwargs):
+            seen.extend(specs)
+            return original(specs, *args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "run_trials", capture)
+        run_experiment(
+            experiment_id, **QUICK_OVERRIDES[experiment_id], **extra
+        )
+        assert seen
+        assert all("backend" not in spec.params for spec in seen)
 
 
 #: The registry's whole surface: every id in order, with the axes it
 #: declares.  Adding or re-declaring an experiment changes this on
 #: purpose, alongside the README index.
-_SEARCH_AXES = ("jobs", "cache", "backend", "store")
+_SEARCH_AXES = ("jobs", "cache")
 EXPECTED_CAPABILITY_MATRIX = {
     "E1": _SEARCH_AXES,
     "E2": _SEARCH_AXES,
@@ -221,14 +238,14 @@ EXPECTED_CAPABILITY_MATRIX = {
     "E9": _SEARCH_AXES,
     "E10": (),
     "E11": _SEARCH_AXES,
-    "E12": ("backend",),
+    "E12": (),
     "E13": _SEARCH_AXES,
     "E14": _SEARCH_AXES,
     "E15": (),
     "E16": (),
-    "E17": ("jobs", "cache", "backend", "mode", "store"),
-    "E18": ("jobs", "cache", "backend", "mode", "store"),
-    "E19": ("jobs", "cache", "backend", "mode", "store"),
+    "E17": ("jobs", "cache", "mode"),
+    "E18": ("jobs", "cache", "mode"),
+    "E19": ("jobs", "cache", "mode"),
     "E20": _SEARCH_AXES,
     "E21": _SEARCH_AXES,
     "E22": _SEARCH_AXES,
@@ -243,19 +260,23 @@ class TestAuditedAxes:
         assert REGISTRY.ids() == [f"E{index}" for index in range(1, 23)]
         assert REGISTRY.capability_matrix() == EXPECTED_CAPABILITY_MATRIX
 
-    def test_e12_backend_invariant(self):
+    def test_e12_backend_invariant(self, reference_arms):
         kwargs = dict(
             n=400, replica_counts=(0, 8), num_queries=5, seed=12
         )
-        frozen = run_experiment("E12", **kwargs)
-        multigraph = run_experiment("E12", **kwargs, backend="multigraph")
-        assert frozen.derived == multigraph.derived
+        default = run_experiment("E12", **kwargs)
+        with reference_arms() as frozen:
+            multigraph = run_experiment("E12", **kwargs)
+        assert not frozen
+        assert default.derived == multigraph.derived
 
-    def test_e9_backend_invariant(self):
+    def test_e9_backend_invariant(self, reference_arms):
         kwargs = dict(sizes=(100, 200), num_graphs=2, seed=9)
-        frozen = run_experiment("E9", **kwargs)
-        multigraph = run_experiment("E9", **kwargs, backend="multigraph")
-        assert frozen.derived == multigraph.derived
+        default = run_experiment("E9", **kwargs)
+        with reference_arms() as frozen:
+            multigraph = run_experiment("E9", **kwargs)
+        assert not frozen
+        assert default.derived == multigraph.derived
 
     @needs_numpy
     def test_e18_engine_invariant(self, reference_arms):
@@ -324,10 +345,12 @@ class TestE20:
         second = run_experiment("E20", **self.QUICK, cache_dir=cache)
         assert second.derived == first.derived
 
-    def test_backend_invariant(self):
-        frozen = run_experiment("E20", **self.QUICK)
-        multigraph = run_experiment("E20", **self.QUICK, backend="multigraph")
-        assert frozen.derived == multigraph.derived
+    def test_backend_invariant(self, reference_arms):
+        default = run_experiment("E20", **self.QUICK)
+        with reference_arms() as frozen:
+            multigraph = run_experiment("E20", **self.QUICK)
+        assert not frozen
+        assert default.derived == multigraph.derived
 
     @needs_numpy
     def test_engine_invariant(self, reference_arms):
@@ -341,7 +364,6 @@ class TestE20:
         experiment-specific CLI code exists for it."""
         argv = [
             "run", "E20", "--quick", "--jobs", "2",
-            "--backend", "frozen",
             "--cache-dir", str(tmp_path / "cache"),
             "--store-backend", "sqlite",
         ]
@@ -360,8 +382,7 @@ class TestCLIListing:
         lines = out.strip().splitlines()
         assert len(lines) == 22
         assert any(
-            line.split()[0] == "E1"
-            and "jobs,cache,backend,store" in line
+            line.split()[:2] == ["E1", "jobs,cache"]
             for line in lines
         )
         # Axis-free experiments show a dash, not an empty cell.
@@ -430,7 +451,7 @@ class TestCLISetOverrides:
 
 class TestCLICapabilityDerivation:
     def test_warning_comes_from_declaration_not_signature(self, capsys):
-        # E1 declares jobs/cache/backend/store but not mode.
+        # E1 declares jobs/cache but not mode.
         assert main(
             ["run", "E1", "--quick", "--mode", "trajectory"]
         ) == 0
@@ -456,13 +477,45 @@ class TestCLICapabilityDerivation:
                 "run", "E18", "--quick",
                 "--jobs", "2",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--backend", "frozen",
+                "--store-backend", "sqlite",
                 "--mode", "trajectory",
             ]
         ) == 0
         captured = capsys.readouterr()
         assert "warning:" not in captured.err
         assert "mode=trajectory" in captured.out
+
+    def test_store_backend_without_cache_dir_warns(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The layout of a store that does not exist is no choice at
+        # all: say so instead of silently dropping the flag.
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            ["run", "E17", "--quick", "--store-backend", "sqlite"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("warning:") == 1
+        assert "--store-backend sqlite has no effect on E17" in captured.err
+        assert "--cache-dir" in captured.err
+        assert "store:" not in captured.out
+        assert os.listdir(tmp_path) == []
+
+    def test_store_backend_without_cache_dir_raises(self):
+        with pytest.raises(ExperimentError, match="cache_dir"):
+            run_experiment("E17", store_backend="sqlite")
+        # E4 declares no cache at all: the layout applies even less.
+        with pytest.raises(ExperimentError, match="store_backend"):
+            run_experiment("E4", store_backend="sqlite")
+
+    def test_backend_axis_is_gone(self, capsys):
+        # Every realisation is searched frozen: no flag, no keyword.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "E1", "--quick", "--backend", "frozen"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        with pytest.raises(ExperimentError, match="backend"):
+            run_experiment("E1", backend="frozen")
 
 
 class TestCLICommaLists:

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.families import MoriFamily
 from repro.core.trials import batched_search_trial, family_spec
+from repro.graphs.frozen import HAVE_NUMPY
 from repro.graphs.shm import attach_graph
 from repro.service import (
     QueryError,
@@ -337,3 +338,49 @@ class TestLifecycle:
             seed=2,
         )[0]
         assert response == expected
+
+
+class TestServeGenerator:
+    """``repro serve`` builds with the fastest available generator
+    unless ``--generator`` names one."""
+
+    def _generators(self, monkeypatch, argv=()):
+        import repro.service.core as service_core
+        from repro.cli import _serve_entries, build_parser
+
+        seen = []
+        original = service_core.build_graph_snapshot
+
+        def recording(family_obj, size, seed, backend, generator):
+            seen.append(generator)
+            return original(family_obj, size, seed, backend, generator)
+
+        args = build_parser().parse_args(
+            ["serve", "--sizes", "60", "--seeds", "1", *argv]
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(service_core, "build_graph_snapshot", recording)
+            (entry,) = _serve_entries(args)
+        return seen, list(entry.snapshot.edges())
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
+    def test_default_is_vectorized_with_numpy(
+        self, monkeypatch, reference_arms
+    ):
+        seen, edges = self._generators(monkeypatch)
+        assert seen == ["vectorized"]
+        with reference_arms():
+            reference, reference_edges = self._generators(monkeypatch)
+        assert reference == ["serial"]
+        assert reference_edges == edges
+
+    def test_default_is_serial_on_reference_arms(
+        self, monkeypatch, reference_arms
+    ):
+        with reference_arms():
+            seen, _ = self._generators(monkeypatch)
+        assert seen == ["serial"]
+        explicit, _ = self._generators(
+            monkeypatch, ["--generator", "serial"]
+        )
+        assert explicit == ["serial"]
