@@ -30,9 +30,7 @@ verify-full:
 # the default arms), then the serve smoke (a live `repro serve` daemon on a
 # small grid answering a concurrent query stream, every answer
 # verified bit-identical to the batch path and every shared-memory
-# segment verified unlinked on shutdown — once with the serving
-# defaults and once pinned to an explicit coalescing window with a
-# small batch-max so the batch-max flush path runs), then the
+# segment verified unlinked on shutdown), then the
 # perfbench self-test (toy sizes; its serve-hop workload builds with
 # the vectorized generator, so it runs on the numpy leg only), then
 # the suite plus the generator fallback with numpy import-blocked (a
@@ -73,14 +71,12 @@ ci:
 	PYTHONPATH=src python -m repro run E21 --quick --churn-rate 0.1 --churn-bias degree --resnapshot-every 5
 	PYTHONPATH=src python -m repro run E21 --quick
 	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --smoke
-	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
 	python3 perfbench/selftest.py
 	@mkdir -p .ci-no-numpy && printf 'raise ImportError("numpy disabled for the no-numpy CI leg")\n' > .ci-no-numpy/numpy.py
 	! PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 60 --seeds 0 --generator vectorized --smoke 2> .ci-no-numpy/err.log
 	grep -q "requires numpy" .ci-no-numpy/err.log
 	PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1
 	PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 120 --seeds 3 --smoke
-	PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
 	PYTHONPATH=.ci-no-numpy:src python -m pytest -x -q; \
 		status=$$?; rm -rf .ci-no-numpy; exit $$status
 

@@ -470,26 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port; 0 picks a free one (default 0)",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=5.0, metavar="MS",
-        help=(
-            "query-coalescing window in milliseconds; concurrent "
-            "queries for one graph batch into a single worker call "
-            "(0 disables coalescing: one pool call per query; "
-            "default 5)"
-        ),
-    )
-    serve.add_argument(
-        "--batch-max", type=_positive_int, default=64,
-        help=(
-            "flush a graph's queue early at this many queries "
-            "(default 64)"
-        ),
-    )
-    serve.add_argument(
         "--max-queue", type=_positive_int, default=1024,
         help=(
-            "bound on queued-but-undispatched queries; beyond it new "
-            "queries are shed with HTTP 429 (default 1024)"
+            "bound on queries in flight (one pool call each, "
+            "submitted but not yet answered); beyond it new queries "
+            "are shed with HTTP 429 (default 1024)"
         ),
     )
     serve.add_argument(
@@ -1031,10 +1016,10 @@ def _serve_entries(args):
 def _serve_smoke(service, args) -> int:
     """The ``repro serve --smoke`` self-test (the CI serve smoke).
 
-    Bursts concurrent queries at the just-started daemon (coalesced
-    through the dispatcher when ``--batch-window`` > 0), replays the
-    same cells through :func:`repro.core.trials.batched_search_trial`,
-    and demands byte-identical answers; re-issues the same burst so
+    Bursts concurrent queries at the just-started daemon (one pool
+    call per query), replays the same cells through
+    :func:`repro.core.trials.batched_search_trial`, and demands
+    byte-identical answers; re-issues the same burst so
     the answer cache serves it and demands identity again; checks the
     ``/stats`` route accounted for both passes; then tears the daemon
     down and proves every published segment is actually gone (attach
@@ -1084,13 +1069,8 @@ def _serve_smoke(service, args) -> int:
             f"/stats saw {snapshot['cache']['hits']} cache hits, "
             f"expected >= {len(queries)} from the warm pass"
         )
-    if (
-        service.batch_window > 0
-        and snapshot["batches"]["count"] == 0
-    ):
-        stats_problems.append(
-            "coalescing enabled but /stats saw zero batches"
-        )
+    if snapshot["batches"]["count"] == 0:
+        stats_problems.append("the cold pass made no pool call")
     by_graph: Dict[str, List[int]] = {}
     for index, query in enumerate(queries):
         by_graph.setdefault(query["graph"], []).append(index)
@@ -1171,9 +1151,6 @@ def _serve_main(args) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    if args.batch_window < 0:
-        print("error: --batch-window must be >= 0", file=sys.stderr)
-        return 1
     if args.query_timeout <= 0:
         print("error: --query-timeout must be > 0", file=sys.stderr)
         return 1
@@ -1189,8 +1166,6 @@ def _serve_main(args) -> int:
         host=args.host,
         port=args.port,
         corpus_dir=args.corpus,
-        batch_window=args.batch_window / 1000.0,
-        batch_max=args.batch_max,
         max_queue=args.max_queue,
         query_timeout=args.query_timeout,
         cache_size=args.cache_size,
@@ -1213,16 +1188,11 @@ def _serve_main(args) -> int:
                 handle.write(f"{service.port}\n")
         if args.smoke:
             return _serve_smoke(service, args)
-        coalescing = (
-            f"batch {service.batch_window * 1000:.0f}ms/"
-            f"{service.batch_max} [{service.engine}]"
-            if service.batch_window > 0
-            else "per-query dispatch"
-        )
         print(
             f"serving {len(service.entries)} graphs "
             f"({args.portfolio} portfolio, {args.workers} workers, "
-            f"{coalescing}, cache {service.cache.capacity}) "
+            f"per-query dispatch [{service.engine}], "
+            f"cache {service.cache.capacity}) "
             f"at {service.address}",
             flush=True,
         )

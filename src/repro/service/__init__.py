@@ -11,10 +11,8 @@ story:
   the exact batch seed derivation;
 * :mod:`repro.service.daemon` — the long-lived ``repro serve`` HTTP
   daemon (stdlib ``http.server`` + a process pool over shared-memory
-  graphs) with graceful shm lifecycle;
-* :mod:`repro.service.dispatch` — the batched dispatch layer: a
-  per-graph coalescing queue draining onto single ensemble-engine
-  worker calls, plus the hot-cell LRU answer cache;
+  graphs, one pool call per query, a hot-cell LRU answer cache in
+  front) with graceful shm lifecycle;
 * :mod:`repro.service.stats` — the shared latency histogram and the
   daemon's serving counters (``/stats``);
 * :mod:`repro.service.client` — a tiny stdlib client and a concurrent
@@ -38,14 +36,12 @@ from repro.service.core import (
     load_corpus_entries,
     validate_query,
 )
-from repro.service.daemon import SearchService
-from repro.service.dispatch import AnswerCache, BatchDispatcher
+from repro.service.daemon import AnswerCache, SearchService
 from repro.service.stats import LatencyHistogram, ServiceStats
 from repro.service.client import ServiceClient, run_load
 
 __all__ = [
     "AnswerCache",
-    "BatchDispatcher",
     "GraphEntry",
     "LatencyHistogram",
     "QueryError",

@@ -15,13 +15,12 @@ on):
 
 * **closed-loop** (default): each client issues its next query the
   moment the previous answer lands.  Concurrency is capped at
-  ``clients``, so the measured qps is throttled by latency — which
-  systematically *under-reports* coalescing gains (a fast server just
-  makes the loop spin faster, it never sees deep queues).
+  ``clients``, so the measured qps is throttled by latency (a fast
+  server just makes the loop spin faster, it never sees deep queues).
 * **open-loop** (``arrival=<qps>``): query *i* is due at
   ``i/qps`` seconds regardless of how the previous one fared.  When
-  the daemon falls behind, queries queue up — exactly the regime
-  batching is for.
+  the daemon falls behind, queries queue up, and their latency shows
+  the wait.
 
 Latency percentiles come from the same
 :class:`~repro.service.stats.LatencyHistogram` the daemon's

@@ -79,8 +79,8 @@ class QueryError(ExperimentError):
 
     ``400`` for malformed requests (bad JSON, missing/ill-typed
     fields, out-of-range vertices), ``404`` for well-formed requests
-    naming an unknown graph or algorithm id, ``429`` when the dispatch
-    queue sheds load, ``503`` for timeouts and shutdown.  ``extra``
+    naming an unknown graph or algorithm id, ``429`` when too many
+    queries are in flight, ``503`` for timeouts and shutdown.  ``extra``
     keys are merged into the JSON error body so machine clients get a
     structured reason (``timeout_s``, ``queue_depth``, ...) alongside
     the message.
@@ -310,15 +310,16 @@ def execute_service_batch(
     cells: List[Dict[str, Any]],
     engine: str = "serial",
 ) -> List[Dict[str, Any]]:
-    """Answer a coalesced batch of validated queries in one worker call.
+    """Answer a batch of validated queries in one worker call.
 
-    The seed handed to ``_execute_cells`` is the graph's *build* seed
-    and each cell carries its query's ``run_index`` — exactly how
+    The daemon sends one cell per call.  The seed handed to
+    ``_execute_cells`` is the graph's *build* seed and each cell
+    carries its query's ``run_index`` — exactly how
     ``batched_search_trial`` seeds the same cells, which is the whole
     determinism contract: per-cell RNG substreams depend only on
-    ``(seed, algorithm, run_index)``, never on how queries were
-    grouped, so a coalesced answer equals the per-query answer bit for
-    bit.  Under ``engine="ensemble"`` the batch's same-``(algorithm,
+    ``(seed, algorithm, run_index)``, never on how cells are grouped,
+    so any batch answers each cell bit for bit as the batch path
+    does.  Under ``engine="ensemble"`` a batch's same-``(algorithm,
     start, target)`` cells advance through the lock-step kernel in one
     call (serial fallback cells run unchanged inside the same
     ``_execute_cells`` invocation).

@@ -14,29 +14,29 @@ The load-once/serve-many shape:
    is *warmed before any server thread exists* (worker processes fork
    from a single-threaded parent — forking a threaded process is how
    stdlib pools deadlock);
-4. HTTP threads validate queries and hand them to the **batched
-   dispatch layer** (:class:`~repro.service.dispatch.BatchDispatcher`):
-   concurrent queries for the same graph coalesce over a short window
-   into one worker call that answers the whole batch via
-   ``_execute_cells`` — ensemble engine when numpy is available,
-   serial otherwise — and the answers fan back out to the waiting
-   threads.  A hot-cell :class:`~repro.service.dispatch.AnswerCache`
-   sits in front: repeated queries are replay-addressable cells, so a
-   hit skips the pool entirely (optionally write-through/read-through
-   against a PR 7 trial store, so cached answers persist as ordinary
-   versioned trial records).
+4. HTTP threads validate queries and submit each one as its own pool
+   call: the worker answers the single cell via ``_execute_cells`` on
+   its already-attached snapshot — ensemble engine when numpy is
+   available, serial otherwise.  Cells are independent (each RNG
+   substream depends only on ``(graph seed, algorithm, run_index)``),
+   so grouping them would only add a wait.  A hot-cell
+   :class:`AnswerCache` sits in front: repeated queries are
+   replay-addressable cells, so a hit skips the pool entirely
+   (optionally write-through/read-through against a trial store, so
+   cached answers persist as ordinary versioned trial records).
 
-Robustness: every query future carries a deadline (timeout -> 503
-with a structured body, and a still-queued query is cancelled so it
-never reaches a worker), the dispatch queue is bounded (full -> 429
-shed instead of thread pile-up), and a worker death fails only the
-in-flight batch — the daemon swaps in a fresh pool and keeps serving.
+Robustness: pool calls submitted but not yet answered are bounded
+(over ``max_queue`` -> 429 shed instead of thread pile-up), every
+query carries a deadline (timeout -> 503 with a structured body, and a
+pool call that has not started is cancelled so it never reaches a
+worker), and a worker death fails only the queries it was running —
+the daemon swaps in a fresh pool and keeps serving.
 
 Lifecycle: :meth:`SearchService.stop` is idempotent and run from
 ``finally`` blocks and SIGTERM handlers alike — HTTP server down,
-dispatcher drained (queued queries fail with 503, never hang), pool
-down, every shared segment closed *and unlinked* so nothing outlives
-the daemon in ``/dev/shm``.
+pool calls that have not started cancelled (their queries get 503,
+never hang), pool down, every shared segment closed *and unlinked* so
+nothing outlives the daemon in ``/dev/shm``.
 
 Routes
 ------
@@ -47,13 +47,13 @@ Routes
     target, start, shm segment name).
 ``GET /stats``
     the serving counters: per-route request counts and latency
-    histogram (p50/p90/p99), batch-size distribution, cache
-    hits/misses, shed/timeout counts, in-flight depth.
+    histogram (p50/p90/p99), pool-call counts (every call is a batch
+    of one), cache hits/misses, shed/timeout counts, and the number
+    of pool calls in flight (``queue_depth``).
 ``POST /search``
     one query ``{"graph", "algorithm", "run_index", "start"?,
     "target"?}`` -> one serialized SearchResult, bit-identical to the
-    batch path's cell whether it was answered per-query, coalesced,
-    or from cache.
+    batch path's cell whether it came from the pool or from cache.
 ``POST /reload``
     corpus hot-reload: re-scan the corpus directory and publish any
     graphs that appeared since start; ``{"added": [...], "total": N}``.
@@ -64,11 +64,12 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import OrderedDict
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.trials import ENGINES, fastest_available
 from repro.errors import ExperimentError
@@ -84,15 +85,49 @@ from repro.service.core import (
     validate_query,
     worker_manifest,
 )
-from repro.service.dispatch import AnswerCache, BatchDispatcher
 from repro.service.stats import ServiceStats
 
-__all__ = ["SearchService"]
+__all__ = ["AnswerCache", "SearchService"]
 
 
 def _noop() -> None:
     """Warm-up task: forces a worker process to actually spawn."""
     return None
+
+
+class AnswerCache:
+    """Bounded LRU of served answers (thread-safe).
+
+    ``capacity <= 0`` disables storage — ``get`` always misses and
+    ``put`` drops — so callers never need a second code path.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._data: "OrderedDict[Tuple, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def get(self, key: Tuple) -> Optional[Dict[str, Any]]:
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key: Tuple, value: Dict[str, Any]) -> None:
+        if self.capacity <= 0:
+            return
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.capacity:
+                self._data.popitem(last=False)
+
+    def info(self) -> Dict[str, int]:
+        return {"size": len(self._data), "capacity": self.capacity}
 
 
 class SearchService:
@@ -114,18 +149,12 @@ class SearchService:
     corpus_dir:
         When set, ``POST /reload`` re-scans this corpus directory and
         publishes newly appeared snapshots without a restart.
-    batch_window:
-        Query-coalescing window in seconds (default 5 ms).  ``0``
-        disables coalescing: every query is its own pool call
-        (per-query dispatch).
-    batch_max:
-        Flush a graph's queue early once it holds this many queries.
     max_queue:
-        Bound on queued-but-undispatched queries; beyond it new
-        queries shed with 429.
+        Bound on pool calls submitted but not yet answered; a query
+        over it sheds with 429.
     query_timeout:
         Seconds an HTTP thread waits for its answer before returning
-        a structured 503; a query still queued at that point is
+        a structured 503; a pool call that has not started by then is
         cancelled and never runs.
     cache_size:
         Hot-cell answer-cache capacity (entries); ``0`` disables.
@@ -134,7 +163,7 @@ class SearchService:
         writes through to (and reads through from): served answers
         persist as replay-addressable trial records.
     engine:
-        Cell execution engine for batches; default auto — ensemble
+        Cell execution engine; default auto — ensemble
         when numpy is available, serial otherwise.
     stats_interval:
         Seconds between operator log lines (``0`` disables).
@@ -149,8 +178,6 @@ class SearchService:
         host: str = "127.0.0.1",
         port: int = 0,
         corpus_dir: Optional[str] = None,
-        batch_window: float = 0.005,
-        batch_max: int = 64,
         max_queue: int = 1024,
         query_timeout: float = 30.0,
         cache_size: int = 2048,
@@ -163,6 +190,10 @@ class SearchService:
         if workers < 1:
             raise ExperimentError(
                 f"workers must be >= 1, got {workers}"
+            )
+        if max_queue < 1:
+            raise ExperimentError(
+                f"max_queue must be >= 1, got {max_queue}"
             )
         engine = fastest_available(engine, ENGINES)
         if query_timeout <= 0:
@@ -177,8 +208,6 @@ class SearchService:
         self.host = host
         self.port = port
         self.corpus_dir = corpus_dir
-        self.batch_window = max(0.0, batch_window)
-        self.batch_max = batch_max
         self.max_queue = max_queue
         self.query_timeout = query_timeout
         self.engine = engine
@@ -188,7 +217,8 @@ class SearchService:
         self._store_lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        self._dispatcher: Optional[BatchDispatcher] = None
+        self._inflight = 0
+        self._inflight_lock = threading.Lock()
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
         self._stats_interval = stats_interval
@@ -202,11 +232,11 @@ class SearchService:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Publish, spawn, warm, dispatch, bind, serve — in that order.
+        """Publish, spawn, warm, bind, serve — in that order.
 
         The pool is created and warmed before any thread exists
-        (workers fork from a single-threaded parent); the dispatcher
-        and stats threads start next; the socket binds last, so a bind
+        (workers fork from a single-threaded parent); the stats thread
+        starts next; the socket binds last, so a bind
         failure (``EADDRINUSE``) still tears every segment down via
         the ``except`` path — no leak on the double-start error.
         """
@@ -218,23 +248,6 @@ class SearchService:
             # Pool before any thread: workers fork from a
             # single-threaded parent.
             self._pool = self._spawn_pool(warm=True)
-            if self.batch_window > 0:
-                # Split the pool across graphs: each graph may keep
-                # enough batches in flight to cover its share of the
-                # workers, but no more — extra in-flight batches would
-                # only fragment the backlog inside the pool's queue.
-                inflight = max(
-                    1, self.workers // max(1, len(self.entries))
-                )
-                self._dispatcher = BatchDispatcher(
-                    self._submit_batch,
-                    window=self.batch_window,
-                    batch_max=self.batch_max,
-                    max_pending=self.max_queue,
-                    inflight_per_graph=inflight,
-                    stats=self.stats,
-                    on_batch_error=self._note_batch_error,
-                )
             if self._stats_interval > 0:
                 self._stats_thread = threading.Thread(
                     target=self._stats_loop,
@@ -260,9 +273,10 @@ class SearchService:
         """Tear everything down; safe to call twice or half-started.
 
         Order matters: the HTTP server stops accepting first, then
-        the dispatcher fails every queued query with 503 (so no
-        handler thread is left waiting on a future nobody will
-        resolve), then the pool drains, then the segments unlink.
+        the pool cancels every call that has not started (its query
+        gets 503, so no handler thread is left waiting on a future
+        nobody will resolve) and finishes the running ones, then the
+        handlers get a moment to reply, then the segments unlink.
         """
         if self._stopped:
             return
@@ -274,11 +288,11 @@ class SearchService:
         if self._server_thread is not None:
             self._server_thread.join(timeout=5)
             self._server_thread = None
-        if self._dispatcher is not None:
-            self._dispatcher.close()
-            self._dispatcher = None
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
         # Handler threads are daemons; give the ones whose queries
-        # just resolved (503 on close, or a final pool answer) a
+        # just resolved (503 on cancel, or a final pool answer) a
         # bounded moment to flush their responses before the process
         # can exit under them.
         deadline = time.monotonic() + 2.0
@@ -291,9 +305,6 @@ class SearchService:
         if self._stats_thread is not None:
             self._stats_thread.join(timeout=5)
             self._stats_thread = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         for entry in self.entries.values():
             if entry.segment is not None:
                 entry.segment.close()
@@ -335,16 +346,16 @@ class SearchService:
             print(self.stats.log_line(), flush=True)
 
     # ------------------------------------------------------------------
-    # Pool dispatch and recovery (called from HTTP/dispatcher threads)
+    # Pool dispatch and recovery (called from HTTP threads)
     # ------------------------------------------------------------------
 
     def _submit_batch(self, graph_id: str, cells: List[Dict[str, Any]]):
         """One worker call for a (graph, cells) batch; self-healing.
 
-        A broken pool (a worker died) is replaced once, and the batch
+        A broken pool (a worker died) is replaced once, and the call
         retried on the fresh pool *only if its submission itself
-        failed* — a batch that died mid-execution is reported to its
-        queries, not silently re-run.
+        failed* — a call that died mid-execution is reported to its
+        query, not silently re-run.
         """
         for attempt in (0, 1):
             pool = self._pool
@@ -365,18 +376,37 @@ class SearchService:
                     ) from error
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _note_batch_error(self, error: BaseException) -> None:
-        """Dispatcher hook: a batch future failed.
+    def _submit_query(self, graph_id: str, cell: Dict[str, Any]):
+        """Submit one query as its own pool call, within ``max_queue``.
 
-        Worker death surfaces as :class:`BrokenProcessPool`; the pool
-        object is permanently broken, so swap in a fresh one — the
-        failed batch's queries already got their 503, every later
-        batch lands on live workers.
+        The bound counts pool calls submitted but not yet answered; a
+        call's slot frees when its future resolves, however it
+        resolves (answer, failure or cancellation).
         """
-        if isinstance(error, BrokenProcessPool):
-            pool = self._pool
-            if pool is not None:
-                self._respawn_pool(pool)
+        with self._inflight_lock:
+            depth = self._inflight
+            if depth < self.max_queue:
+                self._inflight = depth + 1
+        if depth >= self.max_queue:
+            self.stats.record_shed()
+            raise QueryError(
+                429,
+                f"{depth} queries in flight; retry later",
+                queue_depth=depth,
+            )
+        self.stats.record_batch(1)
+        try:
+            future = self._submit_batch(graph_id, [cell])
+        except QueryError:
+            self._release_slot()
+            self.stats.record_batch_failure()
+            raise
+        future.add_done_callback(self._release_slot)
+        return future
+
+    def _release_slot(self, _future=None) -> None:
+        with self._inflight_lock:
+            self._inflight -= 1
 
     def _respawn_pool(self, broken: ProcessPoolExecutor) -> None:
         """Replace ``broken`` if it is still the active pool."""
@@ -409,27 +439,12 @@ class SearchService:
                 return answer
             self.stats.cache_miss()
         cell = query_cell(algorithm, run_index, start, target)
-        dispatcher = self._dispatcher
-        if dispatcher is not None:
-            future = dispatcher.submit(graph_id, cell)
-        else:
-            # Per-query dispatch (batch_window=0): one pool call per
-            # request.
-            self.stats.record_batch(1)
-            try:
-                batch = self._submit_batch(graph_id, [cell])
-            except QueryError:
-                self.stats.record_batch_failure()
-                raise
-            future = _Unbatch(batch)
+        future = self._submit_query(graph_id, cell)
         try:
-            answer = future.result(timeout=self.query_timeout)
-        except QueryError:
-            raise
+            (answer,) = future.result(timeout=self.query_timeout)
         except FutureTimeoutError:
-            # A still-queued query must not reach a worker: the
-            # dispatcher drops cancelled items when it assembles a
-            # batch, and the executor skips a cancelled pool future.
+            # A pool call that has not started is cancelled, and the
+            # executor skips it: the query never reaches a worker.
             future.cancel()
             self.stats.record_timeout()
             raise QueryError(
@@ -438,15 +453,21 @@ class SearchService:
                 f"{self.query_timeout:g}s in dispatch/execution",
                 timeout_s=self.query_timeout,
             ) from None
-        except BrokenProcessPool as error:
-            # Per-query path: the worker died under this very call.
+        except CancelledError:
+            # stop() cancelled the call before a worker took it.
+            raise QueryError(503, "service is shutting down") from None
+        except Exception as error:  # noqa: BLE001 - the call failed
             self.stats.record_batch_failure()
-            pool = self._pool
-            if pool is not None:
-                self._respawn_pool(pool)
+            if isinstance(error, BrokenProcessPool):
+                # A worker died under this call; the pool object is
+                # permanently broken, so swap in a fresh one.
+                pool = self._pool
+                if pool is not None:
+                    self._respawn_pool(pool)
             raise QueryError(
                 503,
-                f"worker process died executing the query: {error}",
+                "query execution failed: "
+                f"{type(error).__name__}: {error}",
             ) from error
         self.cache.put(key, answer)
         self._store_write(
@@ -492,12 +513,7 @@ class SearchService:
         snapshot["graphs"] = len(self.entries)
         snapshot["workers"] = self.workers
         snapshot["engine"] = self.engine
-        snapshot["batch_window_ms"] = self.batch_window * 1000.0
-        snapshot["batch_max"] = self.batch_max
-        dispatcher = self._dispatcher
-        snapshot["queue_depth"] = (
-            dispatcher.pending if dispatcher is not None else 0
-        )
+        snapshot["queue_depth"] = self._inflight
         return snapshot
 
     def handle_reload(self) -> Dict[str, Any]:
@@ -507,8 +523,8 @@ class SearchService:
         be re-run in live workers, so when anything new appears the
         daemon swaps in a fresh pool whose initializer carries the
         extended manifest (in-flight queries drain on the old pool
-        first).  The dispatcher survives the swap untouched — it
-        resolves the active pool per batch.  With no corpus directory
+        first).  Each query resolves the active pool when it is
+        submitted, so later queries land on the new one.  With no corpus directory
         the call is a no-op reporting the current catalog size.
         """
         with self._reload_lock:
@@ -531,21 +547,6 @@ class SearchService:
                 if old_pool is not None:
                     old_pool.shutdown(wait=True)
             return {"added": added, "total": len(self.entries)}
-
-
-class _Unbatch:
-    """A single-cell view of a batch future (per-query dispatch)."""
-
-    __slots__ = ("_batch",)
-
-    def __init__(self, batch):
-        self._batch = batch
-
-    def result(self, timeout: Optional[float] = None):
-        return self._batch.result(timeout=timeout)[0]
-
-    def cancel(self) -> bool:
-        return self._batch.cancel()
 
 
 class _Server(ThreadingHTTPServer):

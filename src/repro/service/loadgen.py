@@ -14,8 +14,8 @@ to stdout — the shape the bench artifacts embed.
 
 ``--arrival open:<qps>`` switches from the default closed loop to an
 open-loop schedule (query *i* due at ``i/qps`` seconds — the mode
-that actually exposes coalescing wins, because a closed loop never
-builds a queue); ``--duration <s>`` runs for a wall-clock budget,
+that exposes queueing delay, because a closed loop never builds a
+queue); ``--duration <s>`` runs for a wall-clock budget,
 cycling the query list, instead of a fixed count.  Percentiles come
 from the same histogram code as the daemon's ``/stats`` route.
 """

@@ -14,8 +14,8 @@ queries it serves — the property a per-request ``list.append`` would
 lose at million-user volumes.
 
 :class:`ServiceStats` aggregates the daemon-side view: per-route
-request/error counts and latency, the dispatcher's batch-size
-distribution, answer-cache hits/misses, shed (429) and timeout (503)
+request/error counts and latency, the batch-size distribution of
+pool calls (the daemon sends one cell per call), answer-cache hits/misses, shed (429) and timeout (503)
 counts, and the in-flight gauge.  Everything is guarded by one lock
 and snapshots to a plain JSON-able dict.
 """
@@ -167,7 +167,7 @@ class ServiceStats:
         with self._lock:
             return self._in_flight
 
-    # -- dispatcher accounting ----------------------------------------
+    # -- pool-call accounting -----------------------------------------
 
     def record_batch(self, size: int) -> None:
         with self._lock:

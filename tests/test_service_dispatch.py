@@ -1,12 +1,13 @@
-"""Tests for the batched dispatch layer (`repro.service.dispatch`,
-`repro.service.stats`, and the daemon wiring around them).
+"""Tests for the daemon's per-query dispatch (`repro.service.daemon`),
+its answer cache and `repro.service.stats`.
 
-The serving-optimization invariants: coalesced answers are bit-
-identical to the batch path no matter how queries regroup, cache hits
-return the same bytes the pool would have, the dispatcher flushes on
-both its triggers (window deadline, batch-max), overload sheds with
-429 instead of piling threads, a dead worker fails one batch — never
-the daemon — and SIGTERM with a non-empty queue still exits clean.
+The serving invariants: answers under concurrent load are bit-
+identical to the batch path, every miss is one pool call (a batch of
+one), cache hits return the same bytes the pool would have, the
+in-flight bound sheds overload with 429 instead of piling threads, a
+timed-out or shutdown-cancelled query gets a structured 503 and never
+reaches a worker, a dead worker fails one query — never the daemon —
+and SIGTERM with a query in flight still exits clean.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -28,12 +29,10 @@ from repro.core.trials import batched_search_trial, family_spec
 from repro.graphs.shm import attach_graph
 from repro.service import (
     AnswerCache,
-    BatchDispatcher,
     LatencyHistogram,
     QueryError,
     SearchService,
     ServiceClient,
-    ServiceStats,
     build_grid_entries,
     run_load,
 )
@@ -63,230 +62,270 @@ def _expected(cells, *, size=SIZE, seed=SEED):
 
 
 # ----------------------------------------------------------------------
-# BatchDispatcher unit tests (fake submit_batch, no daemon)
+# Per-query dispatch unit tests (fake pool, no worker processes)
 # ----------------------------------------------------------------------
 
 
 class _FakePool:
-    """Records batches; answers each cell with an echo dict."""
+    """An executor-shaped stand-in for the daemon's process pool.
 
-    def __init__(self):
-        self.batches = []
+    Answers each cell with an echo dict (or fails every call with
+    ``error``).  While ``held`` it queues calls unanswered until
+    :meth:`release`.  Like ``ProcessPoolExecutor`` it claims a call
+    with ``set_running_or_notify_cancel()`` before running it, so a
+    cancelled call never runs, and ``shutdown(cancel_futures=True)``
+    cancels the calls still queued.
+    """
+
+    def __init__(self, *, held=False, error=None):
+        self.held = held
+        self.error = error
+        self.queued = []
+        self.ran = []
         self.lock = threading.Lock()
 
-    def submit(self, graph_id, cells):
+    def submit(self, fn, graph_id, cells, engine):
+        future = Future()
         with self.lock:
-            self.batches.append((graph_id, list(cells)))
-        done = Future()
-        done.set_result([
-            {"graph": graph_id, **cell} for cell in cells
-        ])
-        return done
+            self.queued.append((future, graph_id, cells))
+        if not self.held:
+            self._run_queued()
+        return future
 
+    def release(self):
+        self.held = False
+        self._run_queued()
 
-class _BlockingPool(_FakePool):
-    """A :class:`_FakePool` whose first batch stays in flight until
-    ``blocker`` resolves, holding its graph's only busy slot."""
+    def _run_queued(self):
+        with self.lock:
+            queued, self.queued = self.queued, []
+        for future, graph_id, cells in queued:
+            if not future.set_running_or_notify_cancel():
+                continue
+            self.ran.append([cell["run_index"] for cell in cells])
+            if self.error is not None:
+                future.set_exception(self.error)
+            else:
+                future.set_result(
+                    [{"graph": graph_id, **cell} for cell in cells]
+                )
 
-    def __init__(self):
-        super().__init__()
-        self.blocker = Future()
-
-    def submit(self, graph_id, cells):
-        answered = super().submit(graph_id, cells)
-        return self.blocker if len(self.batches) == 1 else answered
-
-    def wait_for_first_batch(self):
+    def wait_for_queued(self, count):
         deadline = time.monotonic() + 5
-        while not self.batches and time.monotonic() < deadline:
+        while len(self.queued) < count:
+            assert time.monotonic() < deadline, "calls never queued"
             time.sleep(0.005)
 
-    def run_indexes(self):
-        return [
-            [cell["run_index"] for cell in cells]
-            for _, cells in self.batches
-        ]
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        if cancel_futures:
+            with self.lock:
+                queued, self.queued = self.queued, []
+            for future, _, _ in queued:
+                future.cancel()
 
 
-class TestBatchDispatcher:
-    def test_batch_max_flushes_before_window(self):
-        pool = _FakePool()
-        dispatcher = BatchDispatcher(
-            pool.submit, window=30.0, batch_max=4
-        )
+def _fake_service(pool, **options):
+    """A service whose process pool is ``pool`` (no workers spawn)."""
+    options = {"workers": 1, "cache_size": 0, **options}
+    service = SearchService(_entries(), portfolio=PORTFOLIO, **options)
+    service._spawn_pool = lambda *, warm: pool
+    return service
+
+
+def _query(run_index):
+    return {
+        "graph": GRAPH_ID,
+        "algorithm": "random-walk",
+        "run_index": run_index,
+    }
+
+
+def _search_in_thread(service, run_index, outcomes):
+    """Run one ``handle_search`` in a thread; its outcome lands in
+    ``outcomes[run_index]`` (the answer, or the :class:`QueryError`)."""
+
+    def search():
         try:
-            futures = [
-                dispatcher.submit("g", {"run_index": index})
-                for index in range(4)
-            ]
-            # The 30s window cannot have elapsed; only batch-max can
-            # have flushed this.
-            answers = [
-                future.result(timeout=5) for future in futures
-            ]
-            assert [a["run_index"] for a in answers] == [0, 1, 2, 3]
-            assert len(pool.batches) == 1
-            assert len(pool.batches[0][1]) == 4
-        finally:
-            dispatcher.close()
-
-    def test_window_flushes_partial_batch(self):
-        pool = _FakePool()
-        dispatcher = BatchDispatcher(
-            pool.submit, window=0.02, batch_max=1000
-        )
-        try:
-            futures = [
-                dispatcher.submit("g", {"run_index": index})
-                for index in range(3)
-            ]
-            begin = time.monotonic()
-            answers = [
-                future.result(timeout=5) for future in futures
-            ]
-            assert time.monotonic() - begin < 5
-            assert [a["run_index"] for a in answers] == [0, 1, 2]
-            assert len(pool.batches) == 1
-        finally:
-            dispatcher.close()
-
-    def test_batches_group_per_graph(self):
-        pool = _FakePool()
-        dispatcher = BatchDispatcher(
-            pool.submit, window=0.02, batch_max=1000
-        )
-        try:
-            futures = [
-                dispatcher.submit(graph, {"run_index": index})
-                for index, graph in enumerate(["a", "b", "a", "b"])
-            ]
-            answers = [
-                future.result(timeout=5) for future in futures
-            ]
-            assert [a["graph"] for a in answers] == [
-                "a", "b", "a", "b",
-            ]
-            flushed = {
-                graph_id: cells
-                for graph_id, cells in pool.batches
-            }
-            assert set(flushed) == {"a", "b"}
-            assert len(flushed["a"]) == 2
-            assert len(flushed["b"]) == 2
-        finally:
-            dispatcher.close()
-
-    def test_oversized_queue_drains_in_batch_max_chunks(self):
-        pool = _FakePool()
-        stats = ServiceStats()
-        dispatcher = BatchDispatcher(
-            pool.submit, window=0.01, batch_max=4, stats=stats
-        )
-        try:
-            futures = [
-                dispatcher.submit("g", {"run_index": index})
-                for index in range(10)
-            ]
-            for future in futures:
-                future.result(timeout=5)
-            sizes = sorted(
-                len(cells) for _, cells in pool.batches
+            outcomes[run_index] = service.handle_search(
+                _query(run_index)
             )
-            assert sum(sizes) == 10
-            assert max(sizes) <= 4
-            snap = stats.snapshot()
-            assert snap["batches"]["queries"] == 10
-        finally:
-            dispatcher.close()
+        except QueryError as error:
+            outcomes[run_index] = error
 
-    def test_full_queue_sheds_with_429(self):
+    thread = threading.Thread(target=search)
+    thread.start()
+    return thread
+
+
+class TestPerQueryDispatch:
+    def test_every_pool_call_is_a_batch_of_one(self):
         pool = _FakePool()
-        stats = ServiceStats()
-        dispatcher = BatchDispatcher(
-            pool.submit,
-            window=30.0,
-            batch_max=1000,
-            max_pending=2,
-            stats=stats,
-        )
-        try:
-            dispatcher.submit("g", {"run_index": 0})
-            dispatcher.submit("g", {"run_index": 1})
-            with pytest.raises(QueryError) as info:
-                dispatcher.submit("g", {"run_index": 2})
-            assert info.value.status == 429
-            assert info.value.extra["queue_depth"] == 2
-            assert stats.snapshot()["shed"] == 1
-        finally:
-            dispatcher.close()
+        with _fake_service(pool) as service:
+            for run_index in range(5):
+                answer = service.handle_search(_query(run_index))
+                assert answer["run_index"] == run_index
+            batches = service.handle_stats()["batches"]
+        assert pool.ran == [[0], [1], [2], [3], [4]]
+        assert batches["size_distribution"] == {"1": 5}
+        assert batches["count"] == batches["queries"] == 5
 
-    def test_close_fails_queued_queries_with_503(self):
+    def test_bound_released_on_success(self):
         pool = _FakePool()
-        dispatcher = BatchDispatcher(
-            pool.submit, window=30.0, batch_max=1000
-        )
-        future = dispatcher.submit("g", {"run_index": 0})
-        dispatcher.close()
-        with pytest.raises(QueryError) as info:
-            future.result(timeout=5)
-        assert info.value.status == 503
-        with pytest.raises(QueryError):
-            dispatcher.submit("g", {"run_index": 1})
-        dispatcher.close()  # idempotent
+        with _fake_service(pool, max_queue=1) as service:
+            for run_index in range(3):
+                service.handle_search(_query(run_index))
+            assert service.handle_stats()["queue_depth"] == 0
+            assert service.stats.snapshot()["shed"] == 0
 
-    def test_cancelled_query_is_dropped_and_frees_the_slot(self):
-        pool = _BlockingPool()
-        dispatcher = BatchDispatcher(
-            pool.submit, window=0.005, batch_max=8
-        )
+    def test_bound_released_on_failure(self):
+        pool = _FakePool(error=RuntimeError("worker died"))
+        with _fake_service(pool, max_queue=1) as service:
+            for run_index in range(2):
+                # A leaked slot would turn the second 503 into a 429.
+                with pytest.raises(QueryError) as info:
+                    service.handle_search(_query(run_index))
+                assert info.value.status == 503
+                assert "worker died" in str(info.value)
+            snap = service.handle_stats()
+        assert snap["queue_depth"] == 0
+        assert snap["batches"]["failed"] == 2
+
+    def test_bound_released_on_timeout(self):
+        pool = _FakePool(held=True)
+        with _fake_service(
+            pool, max_queue=1, query_timeout=0.05
+        ) as service:
+            for run_index in range(2):
+                with pytest.raises(QueryError) as info:
+                    service.handle_search(_query(run_index))
+                assert info.value.status == 503
+                assert info.value.extra["timeout_s"] == 0.05
+            snap = service.handle_stats()
+        assert snap["queue_depth"] == 0
+        assert snap["timeouts"] == 2
+        assert snap["shed"] == 0
+
+    def test_max_queue_bounds_pool_calls_in_flight(self):
+        pool = _FakePool(held=True)
+        outcomes = {}
+        with _fake_service(pool, max_queue=2) as service:
+            threads = [
+                _search_in_thread(service, run_index, outcomes)
+                for run_index in range(2)
+            ]
+            pool.wait_for_queued(2)
+            for run_index in range(2, 5):
+                with pytest.raises(QueryError) as info:
+                    service.handle_search(_query(run_index))
+                assert info.value.status == 429
+                assert info.value.extra["queue_depth"] == 2
+            snap = service.handle_stats()
+            assert snap["shed"] == 3
+            assert snap["queue_depth"] == 2
+            pool.release()
+            for thread in threads:
+                thread.join(timeout=5)
+            assert service.handle_stats()["queue_depth"] == 0
+        assert [outcomes[i]["run_index"] for i in (0, 1)] == [0, 1]
+        assert pool.ran == [[0], [1]]
+
+    def test_queue_depth_counts_pool_calls_in_flight(self):
+        pool = _FakePool(held=True)
+        outcomes = {}
+        with _fake_service(pool) as service:
+            threads = [
+                _search_in_thread(service, run_index, outcomes)
+                for run_index in range(3)
+            ]
+            pool.wait_for_queued(3)
+            snap = service.handle_stats()
+            assert snap["queue_depth"] == 3
+            assert "batch_window_ms" not in snap
+            assert "batch_max" not in snap
+            pool.release()
+            for thread in threads:
+                thread.join(timeout=5)
+            assert service.handle_stats()["queue_depth"] == 0
+        assert sorted(outcomes) == [0, 1, 2]
+
+    def test_stop_cancels_a_waiting_query_with_503(self):
+        pool = _FakePool(held=True)
+        outcomes = {}
+        service = _fake_service(pool)
+        service.start()
         try:
-            first = dispatcher.submit("g", {"run_index": 0})
-            pool.wait_for_first_batch()
-            # Queued behind the blocked batch, then abandoned.
-            abandoned = dispatcher.submit("g", {"run_index": 1})
-            assert abandoned.cancel()
-            pool.blocker.set_result([{"run_index": 0}])
-            assert first.result(timeout=5) == {"run_index": 0}
-            # The all-cancelled group took no busy slot: a later
-            # query for the same graph still dispatches.
-            later = dispatcher.submit("g", {"run_index": 2})
-            assert later.result(timeout=5)["run_index"] == 2
-            assert pool.run_indexes() == [[0], [2]]
+            thread = _search_in_thread(service, 0, outcomes)
+            pool.wait_for_queued(1)
         finally:
-            dispatcher.close()
+            service.stop()
+        thread.join(timeout=5)
+        error = outcomes[0]
+        assert isinstance(error, QueryError)
+        assert error.status == 503
+        assert "shutting down" in str(error)
+        assert pool.ran == []
 
-    def test_batch_failure_isolated_to_its_graph(self):
-        seen_errors = []
-
-        def submit(graph_id, cells):
-            done = Future()
-            if graph_id == "bad":
-                done.set_exception(RuntimeError("worker died"))
-            else:
-                done.set_result([dict(cell) for cell in cells])
-            return done
-
-        stats = ServiceStats()
-        dispatcher = BatchDispatcher(
-            submit,
-            window=0.01,
-            batch_max=1000,
-            stats=stats,
-            on_batch_error=seen_errors.append,
-        )
-        try:
-            doomed = dispatcher.submit("bad", {"run_index": 0})
-            fine = dispatcher.submit("good", {"run_index": 1})
-            assert fine.result(timeout=5)["run_index"] == 1
+    def test_query_after_stop_is_503_and_frees_its_slot(self):
+        pool = _FakePool()
+        service = _fake_service(pool, max_queue=1)
+        service.start()
+        service.stop()
+        for run_index in range(2):
             with pytest.raises(QueryError) as info:
-                doomed.result(timeout=5)
+                service.handle_search(_query(run_index))
             assert info.value.status == 503
-            assert "worker died" in str(info.value)
-            assert len(seen_errors) == 1
-            assert isinstance(seen_errors[0], RuntimeError)
-            assert stats.snapshot()["batches"]["failed"] == 1
+            assert "shutting down" in str(info.value)
+        assert service.handle_stats()["queue_depth"] == 0
+        assert pool.ran == []
+
+    def test_in_flight_count_survives_concurrent_queries(self):
+        class ThreadedPool(ThreadPoolExecutor):
+            def submit(self, fn, graph_id, cells, engine):
+                return super().submit(
+                    lambda: [{"graph": graph_id, **c} for c in cells]
+                )
+
+        clients, per_client = 16, 40
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            service = _fake_service(ThreadedPool(max_workers=4))
+
+            def client(first):
+                for run_index in range(first, first + per_client):
+                    service.handle_search(_query(run_index))
+
+            with service:
+                threads = [
+                    threading.Thread(
+                        target=client, args=(index * per_client,)
+                    )
+                    for index in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
         finally:
-            dispatcher.close()
+            sys.setswitchinterval(interval)
+        # stop() joined the pool threads, so every release ran; a
+        # lost update would leave the count off zero.
+        snap = service.handle_stats()
+        assert snap["queue_depth"] == 0
+        assert snap["batches"]["count"] == clients * per_client
+        assert snap["shed"] == 0
+
+    def test_coalescing_knobs_are_gone(self):
+        from repro.cli import build_parser
+
+        for option in ("batch_window", "batch_max"):
+            with pytest.raises(TypeError):
+                SearchService(_entries(), **{option: 1})
+        for flag in ("--batch-window", "--batch-max"):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(["serve", flag, "5"])
+            assert info.value.code == 2
 
 
 # ----------------------------------------------------------------------
@@ -351,28 +390,24 @@ class TestParseArrival:
 
 
 # ----------------------------------------------------------------------
-# Integration: coalescing daemon end to end
+# Integration: default daemon end to end
 # ----------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def coalescing_service():
+def default_service():
     with SearchService(
         _entries(),
         portfolio=PORTFOLIO,
         workers=2,
-        batch_window=0.01,
-        batch_max=16,
         cache_size=64,
     ) as running:
         yield running
 
 
-class TestCoalescedServing:
-    def test_coalesced_answers_bit_identical_under_load(
-        self, coalescing_service
-    ):
-        service = coalescing_service
+class TestServingUnderLoad:
+    def test_answers_bit_identical_under_load(self, default_service):
+        service = default_service
         algorithms = list(portfolio_algorithms(PORTFOLIO))
         queries = build_queries(
             service.handle_graphs(), algorithms, 24
@@ -392,12 +427,12 @@ class TestCoalescedServing:
         snap = service.stats.snapshot()
         batches = snap["batches"]
         assert batches["queries"] >= 24
-        assert batches["count"] <= batches["queries"]
+        assert batches["count"] == batches["queries"]
 
     def test_cache_hits_are_identical_and_skip_the_pool(
-        self, coalescing_service
+        self, default_service
     ):
-        service = coalescing_service
+        service = default_service
         with ServiceClient(service.host, service.port) as client:
             cold = client.search(GRAPH_ID, "random-walk", 7)
             before = service.stats.snapshot()
@@ -410,14 +445,14 @@ class TestCoalescedServing:
         assert (
             after["cache"]["hits"] == before["cache"]["hits"] + 1
         )
-        # The hit never touched the dispatcher.
+        # The hit never touched the pool.
         assert (
             after["batches"]["queries"]
             == before["batches"]["queries"]
         )
 
-    def test_stats_route_shape(self, coalescing_service):
-        service = coalescing_service
+    def test_stats_route_shape(self, default_service):
+        service = default_service
         with ServiceClient(service.host, service.port) as client:
             client.search(GRAPH_ID, "high-degree-strong", 0)
             snap = client.stats()
@@ -427,15 +462,14 @@ class TestCoalescedServing:
             assert key in search
         assert snap["in_flight"] >= 0
         assert snap["engine"] in ("serial", "ensemble")
-        assert snap["batch_window_ms"] == pytest.approx(10.0)
-        assert "size_distribution" in snap["batches"]
+        assert set(snap["batches"]["size_distribution"]) == {"1"}
         assert snap["cache"]["capacity"] == 64
         assert snap["queue_depth"] >= 0
 
     def test_open_loop_load_reports_offered_qps(
-        self, coalescing_service
+        self, default_service
     ):
-        service = coalescing_service
+        service = default_service
         queries = build_queries(
             service.handle_graphs(), ["random-walk"], 8
         )
@@ -453,8 +487,8 @@ class TestCoalescedServing:
             for query in queries
         ])
 
-    def test_duration_mode_cycles_queries(self, coalescing_service):
-        service = coalescing_service
+    def test_duration_mode_cycles_queries(self, default_service):
+        service = default_service
         queries = build_queries(
             service.handle_graphs(), ["high-degree-strong"], 2
         )
@@ -477,18 +511,10 @@ class TestCoalescedServing:
 
 class TestRobustness:
     def test_query_timeout_is_structured_503(self):
-        # A 10s window with a huge batch-max never flushes before the
-        # 50ms timeout: the query deterministically times out while
-        # still queued.
-        with SearchService(
-            _entries(),
-            portfolio=PORTFOLIO,
-            workers=1,
-            batch_window=10.0,
-            batch_max=10_000,
-            query_timeout=0.05,
-            cache_size=0,
-        ) as service:
+        # The held pool never answers, so the query deterministically
+        # times out.
+        pool = _FakePool(held=True)
+        with _fake_service(pool, query_timeout=0.05) as service:
             with ServiceClient(service.host, service.port) as client:
                 with pytest.raises(ServiceHTTPError) as info:
                     client.search(GRAPH_ID, "random-walk", 0)
@@ -496,53 +522,24 @@ class TestRobustness:
             assert service.stats.snapshot()["timeouts"] == 1
 
     def test_timed_out_query_never_reaches_a_worker(self):
-        pool = _BlockingPool()
-        service = SearchService(
-            _entries(),
-            portfolio=PORTFOLIO,
-            workers=1,
-            batch_window=0.005,
-            query_timeout=0.2,
-            cache_size=0,
-        )
-        # The dispatcher binds the pool hook at start(); this one
-        # holds the graph's only in-flight slot until released.
-        service._submit_batch = pool.submit
-        with service:
-            query = {"graph": GRAPH_ID, "algorithm": "random-walk"}
-            head_statuses = []
-
-            def head_query():
-                try:
-                    service.handle_search({**query, "run_index": 0})
-                except QueryError as error:
-                    head_statuses.append(error.status)
-
-            head = threading.Thread(target=head_query)
-            head.start()
-            pool.wait_for_first_batch()
+        pool = _FakePool(held=True)
+        with _fake_service(pool, query_timeout=0.2) as service:
             with pytest.raises(QueryError) as info:
-                service.handle_search({**query, "run_index": 1})
+                service.handle_search(_query(1))
             assert info.value.status == 503
-            head.join(timeout=5)
-            assert head_statuses == [503]
-            pool.blocker.set_result([{"run_index": 0}])
-            later = service.handle_search({**query, "run_index": 2})
+            # The timed-out call was cancelled before any worker took
+            # it; releasing the pool runs nothing.
+            pool.release()
+            assert pool.ran == []
+            later = service.handle_search(_query(2))
             assert later["run_index"] == 2
-        assert pool.run_indexes() == [[0], [2]]
+        assert pool.ran == [[2]]
 
     def test_timeout_error_body_carries_timeout_s(self):
         import http.client
 
-        with SearchService(
-            _entries(),
-            portfolio=PORTFOLIO,
-            workers=1,
-            batch_window=10.0,
-            batch_max=10_000,
-            query_timeout=0.05,
-            cache_size=0,
-        ) as service:
+        pool = _FakePool(held=True)
+        with _fake_service(pool, query_timeout=0.05) as service:
             conn = http.client.HTTPConnection(
                 service.host, service.port, timeout=10
             )
@@ -563,16 +560,8 @@ class TestRobustness:
             assert payload["timeout_s"] == 0.05
 
     def test_overload_sheds_with_429(self):
-        with SearchService(
-            _entries(),
-            portfolio=PORTFOLIO,
-            workers=1,
-            batch_window=10.0,
-            batch_max=10_000,
-            max_queue=2,
-            query_timeout=0.5,
-            cache_size=0,
-        ) as service:
+        pool = _FakePool(held=True)
+        with _fake_service(pool, max_queue=2) as service:
             statuses = []
 
             def fire(run_index):
@@ -587,34 +576,36 @@ class TestRobustness:
                 except ServiceHTTPError as error:
                     statuses.append(error.status)
 
-            threads = [
+            held = [
                 threading.Thread(target=fire, args=(index,))
-                for index in range(5)
+                for index in range(2)
             ]
-            for thread in threads:
+            for thread in held:
                 thread.start()
-                time.sleep(0.02)  # deterministic queue build-up
-            for thread in threads:
+            pool.wait_for_queued(2)
+            # Two pool calls are in flight: the next three shed at
+            # once, without waiting for either.
+            for index in range(2, 5):
+                fire(index)
+            assert statuses == [429, 429, 429]
+            pool.release()
+            for thread in held:
                 thread.join(timeout=10)
-            # Two fit the queue (and later time out at 0.5s); the
-            # other three shed immediately with 429.
-            assert statuses.count(429) == 3
+            assert sorted(statuses) == [200, 200, 429, 429, 429]
             assert service.stats.snapshot()["shed"] == 3
 
-    def test_worker_death_fails_one_batch_not_the_daemon(self):
+    def test_worker_death_fails_one_query_not_the_daemon(self):
         with SearchService(
             _entries(),
             portfolio=PORTFOLIO,
             workers=1,
-            batch_window=0.005,
             cache_size=0,
         ) as service:
             with ServiceClient(service.host, service.port) as client:
                 baseline = client.search(GRAPH_ID, "random-walk", 0)
                 # Kill every worker while the pool is idle: the next
-                # dispatched batch lands on a broken pool and must
-                # fail alone, after which the daemon swaps in a fresh
-                # pool.
+                # pool call lands on a broken pool and must fail
+                # alone, after which the daemon swaps in a fresh pool.
                 for pid in list(service._pool._processes):
                     os.kill(pid, signal.SIGKILL)
                 outcomes = []
@@ -676,8 +667,8 @@ class TestStoreWriteThrough:
         )[0]
 
 
-class TestSigtermWithQueue:
-    def test_clean_exit_with_nonempty_dispatch_queue(self, tmp_path):
+class TestSigterm:
+    def test_clean_exit_with_a_query_in_flight(self, tmp_path):
         port_file = tmp_path / "serve.port"
         env = dict(os.environ)
         env["PYTHONPATH"] = "src" + (
@@ -690,10 +681,6 @@ class TestSigtermWithQueue:
                 "--sizes", "60", "--seeds", "1",
                 "--workers", "1", "--port", "0",
                 "--port-file", str(port_file),
-                # A 30s window with a huge batch-max parks every
-                # query in the dispatch queue until shutdown.
-                "--batch-window", "30000",
-                "--batch-max", "100000",
                 "--query-timeout", "120",
             ],
             env=env,
@@ -713,7 +700,7 @@ class TestSigtermWithQueue:
                 shm_names = [
                     graph["shm"] for graph in probe.graphs()
                 ]
-            # Park a query in the dispatch queue (unread response).
+            # Send a query and leave its response unread.
             raw = socket.create_connection(
                 ("127.0.0.1", port), timeout=10
             )
@@ -726,16 +713,16 @@ class TestSigtermWithQueue:
                 + f"Content-Length: {len(body)}\r\n\r\n".encode()
                 + body
             )
-            time.sleep(0.3)  # let it enqueue, well inside the window
+            time.sleep(0.3)
             process.send_signal(signal.SIGTERM)
             stdout, stderr = process.communicate(timeout=30)
             assert process.returncode == 0, stderr
             assert "shutting down" in stdout
-            # The queued query was answered with a 503, not dropped
-            # on the floor with the socket left hanging.
+            # The query got a reply — its answer, or a 503 if shutdown
+            # cancelled its pool call — never a hung socket.
             raw.settimeout(10)
             reply = raw.recv(4096)
-            assert b"503" in reply
+            assert reply.split(b" ")[1] in (b"200", b"503"), reply
             for name in shm_names:
                 with pytest.raises(FileNotFoundError):
                     attach_graph(name)
