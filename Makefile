@@ -22,7 +22,8 @@ verify-full:
 # `repro.core.trials.freeze` made the identity in-process, which selects
 # the serial engine and generator and searches the mutable MultiGraph,
 # must print byte-identical output), then the corpus-cache
-# smoke (cold fill, warm replay with identical output, verify), then
+# smoke (cold fill, warm replay with identical output, verify, and the
+# serve smoke over the filled corpus), then
 # the trial-store smoke (sqlite cold fill, warm replay with identical
 # output and a nonzero hit tally, stat, a verified migration back to
 # json-files), then the
@@ -56,6 +57,7 @@ ci:
 	grep -v "^corpus:" .ci-corpus-warm.log > .ci-corpus-warm.trimmed
 	diff .ci-corpus-cold.trimmed .ci-corpus-warm.trimmed
 	PYTHONPATH=src python -m repro corpus verify .ci-corpus
+	PYTHONPATH=src python -m repro serve --corpus .ci-corpus --smoke
 	rm -rf .ci-corpus .ci-corpus-cold.log .ci-corpus-warm.log .ci-corpus-cold.trimmed .ci-corpus-warm.trimmed
 	rm -rf .ci-store
 	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store --store-backend sqlite | tee .ci-store-cold.log

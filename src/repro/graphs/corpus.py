@@ -191,19 +191,19 @@ class GraphCorpus:
         for entry in manifest["arrays"]:
             offset, length = entry["offset"], entry["length"]
             views[entry["name"]] = blob[offset:offset + length]
-        tails, heads = views["tails"], views["heads"]
-        snapshot = FrozenGraph(
-            num_vertices=manifest["n"],
-            endpoints=list(zip(tails.tolist(), heads.tolist())),
-            indegree=views["indegree"].tolist(),
-            outdegree=views["outdegree"].tolist(),
-            offsets=views["offsets"],
-            slot_edges=views["slot_edges"],
-            slot_targets=views["slot_targets"],
-            num_loops=manifest["num_loops"],
+        return FrozenGraph(
+            manifest["n"],
+            views["offsets"],
+            views["slot_edges"],
+            views["slot_targets"],
+            manifest["num_loops"],
+            columns=(
+                views["tails"],
+                views["heads"],
+                views["indegree"],
+                views["outdegree"],
+            ),
         )
-        snapshot._pairs_cache = (tails, heads)
-        return snapshot
 
     # ------------------------------------------------------------------
     # Write side
@@ -230,20 +230,10 @@ class GraphCorpus:
                 f"corpus key says n={n} but the snapshot has "
                 f"{snapshot.num_vertices} vertices"
             )
-        tails, heads = snapshot._pairs()
-        columns = (
-            tails,
-            heads,
-            _np.asarray(snapshot._offsets),
-            _np.asarray(snapshot._slot_edges),
-            _np.asarray(snapshot._slot_targets),
-            _np.asarray(snapshot._indegree),
-            _np.asarray(snapshot._outdegree),
-        )
         arrays = []
         chunks = []
         offset = 0
-        for name, column in zip(_ARRAY_NAMES, columns):
+        for name, column in zip(_ARRAY_NAMES, snapshot._blob_arrays()):
             data = _np.ascontiguousarray(column, dtype="<i8")
             arrays.append(
                 {"name": name, "offset": offset, "length": len(data)}

@@ -220,7 +220,7 @@ class DeltaGraph:
     def edges(self) -> Iterator[Tuple[int, int, int]]:
         """Iterate surviving ``(eid, tail, head)`` triples in eid order."""
         dead = self._dead_edges
-        for eid, (tail, head) in enumerate(self._base._endpoints):
+        for eid, (tail, head) in enumerate(self._base._endpoint_list()):
             if eid not in dead:
                 yield eid, tail, head
         for index, (tail, head) in enumerate(self._join_endpoints):

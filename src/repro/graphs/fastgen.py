@@ -116,47 +116,50 @@ class _WordStream:
     the last consumed word — the state it would hold after the serial
     build — so callers may keep drawing from it.
 
-    Alongside the raw words the stream maintains ``coins``:
-    ``coins[j]`` is what ``rng.random()`` would return if its two
-    words were ``words[j], words[j + 1]`` — precomputed vectorised
-    with the same IEEE operations as CPython's scalar formula
-    ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53`` (every intermediate
-    is exact: the scaled sum is an integer below 2**53 and the final
-    factor is a power of two), so the scan loop pays one list index
-    per coin instead of redoing the bit arithmetic.
+    The scans read the stream one chunk of steps at a time through
+    :meth:`window`, so only a chunk's worth of words is ever held as
+    Python objects, however long the build.  Alongside the words a
+    window carries ``coins``: ``coins[j]`` is what ``rng.random()``
+    would return if its two words were ``words[j], words[j + 1]`` —
+    precomputed vectorised with the same IEEE operations as CPython's
+    scalar formula ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53`` (every
+    intermediate is exact: the scaled sum is an integer below 2**53
+    and the final factor is a power of two), so the scan loop pays one
+    list index per coin instead of redoing the bit arithmetic.
     """
 
     def __init__(self, rng):
         self._rng = rng
         self._state = rng.getstate()
-        self._array = _np.zeros(0, dtype=_np.uint32)
-        self.words = []
-        self.coins = []
+        #: Drawn but not yet consumed words; ``_pending[0]`` is word
+        #: number ``_base`` of the stream.
+        self._pending = _np.zeros(0, dtype=_np.uint32)
+        self._base = 0
 
-    def extend_to(self, total: int) -> None:
-        """Grow ``self.words`` / ``self.coins`` to ``total`` entries."""
-        delta = total - len(self.words)
-        if delta <= 0:
-            return
-        # Grow geometrically so repeated small tail extensions (rare:
-        # the kernels prefetch the expected demand up front) cannot go
-        # quadratic in array re-concatenation.
-        delta = max(delta, 4096, len(self.words))
-        raw = self._rng.getrandbits(32 * delta)
-        data = raw.to_bytes(4 * delta, "little")
-        fresh = _np.frombuffer(data, dtype="<u4")
-        self.words.extend(fresh.tolist())
-        # Recompute coins from one word before the seam so the pair
-        # straddling old and new words is covered.
-        lo = max(len(self._array) - 1, 0)
-        self._array = _np.concatenate((self._array, fresh))
-        pairs = self._array[lo:]
+    def window(self, start: int, count: int):
+        """Words ``start .. start + count - 1`` and their coins, as lists.
+
+        ``start`` counts words from the beginning of the stream and
+        never moves backwards; both lists are indexed from it (the
+        coin list is one shorter: the last word has no partner yet).
+        Words before ``start`` are released.
+        """
+        pending = self._pending[start - self._base:]
+        missing = count - len(pending)
+        if missing > 0:
+            raw = self._rng.getrandbits(32 * missing)
+            fresh = _np.frombuffer(
+                raw.to_bytes(4 * missing, "little"), dtype="<u4"
+            )
+            pending = _np.concatenate((pending, fresh))
+        self._pending = pending
+        self._base = start
+        words = pending[:count]
         coins = (
-            (pairs[:-1] >> 5).astype(_np.float64) * 67108864.0
-            + (pairs[1:] >> 6).astype(_np.float64)
+            (words[:-1] >> 5).astype(_np.float64) * 67108864.0
+            + (words[1:] >> 6).astype(_np.float64)
         ) * _RECIP53
-        del self.coins[lo:]
-        self.coins.extend(coins.tolist())
+        return words.tolist(), coins.tolist()
 
     def rewind(self, consumed: int) -> None:
         """Leave the generator exactly ``consumed`` words past the start."""
@@ -188,104 +191,107 @@ def _coin_mixture_scan(stream, p, first_pref_bound, uniform_bounds):
     of mass per urn token, and the urn gains exactly one token per
     step in every Mori variant) and ``total_mass`` adds ``(1 - p) *
     uniform_bounds[i]`` — the same IEEE expressions, evaluated in the
-    same order, as the serial code.  Returns one encoded choice per
-    step: token index ``r`` for preferential draws, ``-(1 + r)`` for
-    uniform draws of vertex ``1 + r``; and the number of words
-    consumed.
+    same order, as the serial code.  Returns an int64 array of one
+    encoded choice per step — token index ``r`` for preferential
+    draws, ``-(1 + r)`` for uniform draws of vertex ``1 + r`` — and
+    the number of words consumed.
+
+    Steps are scanned one :data:`_CHUNK` at a time, each with its own
+    word window and per-step lists, so the Python objects alive at any
+    moment are bounded by the chunk, not by the build.
     """
     count = len(uniform_bounds)
-    pref_bounds = first_pref_bound + _np.arange(count, dtype=_np.int64)
-    pref_mass = p * pref_bounds.astype(_np.float64)
-    total_mass = (
-        pref_mass + (1.0 - p) * uniform_bounds.astype(_np.float64)
-    )
-    tm_list = total_mass.tolist()
-    pm_list = pref_mass.tolist()
-    bu_list = uniform_bounds.tolist()
-    shu_list = _shifts_for(uniform_bounds)
-
-    choice = []
-    append = choice.append
-    # One upfront prefetch covering the expected demand: two coin
-    # words plus E[attempts] ~= 1/ln 2 rejection-sampling words per
-    # step; the per-chunk extension below is a rare tail backstop.
-    stream.extend_to(count * 7 // 2 + 64)
-    words = stream.words
-    coins = stream.coins
+    choice = _np.empty(count, dtype=_np.int64)
     pos = 0
     start = 0
+    # Two coin words plus E[attempts] ~= 1/ln 2 rejection-sampling
+    # words per step; a chunk that overruns its window retries with a
+    # doubled one (rare).
+    words_per_step = 4
     while start < count:
         stop = min(start + _CHUNK, count)
-        stream.extend_to(pos + (stop - start) * 4 + 64)
+        pref_mass = p * (
+            first_pref_bound + _np.arange(start, stop, dtype=_np.int64)
+        ).astype(_np.float64)
+        bounds = uniform_bounds[start:stop]
+        total_mass = pref_mass + (1.0 - p) * bounds.astype(_np.float64)
+        words, coins = stream.window(
+            pos, (stop - start) * words_per_step + 64
+        )
         # The preferential bound grows by one per step; its shift
         # drops by one whenever the bound reaches a power of two.
         b_p = first_pref_bound + start
         sh_p = 32 - b_p.bit_length()
         next_power = 1 << b_p.bit_length()
-        saved_pos, saved_len = pos, len(choice)
+        out = []
+        append = out.append
+        at = 0
         try:
             for tm, pm, b_u, sh_u in zip(
-                tm_list[start:stop], pm_list[start:stop],
-                bu_list[start:stop], shu_list[start:stop],
+                total_mass.tolist(), pref_mass.tolist(),
+                bounds.tolist(), _shifts_for(bounds),
             ):
-                if coins[pos] * tm < pm:
-                    r = words[pos + 2] >> sh_p
-                    pos += 3
+                if coins[at] * tm < pm:
+                    r = words[at + 2] >> sh_p
+                    at += 3
                     while r >= b_p:
-                        r = words[pos] >> sh_p
-                        pos += 1
+                        r = words[at] >> sh_p
+                        at += 1
                     append(r)
                 else:
-                    r = words[pos + 2] >> sh_u
-                    pos += 3
+                    r = words[at + 2] >> sh_u
+                    at += 3
                     while r >= b_u:
-                        r = words[pos] >> sh_u
-                        pos += 1
+                        r = words[at] >> sh_u
+                        at += 1
                     append(-1 - r)
                 b_p += 1
                 if b_p == next_power:
                     sh_p -= 1
                     next_power += next_power
         except IndexError:
-            del choice[saved_len:]
-            pos = saved_pos
-            stream.extend_to(len(words) + (stop - start) * 4 + 64)
+            words_per_step *= 2
             continue
+        choice[start:stop] = out
+        pos += at
         start = stop
     return choice, pos
 
 
 def _uniform_scan(stream, bounds):
-    """Replay bare ``rng.randrange(bounds[i])`` draws (no coin)."""
+    """Replay bare ``rng.randrange(bounds[i])`` draws (no coin).
+
+    Chunked like :func:`_coin_mixture_scan`; returns an int64 array of
+    the draws and the number of words consumed.
+    """
     count = len(bounds)
-    b_list = bounds.tolist()
-    sh_list = _shifts_for(bounds)
-    out = []
-    append = out.append
-    # E[attempts] ~= 1/ln 2 words per draw; prefetch 1.5 plus slack.
-    stream.extend_to(count * 3 // 2 + 64)
-    words = stream.words
+    picks = _np.empty(count, dtype=_np.int64)
     pos = 0
     start = 0
+    # E[attempts] ~= 1/ln 2 words per draw.
+    words_per_step = 2
     while start < count:
         stop = min(start + _CHUNK, count)
-        stream.extend_to(pos + (stop - start) * 2 + 64)
-        saved_pos, saved_len = pos, len(out)
+        chunk = bounds[start:stop]
+        words, _ = stream.window(pos, (stop - start) * words_per_step + 64)
+        out = []
+        append = out.append
+        at = 0
         try:
-            for b, sh in zip(b_list[start:stop], sh_list[start:stop]):
-                r = words[pos] >> sh
-                pos += 1
+            for b, sh in zip(chunk.tolist(), _shifts_for(chunk)):
+                r = words[at] >> sh
+                at += 1
                 while r >= b:
-                    r = words[pos] >> sh
-                    pos += 1
+                    r = words[at] >> sh
+                    at += 1
                 append(r)
         except IndexError:
-            del out[saved_len:]
-            pos = saved_pos
-            stream.extend_to(len(words) + (stop - start) * 2 + 64)
+            words_per_step *= 2
             continue
+        picks[start:stop] = out
+        pos += at
         start = stop
-    return out, pos
+    return picks, pos
 
 
 def _resolve_values(values, pointers):
@@ -336,18 +342,11 @@ def frozen_from_pairs(num_vertices, tails, heads) -> FrozenGraph:
     indegree = _np.bincount(heads, minlength=num_vertices + 1)
     outdegree = _np.bincount(tails, minlength=num_vertices + 1)
 
-    snapshot = FrozenGraph(
-        num_vertices=num_vertices,
-        endpoints=list(zip(tails.tolist(), heads.tolist())),
-        indegree=indegree.tolist(),
-        outdegree=outdegree.tolist(),
-        offsets=offsets,
-        slot_edges=slot_edges,
-        slot_targets=slot_targets,
-        num_loops=int(_np.count_nonzero(tails == heads)),
+    return FrozenGraph(
+        num_vertices, offsets, slot_edges, slot_targets,
+        int(_np.count_nonzero(tails == heads)),
+        columns=(tails, heads, indegree, outdegree),
     )
-    snapshot._pairs_cache = (tails, heads)
-    return snapshot
 
 
 # ----------------------------------------------------------------------
@@ -383,14 +382,13 @@ def fast_mori_parents(n: int, p: float, seed: RandomLike = None):
         # vertices exist — the bounds double as the mass integers.
         steps = _np.arange(n - 2, dtype=_np.int64)
         stream = _WordStream(rng)
-        choice, consumed = _coin_mixture_scan(stream, p, 1, steps + 2)
+        encoded, consumed = _coin_mixture_scan(stream, p, 1, steps + 2)
         stream.rewind(consumed)
 
         # Urn slot s holds the head of edge s (the parent of vertex
         # s + 2); slot 0 anchors at vertex 1.  A preferential step's
         # token index points at a strictly earlier slot; a uniform
         # step anchors its own slot at the drawn vertex.
-        encoded = _np.array(choice, dtype=_np.int64)
         slots = steps + 1
         values = _np.zeros(n - 1, dtype=_np.int64)
         values[0] = 1
@@ -461,14 +459,13 @@ def fast_mori_edges_per_step_frozen(
         edge_ids = _np.arange(m, num_edges, dtype=_np.int64)
         tails[m:] = 3 + (edge_ids - m) // m
         stream = _WordStream(rng)
-        choice, consumed = _coin_mixture_scan(
+        encoded, consumed = _coin_mixture_scan(
             stream, p, m, tails[m:] - 1
         )
         stream.rewind(consumed)
 
         # Urn slot e holds the head of edge e; the m initial slots
         # anchor at vertex 1.
-        encoded = _np.array(choice, dtype=_np.int64)
         values = _np.zeros(num_edges, dtype=_np.int64)
         values[:m] = 1
         pointers = _np.arange(num_edges, dtype=_np.int64)
@@ -510,7 +507,7 @@ def fast_barabasi_albert_frozen(
     values[0] = values[1] = 1
     values[3::2] = drawn_tails
     pointers = _np.arange(2 + 2 * drawn, dtype=_np.int64)
-    pointers[2::2] = _np.array(picks, dtype=_np.int64)
+    pointers[2::2] = picks
     drawn_heads = _resolve_values(values, pointers)[2::2]
 
     tails = _np.concatenate(

@@ -23,10 +23,18 @@ what the source :class:`MultiGraph` would have answered
 (``tests/test_frozen_graph.py`` pins this across all graph models).
 Oracles and search algorithms therefore accept either backend.
 
+With numpy a snapshot is array-native: the CSR plus the endpoint and
+directed-degree columns are int64 arrays (which may be views into a
+shared-memory segment or a memory-mapped corpus blob), and the Python
+lists the scalar API indexes (``edge_endpoints``, ``in_degree``, ...)
+are built on its first call.  A snapshot that is only walked through
+the CSR therefore costs its arrays and nothing per edge.
+
 numpy is optional: without it the CSR arrays live in stdlib
-:mod:`array` buffers, the scalar API is unchanged, and the vectorised
-kernels (:func:`vectorized_bfs_distances` and friends) simply report
-"not available" so callers fall back to their generic loops.
+:mod:`array` buffers, the endpoint and degree lists are built up
+front, the scalar API is unchanged, and the vectorised kernels
+(:func:`vectorized_bfs_distances` and friends) simply report "not
+available" so callers fall back to their generic loops.
 """
 
 from __future__ import annotations
@@ -79,6 +87,8 @@ class FrozenGraph:
 
     __slots__ = (
         "_n",
+        "_m",
+        "_columns",
         "_endpoints",
         "_indegree",
         "_outdegree",
@@ -90,26 +100,37 @@ class FrozenGraph:
         "_neighbor_cache",
         "_unique_cache",
         "_hash",
-        "_pairs_cache",
     )
 
     def __init__(
         self,
         num_vertices: int,
-        endpoints: List[Tuple[int, int]],
-        indegree: List[int],
-        outdegree: List[int],
         offsets,
         slot_edges,
         slot_targets,
         num_loops: int,
+        *,
+        columns=None,
+        endpoints: Optional[List[Tuple[int, int]]] = None,
+        indegree: Optional[List[int]] = None,
+        outdegree: Optional[List[int]] = None,
     ):
         self._n = num_vertices
-        #: edge id -> (tail, head), a plain Python list: scalar access
-        #: from the oracle request loop must not pay numpy boxing.
+        #: The numpy path's per-edge and per-vertex columns: ``(tails,
+        #: heads, indegree, outdegree)`` int64 arrays, possibly views
+        #: into a shared-memory segment or a memory-mapped corpus blob.
+        #: ``None`` on the stdlib path, which passes the lists instead.
+        self._columns = columns
+        #: edge id -> (tail, head), and the directed degrees, as plain
+        #: Python lists: scalar access from the oracle request loop must
+        #: not pay numpy boxing.  On the numpy path each list is built
+        #: from ``_columns`` on its first scalar access, so a snapshot
+        #: that is only searched through the CSR arrays (the ensemble
+        #: engine) never holds one.
         self._endpoints = endpoints
         self._indegree = indegree
         self._outdegree = outdegree
+        self._m = len(endpoints if columns is None else columns[0])
         #: CSR offsets indexed by vertex: slots of v are
         #: ``offsets[v] .. offsets[v + 1]`` (offsets[0] == offsets[1] == 0
         #: because vertex ids are 1-based).
@@ -119,18 +140,15 @@ class FrozenGraph:
         #: slot -> far endpoint of that slot's edge (v itself for loops).
         self._slot_targets = slot_targets
         self._num_loops = num_loops
-        # Lazily filled per-vertex caches; index 0 unused.  Safe to
-        # share across every search on the snapshot because the graph
-        # can never change underneath them.
-        self._inc_cache: List[Optional[Tuple[int, ...]]] = (
-            [None] * (num_vertices + 1)
-        )
+        # Lazily filled per-vertex caches, keyed by vertex: a search
+        # touches few vertices, so an n-slot list would be mostly empty
+        # (and one more large container for every full GC pass to walk).
+        # Safe to share across every search on the snapshot because the
+        # graph can never change underneath them.
+        self._inc_cache: Dict[int, Tuple[int, ...]] = {}
         self._neighbor_cache: Dict[int, List[int]] = {}
         self._unique_cache: Dict[int, List[int]] = {}
         self._hash: Optional[int] = None
-        # Lazily built (tails, heads) column arrays shared by every
-        # prefix snapshot taken from this graph (see :meth:`prefix`).
-        self._pairs_cache = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -150,7 +168,7 @@ class FrozenGraph:
         # Private-field access is deliberate: the public accessors copy
         # per call, and freezing is exactly the moment to pay one bulk
         # copy instead of n small ones.
-        endpoints = list(graph._endpoints)
+        endpoints = graph._endpoints
         incident = graph._incident
         degrees = [len(incident[v]) for v in range(n + 1)]
         total_slots = sum(degrees)
@@ -163,57 +181,44 @@ class FrozenGraph:
                 dtype=_np.int64,
                 count=total_slots,
             )
-            if endpoints:
-                pairs = _np.array(endpoints, dtype=_np.int64)
-                tails, heads = pairs[:, 0], pairs[:, 1]
-                num_loops = int((tails == heads).sum())
-            else:
-                tails = heads = _np.zeros(0, dtype=_np.int64)
-                num_loops = 0
+            pairs = _np.array(endpoints, dtype=_np.int64).reshape(-1, 2)
+            tails, heads = pairs[:, 0], pairs[:, 1]
             # Far endpoint per slot: tail + head - owner (a self-loop's
             # owner is both endpoints, so the identity falls out).
             owners = _np.repeat(
                 _np.arange(n + 1, dtype=_np.int64), degrees
             )
-            if total_slots:
-                slot_targets = (
-                    tails[slot_edges] + heads[slot_edges] - owners
-                )
-            else:
-                slot_targets = _np.zeros(0, dtype=_np.int64)
-            pairs_cache = (tails, heads)
-        else:
-            pairs_cache = None
-            offsets = array("q", [0] * (n + 2))
-            for v in range(n + 1):
-                offsets[v + 1] = offsets[v] + degrees[v]
-            slot_edges = array("q")
-            slot_targets = array("q")
-            num_loops = 0
-            for tail, head in endpoints:
-                if tail == head:
-                    num_loops += 1
-            for v in range(n + 1):
-                for eid in incident[v]:
-                    tail, head = endpoints[eid]
-                    slot_edges.append(eid)
-                    slot_targets.append(tail + head - v)
-
-        snapshot = cls(
-            num_vertices=n,
-            endpoints=endpoints,
+            slot_targets = tails[slot_edges] + heads[slot_edges] - owners
+            return cls(
+                n, offsets, slot_edges, slot_targets,
+                int(_np.count_nonzero(tails == heads)),
+                columns=(
+                    tails,
+                    heads,
+                    _np.array(graph._indegree, dtype=_np.int64),
+                    _np.array(graph._outdegree, dtype=_np.int64),
+                ),
+            )
+        offsets = array("q", [0] * (n + 2))
+        for v in range(n + 1):
+            offsets[v + 1] = offsets[v] + degrees[v]
+        slot_edges = array("q")
+        slot_targets = array("q")
+        num_loops = 0
+        for tail, head in endpoints:
+            if tail == head:
+                num_loops += 1
+        for v in range(n + 1):
+            for eid in incident[v]:
+                tail, head = endpoints[eid]
+                slot_edges.append(eid)
+                slot_targets.append(tail + head - v)
+        return cls(
+            n, offsets, slot_edges, slot_targets, num_loops,
+            endpoints=list(endpoints),
             indegree=list(graph._indegree),
             outdegree=list(graph._outdegree),
-            offsets=offsets,
-            slot_edges=slot_edges,
-            slot_targets=slot_targets,
-            num_loops=num_loops,
         )
-        # The freeze already materialised the endpoint columns; keep
-        # them so a checkpoint grid's prefix() calls (see _pairs) skip
-        # the repeat list-to-array conversion.
-        snapshot._pairs_cache = pairs_cache
-        return snapshot
 
     def add_vertex(self) -> int:
         """Snapshots are immutable; always raises."""
@@ -241,7 +246,7 @@ class FrozenGraph:
     @property
     def num_edges(self) -> int:
         """Number of edges (edge ids are ``0 .. num_edges - 1``)."""
-        return len(self._endpoints)
+        return self._m
 
     def vertices(self) -> range:
         """The vertex identities, as the range ``1 .. n``."""
@@ -259,12 +264,18 @@ class FrozenGraph:
     def in_degree(self, v: int) -> int:
         """Number of edges whose head is ``v`` (construction orientation)."""
         self._check_vertex(v)
-        return self._indegree[v]
+        indegree = self._indegree
+        if indegree is None:
+            indegree = self._indegree = self._columns[2].tolist()
+        return indegree[v]
 
     def out_degree(self, v: int) -> int:
         """Number of edges whose tail is ``v`` (construction orientation)."""
         self._check_vertex(v)
-        return self._outdegree[v]
+        outdegree = self._outdegree
+        if outdegree is None:
+            outdegree = self._outdegree = self._columns[3].tolist()
+        return outdegree[v]
 
     def incident_edges(self, v: int) -> Tuple[int, ...]:
         """Edge ids incident to ``v``, self-loops repeated, insertion order.
@@ -274,26 +285,35 @@ class FrozenGraph:
         the snapshot's main wins in oracle-driven search loops.
         """
         self._check_vertex(v)
-        cached = self._inc_cache[v]
-        if cached is None:
-            lo = int(self._offsets[v])
-            hi = int(self._offsets[v + 1])
-            if HAVE_NUMPY:
-                cached = tuple(self._slot_edges[lo:hi].tolist())
-            else:
-                cached = tuple(self._slot_edges[lo:hi])
-            self._inc_cache[v] = cached
+        try:
+            # Subscript, not .get: this is the per-request hit path.
+            return self._inc_cache[v]
+        except KeyError:
+            pass
+        lo = int(self._offsets[v])
+        hi = int(self._offsets[v + 1])
+        if HAVE_NUMPY:
+            cached = tuple(self._slot_edges[lo:hi].tolist())
+        else:
+            cached = tuple(self._slot_edges[lo:hi])
+        self._inc_cache[v] = cached
         return cached
 
     def edge_endpoints(self, eid: int) -> Tuple[int, int]:
         """The ``(tail, head)`` pair of edge ``eid``."""
         self._check_edge(eid)
-        return self._endpoints[eid]
+        endpoints = self._endpoints
+        if endpoints is None:
+            endpoints = self._endpoint_list()
+        return endpoints[eid]
 
     def other_endpoint(self, eid: int, v: int) -> int:
         """The endpoint of ``eid`` other than ``v`` (``v`` for a self-loop)."""
         self._check_edge(eid)
-        tail, head = self._endpoints[eid]
+        endpoints = self._endpoints
+        if endpoints is None:
+            endpoints = self._endpoint_list()
+        tail, head = endpoints[eid]
         if v == tail:
             return head
         if v == head:
@@ -341,7 +361,7 @@ class FrozenGraph:
 
     def edges(self) -> Iterator[Tuple[int, int, int]]:
         """Iterate ``(eid, tail, head)`` triples in insertion order."""
-        for eid, (tail, head) in enumerate(self._endpoints):
+        for eid, (tail, head) in enumerate(self._endpoint_list()):
             yield eid, tail, head
 
     def degree_sequence(self) -> List[int]:
@@ -382,27 +402,39 @@ class FrozenGraph:
 
     def thaw(self) -> MultiGraph:
         """An independent mutable copy with identical content and edge ids."""
-        return MultiGraph.from_edges(self._n, list(self._endpoints))
+        return MultiGraph.from_edges(self._n, list(self._endpoint_list()))
+
+    # ------------------------------------------------------------------
+    # Column arrays and the lazily built scalar lists
+    # ------------------------------------------------------------------
+
+    def _endpoint_list(self) -> List[Tuple[int, int]]:
+        """The edge id -> ``(tail, head)`` list, built on first use."""
+        if self._endpoints is None:
+            tails, heads = self._columns[0], self._columns[1]
+            self._endpoints = list(zip(tails.tolist(), heads.tolist()))
+        return self._endpoints
+
+    def _blob_arrays(self):
+        """The seven int64 arrays in corpus/shared-memory blob order.
+
+        ``tails, heads, offsets, slot_edges, slot_targets, indegree,
+        outdegree`` (numpy only); see :mod:`repro.graphs.corpus`.
+        """
+        tails, heads, indegree, outdegree = self._columns
+        return (
+            tails,
+            heads,
+            _np.asarray(self._offsets),
+            _np.asarray(self._slot_edges),
+            _np.asarray(self._slot_targets),
+            indegree,
+            outdegree,
+        )
 
     # ------------------------------------------------------------------
     # Prefix snapshots (growth-trajectory checkpoints)
     # ------------------------------------------------------------------
-
-    def _pairs(self):
-        """Cached full-length (tails, heads) columns (numpy path only).
-
-        Built once per snapshot and reused by every :meth:`prefix`
-        call, so a whole checkpoint grid pays the list-to-array
-        conversion a single time.
-        """
-        if self._pairs_cache is None:
-            if self._endpoints:
-                pairs = _np.array(self._endpoints, dtype=_np.int64)
-                self._pairs_cache = (pairs[:, 0], pairs[:, 1])
-            else:
-                empty = _np.zeros(0, dtype=_np.int64)
-                self._pairs_cache = (empty, empty)
-        return self._pairs_cache
 
     def prefix(self, num_vertices: int, num_edges: int) -> "FrozenGraph":
         """Snapshot of the source graph's *past state* at the given counts.
@@ -417,10 +449,9 @@ class FrozenGraph:
         independent construction stopped at that point, which is the
         contract the growth-trajectory checkpoint engine is built on.
 
-        Slicing reuses this snapshot's CSR buffers (and the cached
-        endpoint columns) instead of re-walking a mutable graph, so a
-        whole checkpoint grid costs one full freeze plus one masked
-        copy per checkpoint.
+        Slicing reuses this snapshot's CSR buffers and endpoint columns
+        instead of re-walking a mutable graph, so a whole checkpoint
+        grid costs one full freeze plus one masked copy per checkpoint.
 
         Raises :class:`~repro.errors.GraphConstructionError` if the
         requested prefix is not a state the graph passed through (an
@@ -431,17 +462,16 @@ class FrozenGraph:
                 f"prefix num_vertices {num_vertices} out of range "
                 f"[0, {self._n}]"
             )
-        if not 0 <= num_edges <= len(self._endpoints):
+        if not 0 <= num_edges <= self._m:
             raise GraphConstructionError(
                 f"prefix num_edges {num_edges} out of range "
-                f"[0, {len(self._endpoints)}]"
+                f"[0, {self._m}]"
             )
-        if num_vertices == self._n and num_edges == len(self._endpoints):
+        if num_vertices == self._n and num_edges == self._m:
             return self
-        endpoints = self._endpoints[:num_edges]
 
         if HAVE_NUMPY:
-            tails, heads = self._pairs()
+            tails, heads, _, _ = self._columns
             tails = tails[:num_edges]
             heads = heads[:num_edges]
             if num_edges and int(
@@ -451,12 +481,8 @@ class FrozenGraph:
                     f"prefix of {num_edges} edges touches vertices "
                     f"beyond {num_vertices}; not a past state"
                 )
-            indegree = _np.bincount(
-                heads, minlength=num_vertices + 1
-            ).tolist()
-            outdegree = _np.bincount(
-                tails, minlength=num_vertices + 1
-            ).tolist()
+            indegree = _np.bincount(heads, minlength=num_vertices + 1)
+            outdegree = _np.bincount(tails, minlength=num_vertices + 1)
             num_loops = int((tails == heads).sum())
             sub_offsets = self._offsets[: num_vertices + 2]
             end = int(sub_offsets[-1])
@@ -467,45 +493,42 @@ class FrozenGraph:
             offsets[1:] = cum[sub_offsets[1:]]
             slot_edges = self._slot_edges[:end][mask]
             slot_targets = self._slot_targets[:end][mask]
-        else:
-            from bisect import bisect_left
+            return type(self)(
+                num_vertices, offsets, slot_edges, slot_targets,
+                num_loops, columns=(tails, heads, indegree, outdegree),
+            )
+        from bisect import bisect_left
 
-            indegree = [0] * (num_vertices + 1)
-            outdegree = [0] * (num_vertices + 1)
-            num_loops = 0
-            for tail, head in endpoints:
-                if tail > num_vertices or head > num_vertices:
-                    raise GraphConstructionError(
-                        f"prefix of {num_edges} edges touches vertices "
-                        f"beyond {num_vertices}; not a past state"
-                    )
-                indegree[head] += 1
-                outdegree[tail] += 1
-                if tail == head:
-                    num_loops += 1
-            offsets = array("q", [0] * (num_vertices + 2))
-            slot_edges = array("q")
-            slot_targets = array("q")
-            for v in range(num_vertices + 1):
-                lo = self._offsets[v]
-                hi = self._offsets[v + 1]
-                segment = self._slot_edges[lo:hi]
-                kept = bisect_left(segment, num_edges)
-                offsets[v + 1] = offsets[v] + kept
-                slot_edges.extend(segment[:kept])
-                slot_targets.extend(
-                    self._slot_targets[lo:lo + kept]
+        endpoints = self._endpoint_list()[:num_edges]
+        indegree = [0] * (num_vertices + 1)
+        outdegree = [0] * (num_vertices + 1)
+        num_loops = 0
+        for tail, head in endpoints:
+            if tail > num_vertices or head > num_vertices:
+                raise GraphConstructionError(
+                    f"prefix of {num_edges} edges touches vertices "
+                    f"beyond {num_vertices}; not a past state"
                 )
-
+            indegree[head] += 1
+            outdegree[tail] += 1
+            if tail == head:
+                num_loops += 1
+        offsets = array("q", [0] * (num_vertices + 2))
+        slot_edges = array("q")
+        slot_targets = array("q")
+        for v in range(num_vertices + 1):
+            lo = self._offsets[v]
+            hi = self._offsets[v + 1]
+            segment = self._slot_edges[lo:hi]
+            kept = bisect_left(segment, num_edges)
+            offsets[v + 1] = offsets[v] + kept
+            slot_edges.extend(segment[:kept])
+            slot_targets.extend(
+                self._slot_targets[lo:lo + kept]
+            )
         return type(self)(
-            num_vertices=num_vertices,
-            endpoints=endpoints,
-            indegree=indegree,
-            outdegree=outdegree,
-            offsets=offsets,
-            slot_edges=slot_edges,
-            slot_targets=slot_targets,
-            num_loops=num_loops,
+            num_vertices, offsets, slot_edges, slot_targets, num_loops,
+            endpoints=endpoints, indegree=indegree, outdegree=outdegree,
         )
 
     # ------------------------------------------------------------------
@@ -527,12 +550,13 @@ class FrozenGraph:
         if isinstance(other, FrozenGraph):
             return (
                 self._n == other._n
-                and self._endpoints == other._endpoints
+                and self._m == other._m
+                and self._endpoint_list() == other._endpoint_list()
             )
         if isinstance(other, MultiGraph):
             return (
                 self._n == other.num_vertices
-                and self._endpoints == other._endpoints
+                and self._endpoint_list() == other._endpoints
             )
         return NotImplemented
 
@@ -543,7 +567,7 @@ class FrozenGraph:
         and its snapshot (which compare equal) also hash equal.
         """
         if self._hash is None:
-            self._hash = hash((self._n, tuple(self._endpoints)))
+            self._hash = hash((self._n, tuple(self._endpoint_list())))
         return self._hash
 
     def _check_vertex(self, v: int) -> None:
@@ -553,9 +577,9 @@ class FrozenGraph:
             )
 
     def _check_edge(self, eid: int) -> None:
-        if not 0 <= eid < len(self._endpoints):
+        if not 0 <= eid < self._m:
             raise GraphConstructionError(
-                f"edge id {eid} out of range [0, {len(self._endpoints) - 1}]"
+                f"edge id {eid} out of range [0, {self._m - 1}]"
             )
 
 
@@ -638,9 +662,8 @@ def vectorized_connected_components(
     if n == 0:
         return []
     labels = _np.arange(n + 1, dtype=_np.int64)
-    if graph._endpoints:
-        pairs = _np.array(graph._endpoints, dtype=_np.int64)
-        tails, heads = pairs[:, 0], pairs[:, 1]
+    if graph._m:
+        tails, heads, _, _ = graph._columns
         while True:
             # Hook: pull each edge's endpoints down to the edge minimum.
             edge_min = _np.minimum(labels[tails], labels[heads])

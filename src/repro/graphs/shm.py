@@ -22,11 +22,14 @@ arrays are views straight into the shared buffer.  Attached views are
 read-only, preserving the frozen-graph immutability contract.
 
 numpy is optional: with it the views are zero-copy ``frombuffer``
-arrays; without it they are ``memoryview.cast("q")`` windows, which
+arrays, all seven of them, so an attach parses the header and builds
+nothing else — O(1) in the graph size.  The endpoint and degree lists
+the scalar API needs (``edge_endpoints``, ``in_degree``, ...) are
+built only if a search calls it; the ensemble engine never does.
+Without numpy the views are ``memoryview.cast("q")`` windows, which
 support the same indexing/slicing the stdlib-array fallback of
-:class:`FrozenGraph` relies on.  Either way the endpoint list (needed
-as Python tuples by the oracle request loop) is materialised once per
-attach — the same copy the on-disk corpus loader pays.
+:class:`FrozenGraph` relies on, and the attach builds those lists up
+front, as every stdlib-path snapshot holds them.
 """
 
 from __future__ import annotations
@@ -70,28 +73,22 @@ _ARRAY_NAMES = (
 )
 
 
-def _column_bytes(snapshot: FrozenGraph) -> List[bytes]:
-    """The seven arrays as little-endian int64 byte strings."""
+def _blob_columns(snapshot: FrozenGraph) -> List[Any]:
+    """The seven arrays as contiguous little-endian int64 buffers.
+
+    On the numpy path these are the snapshot's own arrays (no copy
+    unless one is strided), so publishing copies each array once,
+    straight into the segment.
+    """
     if HAVE_NUMPY:
-        tails, heads = snapshot._pairs()
-        columns = (
-            tails,
-            heads,
-            _np.asarray(snapshot._offsets),
-            _np.asarray(snapshot._slot_edges),
-            _np.asarray(snapshot._slot_targets),
-            _np.asarray(snapshot._indegree),
-            _np.asarray(snapshot._outdegree),
-        )
         return [
-            _np.ascontiguousarray(column, dtype="<i8").tobytes()
-            for column in columns
+            _np.ascontiguousarray(column, dtype="<i8")
+            for column in snapshot._blob_arrays()
         ]
-    tails = array("q", (tail for tail, _ in snapshot._endpoints))
-    heads = array("q", (head for _, head in snapshot._endpoints))
+    endpoints = snapshot._endpoint_list()
     columns = (
-        tails,
-        heads,
+        array("q", (tail for tail, _ in endpoints)),
+        array("q", (head for _, head in endpoints)),
         array("q", snapshot._offsets),
         array("q", snapshot._slot_edges),
         array("q", snapshot._slot_targets),
@@ -100,7 +97,7 @@ def _column_bytes(snapshot: FrozenGraph) -> List[bytes]:
     )
     # array("q") is host-endian; every supported platform here is
     # little-endian, matching the corpus "<i8" convention.
-    return [column.tobytes() for column in columns]
+    return list(columns)
 
 
 class SharedGraphSegment:
@@ -155,11 +152,11 @@ def publish_graph(graph, *, name: Optional[str] = None) -> SharedGraphSegment:
     ``unlink()`` it eventually (a leaked segment outlives the process).
     """
     snapshot = freeze(graph)
-    chunks = _column_bytes(snapshot)
+    columns = _blob_columns(snapshot)
     arrays = []
     offset = 0
-    for array_name, chunk in zip(_ARRAY_NAMES, chunks):
-        length = len(chunk) // 8
+    for array_name, column in zip(_ARRAY_NAMES, columns):
+        length = len(column)
         arrays.append(
             {"name": array_name, "offset": offset, "length": length}
         )
@@ -186,9 +183,10 @@ def publish_graph(graph, *, name: Optional[str] = None) -> SharedGraphSegment:
             _PREFIX.size: _PREFIX.size + len(header_bytes)
         ] = header_bytes
         cursor = payload_offset
-        for chunk in chunks:
-            shm.buf[cursor: cursor + len(chunk)] = chunk
-            cursor += len(chunk)
+        for column in columns:
+            size = 8 * len(column)
+            shm.buf[cursor: cursor + size] = memoryview(column).cast("B")
+            cursor += size
     except BaseException:  # pragma: no cover - allocation races only
         shm.close()
         shm.unlink()
@@ -217,7 +215,7 @@ class ShmFrozenGraph(FrozenGraph):
         self._offsets = None
         self._slot_edges = None
         self._slot_targets = None
-        self._pairs_cache = None
+        self._columns = None
         segment = self._segment
         self._segment = None
         if segment is not None:
@@ -296,19 +294,22 @@ def attach_graph(name: str) -> ShmFrozenGraph:
         for entry in header["arrays"]:
             lo = entry["offset"]
             views[entry["name"]] = base[lo: lo + entry["length"]]
+        csr = (views["offsets"], views["slot_edges"], views["slot_targets"])
         tails, heads = views["tails"], views["heads"]
-        snapshot = ShmFrozenGraph(
-            num_vertices=header["n"],
-            endpoints=list(zip(tails.tolist(), heads.tolist())),
-            indegree=views["indegree"].tolist(),
-            outdegree=views["outdegree"].tolist(),
-            offsets=views["offsets"],
-            slot_edges=views["slot_edges"],
-            slot_targets=views["slot_targets"],
-            num_loops=header["num_loops"],
-        )
+        indegree, outdegree = views["indegree"], views["outdegree"]
         if HAVE_NUMPY:
-            snapshot._pairs_cache = (tails, heads)
+            snapshot = ShmFrozenGraph(
+                header["n"], *csr, header["num_loops"],
+                columns=(tails, heads, indegree, outdegree),
+            )
+        else:
+            # The stdlib path keeps its scalar lists, built here once.
+            snapshot = ShmFrozenGraph(
+                header["n"], *csr, header["num_loops"],
+                endpoints=list(zip(tails.tolist(), heads.tolist())),
+                indegree=indegree.tolist(),
+                outdegree=outdegree.tolist(),
+            )
     except BaseException:
         shm.close()
         raise

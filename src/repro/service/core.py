@@ -100,13 +100,16 @@ class GraphEntry:
     exact calls ``batched_search_trial`` makes per invocation
     (``theorem_target`` then ``choose_start`` under the default rule),
     so serving skips the per-query resolution without changing it.
+
+    ``snapshot`` is ``None`` once a daemon has published the graph into
+    ``segment``: from then on the shared segment is the only copy.
     """
 
     graph_id: str
     family: Dict[str, Any]
     size: int
     seed: int
-    snapshot: FrozenGraph
+    snapshot: Optional[FrozenGraph]
     target: int
     start: int
     shm_name: Optional[str] = None
@@ -119,7 +122,10 @@ class GraphEntry:
             "family": dict(self.family),
             "n": self.size,
             "seed": self.seed,
-            "num_edges": self.snapshot.num_edges,
+            "num_edges": (
+                self.snapshot.num_edges if self.segment is None
+                else self.segment.header["num_edges"]
+            ),
             "target": self.target,
             "start": self.start,
             "shm": self.shm_name,

@@ -7,8 +7,9 @@ The load-once/serve-many shape:
 1. the catalog of :class:`~repro.service.core.GraphEntry` is built (or
    loaded from a corpus) in the daemon process;
 2. every snapshot is published into shared memory
-   (:func:`repro.graphs.shm.publish_graph`) — one copy per graph,
-   system-wide;
+   (:func:`repro.graphs.shm.publish_graph`) and the daemon then drops
+   its own copy: the CSR exists once, system-wide, in the segment, and
+   the workers fork from a parent that holds no graph;
 3. the worker pool starts with
    :func:`~repro.service.core.service_worker_init` as initializer and
    is *warmed before any server thread exists* (worker processes fork
@@ -61,6 +62,7 @@ Routes
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -88,6 +90,22 @@ from repro.service.core import (
 from repro.service.stats import ServiceStats
 
 __all__ = ["AnswerCache", "SearchService"]
+
+
+#: ``serve_forever``'s shutdown-poll interval, in seconds.
+_POLL_INTERVAL_S = 0.02
+
+
+def _publish(entry: GraphEntry) -> None:
+    """Publish ``entry``'s snapshot, then drop the daemon's own copy.
+
+    Workers attach the segment; the daemon only needs the entry's
+    metadata (``describe`` reads the edge count from the segment
+    header), so keeping the snapshot would double the graph's memory.
+    """
+    entry.segment = publish_graph(entry.snapshot)
+    entry.shm_name = entry.segment.name
+    entry.snapshot = None
 
 
 def _noop() -> None:
@@ -243,10 +261,13 @@ class SearchService:
         try:
             for entry in self.entries.values():
                 if entry.segment is None:
-                    entry.segment = publish_graph(entry.snapshot)
-                    entry.shm_name = entry.segment.name
+                    _publish(entry)
             # Pool before any thread: workers fork from a
-            # single-threaded parent.
+            # single-threaded parent.  Freezing the parent's objects
+            # first keeps the workers' collections off them: a
+            # collection writes to every object it visits, which
+            # would copy each inherited page, one query at a time.
+            gc.freeze()
             self._pool = self._spawn_pool(warm=True)
             if self._stats_interval > 0:
                 self._stats_thread = threading.Thread(
@@ -259,8 +280,12 @@ class SearchService:
             self._server.daemon_threads = True
             self._server.service = self  # type: ignore[attr-defined]
             self.port = self._server.server_address[1]
+            # A short poll interval: shutdown() waits for the serving
+            # loop's next poll, so the stdlib's 0.5 s default would put
+            # up to half a second on every stop() and SIGTERM.
             self._server_thread = threading.Thread(
                 target=self._server.serve_forever,
+                kwargs={"poll_interval": _POLL_INTERVAL_S},
                 name="repro-serve-http",
                 daemon=True,
             )
@@ -534,8 +559,7 @@ class SearchService:
             for entry in load_corpus_entries(self.corpus_dir):
                 if entry.graph_id in self.entries:
                     continue
-                entry.segment = publish_graph(entry.snapshot)
-                entry.shm_name = entry.segment.name
+                _publish(entry)
                 self.entries[entry.graph_id] = entry
                 added.append(entry.graph_id)
             if added:

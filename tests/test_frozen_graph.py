@@ -19,6 +19,8 @@ tests pin the contract from every side:
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.families import (
@@ -31,6 +33,7 @@ from repro.errors import ExperimentError, GraphConstructionError
 from repro.graphs import FrozenGraph, MultiGraph, freeze, kleinberg_grid
 from repro.graphs.components import connected_components
 from repro.graphs.frozen import (
+    HAVE_NUMPY,
     vectorized_bfs_distances,
     vectorized_connected_components,
     vectorized_degree_histogram,
@@ -724,3 +727,156 @@ class TestArrayFallback:
         assert run_search(
             FloodingSearch(), frozen, 1, target, seed=1
         ) == run_search(FloodingSearch(), graph, 1, target, seed=1)
+
+    def test_freeze_without_numpy_holds_lists(self, monkeypatch):
+        import repro.graphs.frozen as frozen_module
+
+        graph = MoriFamily(p=0.5, m=2).build(60, seed=1)
+        monkeypatch.setattr(frozen_module, "HAVE_NUMPY", False)
+        frozen = freeze(graph)
+        assert frozen._columns is None
+        assert frozen._endpoints == graph._endpoints
+        assert frozen._indegree == graph._indegree
+        assert frozen == graph and hash(frozen) == hash(graph)
+        prefix = frozen.prefix(30, 59)  # 60 tree vertices: 59 edges
+        assert prefix._columns is None
+        assert isinstance(prefix._endpoints, list)
+
+    def test_attach_without_numpy_holds_lists(self, monkeypatch):
+        import repro.graphs.frozen as frozen_module
+        import repro.graphs.shm as shm_module
+
+        graph = MoriFamily(p=0.5, m=2).build(60, seed=1)
+        monkeypatch.setattr(frozen_module, "HAVE_NUMPY", False)
+        monkeypatch.setattr(shm_module, "HAVE_NUMPY", False)
+        segment = shm_module.publish_graph(graph)
+        try:
+            attached = shm_module.attach_graph(segment.name)
+            try:
+                assert attached._columns is None
+                assert attached._endpoints == graph._endpoints
+                assert isinstance(attached._indegree, list)
+                assert attached == graph
+                for v in graph.vertices():
+                    assert attached.neighbors(v) == graph.neighbors(v)
+                    assert attached.in_degree(v) == graph.in_degree(v)
+            finally:
+                attached.close()
+        finally:
+            segment.close()
+            segment.unlink()
+
+
+def _scalar_lists(graph):
+    """The snapshot's lazily built endpoint and degree lists."""
+    return graph._endpoints, graph._indegree, graph._outdegree
+
+
+def _array_native_snapshots(tmp_path):
+    """``(name, snapshot, source MultiGraph, cleanup)`` per numpy-path
+    origin: the vectorized generator, a shared-memory attach and a
+    corpus load."""
+    from repro.core.trials import family_spec
+    from repro.graphs.corpus import GraphCorpus
+    from repro.graphs.shm import attach_graph, publish_graph
+
+    family = MoriFamily(p=0.5, m=2)
+    source = family.build(90, seed=6)
+    built = family.build_frozen(90, seed=6, generator="vectorized")
+    yield "fastgen", built, source, lambda: None
+
+    segment = publish_graph(built)
+    attached = attach_graph(segment.name)
+
+    def detach():
+        attached.close()
+        segment.close()
+        segment.unlink()
+
+    yield "shm", attached, source, detach
+
+    corpus = GraphCorpus(tmp_path / "corpus")
+    corpus.put(family_spec(family), 90, 6, source)
+    yield "corpus", corpus.get(family_spec(family), 90, 6), source, (
+        lambda: None
+    )
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
+class TestArrayNativeSnapshots:
+    """On the numpy path a snapshot holds arrays, not per-edge lists.
+
+    The endpoint and degree lists exist only for the scalar API and are
+    built on its first call; everything else (shared memory, the
+    corpus, ``prefix``, components) reads the columns.
+    """
+
+    def test_no_lists_until_scalar_access(self, tmp_path):
+        for name, graph, source, cleanup in _array_native_snapshots(
+            tmp_path
+        ):
+            try:
+                assert _scalar_lists(graph) == (None, None, None), name
+                assert graph.num_edges == source.num_edges
+                graph.degree(5), graph.incident_edges(5)
+                graph.neighbors(5), graph.degree_sequence()
+                # 40 merged vertices are 80 tree vertices: 79 edges.
+                graph.prefix(40, 79)
+                vectorized_connected_components(graph)
+                assert _scalar_lists(graph) == (None, None, None), name
+            finally:
+                cleanup()
+
+    def test_scalar_api_answers_as_the_source(self, tmp_path):
+        for name, graph, source, cleanup in _array_native_snapshots(
+            tmp_path
+        ):
+            try:
+                assert graph.in_degree(3) == source.in_degree(3)
+                assert graph._endpoints is None, name
+                assert graph._indegree is not None, name
+                for v in source.vertices():
+                    assert graph.in_degree(v) == source.in_degree(v)
+                    assert graph.out_degree(v) == source.out_degree(v)
+                for eid, tail, head in source.edges():
+                    assert graph.edge_endpoints(eid) == (tail, head)
+                    assert graph.other_endpoint(eid, tail) == head
+                    assert graph.other_endpoint(eid, head) == tail
+                assert list(graph.edges()) == list(source.edges())
+                assert graph == source and source == graph
+                assert hash(graph) == hash(source)
+                assert graph.thaw() == source
+                assert all(
+                    value is not None for value in _scalar_lists(graph)
+                ), name
+                with pytest.raises(GraphConstructionError):
+                    graph.edge_endpoints(graph.num_edges)
+            finally:
+                cleanup()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"),
+        reason="reads this process's memory map",
+    )
+    def test_close_after_scalar_access_releases_the_mapping(self):
+        from repro.graphs.fastgen import fast_mori_tree_frozen
+        from repro.graphs.shm import attach_graph, publish_graph
+
+        def mapped(name):
+            with open("/proc/self/maps", encoding="utf-8") as maps:
+                return f"/{name}" in maps.read()
+
+        segment = publish_graph(fast_mori_tree_frozen(80, 0.5, seed=2))
+        segment.close()  # only the attachment maps it now
+        try:
+            attached = attach_graph(segment.name)
+            assert mapped(segment.name)
+            attached.in_degree(2), attached.out_degree(2)
+            attached.edge_endpoints(0), attached.incident_edges(2)
+            attached.close()
+            # A view still exporting the buffer makes the mapping's
+            # close fail with BufferError, leaving it mapped.
+            assert not mapped(segment.name)
+        finally:
+            segment.unlink()
+

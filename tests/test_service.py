@@ -230,6 +230,64 @@ class TestValidateQuery:
         assert info.value.status == 400
 
 
+class TestSharedCopyOnly:
+    """After publishing, the shared segment is the graph's only copy.
+
+    The daemon drops its snapshot, and a worker's attached snapshot
+    stays array-only while it answers ensemble-engine cells.
+    """
+
+    def test_daemon_drops_its_snapshot(self, service, client):
+        entry = service.entries[GRAPH_ID]
+        assert entry.snapshot is None
+        (graph,) = client.graphs()
+        # A Mori tree (m = 1) has n - 1 edges; read from the header.
+        assert graph["num_edges"] == SIZE - 1
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
+    def test_served_cells_build_no_scalar_lists(self):
+        from repro.graphs.shm import publish_graph
+        from repro.service.core import (
+            _WORKER_STATE,
+            execute_service_batch,
+            service_worker_init,
+            worker_manifest,
+        )
+
+        (entry,) = build_grid_entries(
+            MoriFamily(p=0.5, m=1), [SIZE], [SEED]
+        )
+        segment = publish_graph(entry.snapshot)
+        entry.shm_name = segment.name
+        cells = [
+            {"algorithm": "high-degree-strong", "run_index": 0},
+            {"algorithm": "random-walk", "run_index": 1},
+        ]
+        try:
+            service_worker_init(worker_manifest([entry], PORTFOLIO))
+            answers = [
+                execute_service_batch(entry.graph_id, [cell], "ensemble")[0]
+                for cell in cells
+            ]
+            graph = _WORKER_STATE["graphs"][entry.graph_id]
+            assert graph._endpoints is None
+            assert graph._indegree is None
+            assert graph._outdegree is None
+        finally:
+            for graph in _WORKER_STATE["graphs"].values():
+                graph.close()
+            service_worker_init("{}")
+            segment.close()
+            segment.unlink()
+        assert answers == batched_search_trial(
+            family=family_spec(MoriFamily(p=0.5, m=1)),
+            size=SIZE,
+            portfolio=PORTFOLIO,
+            cells=cells,
+            seed=SEED,
+        )
+
+
 class TestLifecycle:
     def test_stop_unlinks_segments_and_is_idempotent(self):
         entries = build_grid_entries(
