@@ -14,14 +14,15 @@ verify:
 verify-full:
 	$(PYTEST) -q -m "slow or not slow"
 
-# What .github/workflows/ci.yml runs, locally: the tier-1 suite with
-# numpy, then the registry CLI smoke (the capability matrix plus one
+# What .github/workflows/ci.yml runs, locally: the tier-1 suite, then
+# the registry CLI smoke (the capability matrix plus one
 # downsized registry-driven experiment through the real CLI), then the
-# reference-arm diff (E1, E11 and E20 at the fastest-available defaults
-# and with `repro.core.trials.HAVE_NUMPY` switched off and
-# `repro.core.trials.freeze` made the identity in-process, which selects
-# the serial engine and generator and searches the mutable MultiGraph,
-# must print byte-identical output), then the corpus-cache
+# reference-arm diff (E1, E11 and E20 at the fast defaults and with
+# `repro.core.trials.fastest_available` patched to resolve a default to
+# the serial arm and `repro.core.trials.freeze` made the identity
+# in-process, which selects the serial engine and generator and searches
+# the mutable MultiGraph, must print byte-identical output), then the
+# corpus-cache
 # smoke (cold fill, warm replay with identical output, verify, and the
 # serve smoke over the filled corpus), then
 # the trial-store smoke (sqlite cold fill, warm replay with identical
@@ -32,20 +33,13 @@ verify-full:
 # small grid answering a concurrent query stream, every answer
 # verified bit-identical to the batch path and every shared-memory
 # segment verified unlinked on shutdown), then the
-# perfbench self-test (toy sizes; its serve-hop workload builds with
-# the vectorized generator, so it runs on the numpy leg only), then
-# the suite plus the generator fallback with numpy import-blocked (a
-# shim module shadows it) to exercise the stdlib fallbacks and the
-# clean "unavailable" error paths of the ensemble engine and the
-# vectorized generator (`repro serve --generator vectorized` must exit
-# 1); the serve smoke runs again on the no-numpy
-# leg (the service is pure stdlib).
+# perfbench self-test (toy sizes).
 ci:
 	$(PYTEST) -x -q
 	PYTHONPATH=src python -m repro list
 	PYTHONPATH=src python -m repro run E20 --quick --jobs 2
 	PYTHONPATH=src python -m repro run E1,E11,E20 --quick > .ci-default.out
-	PYTHONPATH=src python -c "import repro.core.trials as t; t.HAVE_NUMPY = False; t.freeze = lambda g: g; from repro.cli import main; raise SystemExit(main(['run','E1,E11,E20','--quick']))" > .ci-reference.out
+	PYTHONPATH=src python -c "import repro.core.trials as t; r = t.fastest_available; t.fastest_available = lambda c, a: r(c or a[0], a); t.freeze = lambda g: g; from repro.cli import main; raise SystemExit(main(['run','E1,E11,E20','--quick']))" > .ci-reference.out
 	cmp .ci-default.out .ci-reference.out
 	rm -f .ci-default.out .ci-reference.out
 	rm -rf .ci-corpus
@@ -74,13 +68,6 @@ ci:
 	PYTHONPATH=src python -m repro run E21 --quick
 	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --smoke
 	python3 perfbench/selftest.py
-	@mkdir -p .ci-no-numpy && printf 'raise ImportError("numpy disabled for the no-numpy CI leg")\n' > .ci-no-numpy/numpy.py
-	! PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 60 --seeds 0 --generator vectorized --smoke 2> .ci-no-numpy/err.log
-	grep -q "requires numpy" .ci-no-numpy/err.log
-	PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1
-	PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 120 --seeds 3 --smoke
-	PYTHONPATH=.ci-no-numpy:src python -m pytest -x -q; \
-		status=$$?; rm -rf .ci-no-numpy; exit $$status
 
 # The layered benchmark's self-test: both workloads at toy sizes,
 # checking every metric BENCHMARK.json declares is emitted with its

@@ -24,7 +24,7 @@ __all__ = ["degree_histogram", "ccdf", "mean_degree", "max_degree"]
 def degree_histogram(graph: GraphBackend) -> Dict[int, int]:
     """Map ``degree -> number of vertices with that degree``.
 
-    Accepts either backend; a numpy-backed
+    Accepts either backend; a
     :class:`~repro.graphs.frozen.FrozenGraph` is histogrammed with one
     ``bincount`` instead of a Python loop (identical mapping).
     """

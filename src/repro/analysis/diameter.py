@@ -35,7 +35,7 @@ def bfs_distances(graph: GraphBackend, source: int) -> List[int]:
     """Distances from ``source``; index ``v`` for vertex ``v``, -1 if unreached.
 
     Index 0 is unused (vertices are 1-based).  Accepts either backend;
-    a numpy-backed :class:`~repro.graphs.frozen.FrozenGraph` expands
+    a :class:`~repro.graphs.frozen.FrozenGraph` expands
     whole frontiers at a time through the CSR kernel (BFS distances are
     unique, so the values are identical).
     """

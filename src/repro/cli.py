@@ -50,10 +50,9 @@ convert it between backends, and drop entries stale under the current
 code (see :mod:`repro.runner.store`).
 ``--mode trajectory`` serves scaling sweeps from checkpoint snapshots
 of shared growth trajectories (one construction pass per sweep).
-Graphs are built and searched by the fastest available arms: the
-lock-step ensemble kernel and the batched :mod:`repro.graphs.fastgen`
-builders when numpy imports, else the serial reference arms, with
-bit-identical numbers either way
+Graphs are built and searched by the fast arms: the lock-step ensemble
+kernel and the batched :mod:`repro.graphs.fastgen` builders, with
+numbers bit-identical to the serial reference arms
 (:func:`repro.core.trials.fastest_available`); every realisation is
 searched as a frozen CSR snapshot.
 Whether a flag applies is read off the experiment's *declared
@@ -80,6 +79,7 @@ batch-path identity and clean shm teardown, exit.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
@@ -337,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "serve independent graph builds from this "
             "on-disk snapshot corpus, persisting misses (equivalent "
-            "to setting REPRO_CORPUS_DIR; requires numpy, silently "
-            "inert without it)"
+            "to setting REPRO_CORPUS_DIR)"
         ),
     )
 
@@ -416,9 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpus",
         default=None,
         help=(
-            "serve every snapshot of this corpus directory (requires "
-            "numpy); omit to generate a grid from --model/--sizes/"
-            "--seeds"
+            "serve every snapshot of this corpus directory; omit to "
+            "generate a grid from --model/--sizes/--seeds"
         ),
     )
     serve.add_argument(
@@ -453,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "construction strategy for generated graphs (default: "
-            "vectorized when numpy imports, else serial)"
+            "vectorized)"
         ),
     )
     serve.add_argument(
@@ -911,19 +909,8 @@ def _corpus_family(args):
 
 def _corpus_main(args) -> int:
     """The ``repro corpus build/list/verify`` commands."""
-    from repro.graphs.corpus import (
-        CORPUS_SCHEMA,
-        HAVE_CORPUS,
-        GraphCorpus,
-    )
+    from repro.graphs.corpus import CORPUS_SCHEMA, GraphCorpus
 
-    if not HAVE_CORPUS:
-        print(
-            "error: the graph corpus requires numpy, which is not "
-            "available",
-            file=sys.stderr,
-        )
-        return 1
     corpus = GraphCorpus(args.dir)
 
     if args.corpus_command == "build":
@@ -993,13 +980,6 @@ def _serve_entries(args):
     from repro.service import build_grid_entries, load_corpus_entries
 
     if args.corpus:
-        from repro.graphs.corpus import HAVE_CORPUS
-
-        if not HAVE_CORPUS:
-            raise ExperimentError(
-                "--corpus requires numpy, which is not available; "
-                "use the --model/--sizes grid instead"
-            )
         entries = load_corpus_entries(args.corpus)
         if not entries:
             raise ExperimentError(
@@ -1237,32 +1217,26 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
 
     if args.command == "run":
-        if not args.corpus_dir:
-            return _run_main(args)
-        from repro.graphs.corpus import CORPUS_DIR_VARIABLE
-
-        # Workers inherit the environment, so the variable also
-        # activates the corpus in --jobs subprocesses; restored
-        # afterwards so in-process callers of main() (tests, other
-        # runs) are not left with a corpus they never asked for.
-        previous = os.environ.get(CORPUS_DIR_VARIABLE)
-        os.environ[CORPUS_DIR_VARIABLE] = args.corpus_dir
         try:
-            return _run_main(args)
-        finally:
-            if previous is None:
-                del os.environ[CORPUS_DIR_VARIABLE]
-            else:
-                os.environ[CORPUS_DIR_VARIABLE] = previous
+            return _run_with_corpus(args)
+        except OSError as error:
+            return _path_error(error.filename, error.strerror or error)
 
     if args.command == "compare":
         from repro.core.compare import compare_results
         from repro.core.results import load_result
 
-        report = compare_results(
-            load_result(args.old), load_result(args.new),
-            rtol=args.rtol,
-        )
+        records = []
+        for path in (args.old, args.new):
+            try:
+                records.append(load_result(path))
+            except OSError as error:
+                return _path_error(path, error.strerror or error)
+            except json.JSONDecodeError as error:
+                return _path_error(path, f"not valid JSON ({error})")
+            except (ValueError, KeyError, TypeError, AttributeError):
+                return _path_error(path, "not an experiment record")
+        report = compare_results(*records, rtol=args.rtol)
         print(report.format())
         return 0 if report.matches else 1
 
@@ -1270,8 +1244,36 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 2  # pragma: no cover - parser.error raises
 
 
+def _path_error(path, reason) -> int:
+    """Report a bad user path as one ``error: <path>: <reason>`` line."""
+    where = f"{path}: " if path else ""
+    print(f"error: {where}{reason}", file=sys.stderr)
+    return 1
+
+
+def _run_with_corpus(args) -> int:
+    """``repro run``, with ``--corpus-dir`` exported while it runs."""
+    if not args.corpus_dir:
+        return _run_main(args)
+    from repro.graphs.corpus import CORPUS_DIR_VARIABLE
+
+    # Workers inherit the environment, so the variable also
+    # activates the corpus in --jobs subprocesses; restored
+    # afterwards so in-process callers of main() (tests, other
+    # runs) are not left with a corpus they never asked for.
+    previous = os.environ.get(CORPUS_DIR_VARIABLE)
+    os.environ[CORPUS_DIR_VARIABLE] = args.corpus_dir
+    try:
+        return _run_main(args)
+    finally:
+        if previous is None:
+            del os.environ[CORPUS_DIR_VARIABLE]
+        else:
+            os.environ[CORPUS_DIR_VARIABLE] = previous
+
+
 def _run_main(args) -> int:
-    """The ``repro run`` branch (corpus activation handled by main)."""
+    """The ``repro run`` branch (corpus activation handled by the caller)."""
     from repro.graphs.corpus import reset_corpus_stats
     from repro.runner import reset_store_stats
 

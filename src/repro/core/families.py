@@ -112,7 +112,7 @@ class GraphFamily:
 
         ``generator="vectorized"`` routes families that have one
         through the batched kernels in :mod:`repro.graphs.fastgen`
-        (requires numpy; bit-identical to the serial builder —
+        (bit-identical to the serial builder —
         ``tests/test_fastgen_equivalence.py`` pins it).  Families
         without a kernel build serially under either generator, the
         same silent fallback the ensemble engine applies to non-walk
@@ -202,12 +202,8 @@ class MoriFamily(GraphFamily):
         generator: str = "serial",
     ) -> FrozenGraph:
         if generator == "vectorized":
-            from repro.graphs.fastgen import (
-                fast_merged_mori_frozen,
-                require_fastgen_engine,
-            )
+            from repro.graphs.fastgen import fast_merged_mori_frozen
 
-            require_fastgen_engine()
             return fast_merged_mori_frozen(
                 size, self.m, self.p, seed=seed
             )
@@ -279,12 +275,8 @@ class CooperFriezeFamily(GraphFamily):
         generator: str = "serial",
     ) -> FrozenGraph:
         if generator == "vectorized":
-            from repro.graphs.fastgen import (
-                fast_cooper_frieze_frozen,
-                require_fastgen_engine,
-            )
+            from repro.graphs.fastgen import fast_cooper_frieze_frozen
 
-            require_fastgen_engine()
             graph, _ = fast_cooper_frieze_frozen(
                 size, self.params, seed=seed
             )
@@ -302,12 +294,8 @@ class CooperFriezeFamily(GraphFamily):
         # without adding vertices), so the marks are observed during
         # the one shared run rather than computed from the arity.
         if generator == "vectorized":
-            from repro.graphs.fastgen import (
-                fast_cooper_frieze_frozen,
-                require_fastgen_engine,
-            )
+            from repro.graphs.fastgen import fast_cooper_frieze_frozen
 
-            require_fastgen_engine()
             graph, marks = fast_cooper_frieze_frozen(
                 ordered[-1], self.params, seed=seed,
                 checkpoints=ordered,
@@ -362,12 +350,8 @@ class BarabasiAlbertFamily(GraphFamily):
         generator: str = "serial",
     ) -> FrozenGraph:
         if generator == "vectorized":
-            from repro.graphs.fastgen import (
-                fast_barabasi_albert_frozen,
-                require_fastgen_engine,
-            )
+            from repro.graphs.fastgen import fast_barabasi_albert_frozen
 
-            require_fastgen_engine()
             return fast_barabasi_albert_frozen(size, self.m, seed=seed)
         return super().build_frozen(size, seed=seed)
 

@@ -51,7 +51,7 @@ from repro.graphs.base import MultiGraph
 from repro.graphs.churn import CHURN_BIASES, ChurnProcess
 from repro.graphs.components import connected_components
 from repro.graphs.delta import DeltaGraph
-from repro.graphs.frozen import HAVE_NUMPY, GraphBackend, freeze
+from repro.graphs.frozen import GraphBackend, freeze
 from repro.graphs.cooper_frieze import CooperFriezeParams
 from repro.graphs.kleinberg import kleinberg_grid
 from repro.rng import make_rng, run_substream, substream
@@ -126,14 +126,14 @@ def fastest_available(choice: Optional[str], axis) -> str:
     """Resolve and validate an ``engine``/``generator`` choice.
 
     ``axis`` is :data:`ENGINES` or :data:`GENERATORS`: ``(reference,
-    fast)``.  ``None`` resolves to the fast numpy arm when numpy
-    imports and to the stdlib reference arm otherwise; an explicit
-    choice must be a member of ``axis``.  Trial functions resolve
+    fast)``.  ``None`` resolves to the fast numpy arm; the reference
+    arm is taken only when named explicitly, and an explicit choice
+    must be a member of ``axis``.  Trial functions resolve
     here, in whichever process runs them, so ``None`` never has to
     enter trial params (and hence cache keys).
     """
     if choice is None:
-        return axis[1] if HAVE_NUMPY else axis[0]
+        return axis[1]
     if choice not in axis:
         label = "search engine" if axis == ENGINES else "graph generator"
         raise ExperimentError(
@@ -511,13 +511,8 @@ def _execute_cells(
     ensemble_groups: Dict[Any, List[int]] = {}
     ensemble_graph = graph
     if engine == "ensemble":
-        from repro.search.ensemble import (
-            ensemble_supported,
-            require_ensemble_engine,
-            run_ensemble,
-        )
+        from repro.search.ensemble import ensemble_supported, run_ensemble
 
-        require_ensemble_engine()
         # One shared snapshot for every walk-family group (a no-op on
         # the frozen backend); run_ensemble would otherwise re-freeze
         # a multigraph-backend graph once per group.  A DeltaGraph

@@ -16,7 +16,6 @@ __all__ = [
     "SearchError",
     "AnalysisError",
     "ExperimentError",
-    "EngineUnavailableError",
 ]
 
 
@@ -56,12 +55,3 @@ class AnalysisError(ReproError):
 class ExperimentError(ReproError):
     """An experiment specification is inconsistent or a run failed."""
 
-
-class EngineUnavailableError(ExperimentError):
-    """A requested execution engine cannot run in this environment.
-
-    Raised when ``engine='ensemble'`` is selected but numpy is not
-    installed: the vectorized walker-ensemble kernel has no stdlib
-    rendering (unlike the graph backends, whose fallback is the mutable
-    path itself), so the caller must fall back to ``engine='serial'``
-    explicitly rather than silently getting different performance."""

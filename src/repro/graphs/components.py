@@ -30,7 +30,7 @@ __all__ = [
 def connected_components(graph: GraphBackend) -> List[List[int]]:
     """All connected components, largest first, each sorted ascending.
 
-    Accepts either backend; on a numpy-backed
+    Accepts either backend; on a
     :class:`~repro.graphs.frozen.FrozenGraph` the components come from
     the vectorised label-propagation kernel (identical output).
     """

@@ -21,8 +21,8 @@ def _require_networkx():
         import networkx
     except ImportError as exc:  # pragma: no cover - env without networkx
         raise ReproError(
-            "networkx is required for graph conversion; install the "
-            "'analysis' extra: pip install repro[analysis]"
+            "networkx is required for graph conversion: "
+            "pip install networkx"
         ) from exc
     return networkx
 

@@ -34,11 +34,6 @@ in :mod:`repro.core.trials` consults it on every independent frozen
 snapshot build, and the variable is inherited by worker processes.
 Hit/miss counters are process-local; the CLI reports the parent
 process's tally after a run.
-
-numpy is required (the whole point is mapped array sharing); without
-it :func:`active_corpus` reports no corpus, so callers silently fall
-back to building in memory, and explicit :class:`GraphCorpus` use
-raises :class:`~repro.errors.EngineUnavailableError`.
 """
 
 from __future__ import annotations
@@ -48,20 +43,13 @@ import json
 import os
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.errors import EngineUnavailableError, ExperimentError
+import numpy as _np
+
+from repro.errors import ExperimentError
 from repro.graphs.frozen import FrozenGraph, freeze
 from repro.ioatomic import write_atomic
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-
-    HAVE_CORPUS = True
-except ImportError:  # pragma: no cover - the container always has numpy
-    _np = None
-    HAVE_CORPUS = False
-
 __all__ = [
-    "HAVE_CORPUS",
     "CORPUS_SCHEMA",
     "CORPUS_DIR_VARIABLE",
     "GraphCorpus",
@@ -101,21 +89,13 @@ def reset_corpus_stats() -> None:
 def active_corpus() -> Optional["GraphCorpus"]:
     """The corpus named by ``REPRO_CORPUS_DIR``, or ``None``.
 
-    ``None`` when the variable is unset/empty or numpy is missing —
-    the build paths silently fall back to in-memory construction, so
-    setting the variable can never make a run fail.
+    ``None`` when the variable is unset or empty — the build paths
+    then construct in memory.
     """
     root = os.environ.get(CORPUS_DIR_VARIABLE)
-    if not root or not HAVE_CORPUS:
+    if not root:
         return None
     return GraphCorpus(root)
-
-
-def _require_corpus_engine() -> None:
-    if not HAVE_CORPUS:
-        raise EngineUnavailableError(
-            "the graph corpus requires numpy, which is not available"
-        )
 
 
 def _spec_hash(spec: Mapping[str, Any]) -> str:
@@ -130,7 +110,6 @@ class GraphCorpus:
     """A directory of memory-mapped frozen-graph snapshots."""
 
     def __init__(self, root):
-        _require_corpus_engine()
         self.root = os.fspath(root)
 
     # ------------------------------------------------------------------

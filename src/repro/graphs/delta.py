@@ -42,12 +42,11 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from repro.errors import GraphConstructionError
 from repro.graphs.base import MultiGraph
-from repro.graphs.frozen import HAVE_NUMPY, FrozenGraph, GraphBackend, freeze
-
-if HAVE_NUMPY:
-    import numpy as _np
+from repro.graphs.frozen import FrozenGraph, GraphBackend, freeze
 
 __all__ = ["DeltaGraph", "graph_digest"]
 
@@ -417,14 +416,11 @@ class DeltaGraph:
                 slot_edges[cursor] = eid
                 slot_targets[cursor] = self.other_endpoint(eid, v)
                 cursor += 1
-        if HAVE_NUMPY:
-            cached = (
-                _np.asarray(offsets, dtype=_np.int64),
-                _np.asarray(slot_edges, dtype=_np.int64),
-                _np.asarray(slot_targets, dtype=_np.int64),
-            )
-        else:
-            cached = (offsets, slot_edges, slot_targets)
+        cached = (
+            _np.asarray(offsets, dtype=_np.int64),
+            _np.asarray(slot_edges, dtype=_np.int64),
+            _np.asarray(slot_targets, dtype=_np.int64),
+        )
         self._csr = cached
         return cached
 

@@ -45,38 +45,22 @@ the values.  :func:`fast_cooper_frieze_frozen` instead replays the
 serial draw sequence with flat-list bookkeeping (no MultiGraph, no urn
 objects, no step records) and emits CSR directly — bit-identical by
 construction, just with the constant factor cut down.
-
-numpy is required: without it every kernel raises
-:class:`~repro.errors.EngineUnavailableError`, mirroring the walker
-ensemble engine, and callers fall back to the serial builders.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.errors import (
-    EngineUnavailableError,
-    GraphConstructionError,
-    InvalidParameterError,
-)
+import numpy as _np
+
+from repro.errors import GraphConstructionError, InvalidParameterError
 from repro.graphs.cooper_frieze import CooperFriezeParams
 from repro.graphs.frozen import FrozenGraph
 from repro.graphs.sampling import discrete_distribution_sampler
 from repro.rng import RandomLike, make_rng
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-
-    HAVE_FASTGEN = True
-except ImportError:  # pragma: no cover - the container always has numpy
-    _np = None
-    HAVE_FASTGEN = False
-
 __all__ = [
-    "HAVE_FASTGEN",
     "FASTGEN_MODELS",
-    "require_fastgen_engine",
     "frozen_from_pairs",
     "fast_mori_parents",
     "fast_mori_tree_frozen",
@@ -94,15 +78,6 @@ _RECIP53 = 1.0 / 9007199254740992.0
 
 #: Steps per scan chunk; word demand is prefetched per chunk.
 _CHUNK = 16384
-
-
-def require_fastgen_engine() -> None:
-    """Raise :class:`EngineUnavailableError` unless numpy is importable."""
-    if not HAVE_FASTGEN:
-        raise EngineUnavailableError(
-            "the vectorized generator requires numpy, which is not "
-            "available; use generator='serial' or install numpy"
-        )
 
 
 class _WordStream:
@@ -319,7 +294,6 @@ def frozen_from_pairs(num_vertices, tails, heads) -> FrozenGraph:
     reproduces every vertex's slot order, self-loops (two consecutive
     slots) included.
     """
-    require_fastgen_engine()
     tails = _np.ascontiguousarray(tails, dtype=_np.int64)
     heads = _np.ascontiguousarray(heads, dtype=_np.int64)
     num_edges = len(tails)
@@ -373,7 +347,6 @@ def fast_mori_parents(n: int, p: float, seed: RandomLike = None):
     build would leave it.
     """
     _validate_mori(n, p, "Mori tree")
-    require_fastgen_engine()
     rng = make_rng(seed)
     parents = _np.zeros(n + 1, dtype=_np.int64)
     parents[2] = 1
@@ -446,7 +419,6 @@ def fast_mori_edges_per_step_frozen(
     _validate_mori(n, p, "edges-per-step Mori graph")
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
-    require_fastgen_engine()
     rng = make_rng(seed)
 
     drawn = (n - 2) * m  # edges drawn after the initial bundle
@@ -490,7 +462,6 @@ def fast_barabasi_albert_frozen(
         raise InvalidParameterError(f"BA graph needs n >= 2, got {n}")
     if m < 1:
         raise InvalidParameterError(f"BA graph needs m >= 1, got {m}")
-    require_fastgen_engine()
     rng = make_rng(seed)
 
     drawn = (n - 1) * m
@@ -556,7 +527,6 @@ def fast_cooper_frieze_frozen(
         raise InvalidParameterError(
             f"checkpoints must lie in [2, {n}], got {pending}"
         )
-    require_fastgen_engine()
     rng = make_rng(seed)
     if max_steps is None:
         max_steps = int(20 * (n - 1) / params.alpha) + 100

@@ -23,41 +23,27 @@ what the source :class:`MultiGraph` would have answered
 (``tests/test_frozen_graph.py`` pins this across all graph models).
 Oracles and search algorithms therefore accept either backend.
 
-With numpy a snapshot is array-native: the CSR plus the endpoint and
-directed-degree columns are int64 arrays (which may be views into a
-shared-memory segment or a memory-mapped corpus blob), and the Python
+A snapshot is array-native: the CSR plus the endpoint and
+directed-degree columns are numpy int64 arrays (which may be views into
+a shared-memory segment or a memory-mapped corpus blob), and the Python
 lists the scalar API indexes (``edge_endpoints``, ``in_degree``, ...)
 are built on its first call.  A snapshot that is only walked through
 the CSR therefore costs its arrays and nothing per edge.
-
-numpy is optional: without it the CSR arrays live in stdlib
-:mod:`array` buffers, the endpoint and degree lists are built up
-front, the scalar API is unchanged, and the vectorised kernels
-(:func:`vectorized_bfs_distances` and friends) simply report "not
-available" so callers fall back to their generic loops.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+import numpy as _np
 
 from repro.errors import GraphConstructionError
 from repro.graphs.base import MultiGraph
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container always has numpy
-    _np = None
-    HAVE_NUMPY = False
-
 __all__ = [
     "FrozenGraph",
     "GraphBackend",
-    "HAVE_NUMPY",
     "freeze",
     "vectorized_bfs_distances",
     "vectorized_connected_components",
@@ -110,27 +96,22 @@ class FrozenGraph:
         slot_targets,
         num_loops: int,
         *,
-        columns=None,
-        endpoints: Optional[List[Tuple[int, int]]] = None,
-        indegree: Optional[List[int]] = None,
-        outdegree: Optional[List[int]] = None,
+        columns,
     ):
         self._n = num_vertices
-        #: The numpy path's per-edge and per-vertex columns: ``(tails,
-        #: heads, indegree, outdegree)`` int64 arrays, possibly views
-        #: into a shared-memory segment or a memory-mapped corpus blob.
-        #: ``None`` on the stdlib path, which passes the lists instead.
+        #: The per-edge and per-vertex columns: ``(tails, heads,
+        #: indegree, outdegree)`` int64 arrays, possibly views into a
+        #: shared-memory segment or a memory-mapped corpus blob.
         self._columns = columns
         #: edge id -> (tail, head), and the directed degrees, as plain
         #: Python lists: scalar access from the oracle request loop must
-        #: not pay numpy boxing.  On the numpy path each list is built
-        #: from ``_columns`` on its first scalar access, so a snapshot
-        #: that is only searched through the CSR arrays (the ensemble
-        #: engine) never holds one.
-        self._endpoints = endpoints
-        self._indegree = indegree
-        self._outdegree = outdegree
-        self._m = len(endpoints if columns is None else columns[0])
+        #: not pay numpy boxing.  Each list is built from ``_columns`` on
+        #: its first scalar access, so a snapshot that is only searched
+        #: through the CSR arrays (the ensemble engine) never holds one.
+        self._endpoints: Optional[List[Tuple[int, int]]] = None
+        self._indegree: Optional[List[int]] = None
+        self._outdegree: Optional[List[int]] = None
+        self._m = len(columns[0])
         #: CSR offsets indexed by vertex: slots of v are
         #: ``offsets[v] .. offsets[v + 1]`` (offsets[0] == offsets[1] == 0
         #: because vertex ids are 1-based).
@@ -173,51 +154,28 @@ class FrozenGraph:
         degrees = [len(incident[v]) for v in range(n + 1)]
         total_slots = sum(degrees)
 
-        if HAVE_NUMPY:
-            offsets = _np.zeros(n + 2, dtype=_np.int64)
-            _np.cumsum(degrees, out=offsets[1:])
-            slot_edges = _np.fromiter(
-                chain.from_iterable(incident),
-                dtype=_np.int64,
-                count=total_slots,
-            )
-            pairs = _np.array(endpoints, dtype=_np.int64).reshape(-1, 2)
-            tails, heads = pairs[:, 0], pairs[:, 1]
-            # Far endpoint per slot: tail + head - owner (a self-loop's
-            # owner is both endpoints, so the identity falls out).
-            owners = _np.repeat(
-                _np.arange(n + 1, dtype=_np.int64), degrees
-            )
-            slot_targets = tails[slot_edges] + heads[slot_edges] - owners
-            return cls(
-                n, offsets, slot_edges, slot_targets,
-                int(_np.count_nonzero(tails == heads)),
-                columns=(
-                    tails,
-                    heads,
-                    _np.array(graph._indegree, dtype=_np.int64),
-                    _np.array(graph._outdegree, dtype=_np.int64),
-                ),
-            )
-        offsets = array("q", [0] * (n + 2))
-        for v in range(n + 1):
-            offsets[v + 1] = offsets[v] + degrees[v]
-        slot_edges = array("q")
-        slot_targets = array("q")
-        num_loops = 0
-        for tail, head in endpoints:
-            if tail == head:
-                num_loops += 1
-        for v in range(n + 1):
-            for eid in incident[v]:
-                tail, head = endpoints[eid]
-                slot_edges.append(eid)
-                slot_targets.append(tail + head - v)
+        offsets = _np.zeros(n + 2, dtype=_np.int64)
+        _np.cumsum(degrees, out=offsets[1:])
+        slot_edges = _np.fromiter(
+            chain.from_iterable(incident),
+            dtype=_np.int64,
+            count=total_slots,
+        )
+        pairs = _np.array(endpoints, dtype=_np.int64).reshape(-1, 2)
+        tails, heads = pairs[:, 0], pairs[:, 1]
+        # Far endpoint per slot: tail + head - owner (a self-loop's
+        # owner is both endpoints, so the identity falls out).
+        owners = _np.repeat(_np.arange(n + 1, dtype=_np.int64), degrees)
+        slot_targets = tails[slot_edges] + heads[slot_edges] - owners
         return cls(
-            n, offsets, slot_edges, slot_targets, num_loops,
-            endpoints=list(endpoints),
-            indegree=list(graph._indegree),
-            outdegree=list(graph._outdegree),
+            n, offsets, slot_edges, slot_targets,
+            int(_np.count_nonzero(tails == heads)),
+            columns=(
+                tails,
+                heads,
+                _np.array(graph._indegree, dtype=_np.int64),
+                _np.array(graph._outdegree, dtype=_np.int64),
+            ),
         )
 
     def add_vertex(self) -> int:
@@ -292,10 +250,7 @@ class FrozenGraph:
             pass
         lo = int(self._offsets[v])
         hi = int(self._offsets[v + 1])
-        if HAVE_NUMPY:
-            cached = tuple(self._slot_edges[lo:hi].tolist())
-        else:
-            cached = tuple(self._slot_edges[lo:hi])
+        cached = tuple(self._slot_edges[lo:hi].tolist())
         self._inc_cache[v] = cached
         return cached
 
@@ -344,10 +299,7 @@ class FrozenGraph:
         if cached is None:
             lo = int(self._offsets[v])
             hi = int(self._offsets[v + 1])
-            if HAVE_NUMPY:
-                cached = self._slot_targets[lo:hi].tolist()
-            else:
-                cached = list(self._slot_targets[lo:hi])
+            cached = self._slot_targets[lo:hi].tolist()
             self._neighbor_cache[v] = cached
         return cached
 
@@ -366,12 +318,7 @@ class FrozenGraph:
 
     def degree_sequence(self) -> List[int]:
         """Undirected degrees of all vertices, indexed ``0 .. n-1`` for ``1 .. n``."""
-        if HAVE_NUMPY:
-            return _np.diff(self._offsets[1:]).tolist()
-        return [
-            self._offsets[v + 1] - self._offsets[v]
-            for v in range(1, self._n + 1)
-        ]
+        return _np.diff(self._offsets[1:]).tolist()
 
     def num_self_loops(self) -> int:
         """Number of self-loop edges."""
@@ -382,23 +329,7 @@ class FrozenGraph:
         if self._n <= 1:
             return True
         distances = vectorized_bfs_distances(self, 1)
-        if distances is not None:
-            return all(d >= 0 for d in distances[1:])
-        seen = [False] * (self._n + 1)
-        stack = [1]
-        seen[1] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            lo = int(self._offsets[v])
-            hi = int(self._offsets[v + 1])
-            for w in self._slot_targets[lo:hi]:
-                w = int(w)
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self._n
+        return all(d >= 0 for d in distances[1:])
 
     def thaw(self) -> MultiGraph:
         """An independent mutable copy with identical content and edge ids."""
@@ -419,15 +350,15 @@ class FrozenGraph:
         """The seven int64 arrays in corpus/shared-memory blob order.
 
         ``tails, heads, offsets, slot_edges, slot_targets, indegree,
-        outdegree`` (numpy only); see :mod:`repro.graphs.corpus`.
+        outdegree``; see :mod:`repro.graphs.corpus`.
         """
         tails, heads, indegree, outdegree = self._columns
         return (
             tails,
             heads,
-            _np.asarray(self._offsets),
-            _np.asarray(self._slot_edges),
-            _np.asarray(self._slot_targets),
+            self._offsets,
+            self._slot_edges,
+            self._slot_targets,
             indegree,
             outdegree,
         )
@@ -470,65 +401,29 @@ class FrozenGraph:
         if num_vertices == self._n and num_edges == self._m:
             return self
 
-        if HAVE_NUMPY:
-            tails, heads, _, _ = self._columns
-            tails = tails[:num_edges]
-            heads = heads[:num_edges]
-            if num_edges and int(
-                max(tails.max(), heads.max())
-            ) > num_vertices:
-                raise GraphConstructionError(
-                    f"prefix of {num_edges} edges touches vertices "
-                    f"beyond {num_vertices}; not a past state"
-                )
-            indegree = _np.bincount(heads, minlength=num_vertices + 1)
-            outdegree = _np.bincount(tails, minlength=num_vertices + 1)
-            num_loops = int((tails == heads).sum())
-            sub_offsets = self._offsets[: num_vertices + 2]
-            end = int(sub_offsets[-1])
-            mask = self._slot_edges[:end] < num_edges
-            cum = _np.zeros(end + 1, dtype=_np.int64)
-            _np.cumsum(mask, out=cum[1:])
-            offsets = _np.zeros(num_vertices + 2, dtype=_np.int64)
-            offsets[1:] = cum[sub_offsets[1:]]
-            slot_edges = self._slot_edges[:end][mask]
-            slot_targets = self._slot_targets[:end][mask]
-            return type(self)(
-                num_vertices, offsets, slot_edges, slot_targets,
-                num_loops, columns=(tails, heads, indegree, outdegree),
+        tails, heads, _, _ = self._columns
+        tails = tails[:num_edges]
+        heads = heads[:num_edges]
+        if num_edges and int(max(tails.max(), heads.max())) > num_vertices:
+            raise GraphConstructionError(
+                f"prefix of {num_edges} edges touches vertices "
+                f"beyond {num_vertices}; not a past state"
             )
-        from bisect import bisect_left
-
-        endpoints = self._endpoint_list()[:num_edges]
-        indegree = [0] * (num_vertices + 1)
-        outdegree = [0] * (num_vertices + 1)
-        num_loops = 0
-        for tail, head in endpoints:
-            if tail > num_vertices or head > num_vertices:
-                raise GraphConstructionError(
-                    f"prefix of {num_edges} edges touches vertices "
-                    f"beyond {num_vertices}; not a past state"
-                )
-            indegree[head] += 1
-            outdegree[tail] += 1
-            if tail == head:
-                num_loops += 1
-        offsets = array("q", [0] * (num_vertices + 2))
-        slot_edges = array("q")
-        slot_targets = array("q")
-        for v in range(num_vertices + 1):
-            lo = self._offsets[v]
-            hi = self._offsets[v + 1]
-            segment = self._slot_edges[lo:hi]
-            kept = bisect_left(segment, num_edges)
-            offsets[v + 1] = offsets[v] + kept
-            slot_edges.extend(segment[:kept])
-            slot_targets.extend(
-                self._slot_targets[lo:lo + kept]
-            )
+        indegree = _np.bincount(heads, minlength=num_vertices + 1)
+        outdegree = _np.bincount(tails, minlength=num_vertices + 1)
+        num_loops = int((tails == heads).sum())
+        sub_offsets = self._offsets[: num_vertices + 2]
+        end = int(sub_offsets[-1])
+        mask = self._slot_edges[:end] < num_edges
+        cum = _np.zeros(end + 1, dtype=_np.int64)
+        _np.cumsum(mask, out=cum[1:])
+        offsets = _np.zeros(num_vertices + 2, dtype=_np.int64)
+        offsets[1:] = cum[sub_offsets[1:]]
+        slot_edges = self._slot_edges[:end][mask]
+        slot_targets = self._slot_targets[:end][mask]
         return type(self)(
-            num_vertices, offsets, slot_edges, slot_targets, num_loops,
-            endpoints=endpoints, indegree=indegree, outdegree=outdegree,
+            num_vertices, offsets, slot_edges, slot_targets,
+            num_loops, columns=(tails, heads, indegree, outdegree),
         )
 
     # ------------------------------------------------------------------
@@ -601,7 +496,7 @@ def freeze(graph: GraphBackend) -> FrozenGraph:
 # Each kernel answers exactly what the generic pure-Python algorithm on
 # the mutable backend answers (same values, same Python types, same
 # ordering conventions), or returns None when it cannot apply (not a
-# FrozenGraph, or numpy unavailable) so the caller falls back.
+# FrozenGraph) so the caller falls back to its generic loop.
 
 
 def vectorized_bfs_distances(
@@ -611,9 +506,9 @@ def vectorized_bfs_distances(
 
     Returns distances indexed by vertex (index 0 unused, -1 for
     unreached) — identical to the generic BFS, whose distances are
-    unique — or ``None`` when the vectorised path is unavailable.
+    unique — or ``None`` for a graph that is not a :class:`FrozenGraph`.
     """
-    if not HAVE_NUMPY or not isinstance(graph, FrozenGraph):
+    if not isinstance(graph, FrozenGraph):
         return None
     n = graph._n
     offsets = graph._offsets
@@ -654,9 +549,9 @@ def vectorized_connected_components(
     Matches the generic implementation's output exactly: components
     largest first (ties broken by smallest member, which is what the
     generic discovery-order + stable sort produces), each sorted
-    ascending.  ``None`` when the vectorised path is unavailable.
+    ascending.  ``None`` for a graph that is not a :class:`FrozenGraph`.
     """
-    if not HAVE_NUMPY or not isinstance(graph, FrozenGraph):
+    if not isinstance(graph, FrozenGraph):
         return None
     n = graph._n
     if n == 0:
@@ -691,8 +586,8 @@ def vectorized_connected_components(
 def vectorized_degree_histogram(
     graph: GraphBackend,
 ) -> Optional[Dict[int, int]]:
-    """``degree -> count`` via bincount; ``None`` when unavailable."""
-    if not HAVE_NUMPY or not isinstance(graph, FrozenGraph):
+    """``degree -> count`` via bincount; ``None`` for a non-snapshot."""
+    if not isinstance(graph, FrozenGraph):
         return None
     degrees = _np.diff(graph._offsets[1:])
     counts = _np.bincount(degrees)

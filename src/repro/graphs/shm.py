@@ -15,38 +15,34 @@ JSON header so an attach needs nothing but the segment *name*::
 
 :func:`publish_graph` serialises a snapshot and returns the owner-side
 :class:`SharedGraphSegment` handle (the owner — a service daemon, a
-benchmark driver — is responsible for ``unlink()`` on shutdown);
+benchmark driver — is responsible for ``unlink()`` on shutdown).
+Segments are named ``repro-<owner pid>-<token>``, so an owner killed
+before it could unlink leaves names that
+:func:`sweep_dead_segments` recognises and removes;
 :func:`attach_graph` maps a segment by name into an
 :class:`ShmFrozenGraph`, a plain :class:`FrozenGraph` whose big slot
 arrays are views straight into the shared buffer.  Attached views are
 read-only, preserving the frozen-graph immutability contract.
 
-numpy is optional: with it the views are zero-copy ``frombuffer``
-arrays, all seven of them, so an attach parses the header and builds
-nothing else — O(1) in the graph size.  The endpoint and degree lists
-the scalar API needs (``edge_endpoints``, ``in_degree``, ...) are
-built only if a search calls it; the ensemble engine never does.
-Without numpy the views are ``memoryview.cast("q")`` windows, which
-support the same indexing/slicing the stdlib-array fallback of
-:class:`FrozenGraph` relies on, and the attach builds those lists up
-front, as every stdlib-path snapshot holds them.
+The views are zero-copy numpy ``frombuffer`` arrays, all seven of them,
+so an attach parses the header and builds nothing else — O(1) in the
+graph size.  The endpoint and degree lists the scalar API needs
+(``edge_endpoints``, ``in_degree``, ...) are built only if a search
+calls it; the ensemble engine never does.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
-from array import array
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ExperimentError
-from repro.graphs.frozen import FrozenGraph, HAVE_NUMPY, freeze
+import numpy as _np
 
-if HAVE_NUMPY:  # pragma: no branch - import mirror of frozen.py
-    import numpy as _np
-else:  # pragma: no cover - the container always has numpy
-    _np = None
+from repro.errors import ExperimentError
+from repro.graphs.frozen import FrozenGraph, freeze
 
 __all__ = [
     "SHM_SCHEMA",
@@ -54,9 +50,13 @@ __all__ = [
     "ShmFrozenGraph",
     "attach_graph",
     "publish_graph",
+    "sweep_dead_segments",
 ]
 
 SHM_SCHEMA = "repro-shm/v1"
+
+#: Where POSIX shared-memory segments appear as files (Linux).
+SHM_DIR = "/dev/shm"
 
 _MAGIC = b"REPROSHM"
 _PREFIX = struct.Struct("<8sQ")
@@ -76,28 +76,14 @@ _ARRAY_NAMES = (
 def _blob_columns(snapshot: FrozenGraph) -> List[Any]:
     """The seven arrays as contiguous little-endian int64 buffers.
 
-    On the numpy path these are the snapshot's own arrays (no copy
-    unless one is strided), so publishing copies each array once,
-    straight into the segment.
+    These are the snapshot's own arrays (no copy unless one is
+    strided), so publishing copies each array once, straight into the
+    segment.
     """
-    if HAVE_NUMPY:
-        return [
-            _np.ascontiguousarray(column, dtype="<i8")
-            for column in snapshot._blob_arrays()
-        ]
-    endpoints = snapshot._endpoint_list()
-    columns = (
-        array("q", (tail for tail, _ in endpoints)),
-        array("q", (head for _, head in endpoints)),
-        array("q", snapshot._offsets),
-        array("q", snapshot._slot_edges),
-        array("q", snapshot._slot_targets),
-        array("q", snapshot._indegree),
-        array("q", snapshot._outdegree),
-    )
-    # array("q") is host-endian; every supported platform here is
-    # little-endian, matching the corpus "<i8" convention.
-    return list(columns)
+    return [
+        _np.ascontiguousarray(column, dtype="<i8")
+        for column in snapshot._blob_arrays()
+    ]
 
 
 class SharedGraphSegment:
@@ -150,7 +136,10 @@ def publish_graph(graph, *, name: Optional[str] = None) -> SharedGraphSegment:
     ``graph`` may be either backend; it is frozen if needed.  Returns
     the owner handle; the caller owns the segment's lifetime and must
     ``unlink()`` it eventually (a leaked segment outlives the process).
+    ``name`` defaults to ``repro-<this pid>-<random token>``.
     """
+    if name is None:
+        name = f"repro-{os.getpid()}-{os.urandom(8).hex()}"
     snapshot = freeze(graph)
     columns = _blob_columns(snapshot)
     arrays = []
@@ -194,6 +183,44 @@ def publish_graph(graph, *, name: Optional[str] = None) -> SharedGraphSegment:
     return SharedGraphSegment(shm, header)
 
 
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
+
+
+def sweep_dead_segments(directory: str = SHM_DIR) -> List[str]:
+    """Unlink every ``repro-<pid>-*`` segment whose owner pid is gone.
+
+    An owner killed by SIGKILL never runs its ``unlink()``, and its
+    segments would outlive it until reboot.  A segment whose owner is
+    alive (or whose pid was reused) is left alone.  Returns the names
+    removed; a host without ``directory`` has nothing to sweep.
+    """
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    removed = []
+    for name in names:
+        prefix, _, rest = name.partition("-")
+        pid, _, token = rest.partition("-")
+        if prefix != "repro" or not pid.isdigit() or not token:
+            continue
+        if _pid_alive(int(pid)):
+            continue
+        try:
+            os.unlink(os.path.join(directory, name))
+        except FileNotFoundError:  # a concurrent sweep won the race
+            continue
+        removed.append(name)
+    return removed
+
+
 class ShmFrozenGraph(FrozenGraph):
     """A :class:`FrozenGraph` whose CSR arrays live in shared memory.
 
@@ -209,8 +236,7 @@ class ShmFrozenGraph(FrozenGraph):
     def close(self) -> None:
         """Release this process's mapping of the segment.
 
-        The numpy/memoryview slices export the buffer, so they are
-        dropped first; the graph is unusable afterwards.
+        The numpy slices export the buffer, so they are dropped first; the graph is unusable afterwards.
         """
         self._offsets = None
         self._slot_edges = None
@@ -281,35 +307,27 @@ def attach_graph(name: str) -> ShmFrozenGraph:
             entry["length"] for entry in header["arrays"]
         )
         views: Dict[str, Any] = {}
-        if HAVE_NUMPY:
-            base = _np.frombuffer(
-                shm.buf, dtype="<i8",
-                count=total_words, offset=payload_offset,
-            )
-            base.flags.writeable = False
-        else:
-            base = memoryview(shm.buf)[
-                payload_offset: payload_offset + 8 * total_words
-            ].cast("q").toreadonly()
+        base = _np.frombuffer(
+            shm.buf, dtype="<i8",
+            count=total_words, offset=payload_offset,
+        )
+        base.flags.writeable = False
         for entry in header["arrays"]:
             lo = entry["offset"]
             views[entry["name"]] = base[lo: lo + entry["length"]]
-        csr = (views["offsets"], views["slot_edges"], views["slot_targets"])
-        tails, heads = views["tails"], views["heads"]
-        indegree, outdegree = views["indegree"], views["outdegree"]
-        if HAVE_NUMPY:
-            snapshot = ShmFrozenGraph(
-                header["n"], *csr, header["num_loops"],
-                columns=(tails, heads, indegree, outdegree),
-            )
-        else:
-            # The stdlib path keeps its scalar lists, built here once.
-            snapshot = ShmFrozenGraph(
-                header["n"], *csr, header["num_loops"],
-                endpoints=list(zip(tails.tolist(), heads.tolist())),
-                indegree=indegree.tolist(),
-                outdegree=outdegree.tolist(),
-            )
+        snapshot = ShmFrozenGraph(
+            header["n"],
+            views["offsets"],
+            views["slot_edges"],
+            views["slot_targets"],
+            header["num_loops"],
+            columns=(
+                views["tails"],
+                views["heads"],
+                views["indegree"],
+                views["outdegree"],
+            ),
+        )
     except BaseException:
         shm.close()
         raise

@@ -9,7 +9,7 @@ seed) so the trial function builds the topology once, snapshots it, and
 serves every cell from the snapshot — the batched layout
 :func:`repro.core.trials.batched_search_trial` executes.  The optional
 ``engine`` axis rides along the same way: under the ensemble engine
-(the default whenever numpy imports) the trial advances each
+(the default) the trial advances each
 walk-family cell group through the lock-step numpy kernel
 (:mod:`repro.search.ensemble`), bit-identically to serial.
 

@@ -60,9 +60,6 @@ table), so the kernel's neighbor gathers skip dead peers natively and
 reported edge ids match the serial algorithms' — costs, flags, and
 oracle traces stay serial-equivalent on a churned graph
 (``tests/test_churn.py`` pins it).
-numpy is required: without it :func:`run_ensemble` raises
-:class:`~repro.errors.EngineUnavailableError` — there is no stdlib
-rendering of the lock-step kernel, callers must use the serial engine.
 
 Supported algorithms are exactly the walk family.  The deterministic
 and heap-driven portfolio members (flooding, degree/age greedy,
@@ -76,13 +73,11 @@ from bisect import bisect_right
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    EngineUnavailableError,
-    InvalidParameterError,
-    OracleProtocolError,
-)
+import numpy as _np
+
+from repro.errors import InvalidParameterError, OracleProtocolError
 from repro.graphs.delta import DeltaGraph
-from repro.graphs.frozen import HAVE_NUMPY, FrozenGraph, GraphBackend, freeze
+from repro.graphs.frozen import FrozenGraph, GraphBackend, freeze
 from repro.rng import make_rng
 from repro.search.algorithms.base import SearchAlgorithm
 from repro.search.algorithms.biased_walk import DegreeBiasedWalkSearch
@@ -94,32 +89,12 @@ from repro.search.algorithms.walks import (
 from repro.search.metrics import SearchResult
 from repro.search.process import default_budget
 
-if HAVE_NUMPY:  # pragma: no branch - module-level import guard
-    import numpy as _np
-else:  # pragma: no cover - the container always has numpy
-    _np = None
-
 __all__ = [
     "ENSEMBLE_ALGORITHMS",
     "ensemble_supported",
-    "require_ensemble_engine",
     "run_ensemble",
 ]
 
-
-def require_ensemble_engine() -> None:
-    """Raise unless the ensemble engine can run here (numpy present).
-
-    Called by :func:`run_ensemble` itself and by the trial layer when
-    ``engine='ensemble'`` is selected, so a numpy-less environment
-    fails loudly up front instead of on the first walk cell.
-    """
-    if not HAVE_NUMPY:
-        raise EngineUnavailableError(
-            "ensemble engine unavailable: numpy is not installed "
-            "(the lock-step walker kernel has no stdlib rendering); "
-            "use engine='serial'"
-        )
 
 #: Exact algorithm types the kernel can advance.  Strict ``type`` checks
 #: (mirroring flooding's fast-path guard) — a subclass may override
@@ -161,9 +136,8 @@ class _Cell:
         self.target = target
         self.budget = budget
         self.n_runs = len(run_seeds)
-        # asarray: no-copy for numpy-built snapshots, converts the
-        # stdlib-array buffers of a snapshot frozen while numpy was
-        # (artificially) absent.
+        # asarray: a no-copy plain-ndarray view, also of the memmap
+        # columns of a corpus-loaded snapshot.
         self.offsets = _np.asarray(graph._offsets, dtype=_np.int64)
         self.slot_targets = _np.asarray(
             graph._slot_targets, dtype=_np.int64
@@ -272,11 +246,9 @@ def run_ensemble(
     format of the golden-trace gauntlet: ``("weak", u, eid, answer)``
     per weak request, ``("strong", u, answers)`` per strong request.
 
-    Raises :class:`~repro.errors.EngineUnavailableError` without numpy
-    and :class:`~repro.errors.InvalidParameterError` for algorithms
+    Raises :class:`~repro.errors.InvalidParameterError` for algorithms
     outside the walk family (see :func:`ensemble_supported`).
     """
-    require_ensemble_engine()
     if not ensemble_supported(algorithm):
         supported = ", ".join(
             cls.__name__ for cls in ENSEMBLE_ALGORITHMS

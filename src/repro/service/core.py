@@ -188,7 +188,6 @@ def load_corpus_entries(corpus_dir: str) -> List[GraphEntry]:
 
     Unreadable or schema-mismatched entries are skipped (the corpus
     CLI's ``verify`` is the integrity judge, not the serving path).
-    Requires numpy (the corpus engine does).
     """
     from repro.graphs.corpus import CORPUS_SCHEMA, GraphCorpus
 

@@ -17,10 +17,9 @@ The load-once/serve-many shape:
    stdlib pools deadlock);
 4. HTTP threads validate queries and submit each one as its own pool
    call: the worker answers the single cell via ``_execute_cells`` on
-   its already-attached snapshot — ensemble engine when numpy is
-   available, serial otherwise.  Cells are independent (each RNG
-   substream depends only on ``(graph seed, algorithm, run_index)``),
-   so grouping them would only add a wait.  A hot-cell
+   its already-attached snapshot with the ensemble engine.  Cells are
+   independent (each RNG substream depends only on ``(graph seed,
+   algorithm, run_index)``), so grouping them would only add a wait.  A hot-cell
    :class:`AnswerCache` sits in front: repeated queries are
    replay-addressable cells, so a hit skips the pool entirely
    (optionally write-through/read-through against a trial store, so
@@ -75,7 +74,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.trials import ENGINES, fastest_available
 from repro.errors import ExperimentError
-from repro.graphs.shm import publish_graph
+from repro.graphs.shm import publish_graph, sweep_dead_segments
 from repro.service.core import (
     GraphEntry,
     QueryError,
@@ -181,8 +180,8 @@ class SearchService:
         writes through to (and reads through from): served answers
         persist as replay-addressable trial records.
     engine:
-        Cell execution engine; default auto — ensemble
-        when numpy is available, serial otherwise.
+        Cell execution engine; default ensemble (``"serial"`` runs
+        the reference arm).
     stats_interval:
         Seconds between operator log lines (``0`` disables).
     """
@@ -257,8 +256,10 @@ class SearchService:
         starts next; the socket binds last, so a bind
         failure (``EADDRINUSE``) still tears every segment down via
         the ``except`` path — no leak on the double-start error.
+        Segments a SIGKILLed daemon left behind are swept first.
         """
         try:
+            sweep_dead_segments()
             for entry in self.entries.values():
                 if entry.segment is None:
                     _publish(entry)

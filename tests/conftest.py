@@ -53,9 +53,9 @@ def small_merged():
 def reference_arms(monkeypatch):
     """A context manager that runs its block on the serial reference arms.
 
-    Inside ``with reference_arms():`` every trial resolves the search
-    engine and the graph generator as a host without numpy does: to
-    the stdlib ``serial`` arms (see
+    Inside ``with reference_arms():`` every trial resolves a default
+    (``None``) search engine and graph generator to the ``serial``
+    reference arms instead of the fast ones (see
     :func:`repro.core.trials.fastest_available`).  The trials' graph
     snapshot is also skipped (``freeze`` returns its argument), so
     searches read the mutable :class:`MultiGraph` instead of a
@@ -64,7 +64,14 @@ def reference_arms(monkeypatch):
     with ``jobs=1`` so that no worker process escapes the patch.
     """
     import repro.core.trials as trials
+    import repro.service.core as service_core
+    import repro.service.daemon as service_daemon
     from repro.graphs.frozen import FrozenGraph
+
+    resolve = trials.fastest_available
+
+    def reference_first(choice, axis):
+        return resolve(choice or axis[0], axis)
 
     @contextlib.contextmanager
     def serial_arms():
@@ -76,7 +83,9 @@ def reference_arms(monkeypatch):
             built.append(self)
 
         with monkeypatch.context() as patch:
-            patch.setattr(trials, "HAVE_NUMPY", False)
+            # Every module that binds the resolver at import time.
+            for module in (trials, service_core, service_daemon):
+                patch.setattr(module, "fastest_available", reference_first)
             patch.setattr(trials, "freeze", lambda graph: graph)
             patch.setattr(FrozenGraph, "__init__", recording_init)
             yield built

@@ -34,12 +34,7 @@ from repro.core.trials import (
 from repro.errors import InvalidParameterError
 from repro.graphs.churn import CHURN_BIASES, ChurnProcess
 from repro.graphs.delta import graph_digest
-from repro.graphs.frozen import HAVE_NUMPY
 from repro.graphs.sampling import FenwickFlags
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="ensemble engine requires numpy"
-)
 
 #: (key, family, base size) — every family with a churn join rule.
 FAMILIES = (
@@ -258,7 +253,6 @@ class TestChurnTrials:
         for results in outcome["results"].values():
             assert len(results) == 2
 
-    @needs_numpy
     def test_serial_and_ensemble_engines_identical(self):
         serial = churn_search_trial(**self.trial_kwargs(engine="serial"))
         ensemble = churn_search_trial(
@@ -350,7 +344,6 @@ class TestChurnExperiments:
         assert solo.derived == fanned.derived
         assert solo.tables == fanned.tables
 
-    @needs_numpy
     def test_e21_identical_across_engines(self, reference_arms):
         default = run_experiment("E21", **self.E21_KWARGS)
         with reference_arms():

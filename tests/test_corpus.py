@@ -39,15 +39,10 @@ from repro.graphs import FrozenGraph, freeze
 from repro.graphs.corpus import (
     CORPUS_DIR_VARIABLE,
     CORPUS_SCHEMA,
-    HAVE_CORPUS,
     GraphCorpus,
     active_corpus,
     corpus_stats,
     reset_corpus_stats,
-)
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_CORPUS, reason="the graph corpus requires numpy"
 )
 
 FAMILIES = {
@@ -260,13 +255,6 @@ class TestCacheProtocol:
         corpus = active_corpus()
         assert isinstance(corpus, GraphCorpus)
         assert corpus.root == str(tmp_path)
-
-    def test_numpy_absent_means_no_corpus(self, monkeypatch, tmp_path):
-        import repro.graphs.corpus as corpus_module
-
-        monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
-        monkeypatch.setattr(corpus_module, "HAVE_CORPUS", False)
-        assert active_corpus() is None
 
     def test_build_graph_snapshot_serves_from_corpus(
         self, tmp_path, monkeypatch

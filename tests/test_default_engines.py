@@ -2,14 +2,14 @@
 
 Experiments do not choose an engine or a generator: the trial
 functions resolve ``None`` to the numpy arms (``ensemble``/
-``vectorized``) when numpy imports and to the stdlib ``serial`` arms
-otherwise.  The serial arms stay as the reference: this module checks
-that
+``vectorized``).  The ``serial`` arms stay as the reference, taken only
+when named: this module checks that
 
 * every experiment that grows or searches graphs gives byte-identical
   records at the default and on the reference arms (the
   ``reference_arms`` fixture; the slow arms as a differential oracle);
-* without numpy the default resolves to serial and runs cleanly;
+* a default run on the reference arms is keyless, like one on the fast
+  arms;
 * the cache-key policy: no engine or generator ever enters trial
   params, so a record replays whichever arms computed it.
 """
@@ -22,18 +22,12 @@ import pytest
 
 import repro.core.registry as registry_module
 import repro.core.searchability as searchability_module
-import repro.core.trials as trials_module
 import repro.graphs.fastgen as fastgen_module
 import repro.search.ensemble as ensemble_module
 from repro.cli import QUICK_OVERRIDES
 from repro.core.families import MoriFamily
 from repro.core.registry import run_experiment
 from repro.core.trials import ENGINES, GENERATORS, fastest_available
-from repro.graphs.frozen import HAVE_NUMPY
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the fast arms require numpy"
-)
 
 #: The experiments whose trials grow or search graphs through the
 #: engine and generator arms (the ids that once declared either axis).
@@ -69,7 +63,6 @@ def captured_specs(monkeypatch):
     return seen
 
 
-@needs_numpy
 @pytest.mark.parametrize("experiment_id", ARM_IDS)
 def test_default_run_equals_serial_reference(
     experiment_id, reference_arms
@@ -83,12 +76,18 @@ def test_default_run_equals_serial_reference(
 
 
 class TestResolution:
-    @needs_numpy
     def test_default_is_the_numpy_arm(self):
         assert fastest_available(None, ENGINES) == "ensemble"
         assert fastest_available(None, GENERATORS) == "vectorized"
 
-    @needs_numpy
+    @pytest.mark.parametrize("axis", [ENGINES, GENERATORS])
+    def test_default_is_the_fast_arm_unconditionally(self, axis):
+        """``None`` is always the fast arm; the reference arm and
+        every other explicit member resolve to themselves."""
+        assert fastest_available(None, axis) == axis[1]
+        for arm in axis:
+            assert fastest_available(arm, axis) == arm
+
     def test_default_run_reaches_the_numpy_arms(self, monkeypatch):
         calls = {"ensemble": 0, "vectorized": 0}
 
@@ -102,34 +101,30 @@ class TestResolution:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(ensemble_module, "run_ensemble", "ensemble")
-        counting(fastgen_module, "require_fastgen_engine", "vectorized")
+        counting(fastgen_module, "fast_merged_mori_frozen", "vectorized")
         run_experiment("E1", **QUICK_OVERRIDES["E1"])
         assert calls["ensemble"] > 0
         assert calls["vectorized"] > 0
 
 
-class TestWithoutNumpy:
-    """numpy import-blocked: the default falls back to serial."""
-
-    @pytest.fixture(autouse=True)
-    def _no_numpy(self, monkeypatch):
-        monkeypatch.setattr(trials_module, "HAVE_NUMPY", False)
-        # Were the default to pick a numpy arm anyway, these raise
-        # EngineUnavailableError.
-        monkeypatch.setattr(ensemble_module, "HAVE_NUMPY", False)
-        monkeypatch.setattr(fastgen_module, "HAVE_FASTGEN", False)
-
-    def test_default_resolves_to_serial(self):
-        assert fastest_available(None, ENGINES) == "serial"
-        assert fastest_available(None, GENERATORS) == "serial"
+class TestReferenceArms:
+    """A default run on the reference arms stays serial and keyless."""
 
     @pytest.mark.parametrize("experiment_id", ["E1", "E17", "E21"])
     def test_default_run_is_serial_and_keyless(
-        self, experiment_id, captured_specs
+        self, experiment_id, captured_specs, reference_arms, monkeypatch
     ):
-        result = run_experiment(
-            experiment_id, **QUICK_OVERRIDES[experiment_id]
+        def fast_arm(*args, **kwargs):
+            raise AssertionError("a fast arm ran on the reference arms")
+
+        monkeypatch.setattr(ensemble_module, "run_ensemble", fast_arm)
+        monkeypatch.setattr(
+            fastgen_module, "frozen_from_pairs", fast_arm
         )
+        with reference_arms():
+            result = run_experiment(
+                experiment_id, **QUICK_OVERRIDES[experiment_id]
+            )
         assert result.derived
         assert captured_specs
         for spec in captured_specs:

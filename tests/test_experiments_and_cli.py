@@ -399,6 +399,54 @@ class TestCLICompare:
         assert "metric" in out
 
 
+class TestCLIBadPaths:
+    """A bad user path is one ``error: <path>: <reason>`` line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, bad, reason",
+        [
+            (
+                ["run", "E17", "--quick", "--cache-dir", "{file}/x"],
+                "{file}/x",
+                "Not a directory",
+            ),
+            (
+                ["run", "E17", "--quick", "--json", "{missing}/out.json"],
+                "{missing}/out.json",
+                "No such file or directory",
+            ),
+            (
+                ["compare", "{missing}.json", "{missing}.json"],
+                "{missing}.json",
+                "No such file or directory",
+            ),
+            (
+                ["compare", "{text}", "{text}"],
+                "{text}",
+                "not valid JSON",
+            ),
+        ],
+        ids=["cache-dir-under-file", "json-in-missing-dir",
+             "compare-missing", "compare-not-json"],
+    )
+    def test_bad_path_is_one_error_line(
+        self, argv, bad, reason, tmp_path, capsys
+    ):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "text.json").write_text("not json\n")
+        names = {
+            "file": str(tmp_path / "file"),
+            "missing": str(tmp_path / "missing"),
+            "text": str(tmp_path / "text.json"),
+        }
+        argv = [arg.format(**names) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert line.startswith(f"error: {bad.format(**names)}: {reason}")
+
+
 class TestE18:
     def test_start_rules_all_measured(self):
         result = run_experiment(

@@ -20,8 +20,7 @@ contract from every side:
   golden digests the serial checkpoints pinned in PR 3;
 * **dispatch** — ``build_graph_snapshot`` and the family layer route
   ``generator="vectorized"`` correctly, kernel-less families fall back
-  serially, and without numpy the engine bows out with a clean
-  :class:`~repro.errors.EngineUnavailableError`.
+  serially, and ``generator="serial"`` never reaches a kernel.
 """
 
 from __future__ import annotations
@@ -40,11 +39,7 @@ from repro.core.families import (
     MoriFamily,
 )
 from repro.core.trials import GENERATORS, build_graph_snapshot
-from repro.errors import (
-    EngineUnavailableError,
-    ExperimentError,
-    InvalidParameterError,
-)
+from repro.errors import ExperimentError, InvalidParameterError
 from repro.graphs import FrozenGraph, MultiGraph, freeze
 from repro.graphs.barabasi_albert import barabasi_albert_graph
 from repro.graphs.cooper_frieze import (
@@ -53,7 +48,6 @@ from repro.graphs.cooper_frieze import (
 )
 from repro.graphs.fastgen import (
     FASTGEN_MODELS,
-    HAVE_FASTGEN,
     fast_barabasi_albert_frozen,
     fast_cooper_frieze_frozen,
     fast_merged_mori_frozen,
@@ -61,16 +55,11 @@ from repro.graphs.fastgen import (
     fast_mori_parents,
     fast_mori_tree_frozen,
     frozen_from_pairs,
-    require_fastgen_engine,
 )
 from repro.graphs.mori import (
     merged_mori_graph,
     mori_edges_per_step_graph,
     mori_tree,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_FASTGEN, reason="the vectorized generator requires numpy"
 )
 
 P_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -116,7 +105,6 @@ def assert_identical(fast: FrozenGraph, serial) -> None:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("p", P_GRID)
 class TestMoriTreeEquivalence:
@@ -132,7 +120,6 @@ class TestMoriTreeEquivalence:
         )
 
 
-@needs_numpy
 @pytest.mark.parametrize("m", (1, 2, 3))
 @pytest.mark.parametrize("p", P_GRID)
 class TestMergedMoriEquivalence:
@@ -150,7 +137,6 @@ class TestMergedMoriEquivalence:
         )
 
 
-@needs_numpy
 @pytest.mark.parametrize("m", (1, 2, 3))
 @pytest.mark.parametrize("p", (0.0, 0.5, 1.0))
 class TestEdgesPerStepEquivalence:
@@ -161,7 +147,6 @@ class TestEdgesPerStepEquivalence:
         )
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("m", (1, 2, 3))
 class TestBarabasiAlbertEquivalence:
@@ -196,7 +181,6 @@ CF_CORNERS = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("corner", sorted(CF_CORNERS))
 class TestCooperFriezeEquivalence:
     def test_matches_serial(self, corner):
@@ -271,7 +255,6 @@ EDGES_PER_STEP_GOLDEN = {
 }
 
 
-@needs_numpy
 class TestGoldenDigests:
     @pytest.mark.parametrize("model", sorted(GOLDEN_FAMILIES))
     def test_independent_builds_hit_the_pins(self, model):
@@ -308,7 +291,6 @@ class TestGoldenDigests:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestStreamDiscipline:
     """Fast builds on a shared ``Random`` leave it serial-positioned.
 
@@ -371,7 +353,6 @@ class TestStreamDiscipline:
         assert_identical(last, barabasi_albert_graph(40, 2, seed=pure))
 
 
-@needs_numpy
 class TestChunkedScan:
     """The scans hold one chunk of words at a time; seams are exact.
 
@@ -429,12 +410,11 @@ class TestChunkedScan:
 
 
 # ----------------------------------------------------------------------
-# Dispatch: snapshot helper, fallback families, engine gating
+# Dispatch: snapshot helper, fallback families, arm selection
 # ----------------------------------------------------------------------
 
 
 class TestDispatch:
-    @needs_numpy
     def test_build_graph_snapshot_frozen_backend(self):
         family = MoriFamily(p=0.5, m=2)
         fast = build_graph_snapshot(family, 80, 4, "frozen", "vectorized")
@@ -443,7 +423,6 @@ class TestDispatch:
         assert fast == serial
         assert hash(fast) == hash(serial)
 
-    @needs_numpy
     def test_build_graph_snapshot_multigraph_backend_thaws(self):
         family = MoriFamily(p=0.5, m=2)
         fast = build_graph_snapshot(
@@ -473,33 +452,19 @@ class TestDispatch:
         )
 
 
-class TestEngineGating:
-    """Without numpy the engine refuses clearly; serial is unaffected."""
+class TestGeneratorArms:
+    """The serial arm never reaches a kernel; kernels validate first."""
 
-    def test_numpy_absent_raises_clean_error(self, monkeypatch):
-        monkeypatch.setattr(fastgen_module, "HAVE_FASTGEN", False)
-        with pytest.raises(
-            EngineUnavailableError, match="requires numpy"
-        ):
-            require_fastgen_engine()
-        with pytest.raises(
-            EngineUnavailableError, match="use generator='serial'"
-        ):
-            fast_mori_tree_frozen(50, 0.5, seed=0)
-        with pytest.raises(EngineUnavailableError):
-            MoriFamily(p=0.5, m=1).build_frozen(
-                50, seed=0, generator="vectorized"
-            )
-        with pytest.raises(EngineUnavailableError):
-            fast_cooper_frieze_frozen(50, seed=0)
+    def test_serial_generator_never_reaches_the_kernels(self, monkeypatch):
+        def kernel(*args, **kwargs):
+            raise AssertionError("generator='serial' ran a fastgen kernel")
 
-    def test_serial_generator_works_without_fastgen(self, monkeypatch):
-        monkeypatch.setattr(fastgen_module, "HAVE_FASTGEN", False)
+        monkeypatch.setattr(fastgen_module, "frozen_from_pairs", kernel)
         family = MoriFamily(p=0.5, m=1)
         built = family.build_frozen(40, seed=0, generator="serial")
         assert built == freeze(family.build(40, seed=0))
 
-    def test_parameter_validation_precedes_engine_check(self):
+    def test_invalid_parameters_are_rejected(self):
         with pytest.raises(InvalidParameterError):
             fast_mori_parents(1, 0.5, seed=0)
         with pytest.raises(InvalidParameterError):

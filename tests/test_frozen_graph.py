@@ -13,8 +13,9 @@ tests pin the contract from every side:
   reproduces the portfolio trial draw-for-draw, on either backend;
 * **freeze-then-hash** — the documented mutability caveat on
   ``MultiGraph.__hash__`` and the snapshot's stability under it;
-* **fallback** — with numpy unavailable, the stdlib-``array`` CSR
-  answers the same queries and the vectorised kernels bow out cleanly.
+* **array-native snapshots** — every origin (vectorized generator,
+  shared memory, corpus) holds int64 columns and builds the scalar
+  lists only on first use.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.errors import ExperimentError, GraphConstructionError
 from repro.graphs import FrozenGraph, MultiGraph, freeze, kleinberg_grid
 from repro.graphs.components import connected_components
 from repro.graphs.frozen import (
-    HAVE_NUMPY,
     vectorized_bfs_distances,
     vectorized_connected_components,
     vectorized_degree_histogram,
@@ -563,24 +563,6 @@ class TestTrajectoryCheckpoints:
         # The genuine past state is fine.
         assert frozen.prefix(2, 1) == MultiGraph.from_edges(2, [(2, 1)])
 
-    def test_prefix_fallback_matches_numpy_path(self, monkeypatch):
-        import repro.graphs.frozen as frozen_module
-
-        family = CooperFriezeFamily()
-        graph, marks = family.build_trajectory((30, 60), seed=9)
-        with_numpy = freeze(graph).prefix(30, marks[30])
-        monkeypatch.setattr(frozen_module, "HAVE_NUMPY", False)
-        without_numpy = freeze(graph).prefix(30, marks[30])
-        assert without_numpy == with_numpy
-        assert without_numpy.degree_sequence() == (
-            with_numpy.degree_sequence()
-        )
-        for v in with_numpy.vertices():
-            assert without_numpy.incident_edges(v) == (
-                with_numpy.incident_edges(v)
-            )
-            assert without_numpy.neighbors(v) == with_numpy.neighbors(v)
-
     def test_configuration_family_rejects_trajectory(self):
         from repro.errors import InvalidParameterError
 
@@ -703,77 +685,13 @@ class TestTrajectoryTrials:
         assert replayed[0].value == fresh[0].value
 
 
-class TestArrayFallback:
-    """Without numpy the CSR lives in stdlib arrays; answers unchanged."""
-
-    def test_fallback_equivalence(self, monkeypatch):
-        import repro.graphs.frozen as frozen_module
-
-        graph = MoriFamily(p=0.5, m=2).build(80, seed=4)
-        monkeypatch.setattr(frozen_module, "HAVE_NUMPY", False)
-        frozen = freeze(graph)  # built on the array('q') path
-        assert vectorized_bfs_distances(frozen, 1) is None
-        assert vectorized_connected_components(frozen) is None
-        assert vectorized_degree_histogram(frozen) is None
-        assert frozen.degree_sequence() == graph.degree_sequence()
-        assert connected_components(frozen) == (
-            connected_components(graph)
-        )
-        assert bfs_distances(frozen, 1) == bfs_distances(graph, 1)
-        for v in list(graph.vertices())[:20]:
-            assert frozen.incident_edges(v) == graph.incident_edges(v)
-            assert frozen.neighbors(v) == graph.neighbors(v)
-        target = MoriFamily(p=0.5, m=2).theorem_target(graph)
-        assert run_search(
-            FloodingSearch(), frozen, 1, target, seed=1
-        ) == run_search(FloodingSearch(), graph, 1, target, seed=1)
-
-    def test_freeze_without_numpy_holds_lists(self, monkeypatch):
-        import repro.graphs.frozen as frozen_module
-
-        graph = MoriFamily(p=0.5, m=2).build(60, seed=1)
-        monkeypatch.setattr(frozen_module, "HAVE_NUMPY", False)
-        frozen = freeze(graph)
-        assert frozen._columns is None
-        assert frozen._endpoints == graph._endpoints
-        assert frozen._indegree == graph._indegree
-        assert frozen == graph and hash(frozen) == hash(graph)
-        prefix = frozen.prefix(30, 59)  # 60 tree vertices: 59 edges
-        assert prefix._columns is None
-        assert isinstance(prefix._endpoints, list)
-
-    def test_attach_without_numpy_holds_lists(self, monkeypatch):
-        import repro.graphs.frozen as frozen_module
-        import repro.graphs.shm as shm_module
-
-        graph = MoriFamily(p=0.5, m=2).build(60, seed=1)
-        monkeypatch.setattr(frozen_module, "HAVE_NUMPY", False)
-        monkeypatch.setattr(shm_module, "HAVE_NUMPY", False)
-        segment = shm_module.publish_graph(graph)
-        try:
-            attached = shm_module.attach_graph(segment.name)
-            try:
-                assert attached._columns is None
-                assert attached._endpoints == graph._endpoints
-                assert isinstance(attached._indegree, list)
-                assert attached == graph
-                for v in graph.vertices():
-                    assert attached.neighbors(v) == graph.neighbors(v)
-                    assert attached.in_degree(v) == graph.in_degree(v)
-            finally:
-                attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-
 def _scalar_lists(graph):
     """The snapshot's lazily built endpoint and degree lists."""
     return graph._endpoints, graph._indegree, graph._outdegree
 
 
 def _array_native_snapshots(tmp_path):
-    """``(name, snapshot, source MultiGraph, cleanup)`` per numpy-path
+    """``(name, snapshot, source MultiGraph, cleanup)`` per snapshot
     origin: the vectorized generator, a shared-memory attach and a
     corpus load."""
     from repro.core.trials import family_spec
@@ -802,9 +720,8 @@ def _array_native_snapshots(tmp_path):
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
 class TestArrayNativeSnapshots:
-    """On the numpy path a snapshot holds arrays, not per-edge lists.
+    """A snapshot holds arrays, not per-edge lists.
 
     The endpoint and degree lists exist only for the scalar API and are
     built on its first call; everything else (shared memory, the

@@ -190,7 +190,6 @@ class TestIO:
 
     def test_roundtrip_matches_vectorized_snapshot(self, tmp_path):
         """A thawed fastgen snapshot survives the text round-trip."""
-        pytest.importorskip("numpy")
         from repro.graphs.fastgen import fast_merged_mori_frozen
         from repro.graphs.frozen import freeze
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.frozen import HAVE_NUMPY
 from repro.graphs.mori import merged_mori_graph
 from repro.search.algorithms import (
     AgeGreedySearch,
@@ -27,10 +26,6 @@ from repro.search.process import run_search
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 small_n = st.integers(min_value=3, max_value=40)
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="ensemble engine requires numpy"
-)
 
 ALGORITHM_BUILDERS = [
     RandomWalkSearch,
@@ -148,7 +143,6 @@ class TestSearchProperties:
                     assert inferred == graph.other_endpoint(eid, v)
 
 
-@needs_numpy
 class TestEnsembleKernelProperties:
     """Invariants of the walker-ensemble kernel itself."""
 

@@ -37,11 +37,6 @@ from repro.core.registry import (
     INT,
 )
 from repro.errors import ExperimentError
-from repro.graphs.frozen import HAVE_NUMPY
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the fast arms require numpy"
-)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -278,7 +273,6 @@ class TestAuditedAxes:
         assert not frozen
         assert default.derived == multigraph.derived
 
-    @needs_numpy
     def test_e18_engine_invariant(self, reference_arms):
         kwargs = dict(
             sizes=(60, 120), num_graphs=2, runs_per_graph=1, seed=18
@@ -288,7 +282,6 @@ class TestAuditedAxes:
             serial = run_experiment("E18", **kwargs)
         assert serial.derived == default.derived
 
-    @needs_numpy
     def test_e19_engine_invariant(self, reference_arms):
         kwargs = dict(
             sizes=(100, 200), num_graphs=2, runs_per_graph=1, seed=19
@@ -352,7 +345,6 @@ class TestE20:
         assert not frozen
         assert default.derived == multigraph.derived
 
-    @needs_numpy
     def test_engine_invariant(self, reference_arms):
         default = run_experiment("E20", **self.QUICK)
         with reference_arms():

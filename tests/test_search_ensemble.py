@@ -10,9 +10,7 @@ across all five graph models and both graph backends, plus:
   serial fallback for non-walk algorithms give the same cell values);
 * the cache-key policy (a non-default engine — like a non-default
   backend — is the only thing that enters trial params);
-* the numpy-absent behaviour: ``engine='ensemble'`` raises a clean
-  :class:`~repro.errors.EngineUnavailableError` instead of silently
-  degrading, while ``engine='serial'`` keeps working;
+* ``engine='serial'`` never reaches the kernel;
 * golden pins of :func:`repro.rng.run_substream` — the one derivation
   both paths draw their per-run seeds from — including the first-draw
   traces of the generators it seeds.
@@ -28,15 +26,10 @@ from repro.core.families import (
     MoriFamily,
 )
 from repro.core.trials import batched_search_trial, search_cost_graph_trial
-from repro.errors import (
-    EngineUnavailableError,
-    ExperimentError,
-    InvalidParameterError,
-)
+from repro.errors import ExperimentError, InvalidParameterError
 from repro.graphs import freeze
 from repro.graphs.base import MultiGraph
 from repro.graphs.configuration import power_law_configuration_graph
-from repro.graphs.frozen import HAVE_NUMPY
 from repro.graphs.kleinberg import kleinberg_grid
 from repro.rng import make_rng, run_substream, substream
 from repro.search.algorithms import (
@@ -53,10 +46,6 @@ from repro.search.ensemble import (
 )
 from repro.search.oracle import StrongOracle, WeakOracle
 from repro.search.process import run_search
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="ensemble engine requires numpy"
-)
 
 
 def model_graph(model: str, seed: int) -> MultiGraph:
@@ -130,7 +119,6 @@ def serial_traced(
     return result, oracle.trace
 
 
-@needs_numpy
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize(
     "builder", WALK_BUILDERS, ids=lambda b: b().name
@@ -186,7 +174,6 @@ class TestEnsembleEquivalence:
                 assert results[run].requests <= budget
 
 
-@needs_numpy
 class TestEnsembleSpecialCases:
     def test_neighbor_success_zone_identical(self):
         graph = model_graph("mori", seed=11)
@@ -319,7 +306,6 @@ class TestEnsembleSpecialCases:
         assert len(ENSEMBLE_ALGORITHMS) == 4
 
 
-@needs_numpy
 class TestEngineTrialAxis:
     """engine='ensemble' through the trial layer: same values."""
 
@@ -402,33 +388,13 @@ class TestEngineValidation:
                 seed=1,
             )
 
-    def test_numpy_absent_raises_clean_error(self, monkeypatch):
+    def test_serial_engine_never_reaches_the_kernel(self, monkeypatch):
         import repro.search.ensemble as ensemble_module
 
-        monkeypatch.setattr(ensemble_module, "HAVE_NUMPY", False)
-        graph = model_graph("mori", seed=1)
-        with pytest.raises(
-            EngineUnavailableError, match="engine unavailable"
-        ):
-            run_ensemble(
-                RandomWalkSearch(), graph, 1, 5, [0], budget=3
-            )
-        with pytest.raises(
-            EngineUnavailableError, match="use engine='serial'"
-        ):
-            batched_search_trial(
-                family={"model": "mori", "p": 0.5, "m": 1},
-                size=40,
-                portfolio="weak",
-                cells=[{"algorithm": "random-walk"}],
-                engine="ensemble",
-                seed=1,
-            )
+        def kernel(*args, **kwargs):
+            raise AssertionError("engine='serial' ran the ensemble kernel")
 
-    def test_serial_engine_works_without_numpy(self, monkeypatch):
-        import repro.search.ensemble as ensemble_module
-
-        monkeypatch.setattr(ensemble_module, "HAVE_NUMPY", False)
+        monkeypatch.setattr(ensemble_module, "run_ensemble", kernel)
         values = batched_search_trial(
             family={"model": "mori", "p": 0.5, "m": 1},
             size=40,

@@ -22,8 +22,7 @@ import pytest
 
 from repro.core.families import MoriFamily
 from repro.core.trials import batched_search_trial, family_spec
-from repro.graphs.frozen import HAVE_NUMPY
-from repro.graphs.shm import attach_graph
+from repro.graphs.shm import SHM_DIR, attach_graph, publish_graph
 from repro.service import (
     QueryError,
     SearchService,
@@ -244,7 +243,6 @@ class TestSharedCopyOnly:
         # A Mori tree (m = 1) has n - 1 edges; read from the header.
         assert graph["num_edges"] == SIZE - 1
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
     def test_served_cells_build_no_scalar_lists(self):
         from repro.graphs.shm import publish_graph
         from repro.service.core import (
@@ -356,11 +354,77 @@ class TestLifecycle:
                 process.communicate()
 
     @pytest.mark.skipif(
-        not pytest.importorskip(
-            "repro.graphs.corpus"
-        ).HAVE_CORPUS,
-        reason="corpus (hot reload source) requires numpy",
+        not os.path.isdir(SHM_DIR), reason="segments are not files here"
     )
+    def test_next_start_sweeps_a_sigkilled_daemons_segments(
+        self, tmp_path
+    ):
+        port_file = tmp_path / "serve.port"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + (
+            os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH") else ""
+        )
+        # Its own session, so one killpg takes the daemon, its pool
+        # workers and its resource tracker down together: nothing of
+        # the first daemon is left to unlink its segments.
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--sizes", "60", "--seeds", "1,2",
+                "--workers", "1", "--port", "0",
+                "--port-file", str(port_file),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        live_owner = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(120)"]
+        )
+        live = publish_graph(
+            MoriFamily(p=0.5, m=1).build(40, seed=0),
+            name=f"repro-{live_owner.pid}-live",
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not port_file.exists() or not port_file.read_text():
+                assert process.poll() is None, process.stderr.read()
+                assert time.monotonic() < deadline, "daemon never bound"
+                time.sleep(0.05)
+            port = int(port_file.read_text().strip())
+            with ServiceClient("127.0.0.1", port) as probe:
+                killed = [graph["shm"] for graph in probe.graphs()]
+            assert len(killed) == 2
+            assert all(
+                name.startswith(f"repro-{process.pid}-")
+                for name in killed
+            )
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate(timeout=30)
+            time.sleep(0.2)  # let the killed group finish exiting
+            for name in killed:
+                assert os.path.exists(os.path.join(SHM_DIR, name))
+            second = SearchService(
+                build_grid_entries(MoriFamily(p=0.5, m=1), [60], [3]),
+                portfolio=PORTFOLIO,
+                workers=1,
+            )
+            with second:
+                for name in killed:
+                    assert not os.path.exists(os.path.join(SHM_DIR, name))
+                attach_graph(live.name).close()  # live owner: kept
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.communicate()
+            live_owner.kill()
+            live_owner.wait()
+            live.close()
+            live.unlink()
+
     def test_corpus_hot_reload_serves_new_graphs(self, tmp_path):
         from repro.graphs.corpus import GraphCorpus
         from repro.service import load_corpus_entries
@@ -421,7 +485,6 @@ class TestServeGenerator:
             (entry,) = _serve_entries(args)
         return seen, list(entry.snapshot.edges())
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
     def test_default_is_vectorized_with_numpy(
         self, monkeypatch, reference_arms
     ):

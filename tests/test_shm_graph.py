@@ -9,6 +9,10 @@ harmless, and a bogus segment is a typed error, not garbage.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -23,6 +27,7 @@ from repro.graphs.shm import (
     SHM_SCHEMA,
     attach_graph,
     publish_graph,
+    sweep_dead_segments,
 )
 
 
@@ -148,3 +153,34 @@ class TestLifecycle:
         finally:
             first.close()
             second.close()
+
+
+class TestDeadOwnerSweep:
+    """``repro-<pid>-*`` names let a later owner reclaim a dead one's."""
+
+    def test_segments_are_named_for_their_owner(self, published):
+        _, segment = published
+        owner, token = segment.name.split("-")[1:]
+        assert owner == str(os.getpid()) and token
+
+    def test_sweep_removes_dead_owners_only(self, tmp_path):
+        with subprocess.Popen([sys.executable, "-c", "pass"]) as child:
+            child.wait()
+        dead_pid = child.pid  # exited and reaped
+        names = {
+            "dead": f"repro-{dead_pid}-abc",
+            "live": f"repro-{os.getpid()}-abc",
+            "foreign": "psm_0123abcd",
+            "malformed": "repro-notapid-abc",
+            "tokenless": f"repro-{dead_pid}-",
+        }
+        for name in names.values():
+            (tmp_path / name).write_bytes(b"")
+        assert sweep_dead_segments(str(tmp_path)) == [names["dead"]]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            name for key, name in names.items() if key != "dead"
+        )
+        assert sweep_dead_segments(str(tmp_path)) == []
+
+    def test_missing_directory_sweeps_nothing(self, tmp_path):
+        assert sweep_dead_segments(str(tmp_path / "absent")) == []
