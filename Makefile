@@ -17,7 +17,7 @@ verify-full:
 # What .github/workflows/ci.yml runs, locally: the tier-1 suite, then
 # the registry CLI smoke (the capability matrix plus one
 # downsized registry-driven experiment through the real CLI), then the
-# reference-arm diff (E1, E11 and E20 at the fast defaults and with
+# reference-arm diff (E1, E6, E11 and E20 at the fast defaults and with
 # `repro.core.trials.fastest_available` patched to resolve a default to
 # the serial arm and `repro.core.trials.freeze` made the identity
 # in-process, which selects the serial engine and generator and searches
@@ -38,8 +38,8 @@ ci:
 	$(PYTEST) -x -q
 	PYTHONPATH=src python -m repro list
 	PYTHONPATH=src python -m repro run E20 --quick --jobs 2
-	PYTHONPATH=src python -m repro run E1,E11,E20 --quick > .ci-default.out
-	PYTHONPATH=src python -c "import repro.core.trials as t; r = t.fastest_available; t.fastest_available = lambda c, a: r(c or a[0], a); t.freeze = lambda g: g; from repro.cli import main; raise SystemExit(main(['run','E1,E11,E20','--quick']))" > .ci-reference.out
+	PYTHONPATH=src python -m repro run E1,E6,E11,E20 --quick > .ci-default.out
+	PYTHONPATH=src python -c "import repro.core.trials as t; r = t.fastest_available; t.fastest_available = lambda c, a: r(c or a[0], a); t.freeze = lambda g: g; from repro.cli import main; raise SystemExit(main(['run','E1,E6,E11,E20','--quick']))" > .ci-reference.out
 	cmp .ci-default.out .ci-reference.out
 	rm -f .ci-default.out .ci-reference.out
 	rm -rf .ci-corpus

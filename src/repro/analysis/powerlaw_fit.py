@@ -60,17 +60,20 @@ class PowerLawFit:
 
 
 def _log_likelihood(
-    k: float, log_sum: float, n: int, support: Sequence[int]
+    k: float, log_sum: float, n: int, support: Sequence[float]
 ) -> float:
-    # map(pow, ...) performs the same left-to-right additions of the
-    # same d ** (-k) terms as a generator, without a frame per term.
-    z = sum(map(pow, support, repeat(-k)))
+    # The same left-to-right sum of the same d ** (-k) terms as a
+    # generator over the integer support, without a frame per term:
+    # int ** float defers to float.__rpow__, which converts d and calls
+    # libm pow; math.pow on the pre-converted doubles is that call.
+    # (np.power is not: its vector pow differs in the last bit.)
+    z = sum(map(math.pow, support, repeat(-k)))
     return -k * log_sum - n * math.log(z)
 
 
 def _mle_exponent(counts: Dict[int, int], d_min: int, d_max: int) -> float:
     """Ternary-search the concave log-likelihood over k."""
-    support = range(d_min, d_max + 1)
+    support = [float(d) for d in range(d_min, d_max + 1)]
     n = sum(counts.values())
     log_sum = sum(c * math.log(d) for d, c in counts.items())
     low, high = _K_LOW, _K_HIGH

@@ -79,6 +79,7 @@ batch-path identity and clean shm teardown, exit.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -1251,6 +1252,26 @@ def _path_error(path, reason) -> int:
     return 1
 
 
+def _unwritable_file_reason(path: str) -> Optional[str]:
+    """Why a file cannot be created at ``path``, or ``None`` if it can.
+
+    The reasons are the ``strerror`` texts the write itself would fail
+    with, so the up-front check reads like the late failure it
+    replaces.
+    """
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    parent = os.path.dirname(path) or os.curdir
+    try:
+        with os.scandir(parent):
+            pass
+    except OSError as error:
+        return error.strerror or str(error)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
 def _run_with_corpus(args) -> int:
     """``repro run``, with ``--corpus-dir`` exported while it runs."""
     if not args.corpus_dir:
@@ -1289,6 +1310,12 @@ def _run_main(args) -> int:
         return 2
     if len(ids) == 1:
         spec = REGISTRY.get(ids[0])
+        if args.json:
+            # Checked before the run, so a typo in the output
+            # directory does not cost the experiment's result.
+            problem = _unwritable_file_reason(args.json)
+            if problem is not None:
+                return _path_error(args.json, problem)
         try:
             _run_one(spec, args, args.json, strict=True)
         except ReproError as error:

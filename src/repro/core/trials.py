@@ -73,7 +73,6 @@ from repro.search.process import default_budget, run_search
 __all__ = [
     "family_spec",
     "build_family",
-    "build_specimen",
     "weak_factories",
     "strong_factories",
     "portfolio_factories",
@@ -318,22 +317,6 @@ def build_family(spec: Dict[str, Any]) -> GraphFamily:
             max_degree=spec["max_degree"],
         )
     raise ExperimentError(f"unknown family model {model!r}")
-
-
-def build_specimen(
-    spec: Dict[str, Any], n: int, seed: int
-) -> MultiGraph:
-    """Build one graph from a family spec (E6's specimen rule).
-
-    Kleinberg grids are not a :class:`GraphFamily` (their size is a
-    lattice side, not a vertex count) but E6 compares against them, so
-    this builder accepts ``{"model": "kleinberg", ...}`` too.
-    """
-    if spec.get("model") == "kleinberg":
-        return kleinberg_grid(
-            spec["side"], r=spec["r"], q=spec["q"], seed=seed
-        ).graph
-    return build_family(spec).build(n, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -991,8 +974,22 @@ def degree_fit_trial(
     backend: str = "frozen",
     seed: int = 0,
 ) -> Dict[str, Any]:
-    """One E6 specimen: build a graph and fit its degree power law."""
-    graph = snapshot_graph(build_specimen(family, n, seed), backend)
+    """One E6 specimen: build a graph and fit its degree power law.
+
+    Family specimens are built through :func:`build_graph_snapshot`,
+    which takes the fastest generator (see :data:`GENERATORS`).  E6 also
+    compares against Kleinberg grids, which are not a
+    :class:`GraphFamily` (their size is a lattice side, not a vertex
+    count): ``family={"model": "kleinberg", "side", "r", "q"}`` builds
+    one serially and ignores ``n``.
+    """
+    if family.get("model") == "kleinberg":
+        grid = kleinberg_grid(
+            family["side"], r=family["r"], q=family["q"], seed=seed
+        )
+        graph = snapshot_graph(grid.graph, backend)
+    else:
+        graph = build_graph_snapshot(build_family(family), n, seed, backend)
     degrees = graph.degree_sequence()
     fit = fit_power_law(degrees)
     return {

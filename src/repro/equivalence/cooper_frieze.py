@@ -20,19 +20,30 @@ empirically:
   conditional on the event, each window vertex's single "parent" (the
   head of its birth edge) is drawn from the same distribution, so the
   per-position mean parent degree must be flat.
+
+The event reads only a few facts of a realisation: each window
+vertex's birth edges, the edge heads, and which vertices initiated OLD
+steps.  So the two Monte-Carlo estimators draw their samples through
+:func:`repro.graphs.fastgen.cooper_frieze_replay` with
+``record_steps=True`` — flat lists, no MultiGraph, no step records —
+and evaluate the event and the parent degrees on them in one shared
+sample loop.  The replay consumes the shared generator exactly as
+``cooper_frieze_graph(record_trace=True)`` does, so every sample (and
+every estimate) equals the one :func:`untouched_window_event` computes
+on the traced serial build, which stays the reference
+(``tests/test_equivalence_cooper_frieze.py`` pins the two against each
+other).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import AnalysisError, InvalidParameterError
-from repro.graphs.cooper_frieze import (
-    CooperFriezeGraph,
-    CooperFriezeParams,
-    cooper_frieze_graph,
-)
+from repro.graphs.cooper_frieze import CooperFriezeGraph, CooperFriezeParams
+from repro.graphs.fastgen import CooperFriezeReplay, cooper_frieze_replay
 from repro.rng import RandomLike, make_rng
 
 __all__ = [
@@ -115,15 +126,60 @@ def estimate_untouched_probability(
         raise InvalidParameterError(
             f"need 1 <= a <= b <= n={n}, got a={a}, b={b}"
         )
-    rng = make_rng(seed)
     hits = 0
-    for _ in range(num_samples):
-        cf = cooper_frieze_graph(
-            n, params, seed=rng, record_trace=True
-        )
-        if untouched_window_event(cf, a, b):
+    for _, parents in _window_samples(n, a, b, params, num_samples, seed):
+        if parents is not None:
             hits += 1
     return hits / num_samples
+
+
+def _untouched_parents(
+    replay: CooperFriezeReplay, a: int, b: int
+) -> Optional[List[int]]:
+    """The window's birth parents if ``(a, b]`` is untouched, else None.
+
+    The four conditions of :func:`untouched_window_event`, read off a
+    step-recording replay: ``b - a`` birth lookups, then two set
+    intersections (the edge heads and the OLD-step initiators against
+    the window).
+    """
+    births = replay.births
+    heads = replay.heads
+    parents = []
+    for v in range(a + 1, b + 1):
+        first, count = births[v]
+        if count != 1:
+            return None  # condition 1
+        head = heads[first]
+        if head > a:
+            return None  # condition 2
+        parents.append(head)
+    window = set(range(a + 1, b + 1))
+    if not window.isdisjoint(heads):
+        return None  # condition 3
+    if not window.isdisjoint(replay.initiators):
+        return None  # condition 4
+    return parents
+
+
+def _window_samples(
+    n: int,
+    a: int,
+    b: int,
+    params: CooperFriezeParams,
+    num_samples: int,
+    seed: RandomLike,
+) -> Iterator[Tuple[CooperFriezeReplay, Optional[List[int]]]]:
+    """Yield each sample's replay and its untouched-window parents.
+
+    All samples draw from one generator, in turn, exactly as
+    ``num_samples`` successive ``cooper_frieze_graph(n, params,
+    seed=rng, record_trace=True)`` builds would.
+    """
+    rng = make_rng(seed)
+    for _ in range(num_samples):
+        replay = cooper_frieze_replay(n, params, rng, record_steps=True)
+        yield replay, _untouched_parents(replay, a, b)
 
 
 @dataclass(frozen=True)
@@ -179,27 +235,20 @@ def window_parent_degree_profile(
         raise InvalidParameterError(
             f"num_samples must be >= 1, got {num_samples}"
         )
-    rng = make_rng(seed)
-    window = list(range(a + 1, b + 1))
-    totals: List[float] = [0.0] * len(window)
+    totals: List[float] = [0.0] * (b - a)
     hits = 0
 
-    for _ in range(num_samples):
-        cf = cooper_frieze_graph(
-            n, params, seed=rng, record_trace=True
-        )
-        if not untouched_window_event(cf, a, b):
+    for replay, parents in _window_samples(
+        n, a, b, params, num_samples, seed
+    ):
+        if parents is None:
             continue
         hits += 1
-        births = {
-            record.vertex: record
-            for record in cf.trace
-            if record.kind == "new" and record.vertex in set(window)
-        }
-        for position, v in enumerate(window):
-            eid = births[v].edge_ids[0]
-            _, head = cf.graph.edge_endpoints(eid)
-            totals[position] += cf.graph.degree(head)
+        # Final undirected degree, a self-loop counting twice.
+        degree = Counter(replay.tails)
+        degree.update(replay.heads)
+        for position, head in enumerate(parents):
+            totals[position] += degree[head]
 
     if hits == 0:
         raise AnalysisError(

@@ -164,9 +164,12 @@ class CooperFriezeGraph:
         Number of NEW steps (equals ``n - 1`` plus the initial vertex).
     trace:
         Per-step history (``None`` unless the graph was built with
-        ``record_trace=True``).  Needed by the Theorem-2 equivalence
-        analysis, which must distinguish birth edges from later OLD
-        edges on the same vertex.
+        ``record_trace=True``).  Read by
+        :func:`~repro.equivalence.cooper_frieze.untouched_window_event`,
+        the reference form of the Theorem-2 equivalence analysis, which
+        must distinguish birth edges from later OLD edges on the same
+        vertex (its Monte-Carlo estimators read the same facts off
+        :func:`repro.graphs.fastgen.cooper_frieze_replay`).
     checkpoint_edge_counts:
         ``checkpoint n -> num_edges`` at the end of the step that
         created vertex ``n`` (``None`` unless built with

@@ -41,15 +41,22 @@ list and then the head's (a self-loop's two slots are consecutive).
 The Cooper-Frieze model is the exception to full vectorisation: the
 number of words each step consumes depends on sampled *values* (the
 per-step edge-count draw), so the stream cannot be laid out ahead of
-the values.  :func:`fast_cooper_frieze_frozen` instead replays the
-serial draw sequence with flat-list bookkeeping (no MultiGraph, no urn
-objects, no step records) and emits CSR directly — bit-identical by
-construction, just with the constant factor cut down.
+the values.  :func:`cooper_frieze_replay` instead replays the serial
+draw sequence with flat-list bookkeeping (no MultiGraph, no urn
+objects, no step records; the bounded draws written out as the inline
+``getrandbits`` loop of :mod:`repro.rng`) — bit-identical by
+construction, just with the constant factor cut down, and leaving a
+shared generator exactly where the serial builder leaves it.
+:func:`fast_cooper_frieze_frozen` assembles CSR from its endpoint
+columns; on request the replay also records each NEW vertex's birth
+edges and the OLD-step initiators, which is all the Theorem-2
+untouched-window analysis (:mod:`repro.equivalence.cooper_frieze`)
+reads of a realisation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -68,6 +75,8 @@ __all__ = [
     "fast_mori_edges_per_step_frozen",
     "fast_barabasi_albert_frozen",
     "fast_cooper_frieze_frozen",
+    "CooperFriezeReplay",
+    "cooper_frieze_replay",
 ]
 
 #: Model names (family_spec vocabulary) with a vectorized kernel.
@@ -495,26 +504,53 @@ def fast_barabasi_albert_frozen(
 # ----------------------------------------------------------------------
 
 
-def fast_cooper_frieze_frozen(
+class CooperFriezeReplay(NamedTuple):
+    """Flat record of one Cooper-Frieze realisation.
+
+    ``tails[e]``/``heads[e]`` are edge ``e``'s endpoints (edge ids are
+    insertion positions, as in :class:`~repro.graphs.base.MultiGraph`;
+    edge 0 is the seed self-loop at vertex 1) and ``marks`` the
+    checkpoint edge counts.  With ``record_steps=True``:
+
+    * ``births[v]`` is NEW vertex ``v``'s ``(first edge id, edge
+      count)`` — its step added edges ``first .. first + count - 1``
+      (``births[0]`` and ``births[1]`` are ``None``: vertex 1 is the
+      seed, not born by a step);
+    * ``initiators`` is the set of vertices that initiated an OLD step.
+
+    This is exactly what the serial builder's
+    :class:`~repro.graphs.cooper_frieze.StepRecord` trace carries,
+    without one record object per step.
+    """
+
+    tails: List[int]
+    heads: List[int]
+    marks: Dict[int, int]
+    births: Optional[List[Optional[Tuple[int, int]]]]
+    initiators: Optional[Set[int]]
+
+
+def cooper_frieze_replay(
     n: int,
     params: Optional[CooperFriezeParams] = None,
     seed: RandomLike = None,
     max_steps: Optional[int] = None,
     checkpoints: Optional[Sequence[int]] = None,
-) -> Tuple[FrozenGraph, Optional[Dict[int, int]]]:
-    """Frozen Cooper-Frieze graph via the lean replay path.
+    record_steps: bool = False,
+) -> CooperFriezeReplay:
+    """Replay the serial Cooper-Frieze draw sequence on flat lists.
 
-    Returns ``(snapshot, checkpoint_edge_counts)`` with the snapshot
-    equal to ``freeze(cooper_frieze_graph(n, params, seed).graph)``
-    and the marks equal to the serial builder's
-    ``checkpoint_edge_counts`` (``None`` without ``checkpoints``).
-
-    The word stream here cannot be laid out ahead of the sampled
-    values (each step's edge-count draw decides how many draws
-    follow), so this path keeps the serial draw sequence — the same
-    ``rng`` methods in the same order, hence bit-identical by
-    construction — and strips everything else: endpoints and urn
-    tokens are flat lists, and the CSR snapshot is assembled directly.
+    Consumes ``seed``'s stream exactly as
+    :func:`~repro.graphs.cooper_frieze.cooper_frieze_graph` does — the
+    same variates in the same order, so a shared generator is left in
+    the same state, and the same :class:`GraphConstructionError` on the
+    same step — but keeps endpoints and urn tokens as flat lists (no
+    MultiGraph, no urn objects, no step records).  The bounded draws
+    ``randrange(len(tokens))`` and ``randint(1, existing)`` are written
+    out inline as the ``getrandbits`` rejection loop documented in
+    :mod:`repro.rng`, and so is each edge-count draw (an
+    :meth:`AliasSampler.sample <repro.graphs.sampling.AliasSampler.sample>`
+    on the sampler's :attr:`~repro.graphs.sampling.AliasSampler.table`).
     """
     if n < 2:
         raise InvalidParameterError(
@@ -531,24 +567,30 @@ def fast_cooper_frieze_frozen(
     if max_steps is None:
         max_steps = int(20 * (n - 1) / params.alpha) + 100
 
-    new_count_sampler = discrete_distribution_sampler(
+    # The edge-count draws inline AliasSampler.sample as well.
+    new_prob, new_alias = discrete_distribution_sampler(
         params.new_edge_distribution
-    )
-    old_count_sampler = discrete_distribution_sampler(
+    ).table
+    old_prob, old_alias = discrete_distribution_sampler(
         params.old_edge_distribution
-    )
+    ).table
+    new_width = len(new_prob)
+    new_k = new_width.bit_length()
+    old_width = len(old_prob)
+    old_k = old_width.bit_length()
     alpha = params.alpha
     beta = params.beta
     gamma = params.gamma
     delta = params.delta
     by_indegree = params.preferential_by == "indegree"
     random = rng.random
-    randint = rng.randint
-    randrange = rng.randrange
+    bits = rng.getrandbits
 
     tails = [1]
     heads = [1]
     tokens = [1] if by_indegree else [1, 1]
+    births: Optional[list] = [None, None] if record_steps else None
+    initiators: Optional[Set[int]] = set() if record_steps else None
     num_vertices = 1
     num_steps = 0
     marks: Dict[int, int] = {}
@@ -559,25 +601,58 @@ def fast_cooper_frieze_frozen(
                 f"evolution exceeded {max_steps} steps before "
                 f"reaching {n} vertices (alpha={alpha})"
             )
+        existing = num_vertices
+        # randint(1, existing) == 1 + randrange(existing) below.
+        k_existing = existing.bit_length()
         if random() < alpha:
-            existing = num_vertices
             num_vertices += 1
             vertex = num_vertices
-            count = new_count_sampler.sample(rng) + 1
-            terminal_uniform = beta
-        else:
-            existing = num_vertices
-            if random() < delta:
-                vertex = randint(1, existing)
+            column = bits(new_k)
+            while column >= new_width:
+                column = bits(new_k)
+            if random() < new_prob[column]:
+                count = column + 1
             else:
-                vertex = tokens[randrange(len(tokens))]
-            count = old_count_sampler.sample(rng) + 1
+                count = new_alias[column] + 1
+            terminal_uniform = beta
+            if record_steps:
+                births.append((len(tails), count))
+        else:
+            if random() < delta:
+                r = bits(k_existing)
+                while r >= existing:
+                    r = bits(k_existing)
+                vertex = 1 + r
+            else:
+                width = len(tokens)
+                k = width.bit_length()
+                r = bits(k)
+                while r >= width:
+                    r = bits(k)
+                vertex = tokens[r]
+            column = bits(old_k)
+            while column >= old_width:
+                column = bits(old_k)
+            if random() < old_prob[column]:
+                count = column + 1
+            else:
+                count = old_alias[column] + 1
             terminal_uniform = gamma
+            if record_steps:
+                initiators.add(vertex)
         for _ in range(count):
             if random() < terminal_uniform:
-                head = randint(1, existing)
+                r = bits(k_existing)
+                while r >= existing:
+                    r = bits(k_existing)
+                head = 1 + r
             else:
-                head = tokens[randrange(len(tokens))]
+                width = len(tokens)
+                k = width.bit_length()
+                r = bits(k)
+                while r >= width:
+                    r = bits(k)
+                head = tokens[r]
             tails.append(vertex)
             heads.append(head)
             if by_indegree:
@@ -587,10 +662,31 @@ def fast_cooper_frieze_frozen(
                 tokens.append(head)
         while pending and num_vertices >= pending[0]:
             marks[pending.pop(0)] = len(tails)
+    return CooperFriezeReplay(tails, heads, marks, births, initiators)
 
+
+def fast_cooper_frieze_frozen(
+    n: int,
+    params: Optional[CooperFriezeParams] = None,
+    seed: RandomLike = None,
+    max_steps: Optional[int] = None,
+    checkpoints: Optional[Sequence[int]] = None,
+) -> Tuple[FrozenGraph, Optional[Dict[int, int]]]:
+    """Frozen Cooper-Frieze graph via the lean replay path.
+
+    Returns ``(snapshot, checkpoint_edge_counts)`` with the snapshot
+    equal to ``freeze(cooper_frieze_graph(n, params, seed).graph)``
+    and the marks equal to the serial builder's
+    ``checkpoint_edge_counts`` (``None`` without ``checkpoints``).
+    The endpoint columns come from :func:`cooper_frieze_replay`, and
+    the CSR snapshot is assembled from them directly.
+    """
+    replay = cooper_frieze_replay(
+        n, params, seed, max_steps=max_steps, checkpoints=checkpoints
+    )
     snapshot = frozen_from_pairs(
         n,
-        _np.array(tails, dtype=_np.int64),
-        _np.array(heads, dtype=_np.int64),
+        _np.array(replay.tails, dtype=_np.int64),
+        _np.array(replay.heads, dtype=_np.int64),
     )
-    return snapshot, (marks if checkpoints else None)
+    return snapshot, (replay.marks if checkpoints else None)

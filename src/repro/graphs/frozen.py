@@ -380,9 +380,13 @@ class FrozenGraph:
         independent construction stopped at that point, which is the
         contract the growth-trajectory checkpoint engine is built on.
 
-        Slicing reuses this snapshot's CSR buffers and endpoint columns
+        Slicing reads this snapshot's CSR buffers and endpoint columns
         instead of re-walking a mutable graph, so a whole checkpoint
         grid costs one full freeze plus one masked copy per checkpoint.
+        A proper prefix is always a plain :class:`FrozenGraph`; its edge
+        columns view this snapshot's, except that
+        :class:`~repro.graphs.shm.ShmFrozenGraph` copies them, so the
+        prefix of an attached graph outlives the mapping.
 
         Raises :class:`~repro.errors.GraphConstructionError` if the
         requested prefix is not a state the graph passed through (an
@@ -421,10 +425,18 @@ class FrozenGraph:
         offsets[1:] = cum[sub_offsets[1:]]
         slot_edges = self._slot_edges[:end][mask]
         slot_targets = self._slot_targets[:end][mask]
-        return type(self)(
+        return FrozenGraph(
             num_vertices, offsets, slot_edges, slot_targets,
             num_loops, columns=(tails, heads, indegree, outdegree),
         )
+
+    def close(self) -> None:
+        """Release any mapping behind the arrays (none for a heap snapshot).
+
+        :class:`~repro.graphs.shm.ShmFrozenGraph` overrides this to drop
+        its shared-memory mapping; on a plain snapshot it does nothing,
+        so any snapshot can be closed the same way.
+        """
 
     # ------------------------------------------------------------------
     # Dunder / internals

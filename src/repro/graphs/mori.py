@@ -194,10 +194,12 @@ def mori_tree(n: int, p: float, seed: RandomLike = None) -> MoriTree:
         raise InvalidParameterError(f"Mori tree needs n >= 2, got {n}")
     _validate_p(p)
     rng = make_rng(seed)
-    # randrange(k) for k > 0 *is* _randbelow(k), and randint(1, k) is
-    # 1 + _randbelow(k): binding it skips argument validation without
-    # changing a variate, so the generator ends in the same state.
-    draw = rng._randbelow
+    # The bounded draws are randrange(k) (urn index) and randint(1, k)
+    # (uniform vertex), written out inline as the rejection loop
+    # documented in repro.rng: the same getrandbits words in the same
+    # order, so every variate and the generator's end state are
+    # unchanged, with no Python call frame per draw.
+    bits = rng.getrandbits
     coin = rng.random
 
     parents = [0, 0, 1]
@@ -209,9 +211,17 @@ def mori_tree(n: int, p: float, seed: RandomLike = None) -> MoriTree:
         if coin() * total_mass < preferential_mass:
             # An urn of the edge heads, in insertion order, holds
             # exactly parents[2:t].
-            u = parents[2 + draw(num_edges)]
+            k = num_edges.bit_length()
+            r = bits(k)
+            while r >= num_edges:
+                r = bits(k)
+            u = parents[2 + r]
         else:
-            u = 1 + draw(num_vertices)
+            k = num_vertices.bit_length()
+            r = bits(k)
+            while r >= num_vertices:
+                r = bits(k)
+            u = 1 + r
         parents.append(u)
 
     return MoriTree(p=p, parents=tuple(parents))

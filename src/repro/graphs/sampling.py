@@ -24,7 +24,7 @@ unit- and property-tested in isolation.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 
@@ -237,6 +237,17 @@ class AliasSampler:
         if rng.random() < self._prob[column]:
             return column
         return self._alias[column]
+
+    @property
+    def table(self) -> Tuple[List[float], List[int]]:
+        """The alias table ``(prob, alias)``, for loops that inline a draw.
+
+        :meth:`sample` is ``column = rng.randrange(len(prob))``, then
+        ``column`` if ``rng.random() < prob[column]`` else
+        ``alias[column]``.  The lists are the sampler's own; do not
+        mutate them.
+        """
+        return self._prob, self._alias
 
     def __len__(self) -> int:
         return self._size

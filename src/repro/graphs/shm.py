@@ -233,6 +233,20 @@ class ShmFrozenGraph(FrozenGraph):
 
     __slots__ = ("_segment", "shm_name")
 
+    def prefix(self, num_vertices: int, num_edges: int) -> FrozenGraph:
+        """:meth:`FrozenGraph.prefix`, with the edge columns copied.
+
+        The CSR slices of a proper prefix are already fresh arrays; only
+        ``tails``/``heads`` would still view the segment.  Copying them
+        leaves the prefix holding no view of the mapping, so closing
+        either graph leaves the other usable.
+        """
+        sub = super().prefix(num_vertices, num_edges)
+        if sub is not self:
+            tails, heads, indegree, outdegree = sub._columns
+            sub._columns = (tails.copy(), heads.copy(), indegree, outdegree)
+        return sub
+
     def close(self) -> None:
         """Release this process's mapping of the segment.
 

@@ -7,9 +7,31 @@ at the top of an experiment fans out into independent, stable substreams
 for each repetition and each model.
 
 The library deliberately uses :mod:`random` (Mersenne Twister) rather
-than :mod:`numpy.random` for the evolving-graph constructions: the inner
-loops draw one variate at a time, where the stdlib generator is both
-faster to call and keeps the core package dependency-free.
+than :mod:`numpy.random` for the evolving-graph constructions and the
+walk kernels: the inner loops draw one variate at a time, where the
+stdlib generator is the faster one to call, and every published number
+is pinned to its stream.
+
+**The bounded-draw identity.**  For ``n > 0``, CPython's
+``rng.randrange(n)`` is ``rng._randbelow(n)``, and ``_randbelow`` *is*
+``_randbelow_with_getrandbits`` (``Random`` keeps ``getrandbits``)::
+
+    k = n.bit_length()      # not (n - 1): n may be 1
+    r = getrandbits(k)
+    while r >= n:           # reject: an accepted r is uniform on [0, n)
+        r = getrandbits(k)
+
+and ``rng.randint(1, n)`` is ``1 + rng._randbelow(n)``.  The hottest
+loops (:func:`repro.graphs.mori.mori_tree`, the scalar walk kernels in
+:mod:`repro.search.ensemble`, the Cooper–Frieze replay in
+:mod:`repro.graphs.fastgen`) write this loop inline with
+``getrandbits`` bound once: the same words are consumed in the same
+order, so every variate and the generator's end state are unchanged,
+while no Python call frame is paid per draw (``randrange`` costs two,
+``randint`` three).  A helper function would bring a frame back,
+which is why the loop is spelled out at each site rather than shared.
+``tests/test_rng.py`` pins the identity (and fails loudly should a
+CPython release change ``_randbelow``).
 """
 
 from __future__ import annotations

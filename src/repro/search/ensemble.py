@@ -35,10 +35,12 @@ Bit-identical determinism is the contract, not an aspiration:
 * the kernel replays each algorithm's draw sequence *in loop order*
   (restart coin before edge draw, unresolved-preferring choice before
   the uniform fallback), so run ``i`` consumes its Mersenne Twister
-  stream variate-for-variate as the serial algorithm would.  Draws go
-  through the bound ``Random._randbelow`` — what ``randrange(n)``
-  itself calls for ``n > 0`` — skipping only argument validation,
-  never changing a variate;
+  stream variate-for-variate as the serial algorithm would.  The
+  scalar paths write ``randrange(n)`` out inline as its
+  ``getrandbits`` rejection loop (the identity documented in
+  :mod:`repro.rng`), with no Python call frame per draw, never
+  changing a variate; the lock-step phase calls the bound
+  ``Random._randbelow``, which is the same loop;
 * the oracle protocol is simulated using the one
   :class:`~repro.search.oracle.Knowledge` invariant that holds while a
   single walk drives the oracle: ``far_endpoint(u, eid)`` is inferable
@@ -325,7 +327,7 @@ def _uniform_run(
     returns ``(v, found, requests, hops, restarts)``.
     """
     rng = cell.rngs[run]
-    draw = rng._randbelow  # == randrange(n) for n > 0
+    bits = rng.getrandbits  # randrange(n) written inline: see repro.rng
     coin = rng.random
     zone = cell.zone
     budget = cell.budget
@@ -341,7 +343,12 @@ def _uniform_run(
         hi = offsets[v + 1]
         if lo == hi:
             break  # isolated start vertex: nowhere to go
-        slot = lo + draw(hi - lo)
+        width = hi - lo
+        k = width.bit_length()
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        slot = lo + r
         far = slot_targets[slot]
         if far not in discovered:
             requests += 1
@@ -562,7 +569,8 @@ def _self_avoiding_run(
     Returns ``(v, found, requests, hops)`` once the run ends or
     ``hops`` reaches ``max_moves``.
     """
-    draw = cell.rngs[run]._randbelow  # == randrange(n) for n > 0
+    # randrange(n) written inline: see repro.rng.
+    bits = cell.rngs[run].getrandbits
     zone = cell.zone
     budget = cell.budget
     trace = cell.traces[run] if cell.traces is not None else None
@@ -577,7 +585,12 @@ def _self_avoiding_run(
             if slot_targets[slot] not in discovered
         ]
         if candidates:
-            slot = candidates[draw(len(candidates))]
+            width = len(candidates)
+            k = width.bit_length()
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            slot = candidates[r]
             far = slot_targets[slot]
             requests += 1
             discovered.add(far)
@@ -588,7 +601,12 @@ def _self_avoiding_run(
         else:
             # All edges resolved: a free move (a self-loop slot
             # targets v itself, matching the serial fallback).
-            far = slot_targets[lo + draw(hi - lo)]
+            width = hi - lo
+            k = width.bit_length()
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            far = slot_targets[lo + r]
         v = far
         hops += 1
     return v, found, requests, hops
@@ -682,7 +700,7 @@ def _degree_biased_kernel(
     requests_list = []
     hops_list = []
     for run, rng in enumerate(cell.rngs):
-        draw = rng._randbelow
+        bits = rng.getrandbits  # randrange(n) inline: see repro.rng
         uniform = rng.random
         trace = cell.traces[run] if cell.traces is not None else None
         requested = set()
@@ -707,7 +725,12 @@ def _degree_biased_kernel(
             if not answer:
                 break  # isolated vertex: nowhere to go
             if beta == 0.0:
-                v = answer[draw(len(answer))]
+                width = len(answer)
+                k = width.bit_length()
+                r = bits(k)
+                while r >= width:
+                    r = bits(k)
+                v = answer[r]
             else:
                 running, total = weights_of(v)
                 pick = uniform() * total

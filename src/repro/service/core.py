@@ -22,6 +22,10 @@ owns the *meaning* of a query:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -291,15 +295,53 @@ def validate_query(
 _WORKER_STATE: Dict[str, Any] = {"manifest": {}, "graphs": {}}
 
 
+#: Seconds between a worker's checks that its daemon is still alive.
+_PARENT_POLL_INTERVAL = 1.0
+
+
 def service_worker_init(manifest_json: str) -> None:
     """Pool initializer: install the serving manifest in this worker.
 
     ``manifest_json`` maps graph id to ``{"shm", "seed", "target",
     "start", "portfolio"}`` — everything a worker needs to answer any
     query without ever unpickling a graph.
+
+    In a pool worker (a :mod:`multiprocessing` child) this also starts
+    the parent watchdog: a daemon thread that exits the worker once
+    the daemon that made the pool is gone.  A SIGKILLed daemon runs no
+    shutdown, and its workers would otherwise be reparented and live
+    on.  The query path is untouched.
     """
     _WORKER_STATE["manifest"] = json.loads(manifest_json)
     _WORKER_STATE["graphs"] = {}
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent,
+            args=(parent, os.getppid()),
+            name="parent-watchdog",
+            daemon=True,
+        ).start()
+
+
+def _exit_with_parent(parent, parent_pid: int) -> None:
+    """Poll about once a second; ``os._exit`` once the daemon is gone.
+
+    Two signs, because neither alone covers every start method:
+
+    * the OS parent changed (the worker was reparented).  Under
+      ``fork`` and ``spawn`` the OS parent is the daemon.  Under
+      ``forkserver`` it is the fork server, which outlives the daemon
+      while any worker lives, so this sign never comes.
+    * ``parent.is_alive()`` is false: the sentinel pipe whose write end
+      only the daemon holds has closed.  Under ``spawn`` and
+      ``forkserver`` no other process holds that end.  Under ``fork``
+      every worker forked later inherits a copy, so it alone could
+      wait on a sibling.
+    """
+    while os.getppid() == parent_pid and parent.is_alive():
+        time.sleep(_PARENT_POLL_INTERVAL)
+    os._exit(1)
 
 
 def _worker_graph(graph_id: str, shm_name: str) -> FrozenGraph:

@@ -25,9 +25,22 @@ import repro.core.searchability as searchability_module
 import repro.graphs.fastgen as fastgen_module
 import repro.search.ensemble as ensemble_module
 from repro.cli import QUICK_OVERRIDES
-from repro.core.families import MoriFamily
+from repro.core.families import (
+    BarabasiAlbertFamily,
+    ConfigurationFamily,
+    CooperFriezeFamily,
+    MoriFamily,
+)
 from repro.core.registry import run_experiment
-from repro.core.trials import ENGINES, GENERATORS, fastest_available
+from repro.core.trials import (
+    ENGINES,
+    GENERATORS,
+    build_family,
+    build_graph_snapshot,
+    family_spec,
+    fastest_available,
+)
+from repro.graphs.cooper_frieze import CooperFriezeParams
 
 #: The experiments whose trials grow or search graphs through the
 #: engine and generator arms (the ids that once declared either axis).
@@ -176,3 +189,59 @@ class TestCacheKeyPolicy:
         for spec in default_specs:
             assert "engine" not in spec.params
             assert "generator" not in spec.params
+
+
+class TestE6Specimens:
+    """E6's family specimens are built on the generator axis too."""
+
+    #: E6's four family specimens (Kleinberg is not a family).
+    SPECS = [
+        family_spec(MoriFamily(p=0.5, m=2)),
+        family_spec(CooperFriezeFamily(CooperFriezeParams(alpha=0.75))),
+        family_spec(BarabasiAlbertFamily(m=2)),
+        family_spec(ConfigurationFamily(exponent=2.5)),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec", SPECS, ids=[spec["model"] for spec in SPECS]
+    )
+    def test_degree_sequences_equal_on_reference_arms(
+        self, spec, reference_arms
+    ):
+        default = build_graph_snapshot(build_family(spec), 1500, 61)
+        with reference_arms():
+            reference = build_graph_snapshot(
+                build_family(spec), 1500, 61
+            )
+        assert (
+            default.degree_sequence() == reference.degree_sequence()
+        )
+
+    def test_default_run_reaches_the_vectorized_generator(
+        self, monkeypatch
+    ):
+        built = []
+        for name in (
+            "fast_merged_mori_frozen",
+            "fast_cooper_frieze_frozen",
+            "fast_barabasi_albert_frozen",
+        ):
+            original = getattr(fastgen_module, name)
+
+            def wrapper(*args, _original=original, _name=name, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fastgen_module, name, wrapper)
+        run_experiment("E6", **QUICK_OVERRIDES["E6"])
+        assert sorted(built) == [
+            "fast_barabasi_albert_frozen",
+            "fast_cooper_frieze_frozen",
+            "fast_merged_mori_frozen",
+        ]
+
+    def test_default_run_equals_serial_reference(self, reference_arms):
+        default = run_experiment("E6", **QUICK_OVERRIDES["E6"])
+        with reference_arms():
+            reference = run_experiment("E6", **QUICK_OVERRIDES["E6"])
+        assert _canonical(default) == _canonical(reference)

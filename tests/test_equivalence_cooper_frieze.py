@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.errors import AnalysisError, InvalidParameterError
 from repro.equivalence.cooper_frieze import (
+    CFWindowProfile,
+    _untouched_parents,
     estimate_untouched_probability,
     untouched_window_event,
     window_parent_degree_profile,
@@ -14,6 +19,7 @@ from repro.graphs.cooper_frieze import (
     CooperFriezeParams,
     cooper_frieze_graph,
 )
+from repro.graphs.fastgen import cooper_frieze_replay
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +161,131 @@ class TestParentDegreeProfile:
             window_parent_degree_profile(10, 0, 5, params, 10)
         with pytest.raises(InvalidParameterError):
             window_parent_degree_profile(10, 5, 8, params, 0)
+
+
+#: Parameter corners for the flat replay, under both preferential
+#: modes: NEW/OLD mixes, uniform and preferential terminals, multi-edge
+#: count draws (the alias table's redirect branch).
+REPLAY_CORNERS = {
+    "default": dict(alpha=0.75),
+    "old-heavy": dict(alpha=0.5),
+    "pref-ends": dict(alpha=0.6, beta=0.0, gamma=0.0, delta=0.0),
+    "multi-edge": dict(
+        alpha=0.7,
+        new_edge_distribution=(0.7, 0.2, 0.1),
+        old_edge_distribution=(0.6, 0.4),
+    ),
+}
+
+
+def _windows(n):
+    """Windows the estimators meet: theorem-style sqrt, narrow, empty."""
+    width = math.isqrt(n)
+    return [(n - width, n), (n // 2, n // 2 + 3), (n - 2, n), (5, 5)]
+
+
+def _serial_profile(n, a, b, params, num_samples, seed):
+    """``window_parent_degree_profile`` on traced serial builds."""
+    rng = random.Random(seed)
+    totals = [0.0] * (b - a)
+    hits = 0
+    for _ in range(num_samples):
+        cf = cooper_frieze_graph(n, params, seed=rng, record_trace=True)
+        if not untouched_window_event(cf, a, b):
+            continue
+        hits += 1
+        births = {r.vertex: r for r in cf.trace if r.kind == "new"}
+        for position, v in enumerate(range(a + 1, b + 1)):
+            _, head = cf.graph.edge_endpoints(births[v].edge_ids[0])
+            totals[position] += cf.graph.degree(head)
+    return hits, tuple(t / hits for t in totals)
+
+
+@pytest.mark.parametrize("mode", ["indegree", "total"])
+@pytest.mark.parametrize("corner", sorted(REPLAY_CORNERS))
+class TestFlatReplay:
+    """The flat replay equals the traced serial builder, sample by sample."""
+
+    @staticmethod
+    def _params(corner, mode):
+        return CooperFriezeParams(
+            preferential_by=mode, **REPLAY_CORNERS[corner]
+        )
+
+    def test_replay_matches_traced_build(self, corner, mode):
+        params = self._params(corner, mode)
+        for seed in range(50):
+            n = 30 + seed % 35
+            serial_rng = random.Random(seed)
+            replay_rng = random.Random(seed)
+            cf = cooper_frieze_graph(
+                n, params, seed=serial_rng, record_trace=True
+            )
+            replay = cooper_frieze_replay(
+                n, params, replay_rng, record_steps=True
+            )
+            assert replay_rng.getstate() == serial_rng.getstate()
+            assert list(zip(replay.tails, replay.heads)) == [
+                cf.graph.edge_endpoints(e)
+                for e in range(cf.graph.num_edges)
+            ]
+            births = [None, None] + [
+                (record.edge_ids[0], len(record.edge_ids))
+                for record in cf.trace
+                if record.kind == "new"
+            ]
+            assert replay.births == births
+            assert replay.initiators == {
+                record.vertex for record in cf.trace if record.kind == "old"
+            }
+
+    def test_event_and_parents_match_traced_build(self, corner, mode):
+        params = self._params(corner, mode)
+        hits = 0
+        for seed in range(50):
+            n = 40 + seed % 25
+            cf = cooper_frieze_graph(
+                n, params, seed=seed, record_trace=True
+            )
+            replay = cooper_frieze_replay(
+                n, params, seed, record_steps=True
+            )
+            births = {r.vertex: r for r in cf.trace if r.kind == "new"}
+            for a, b in _windows(n):
+                parents = _untouched_parents(replay, a, b)
+                event = untouched_window_event(cf, a, b)
+                assert (parents is not None) == event, (seed, a, b)
+                if event:
+                    hits += b > a
+                    assert parents == [
+                        cf.graph.edge_endpoints(births[v].edge_ids[0])[1]
+                        for v in range(a + 1, b + 1)
+                    ]
+        assert hits  # the comparison saw nonempty untouched windows
+
+    def test_estimators_equal_serial_oracle(self, corner, mode):
+        params = self._params(corner, mode)
+        n = 64
+        for a, b in _windows(n)[:2]:
+            shared = random.Random(7)
+            estimate = estimate_untouched_probability(
+                n, a, b, params, 40, seed=shared
+            )
+            oracle = random.Random(7)
+            hits = sum(
+                untouched_window_event(
+                    cooper_frieze_graph(
+                        n, params, seed=oracle, record_trace=True
+                    ),
+                    a, b,
+                )
+                for _ in range(40)
+            )
+            assert estimate == hits / 40
+            assert shared.getstate() == oracle.getstate()
+        a, b = _windows(n)[0]
+        hits, means = _serial_profile(n, a, b, params, 40, 11)
+        assert hits
+        assert window_parent_degree_profile(
+            n, a, b, params, 40, seed=11
+        ) == CFWindowProfile(a, b, 40, hits, means)

@@ -447,6 +447,27 @@ class TestCLIBadPaths:
         assert line.startswith(f"error: {bad.format(**names)}: {reason}")
 
 
+    def test_bad_json_directory_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.core.registry import ExperimentSpec
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(ExperimentSpec, "run", forbidden)
+        (tmp_path / "file").write_text("")
+        for bad, reason in (
+            (tmp_path / "missing" / "out.json", "No such file or directory"),
+            (tmp_path / "file" / "out.json", "Not a directory"),
+            (tmp_path, "Is a directory"),
+        ):
+            assert main(["run", "E17", "--quick", "--json", str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {bad}: {reason}\n"
+
+
 class TestE18:
     def test_start_rules_all_measured(self):
         result = run_experiment(

@@ -201,6 +201,39 @@ class TestParentsOnlySampler:
         assert 0.0 < estimate <= 1.0
 
 
+def _textbook_mori_parents(n, p, rng):
+    """The Móri step through the public ``randrange``/``randint`` API.
+
+    The reference for :func:`mori_tree`, which writes its bounded draws
+    out inline: same coin, same urn, same generator calls.
+    """
+    parents = [0, 0, 1]
+    for t in range(3, n + 1):
+        num_edges = t - 2
+        num_vertices = t - 1
+        preferential_mass = p * num_edges
+        total_mass = preferential_mass + (1.0 - p) * num_vertices
+        if rng.random() * total_mass < preferential_mass:
+            parents.append(parents[2 + rng.randrange(num_edges)])
+        else:
+            parents.append(rng.randint(1, num_vertices))
+    return tuple(parents)
+
+
+class TestInlineDraws:
+    """``mori_tree`` equals the textbook ``randrange`` loop, draw for draw."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 17, 300, 2049])
+    def test_equals_textbook_loop(self, n, p):
+        for seed in range(8):
+            inline = random.Random(seed)
+            reference = random.Random(seed)
+            tree = mori_tree(n, p, seed=inline)
+            assert tree.parents == _textbook_mori_parents(n, p, reference)
+            assert inline.getstate() == reference.getstate()
+
+
 class TestMergedMoriGraph:
     def test_m1_is_the_tree(self):
         merged = merged_mori_graph(30, 1, 0.5, seed=5)

@@ -70,3 +70,51 @@ class TestStreams:
         # Spawning consumed entropy, so spawning again differs.
         child2 = spawn(parent)
         assert child.random() != child2.random()
+
+
+class TestBoundedDrawIdentity:
+    """The identity the hot loops inline (see the ``repro.rng`` docstring).
+
+    ``randrange(n)`` for ``n > 0`` is ``_randbelow(n)``, which is the
+    ``getrandbits`` rejection loop below; the graph builders and walk
+    kernels spell that loop out instead of calling ``randrange``.
+    """
+
+    SIZES = [
+        1, 2, 3, 7, 8, 9, 2**16, 2**31 - 1, 2**31, 2**32 - 1, 2**32,
+        2**40 + 3,
+    ]
+
+    @staticmethod
+    def _inline_draw(bits, n):
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    def test_randbelow_is_the_getrandbits_loop(self):
+        # A CPython release that changes _randbelow must fail here, not
+        # silently shift every inlined draw.
+        assert (
+            random.Random._randbelow
+            is random.Random._randbelow_with_getrandbits
+        )
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_inline_loop_equals_randrange(self, n):
+        reference = random.Random(n)
+        inline = random.Random(n)
+        bits = inline.getrandbits
+        for _ in range(300):
+            assert self._inline_draw(bits, n) == reference.randrange(n)
+        assert inline.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_inline_loop_equals_randint(self, n):
+        reference = random.Random(~n)
+        inline = random.Random(~n)
+        bits = inline.getrandbits
+        for _ in range(300):
+            assert 1 + self._inline_draw(bits, n) == reference.randint(1, n)
+        assert inline.getstate() == reference.getstate()

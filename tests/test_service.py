@@ -11,18 +11,25 @@ from __future__ import annotations
 
 import json
 import http.client
+import multiprocessing
 import os
 import signal
 import socket
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core.families import MoriFamily
 from repro.core.trials import batched_search_trial, family_spec
-from repro.graphs.shm import SHM_DIR, attach_graph, publish_graph
+from repro.graphs.shm import (
+    SHM_DIR,
+    attach_graph,
+    publish_graph,
+    sweep_dead_segments,
+)
 from repro.service import (
     QueryError,
     SearchService,
@@ -32,12 +39,58 @@ from repro.service import (
     validate_query,
 )
 from repro.service.client import ServiceHTTPError
-from repro.service.core import portfolio_algorithms
+from repro.service.core import (
+    _PARENT_POLL_INTERVAL,
+    portfolio_algorithms,
+    service_worker_init,
+)
 from repro.service.loadgen import build_queries
 
 SIZE = 120
 SEED = 3
 PORTFOLIO = "adamic"
+
+
+def _proc_stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            text = handle.read()
+    except OSError:
+        return None
+    return text[text.rindex(")") + 2:].split()
+
+
+def _pid_running(pid):
+    """Alive and not a zombie (an unreaped orphan does not run)."""
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] not in ("Z", "X")
+
+
+def _children(pid):
+    children = []
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            fields = _proc_stat(name)
+            if fields is not None and fields[1] == str(pid):
+                children.append(int(name))
+    return children
+
+
+def _descendants(pid):
+    found = []
+    for child in _children(pid):
+        found.append(child)
+        found.extend(_descendants(child))
+    return found
+
+
+def _cmdline(pid):
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return handle.read()
+    except OSError:
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +477,88 @@ class TestLifecycle:
             live_owner.wait()
             live.close()
             live.unlink()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="child pids read from /proc"
+    )
+    @pytest.mark.parametrize("start_method", ["fork", "forkserver", "spawn"])
+    def test_sigkilled_daemons_workers_exit(self, tmp_path, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method here")
+        port_file = tmp_path / "serve.port"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + (
+            os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH") else ""
+        )
+        launch = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "from repro.cli import main\n"
+            "raise SystemExit(main(sys.argv[2:]))\n"
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-c", launch, start_method, "serve",
+                "--sizes", "60", "--seeds", "1",
+                "--workers", "1", "--port", "0",
+                "--port-file", str(port_file),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while not port_file.exists() or not port_file.read_text():
+                assert process.poll() is None, process.stderr.read()
+                assert time.monotonic() < deadline, "daemon never bound"
+                time.sleep(0.05)
+            # The pool is warmed before the port is published.  Its
+            # workers are the daemon's leaf descendants other than the
+            # resource tracker: children under fork and spawn,
+            # grandchildren (below the fork server) under forkserver.
+            workers = [
+                pid for pid in _descendants(process.pid)
+                if not _children(pid)
+                and b"resource_tracker" not in (_cmdline(pid) or b"")
+            ]
+            assert len(workers) == 1
+            os.kill(process.pid, signal.SIGKILL)  # the daemon alone
+            process.communicate(timeout=30)
+            deadline = time.monotonic() + 5
+            while any(_pid_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"orphaned workers still running: {workers}"
+                )
+                time.sleep(0.1)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.communicate()
+            for pid in workers:
+                if _pid_running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            sweep_dead_segments()
+
+    def test_watchdog_keeps_a_forkserver_worker(self):
+        # A forkserver worker's OS parent is the fork server, not the
+        # process that made the pool: the watchdog must watch the
+        # former, or every worker exits right after its initializer.
+        if "forkserver" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no forkserver start method here")
+        with ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=multiprocessing.get_context("forkserver"),
+            initializer=service_worker_init,
+            initargs=("{}",),
+        ) as pool:
+            first = pool.submit(os.getpid).result(timeout=60)
+            time.sleep(2.5 * _PARENT_POLL_INTERVAL)
+            assert pool.submit(os.getpid).result(timeout=60) == first
 
     def test_corpus_hot_reload_serves_new_graphs(self, tmp_path):
         from repro.graphs.corpus import GraphCorpus

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -23,6 +24,7 @@ from repro.graphs import (
     freeze,
     mori_tree,
 )
+from repro.graphs.frozen import FrozenGraph
 from repro.graphs.shm import (
     SHM_SCHEMA,
     attach_graph,
@@ -153,6 +155,43 @@ class TestLifecycle:
         finally:
             first.close()
             second.close()
+
+
+class TestPrefixOfAttachedGraph:
+    """A prefix of an attached graph owns its arrays, so either closes."""
+
+    def test_prefix_is_a_plain_snapshot_that_closes(self, published):
+        snapshot, segment = published
+        attached = attach_graph(segment.name)
+        try:
+            prefix = attached.prefix(30, 29)
+            assert type(prefix) is FrozenGraph
+            assert prefix == snapshot.prefix(30, 29)
+            prefix.close()
+        finally:
+            attached.close()
+
+    def test_heap_prefix_views_the_parent_columns(self, published):
+        snapshot, _ = published
+        prefix = snapshot.prefix(30, 29)
+        assert np.shares_memory(prefix._columns[0], snapshot._columns[0])
+        assert np.shares_memory(prefix._columns[1], snapshot._columns[1])
+
+    def test_closing_the_parent_leaves_a_live_prefix_usable(
+        self, published
+    ):
+        snapshot, segment = published
+        attached = attach_graph(segment.name)
+        mapping = attached._segment._shm
+        prefix = attached.prefix(30, 29)
+        attached.close()
+        # The mapping is unmapped: no view of it is left in the prefix
+        # to pin it (an exported view makes the unmap fail silently).
+        assert mapping._mmap is None
+        assert prefix == snapshot.prefix(30, 29)
+        assert [prefix.degree(v) for v in range(1, 31)] == [
+            snapshot.prefix(30, 29).degree(v) for v in range(1, 31)
+        ]
 
 
 class TestDeadOwnerSweep:
