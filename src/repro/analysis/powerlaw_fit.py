@@ -71,9 +71,8 @@ def _log_likelihood(
     return -k * log_sum - n * math.log(z)
 
 
-def _mle_exponent(counts: Dict[int, int], d_min: int, d_max: int) -> float:
+def _mle_exponent(counts: Dict[int, int], support: Sequence[float]) -> float:
     """Ternary-search the concave log-likelihood over k."""
-    support = [float(d) for d in range(d_min, d_max + 1)]
     n = sum(counts.values())
     log_sum = sum(c * math.log(d) for d, c in counts.items())
     low, high = _K_LOW, _K_HIGH
@@ -91,18 +90,21 @@ def _mle_exponent(counts: Dict[int, int], d_min: int, d_max: int) -> float:
 
 
 def _ks_distance(
-    counts: Dict[int, int], d_min: int, d_max: int, exponent: float
+    counts: Dict[int, int], support: Sequence[float], exponent: float
 ) -> float:
     """KS distance against the fitted truncated discrete law."""
-    weights = {d: d ** (-exponent) for d in range(d_min, d_max + 1)}
-    z = sum(weights.values())
+    # The same libm pow per term as ``d ** (-exponent)`` (see
+    # _log_likelihood), summed in the same support order.
+    weights = list(map(math.pow, support, repeat(-exponent)))
+    z = sum(weights)
     n = sum(counts.values())
     empirical_cum = 0
     model_cum = 0.0
     worst = 0.0
-    for degree in range(d_min, d_max + 1):
+    for degree, weight in zip(support, weights):
+        # A float degree finds its equal int key.
         empirical_cum += counts.get(degree, 0)
-        model_cum += weights[degree]
+        model_cum += weight
         worst = max(worst, abs(empirical_cum / n - model_cum / z))
     return worst
 
@@ -188,10 +190,11 @@ def _fit_at(all_counts: Dict[int, int], d_min: int) -> PowerLawFit:
             "degenerate tail (all observations equal d_min); no "
             "power-law exponent is identifiable"
         )
-    exponent = _mle_exponent(counts, d_min, d_max)
+    support = [float(d) for d in range(d_min, d_max + 1)]
+    exponent = _mle_exponent(counts, support)
     return PowerLawFit(
         exponent=exponent,
         d_min=d_min,
         num_tail=num_tail,
-        ks_distance=_ks_distance(counts, d_min, d_max, exponent),
+        ks_distance=_ks_distance(counts, support, exponent),
     )

@@ -3,9 +3,9 @@
 Each experiment regenerates one "table/figure" of the reproduction: it
 runs the workload, folds measurements into printable
 :class:`~repro.core.results.Table` rows, and records headline scalars
-in ``derived`` for tests and EXPERIMENTS.md.  Benchmarks call these
-with small default grids (laptop-scale, seconds-to-minutes); the CLI
-exposes size overrides for larger runs.
+in ``derived`` for tests.  Benchmarks call these with small default
+grids (laptop-scale, seconds-to-minutes); the CLI exposes size
+overrides for larger runs.
 
 Experiments are *registered specs* (:mod:`repro.core.registry`): each
 body declares its typed parameter schema and the execution
@@ -13,7 +13,9 @@ capabilities it supports — ``jobs`` (worker fan-out), ``cache``
 (persistent trial store, in the layout ``store_backend`` picks),
 ``mode`` (independent vs trajectory-coupled scaling sweeps) — and
 receives one :class:`~repro.core.registry.ExecutionContext` instead
-of copy-pasted kwargs.  Every realisation is searched as a frozen CSR
+of copy-pasted kwargs, then the result shell the registry built from
+the declaration (id, title, params), to which it adds only its tables
+and derived values.  Every realisation is searched as a frozen CSR
 snapshot.  Run one with
 ``run_experiment("E1", sizes=(200, 400))`` or ``REGISTRY["E1"].run``.
 
@@ -29,7 +31,7 @@ trials across invocations.
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Callable, Dict
 
 from repro.analysis.diameter import estimate_diameter
 from repro.analysis.scaling import (
@@ -47,6 +49,7 @@ from repro.core.families import (
     ConfigurationFamily,
     CooperFriezeFamily,
     MoriFamily,
+    theorem_target_for_size,
 )
 from repro.core.registry import (
     FLOAT,
@@ -57,7 +60,7 @@ from repro.core.registry import (
     Param,
     REGISTRY,
 )
-from repro.core.results import ExperimentResult, Table
+from repro.core.results import Table
 from repro.errors import ExperimentError
 from repro.core.trials import (
     churn_search_trial,
@@ -107,27 +110,40 @@ from repro.search.algorithms import (
 __all__: list = []
 
 
-def _scaling_table(
-    title: str,
-    measurement,
-    bound_fn,
-    bound_label: str,
-) -> Table:
-    """Render a size sweep: one row per (size, algorithm) + bound column."""
+def _theorem_sweep(
+    ctx,
+    result,
+    family,
+    sizes,
+    portfolio: str,
+    caption: str,
+    floor: Callable[[int], float],
+    floor_label: str,
+    **kwargs,
+):
+    """The theorem sweeps' shared tail (E1–E3).
+
+    Measures ``portfolio`` across ``sizes``, appends the per-(size,
+    algorithm) table with the theorem's ``floor(size)`` column and the
+    fitted-exponent table, records ``exponent/<algorithm>`` and
+    returns the measurement for the body's own derived values.
+    """
+    measurement = ctx.measure_scaling(family, sizes, portfolio, **kwargs)
+    algorithms = sorted(measurement.cells[measurement.sizes[0]].summaries)
     table = Table(
-        title=title,
+        title=caption,
         columns=(
             "n",
             "algorithm",
             "mean requests",
             "ci95 halfwidth",
             "found rate",
-            bound_label,
+            floor_label,
         ),
     )
     for size in measurement.sizes:
         cell = measurement.cells[size]
-        bound_value = bound_fn(size)
+        floor_value = floor(size)
         for name in sorted(cell.summaries):
             summary = cell.summaries[name]
             table.add_row(
@@ -136,19 +152,18 @@ def _scaling_table(
                 summary.mean_requests,
                 summary.ci_halfwidth,
                 summary.success_rate,
-                bound_value,
+                floor_value,
             )
-    return table
-
-
-def _exponent_table(measurement, algorithms: Sequence[str]) -> Table:
-    table = Table(
+    exponents = Table(
         title="Fitted scaling exponents (log-log OLS of mean requests vs n)",
         columns=("algorithm", "exponent", "paper floor"),
     )
     for name in algorithms:
-        table.add_row(name, measurement.fitted_exponent(name), 0.5)
-    return table
+        exponent = measurement.fitted_exponent(name)
+        exponents.add_row(name, exponent, 0.5)
+        result.derived[f"exponent/{name}"] = exponent
+    result.tables.extend((table, exponents))
+    return measurement
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +184,9 @@ def _exponent_table(measurement, algorithms: Sequence[str]) -> Table:
         Param("seed", INT, 1),
     ),
 )
-def _e1_body(ctx, *, sizes, p, m, num_graphs, runs_per_graph, seed):
+def _e1_body(
+    ctx, result, *, sizes, p, m, num_graphs, runs_per_graph, seed
+):
     """E1: every weak-model algorithm respects the Ω(√n) floor on Móri graphs.
 
     Sweeps graph size, measures mean requests for the weak portfolio
@@ -177,52 +194,27 @@ def _e1_body(ctx, *, sizes, p, m, num_graphs, runs_per_graph, seed):
     overlays the concrete Theorem 1 floor ``⌊√(n-2)⌋ P(E)/2``.
     """
     family = MoriFamily(p=p, m=m)
-    measurement = ctx.measure_scaling(
+
+    def floor(size: int) -> float:
+        return theorem1_weak_bound(theorem_target_for_size(size), p)
+
+    measurement = _theorem_sweep(
+        ctx,
+        result,
         family,
         sizes,
         "weak-omniscient",
+        f"Mean requests to find the theorem target, {family.name}",
+        floor,
+        "Thm1 floor",
         num_graphs=num_graphs,
         runs_per_graph=runs_per_graph,
         seed=seed,
     )
-
-    def bound(size: int) -> float:
-        from repro.core.families import theorem_target_for_size
-
-        return theorem1_weak_bound(theorem_target_for_size(size), p)
-
-    result = ExperimentResult(
-        experiment_id="E1",
-        title="Weak-model search cost on merged Mori graphs (Theorem 1)",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
-    algorithms = sorted(measurement.cells[measurement.sizes[0]].summaries)
-    result.tables.append(
-        _scaling_table(
-            f"Mean requests to find the theorem target, {family.name}",
-            measurement,
-            bound,
-            "Thm1 floor",
-        )
-    )
-    result.tables.append(_exponent_table(measurement, algorithms))
-    for name in algorithms:
-        result.derived[f"exponent/{name}"] = measurement.fitted_exponent(
-            name
-        )
-        largest = measurement.sizes[-1]
-        result.derived[f"mean@{largest}/{name}"] = (
-            measurement.cells[largest].summaries[name].mean_requests
-        )
-    result.derived["floor@largest"] = bound(measurement.sizes[-1])
-    return result
+    largest = measurement.sizes[-1]
+    for name, summary in measurement.cells[largest].summaries.items():
+        result.derived[f"mean@{largest}/{name}"] = summary.mean_requests
+    result.derived["floor@largest"] = floor(largest)
 
 
 # ----------------------------------------------------------------------
@@ -245,55 +237,26 @@ def _e1_body(ctx, *, sizes, p, m, num_graphs, runs_per_graph, seed):
     ),
 )
 def _e2_body(
-    ctx, *, sizes, p, m, epsilon, num_graphs, runs_per_graph, seed
+    ctx, result, *, sizes, p, m, epsilon, num_graphs, runs_per_graph, seed
 ):
     """E2: strong-model algorithms respect Ω(n^{1/2-p-eps}) for p < 1/2."""
     family = MoriFamily(p=p, m=m)
-    measurement = ctx.measure_scaling(
+    _theorem_sweep(
+        ctx,
+        result,
         family,
         sizes,
         "strong",
+        f"Strong-model mean requests, {family.name}",
+        lambda size: strong_model_bound(
+            theorem_target_for_size(size), p, epsilon
+        ),
+        "Thm1 strong floor",
         num_graphs=num_graphs,
         runs_per_graph=runs_per_graph,
         seed=seed,
     )
-
-    def bound(size: int) -> float:
-        from repro.core.families import theorem_target_for_size
-
-        return strong_model_bound(
-            theorem_target_for_size(size), p, epsilon
-        )
-
-    result = ExperimentResult(
-        experiment_id="E2",
-        title="Strong-model search cost on Mori graphs (Theorem 1, p<1/2)",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "epsilon": epsilon,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
-    algorithms = sorted(measurement.cells[measurement.sizes[0]].summaries)
-    result.tables.append(
-        _scaling_table(
-            f"Strong-model mean requests, {family.name}",
-            measurement,
-            bound,
-            "Thm1 strong floor",
-        )
-    )
-    result.tables.append(_exponent_table(measurement, algorithms))
-    for name in algorithms:
-        result.derived[f"exponent/{name}"] = measurement.fitted_exponent(
-            name
-        )
     result.derived["floor_exponent"] = 0.5 - p - epsilon
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -313,52 +276,26 @@ def _e2_body(
         Param("seed", INT, 3),
     ),
 )
-def _e3_body(ctx, *, sizes, alpha, num_graphs, runs_per_graph, seed):
+def _e3_body(
+    ctx, result, *, sizes, alpha, num_graphs, runs_per_graph, seed
+):
     """E3: the Ω(√n) floor holds in the Cooper–Frieze model (Theorem 2)."""
-    params = CooperFriezeParams(alpha=alpha)
-    family = CooperFriezeFamily(params=params)
-    measurement = ctx.measure_scaling(
+    family = CooperFriezeFamily(CooperFriezeParams(alpha=alpha))
+    _theorem_sweep(
+        ctx,
+        result,
         family,
         sizes,
         "weak",
+        f"Mean requests, {family.name}",
+        lambda size: theorem2_weak_bound(
+            theorem_target_for_size(size), alpha
+        ),
+        "Thm2 floor",
         num_graphs=num_graphs,
         runs_per_graph=runs_per_graph,
         seed=seed,
     )
-
-    def bound(size: int) -> float:
-        from repro.core.families import theorem_target_for_size
-
-        return theorem2_weak_bound(
-            theorem_target_for_size(size), alpha
-        )
-
-    result = ExperimentResult(
-        experiment_id="E3",
-        title="Weak-model search cost on Cooper-Frieze graphs (Theorem 2)",
-        params={
-            "sizes": list(sizes),
-            "alpha": alpha,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
-    algorithms = sorted(measurement.cells[measurement.sizes[0]].summaries)
-    result.tables.append(
-        _scaling_table(
-            f"Mean requests, {family.name}",
-            measurement,
-            bound,
-            "Thm2 floor",
-        )
-    )
-    result.tables.append(_exponent_table(measurement, algorithms))
-    for name in algorithms:
-        result.derived[f"exponent/{name}"] = measurement.fitted_exponent(
-            name
-        )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -376,18 +313,8 @@ def _e3_body(ctx, *, sizes, alpha, num_graphs, runs_per_graph, seed):
         Param("seed", INT, 4),
     ),
 )
-def _e4_body(ctx, *, a_values, p_values, num_samples, seed):
+def _e4_body(ctx, result, *, a_values, p_values, num_samples, seed):
     """E4: exact and Monte-Carlo P(E_{a,b}) vs Lemma 3's e^{-(1-p)} bound."""
-    result = ExperimentResult(
-        experiment_id="E4",
-        title="Event probability P(E_{a,b}) vs the Lemma 3 bound",
-        params={
-            "a_values": list(a_values),
-            "p_values": list(p_values),
-            "num_samples": num_samples,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="P(E_{a,b}) with b = a + floor(sqrt(a-1))",
         columns=(
@@ -419,7 +346,6 @@ def _e4_body(ctx, *, a_values, p_values, num_samples, seed):
     )
     result.tables.append(table)
     result.derived["min_margin_exact_minus_bound"] = min_margin
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -437,19 +363,9 @@ def _e4_body(ctx, *, a_values, p_values, num_samples, seed):
         Param("seed", INT, 5),
     ),
 )
-def _e5_body(ctx, *, n, p_values, num_trees, seed):
+def _e5_body(ctx, result, *, n, p_values, num_trees, seed):
     """E5: Móri max degree grows like t^p; BA grows like t^{1/2}."""
     checkpoints = _geometric_checkpoints(64, n)
-    result = ExperimentResult(
-        experiment_id="E5",
-        title="Maximum degree growth: Mori t^p vs Barabasi-Albert t^{1/2}",
-        params={
-            "n": n,
-            "p_values": list(p_values),
-            "num_trees": num_trees,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="Fitted max-degree exponents",
         columns=("model", "parameter", "fitted exponent", "theory"),
@@ -487,7 +403,6 @@ def _e5_body(ctx, *, n, p_values, num_trees, seed):
         "when max degree << n^{1/2}, i.e. for Mori p < 1/2."
     )
     result.tables.append(table)
-    return result
 
 
 def _geometric_checkpoints(first: int, last: int) -> list:
@@ -514,13 +429,8 @@ def _geometric_checkpoints(first: int, last: int) -> list:
         Param("seed", INT, 6),
     ),
 )
-def _e6_body(ctx, *, n, seed):
+def _e6_body(ctx, result, *, n, seed):
     """E6: evolving models are power-law; Kleinberg's lattice is not."""
-    result = ExperimentResult(
-        experiment_id="E6",
-        title="Degree distributions: scale-free models vs Kleinberg lattice",
-        params={"n": n, "seed": seed},
-    )
     table = Table(
         title="Discrete power-law MLE on degree sequences",
         columns=(
@@ -580,7 +490,6 @@ def _e6_body(ctx, *, n, seed):
         "and/or KS distance."
     )
     result.tables.append(table)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +509,9 @@ def _e6_body(ctx, *, n, seed):
         Param("seed", INT, 7),
     ),
 )
-def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
+def _e7_body(
+    ctx, result, *, sizes, exponent, num_graphs, runs_per_graph, seed
+):
     """E7: high-degree search beats the random walk on power-law graphs.
 
     Adamic et al. predict mean cost ``~ n^{2(1-2/k)}`` for degree-greedy
@@ -625,17 +536,6 @@ def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
     predicted_greedy = 2.0 * (1.0 - 2.0 / exponent)
     predicted_walk = 3.0 * (1.0 - 2.0 / exponent)
 
-    result = ExperimentResult(
-        experiment_id="E7",
-        title="Adamic et al. search on power-law configuration graphs",
-        params={
-            "sizes": list(sizes),
-            "exponent": exponent,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     table = Table(
         title=f"Requests on config(k={exponent:g}) giant components",
         columns=(
@@ -689,7 +589,6 @@ def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
         result.derived[f"mean@largest/{name}"] = (
             measurement.cells[largest].summaries[name].mean_requests
         )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -710,18 +609,8 @@ def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
         Param("seed", INT, 8),
     ),
 )
-def _e8_body(ctx, *, sides, r_values, pairs_per_grid, seed):
+def _e8_body(ctx, result, *, sides, r_values, pairs_per_grid, seed):
     """E8: greedy routing is poly-log at r=2 and polynomial elsewhere."""
-    result = ExperimentResult(
-        experiment_id="E8",
-        title="Greedy routing on Kleinberg small-worlds (navigable contrast)",
-        params={
-            "sides": list(sides),
-            "r_values": list(r_values),
-            "pairs_per_grid": pairs_per_grid,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="Mean greedy-routing hops",
         columns=("r", "side", "n", "mean hops"),
@@ -748,7 +637,6 @@ def _e8_body(ctx, *, sides, r_values, pairs_per_grid, seed):
         "(exponent bounded away from 0) for r far from 2."
     )
     result.tables.append(table)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -768,7 +656,7 @@ def _e8_body(ctx, *, sides, r_values, pairs_per_grid, seed):
         Param("seed", INT, 9),
     ),
 )
-def _e9_body(ctx, *, sizes, p, m, num_graphs, seed):
+def _e9_body(ctx, result, *, sizes, p, m, num_graphs, seed):
     """E9: O(log n) diameter yet polynomial search cost (the headline).
 
     The search cells run on frozen snapshots like every other
@@ -777,17 +665,6 @@ def _e9_body(ctx, *, sizes, p, m, num_graphs, seed):
     """
     family = MoriFamily(p=p, m=m)
 
-    result = ExperimentResult(
-        experiment_id="E9",
-        title="Diameter vs search cost on merged Mori graphs",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "num_graphs": num_graphs,
-            "seed": seed,
-        },
-    )
     table = Table(
         title=f"Diameter and search cost, {family.name}",
         columns=("n", "mean diameter", "mean search requests"),
@@ -838,7 +715,6 @@ def _e9_body(ctx, *, sizes, p, m, num_graphs, seed):
     result.derived["diameter_prefers_log"] = float(
         prefers_logarithmic(xs, diameters)
     )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -854,13 +730,8 @@ def _e9_body(ctx, *, sizes, p, m, num_graphs, seed):
         Param("p_values", FLOAT_TUPLE, (0.25, 0.5, 0.75, 1.0)),
     ),
 )
-def _e10_body(ctx, *, n, p_values):
+def _e10_body(ctx, result, *, n, p_values):
     """E10: exhaustive exact verification of Lemma 2 at small n."""
-    result = ExperimentResult(
-        experiment_id="E10",
-        title="Exact Lemma 2 verification (Fraction arithmetic)",
-        params={"n": n, "p_values": list(p_values)},
-    )
     table = Table(
         title=f"All recursive trees on n={n} vertices",
         columns=(
@@ -892,7 +763,6 @@ def _e10_body(ctx, *, n, p_values):
             all_hold = all_hold and report.holds
     result.tables.append(table)
     result.derived["all_windows_hold"] = float(all_hold)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -912,7 +782,9 @@ def _e10_body(ctx, *, n, p_values):
         Param("seed", INT, 11),
     ),
 )
-def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
+def _e11_body(
+    ctx, result, *, sizes, p, num_graphs, runs_per_graph, seed
+):
     """E11: measured costs sit above the Lemma-1 floor; omniscient ~ Θ(√n)."""
     family = MoriFamily(p=p, m=1)
     measurement = ctx.measure_scaling(
@@ -924,23 +796,10 @@ def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
         seed=seed,
     )
 
-    result = ExperimentResult(
-        experiment_id="E11",
-        title="Lemma 1 floor vs measured costs; tightness via omniscient",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="Measured mean requests vs the exact Lemma-1 floor",
         columns=("n", "algorithm", "mean requests", "floor", "ratio"),
     )
-    from repro.core.families import theorem_target_for_size
-
     min_ratio = float("inf")
     for size in measurement.sizes:
         target = theorem_target_for_size(size)
@@ -961,7 +820,6 @@ def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
     result.derived["omniscient_exponent"] = measurement.fitted_exponent(
         "omniscient-window"
     )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -985,6 +843,7 @@ def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
 )
 def _e12_body(
     ctx,
+    result,
     *,
     n,
     exponent,
@@ -999,20 +858,7 @@ def _e12_body(
         family.build(n, seed=substream(seed, 0)), "frozen"
     )
     rng = make_rng(substream(seed, 1))
-
-    result = ExperimentResult(
-        experiment_id="E12",
-        title="Percolation search with content replication",
-        params={
-            "n": n,
-            "giant_n": graph.num_vertices,
-            "exponent": exponent,
-            "replica_counts": list(replica_counts),
-            "broadcast_probability": broadcast_probability,
-            "num_queries": num_queries,
-            "seed": seed,
-        },
-    )
+    result.params["giant_n"] = graph.num_vertices
     table = Table(
         title="Hit rate and message cost vs replication factor",
         columns=(
@@ -1061,12 +907,62 @@ def _e12_body(
         "cost — the paper's cited P2P workaround for non-searchability."
     )
     result.tables.append(table)
-    return result
 
 
 # ----------------------------------------------------------------------
-# E13/E14: ablations
+# E13/E14: ablations (E18 reuses the sweep)
 # ----------------------------------------------------------------------
+
+
+def _ablation(
+    ctx,
+    result,
+    axis: str,
+    column: str,
+    cells,
+    key: str,
+    *,
+    sizes,
+    num_graphs,
+    runs_per_graph,
+    seed,
+) -> Table:
+    """One high-degree weak sweep per ablation cell (E13, E14, E18).
+
+    ``cells`` yields ``(value, family, options)``: the value printed in
+    ``column`` and recorded as ``derived[key.format(value)]`` (the
+    cell's fitted exponent), the graph family, and any extra
+    :meth:`~repro.core.registry.ExecutionContext.measure_scaling`
+    options.  Cell ``i`` sweeps under ``substream(seed, i)``.  Returns
+    the appended table, for the caller's notes.
+    """
+    table = Table(
+        title=f"High-degree weak search cost across {axis}",
+        columns=(column, "n", "mean requests", "fitted exponent"),
+    )
+    for index, (value, family, options) in enumerate(cells):
+        measurement = ctx.measure_scaling(
+            family,
+            sizes,
+            "high-degree",
+            num_graphs=num_graphs,
+            runs_per_graph=runs_per_graph,
+            seed=substream(seed, index),
+            **options,
+        )
+        exponent = measurement.fitted_exponent("high-degree")
+        for size in measurement.sizes:
+            table.add_row(
+                value,
+                size,
+                measurement.cells[size]
+                .summaries["high-degree"]
+                .mean_requests,
+                exponent,
+            )
+        result.derived[key.format(value)] = exponent
+    result.tables.append(table)
+    return table
 
 
 @REGISTRY.register(
@@ -1080,49 +976,24 @@ def _e12_body(
         Param("seed", INT, 13),
     ),
 )
-def _e13_body(ctx, *, sizes, p_values, num_graphs, seed):
+def _e13_body(ctx, result, *, sizes, p_values, num_graphs, seed):
     """E13: the √n floor is insensitive to the attachment mixture p."""
-    result = ExperimentResult(
-        experiment_id="E13",
-        title="Ablation: attachment mixture p vs searchability",
-        params={
-            "sizes": list(sizes),
-            "p_values": list(p_values),
-            "num_graphs": num_graphs,
-            "seed": seed,
-        },
+    table = _ablation(
+        ctx,
+        result,
+        "p",
+        "p",
+        [(p, MoriFamily(p=p, m=1), {}) for p in p_values],
+        "exponent/p={:g}",
+        sizes=sizes,
+        num_graphs=num_graphs,
+        runs_per_graph=1,
+        seed=seed,
     )
-    table = Table(
-        title="High-degree weak search cost across p",
-        columns=("p", "n", "mean requests", "fitted exponent"),
-    )
-    for index, p in enumerate(p_values):
-        family = MoriFamily(p=p, m=1)
-        measurement = ctx.measure_scaling(
-            family,
-            sizes,
-            "high-degree",
-            num_graphs=num_graphs,
-            runs_per_graph=1,
-            seed=substream(seed, index),
-        )
-        exponent = measurement.fitted_exponent("high-degree")
-        for size in measurement.sizes:
-            table.add_row(
-                p,
-                size,
-                measurement.cells[size]
-                .summaries["high-degree"]
-                .mean_requests,
-                exponent,
-            )
-        result.derived[f"exponent/p={p:g}"] = exponent
     table.notes.append(
         "Theorem 1 covers 0 < p <= 1; p=0 (uniform attachment) is "
         "included as an out-of-theorem ablation."
     )
-    result.tables.append(table)
-    return result
 
 
 @REGISTRY.register(
@@ -1137,46 +1008,20 @@ def _e13_body(ctx, *, sizes, p_values, num_graphs, seed):
         Param("seed", INT, 14),
     ),
 )
-def _e14_body(ctx, *, sizes, m_values, p, num_graphs, seed):
+def _e14_body(ctx, result, *, sizes, m_values, p, num_graphs, seed):
     """E14: the √n floor holds for every merge arity m (Theorem 1)."""
-    result = ExperimentResult(
-        experiment_id="E14",
-        title="Ablation: merge arity m vs searchability",
-        params={
-            "sizes": list(sizes),
-            "m_values": list(m_values),
-            "p": p,
-            "num_graphs": num_graphs,
-            "seed": seed,
-        },
+    _ablation(
+        ctx,
+        result,
+        "m",
+        "m",
+        [(m, MoriFamily(p=p, m=m), {}) for m in m_values],
+        "exponent/m={}",
+        sizes=sizes,
+        num_graphs=num_graphs,
+        runs_per_graph=1,
+        seed=seed,
     )
-    table = Table(
-        title="High-degree weak search cost across m",
-        columns=("m", "n", "mean requests", "fitted exponent"),
-    )
-    for index, m in enumerate(m_values):
-        family = MoriFamily(p=p, m=m)
-        measurement = ctx.measure_scaling(
-            family,
-            sizes,
-            "high-degree",
-            num_graphs=num_graphs,
-            runs_per_graph=1,
-            seed=substream(seed, index),
-        )
-        exponent = measurement.fitted_exponent("high-degree")
-        for size in measurement.sizes:
-            table.add_row(
-                m,
-                size,
-                measurement.cells[size]
-                .summaries["high-degree"]
-                .mean_requests,
-                exponent,
-            )
-        result.derived[f"exponent/m={m}"] = exponent
-    result.tables.append(table)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1194,7 +1039,7 @@ def _e14_body(ctx, *, sizes, m_values, p, num_graphs, seed):
         Param("seed", INT, 15),
     ),
 )
-def _e15_body(ctx, *, sizes, alpha, num_samples, seed):
+def _e15_body(ctx, result, *, sizes, alpha, num_samples, seed):
     """E15: a Θ(√n) untouched window exists in CF graphs w.p. Ω(1).
 
     The paper proves Theorem 2 "the same way" as Theorem 1, from the
@@ -1205,23 +1050,12 @@ def _e15_body(ctx, *, sizes, alpha, num_samples, seed):
     and conditional on the event the per-position parent-degree profile
     is flat (exchangeability).
     """
-    from repro.core.families import theorem_target_for_size
     from repro.equivalence.cooper_frieze import (
         estimate_untouched_probability,
         window_parent_degree_profile,
     )
 
     params = CooperFriezeParams(alpha=alpha)
-    result = ExperimentResult(
-        experiment_id="E15",
-        title="Cooper-Frieze untouched equivalence window (Theorem 2)",
-        params={
-            "sizes": list(sizes),
-            "alpha": alpha,
-            "num_samples": num_samples,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="P(window untouched) for the theorem-style sqrt window",
         columns=("n", "a", "b", "|V|", "P(untouched)"),
@@ -1267,7 +1101,6 @@ def _e15_body(ctx, *, sizes, alpha, num_samples, seed):
     result.derived["min_p_untouched"] = min(probabilities)
     result.derived["profile_spread"] = profile.spread
     result.derived["profile_event_rate"] = profile.event_rate
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1283,7 +1116,7 @@ def _e15_body(ctx, *, sizes, alpha, num_samples, seed):
         Param("seed", INT, 16),
     ),
 )
-def _e16_body(ctx, *, n, seed):
+def _e16_body(ctx, result, *, n, seed):
     """E16: neighbor degrees correlate in evolving models, not in pure ones.
 
     The paper's "Related works" distinction: in Molloy–Reed graphs
@@ -1296,11 +1129,6 @@ def _e16_body(ctx, *, n, seed):
         degree_assortativity,
     )
 
-    result = ExperimentResult(
-        experiment_id="E16",
-        title="Neighbor-degree dependence: evolving vs pure random graphs",
-        params={"n": n, "seed": seed},
-    )
     table = Table(
         title="Degree correlations",
         columns=(
@@ -1348,7 +1176,6 @@ def _e16_body(ctx, *, n, seed):
         "arbitrary: age-degree correlation ~ 0."
     )
     result.tables.append(table)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1367,7 +1194,7 @@ def _e16_body(ctx, *, n, seed):
         Param("seed", INT, 17),
     ),
 )
-def _e17_body(ctx, *, sizes, p, num_graphs, seed):
+def _e17_body(ctx, result, *, sizes, p, num_graphs, seed):
     """E17: weak simulation of a strong algorithm pays <= max-degree slowdown.
 
     The strong-model half of Theorem 1 rests on simulating any strong
@@ -1392,19 +1219,7 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
     distinct size — whereas independent mode keeps one row per grid
     position, repeats and caller order included, exactly as before.
     """
-    mode = ctx.mode
     family = MoriFamily(p=p, m=1)
-    result = ExperimentResult(
-        experiment_id="E17",
-        title="Strong-to-weak simulation slowdown (Theorem 1, strong case)",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "num_graphs": num_graphs,
-            "seed": seed,
-            "mode": mode,
-        },
-    )
     table = Table(
         title="Simulated weak cost vs strong cost x max degree",
         columns=(
@@ -1416,7 +1231,7 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
         ),
     )
     spec = family_spec(family)
-    if mode == "trajectory":
+    if ctx.mode == "trajectory":
         from repro.core.searchability import trajectory_seeds
 
         specs = trajectory_specs(
@@ -1485,7 +1300,6 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
     )
     result.tables.append(table)
     result.derived["worst_ratio"] = worst_ratio
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1505,7 +1319,9 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
         Param("seed", INT, 18),
     ),
 )
-def _e18_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
+def _e18_body(
+    ctx, result, *, sizes, p, num_graphs, runs_per_graph, seed
+):
     """E18: the Ω(√n) floor is start-vertex independent.
 
     Theorem 1 quantifies over the start ("starting from any vertex").
@@ -1519,52 +1335,26 @@ def _e18_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
     snapshots of shared growth trajectories (see
     :func:`repro.core.searchability.measure_scaling`).
     """
-    result = ExperimentResult(
-        experiment_id="E18",
-        title="Ablation: start-vertex rule vs searchability",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-            "mode": ctx.mode,
-        },
-    )
-    table = Table(
-        title="High-degree weak search cost across start rules",
-        columns=("start rule", "n", "mean requests", "fitted exponent"),
-    )
     family = MoriFamily(p=p, m=1)
-    for index, rule in enumerate(
-        ("default", "random", "newest-other")
-    ):
-        measurement = ctx.measure_scaling(
-            family,
-            sizes,
-            "high-degree",
-            num_graphs=num_graphs,
-            runs_per_graph=runs_per_graph,
-            seed=substream(seed, index),
-            start_rule=rule,
-        )
-        exponent = measurement.fitted_exponent("high-degree")
-        for size in measurement.sizes:
-            table.add_row(
-                rule,
-                size,
-                measurement.cells[size]
-                .summaries["high-degree"]
-                .mean_requests,
-                exponent,
-            )
-        result.derived[f"exponent/start={rule}"] = exponent
+    table = _ablation(
+        ctx,
+        result,
+        "start rules",
+        "start rule",
+        [
+            (rule, family, {"start_rule": rule})
+            for rule in ("default", "random", "newest-other")
+        ],
+        "exponent/start={}",
+        sizes=sizes,
+        num_graphs=num_graphs,
+        runs_per_graph=runs_per_graph,
+        seed=seed,
+    )
     table.notes.append(
         "Theorem 1 holds for every start vertex; a navigable regime "
         "(exponent -> 0) from some privileged start would contradict it."
     )
-    result.tables.append(table)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1587,7 +1377,7 @@ def _e18_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
     ),
 )
 def _e19_body(
-    ctx, *, sizes, p, m, alpha, num_graphs, runs_per_graph, seed
+    ctx, result, *, sizes, p, m, alpha, num_graphs, runs_per_graph, seed
 ):
     """E19: request cost vs n measured *along* single evolving networks.
 
@@ -1609,8 +1399,6 @@ def _e19_body(
     experiment's *subject*: only ``'trajectory'`` is accepted (E1/E3
     already measure the independent per-size curves).
     """
-    from repro.core.families import theorem_target_for_size
-
     if ctx.mode != "trajectory":
         raise ExperimentError(
             f"E19 measures coupled trajectories by definition; mode "
@@ -1632,20 +1420,6 @@ def _e19_body(
             ),
         ),
     ]
-    result = ExperimentResult(
-        experiment_id="E19",
-        title="Search cost along coupled growth trajectories",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "alpha": alpha,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-            "mode": "trajectory",
-        },
-    )
     table = Table(
         title=(
             "High-degree weak search cost at checkpoints of one "
@@ -1697,7 +1471,6 @@ def _e19_body(
     )
     result.tables.append(table)
     result.derived["min_exponent"] = min_exponent
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1721,7 +1494,17 @@ def _e19_body(
     ),
 )
 def _e20_body(
-    ctx, *, sizes, p, m, alpha, exponent, num_graphs, runs_per_graph, seed
+    ctx,
+    result,
+    *,
+    sizes,
+    p,
+    m,
+    alpha,
+    exponent,
+    num_graphs,
+    runs_per_graph,
+    seed,
 ):
     """E20: one harness, three models, both knowledge models.
 
@@ -1743,20 +1526,6 @@ def _e20_body(
         CooperFriezeFamily(CooperFriezeParams(alpha=alpha)),
         ConfigurationFamily(exponent=exponent, min_degree=m),
     ]
-    result = ExperimentResult(
-        experiment_id="E20",
-        title="Cross-model search-cost grid (weak + strong portfolios)",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "alpha": alpha,
-            "exponent": exponent,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     table = Table(
         title=(
             "Mean requests per (model, portfolio, algorithm) at "
@@ -1832,7 +1601,6 @@ def _e20_body(
     result.tables.append(table)
     result.tables.append(fits)
     result.derived["min_exponent"] = min_exponent
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1858,6 +1626,7 @@ def _e20_body(
 )
 def _e21_body(
     ctx,
+    result,
     *,
     size,
     p,
@@ -1887,21 +1656,6 @@ def _e21_body(
     hubs cheap searches lean on).
     """
     spec = family_spec(MoriFamily(p=p, m=m))
-    result = ExperimentResult(
-        experiment_id="E21",
-        title="Search cost vs churn rate (weak + strong portfolios)",
-        params={
-            "size": size,
-            "p": p,
-            "m": m,
-            "churn_rates": list(churn_rates),
-            "churn_bias": churn_bias,
-            "resnapshot_every": resnapshot_every,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="Mean requests per (portfolio, churn rate, algorithm)",
         columns=(
@@ -1980,7 +1734,6 @@ def _e21_body(
         "turnover, not of shrinkage."
     )
     result.tables.append(table)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -2007,8 +1760,16 @@ def _e21_body(
     ),
 )
 def _e22_body(
-    ctx, *, size, p, m, remove_fractions, resnapshot_every, num_graphs,
-    seed
+    ctx,
+    result,
+    *,
+    size,
+    p,
+    m,
+    remove_fractions,
+    resnapshot_every,
+    num_graphs,
+    seed,
 ):
     """E22: how fast does the searchable substrate itself dissolve?
 
@@ -2019,19 +1780,6 @@ def _e22_body(
     search.  A pure spec with zero experiment-specific CLI code.
     """
     spec = family_spec(MoriFamily(p=p, m=m))
-    result = ExperimentResult(
-        experiment_id="E22",
-        title="Giant-component survival under decay",
-        params={
-            "size": size,
-            "p": p,
-            "m": m,
-            "remove_fractions": list(remove_fractions),
-            "resnapshot_every": resnapshot_every,
-            "num_graphs": num_graphs,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="Surviving giant component under pure decay",
         columns=(
@@ -2102,4 +1850,3 @@ def _e22_body(
         "robustness/fragility split, measured on the overlay layer."
     )
     result.tables.append(table)
-    return result

@@ -22,6 +22,11 @@ three declarative pieces:
   :meth:`ExecutionContext.measure_search_cost`) instead of forwarding
   copy-pasted kwargs to every call.
 
+:meth:`ExperimentSpec.run` also builds the
+:class:`~repro.core.results.ExperimentResult` shell (id, title and the
+resolved params) and passes it as the body's second argument; a body
+adds only its tables, derived values and any extra params.
+
 Experiment bodies register with :meth:`Registry.register`.  The search
 engine and the graph generator are not axes: trials pick the fastest
 available arm (:func:`repro.core.trials.fastest_available`), and every
@@ -46,6 +51,7 @@ from typing import (
     Union,
 )
 
+from repro.core.results import ExperimentResult
 from repro.errors import ExperimentError
 from repro.runner import TrialSpec, TrialStore, run_trials, store_for
 
@@ -252,8 +258,9 @@ class ExperimentSpec:
     ``capabilities`` maps declared capability names (a subset of
     :data:`CAPABILITIES`) to their *default* values — e.g. E19 declares
     ``mode`` with default ``'trajectory'`` because coupled trajectories
-    are its subject.  ``body`` is called as ``body(ctx, **params)`` and
-    returns an :class:`~repro.core.results.ExperimentResult`.
+    are its subject.  ``body`` is called as ``body(ctx, result,
+    **params)``, where ``result`` is the shell :meth:`run` builds; the
+    body fills it in place and its return value is ignored.
     """
 
     id: str
@@ -335,8 +342,13 @@ class ExperimentSpec:
         cache_dir: Optional[str] = None,
         mode: Optional[str] = None,
         store_backend: Optional[str] = None,
-    ):
-        """Execute the experiment body with resolved params + context."""
+    ) -> ExperimentResult:
+        """Execute the experiment body with resolved params + context.
+
+        The result shell carries the spec's id and title and the
+        resolved params, sequences as lists (as JSON gives them back),
+        plus ``mode`` when the spec declares that capability.
+        """
         params = self.resolve_params(overrides)
         context = self.make_context(
             jobs=jobs,
@@ -344,7 +356,20 @@ class ExperimentSpec:
             mode=mode,
             store_backend=store_backend,
         )
-        return self.body(context, **params)
+        result = ExperimentResult(
+            experiment_id=self.id,
+            title=self.title,
+            params={
+                name: list(value)
+                if isinstance(value, (tuple, list))
+                else value
+                for name, value in params.items()
+            },
+        )
+        if "mode" in self.capabilities:
+            result.params["mode"] = context.mode
+        self.body(context, result, **params)
+        return result
 
 
 def _normalized_capabilities(
@@ -403,8 +428,9 @@ class Registry:
         """Decorator: register a body function as an experiment spec.
 
         Validates at import time that the body's keyword parameters
-        are exactly the declared ``params`` (plus the leading context
-        argument), so schema and implementation cannot drift.
+        are exactly the declared ``params`` (after the leading context
+        and result arguments), so schema and implementation cannot
+        drift.
         """
 
         def decorate(body: Callable) -> Callable:
@@ -432,10 +458,10 @@ class Registry:
                 )
             signature = inspect.signature(body)
             body_params = list(signature.parameters)
-            if tuple(body_params[1:]) != names:
+            if tuple(body_params[2:]) != names:
                 raise ExperimentError(
                     f"{experiment_id}: body takes "
-                    f"{body_params[1:]} but the spec declares "
+                    f"{body_params[2:]} but the spec declares "
                     f"{list(names)}"
                 )
             self.add(spec)

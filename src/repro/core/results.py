@@ -4,8 +4,8 @@ Every experiment produces an :class:`ExperimentResult`: a set of
 :class:`Table` objects (the paper-style rows the benchmark harness
 prints) plus a flat ``derived`` mapping of headline scalars (fitted
 exponents, bound comparisons) that tests assert against.  Records
-serialise to JSON so EXPERIMENTS.md numbers can be regenerated and
-diffed.
+serialise to JSON so the numbers behind the README's experiment index
+can be regenerated and diffed.
 """
 
 from __future__ import annotations

@@ -302,9 +302,9 @@ class TestCLI:
         spec = REGISTRY.get("E17")
         original_body = spec.body
 
-        def capturing_body(ctx, **kwargs):
+        def capturing_body(ctx, result, **kwargs):
             captured.update(kwargs)
-            return original_body(ctx, **kwargs)
+            original_body(ctx, result, **kwargs)
 
         fake = type(REGISTRY)()
         for other in REGISTRY.specs():
@@ -548,7 +548,7 @@ class TestE19:
         from repro.core.registry import REGISTRY, ExperimentSpec, Registry
         from repro.errors import ExperimentError
 
-        def exploding(ctx):
+        def exploding(ctx, result):
             raise ExperimentError("boom")
 
         subset = Registry()

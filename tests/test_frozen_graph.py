@@ -217,6 +217,39 @@ class TestImmutability:
         eid = thawed.add_edge(1, 1)  # thawed copy is mutable again
         assert eid == loop_graph.num_edges
 
+    def test_thaw_keeps_edge_ids_loops_and_parallels(self):
+        """The adversarial pin: ids, loop counts, parallel bundles.
+
+        Thawing must give back the *labeled* edge list: a permutation
+        of a parallel bundle would still pass plain isomorphism yet
+        break the incidence-slot order the walk oracles read.
+        """
+        graph = MultiGraph(5)  # vertex 5 stays isolated
+        graph.add_edge(1, 1)  # self-loop first, id 0
+        graph.add_edge(2, 1)
+        graph.add_edge(2, 1)  # parallel bundle, ids 1-2
+        graph.add_edge(1, 2)  # reverse orientation, id 3
+        graph.add_edge(3, 3)
+        graph.add_edge(3, 3)  # doubled self-loop, ids 4-5
+        graph.add_edge(4, 3)
+        thawed = freeze(graph).thaw()
+        assert thawed == graph
+        assert list(thawed.edges()) == list(graph.edges())
+        assert thawed.num_self_loops() == 3
+        for vertex in graph.vertices():
+            assert thawed.incident_edges(vertex) == graph.incident_edges(
+                vertex
+            )
+        assert hash(freeze(thawed)) == hash(freeze(graph))
+
+    def test_vectorized_snapshot_survives_thaw_and_refreeze(self):
+        from repro.graphs.fastgen import fast_merged_mori_frozen
+
+        snapshot = fast_merged_mori_frozen(60, 2, 0.5, seed=0)
+        thawed = snapshot.thaw()
+        assert freeze(thawed) == snapshot
+        assert list(thawed.edges()) == list(snapshot.edges())
+
 
 class TestFreezeThenHashContract:
     """The documented hashing rules for both backends."""

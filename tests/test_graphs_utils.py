@@ -1,18 +1,16 @@
-"""Unit tests for merge, components, convert, and io graph utilities."""
+"""Unit tests for merge and components graph utilities."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import InvalidParameterError, ReproError
+from repro.errors import InvalidParameterError
 from repro.graphs.base import MultiGraph
 from repro.graphs.components import (
     connected_components,
     induced_subgraph,
     largest_component,
 )
-from repro.graphs.convert import from_networkx, to_networkx
-from repro.graphs.io import load_edge_list, save_edge_list
 from repro.graphs.merge import merge_consecutive, quotient_graph
 from repro.graphs.mori import mori_tree
 
@@ -106,124 +104,19 @@ class TestComponents:
             induced_subgraph(graph, [3])
 
 
-class TestConvert:
-    def test_roundtrip(self, triangle):
-        nx_graph = to_networkx(triangle)
-        back = from_networkx(nx_graph)
-        assert back == triangle
-
-    def test_to_networkx_preserves_multiplicity(self, parallel_graph):
-        nx_graph = to_networkx(parallel_graph)
-        assert nx_graph.number_of_edges() == 2
-
-    def test_to_networkx_orientation(self):
-        graph = MultiGraph.from_edges(2, [(2, 1)])
-        nx_graph = to_networkx(graph)
-        assert nx_graph.has_edge(2, 1)
-        assert not nx_graph.has_edge(1, 2)
-
-    def test_from_networkx_requires_dense_labels(self):
-        import networkx
-
-        bad = networkx.Graph()
-        bad.add_edge(0, 1)  # nodes 0,1 instead of 1,2
-        with pytest.raises(ReproError):
-            from_networkx(bad)
-
+class TestNetworkxOracle:
     def test_cross_validate_bfs_with_networkx(self):
-        import networkx
-
-        tree = mori_tree(60, 0.5, seed=3).graph
-        nx_graph = to_networkx(tree).to_undirected()
+        """networkx is an independent BFS for ``bfs_distances``."""
+        networkx = pytest.importorskip("networkx")
         from repro.analysis.diameter import bfs_distances
 
+        tree = mori_tree(60, 0.5, seed=3).graph
+        nx_graph = networkx.MultiGraph()
+        nx_graph.add_nodes_from(tree.vertices())
+        nx_graph.add_edges_from(
+            (tail, head) for _, tail, head in tree.edges()
+        )
         ours = bfs_distances(tree, 1)
         theirs = networkx.single_source_shortest_path_length(nx_graph, 1)
         for v in tree.vertices():
             assert ours[v] == theirs[v]
-
-
-class TestIO:
-    def test_roundtrip(self, tmp_path, small_merged):
-        path = tmp_path / "graph.edges"
-        save_edge_list(small_merged.graph, path)
-        loaded = load_edge_list(path)
-        assert loaded == small_merged.graph
-
-    def test_roundtrip_with_isolated_vertices(self, tmp_path):
-        graph = MultiGraph(5)
-        graph.add_edge(2, 1)
-        path = tmp_path / "g.edges"
-        save_edge_list(graph, path)
-        assert load_edge_list(path) == graph
-
-    def test_roundtrip_preserves_edge_ids_loops_and_parallels(
-        self, tmp_path
-    ):
-        """The adversarial pin: ids, loop counts, parallel bundles.
-
-        The format writes one line per edge in edge-id order and the
-        loader re-adds in line order, so the round-trip must preserve
-        the *labeled* edge list — a permutation of the parallel bundle
-        would pass plain isomorphism yet break the incidence-slot
-        order the walk oracles read.
-        """
-        from repro.graphs.frozen import freeze
-
-        graph = MultiGraph(4)
-        graph.add_edge(1, 1)  # self-loop first, id 0
-        graph.add_edge(2, 1)
-        graph.add_edge(2, 1)  # parallel bundle, ids 1-2
-        graph.add_edge(1, 2)  # reverse orientation, id 3
-        graph.add_edge(3, 3)
-        graph.add_edge(3, 3)  # doubled self-loop, ids 4-5
-        graph.add_edge(4, 3)
-        path = tmp_path / "adversarial.edges"
-        save_edge_list(graph, path)
-        loaded = load_edge_list(path)
-        assert loaded == graph
-        assert list(loaded.edges()) == list(graph.edges())
-        assert loaded.num_self_loops() == 3
-        assert loaded.incident_edges(1) == graph.incident_edges(1)
-        assert loaded.incident_edges(3) == graph.incident_edges(3)
-        assert hash(freeze(loaded)) == hash(freeze(graph))
-
-    def test_roundtrip_matches_vectorized_snapshot(self, tmp_path):
-        """A thawed fastgen snapshot survives the text round-trip."""
-        from repro.graphs.fastgen import fast_merged_mori_frozen
-        from repro.graphs.frozen import freeze
-
-        snapshot = fast_merged_mori_frozen(60, 2, 0.5, seed=0)
-        path = tmp_path / "fast.edges"
-        save_edge_list(snapshot.thaw(), path)
-        loaded = load_edge_list(path)
-        assert freeze(loaded) == snapshot
-        assert list(loaded.edges()) == list(snapshot.edges())
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("nonsense\n")
-        with pytest.raises(ReproError):
-            load_edge_list(path)
-
-    def test_missing_vertex_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("# repro edge list v1\n1 2\n")
-        with pytest.raises(ReproError):
-            load_edge_list(path)
-
-    def test_malformed_edge_rejected(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text(
-            "# repro edge list v1\n# vertices: 3\n1 2 3\n"
-        )
-        with pytest.raises(ReproError):
-            load_edge_list(path)
-
-    def test_non_integer_endpoint_rejected(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text(
-            "# repro edge list v1\n# vertices: 2\na b\n"
-        )
-        with pytest.raises(ReproError):
-            load_edge_list(path)

@@ -35,6 +35,7 @@ from repro.core.registry import (
     Registry,
     run_experiment,
     INT,
+    INT_TUPLE,
 )
 from repro.errors import ExperimentError
 
@@ -53,14 +54,18 @@ class TestSpecDeclarations:
 
     @pytest.mark.parametrize("experiment_id", REGISTRY.ids())
     def test_signature_matches_declaration(self, experiment_id):
-        # The body takes the context, then exactly the declared params
-        # as keyword-only arguments with no defaults: the declaration
-        # is the one place a default is spelled.
+        # The body takes the context and the result shell, then exactly
+        # the declared params as keyword-only arguments with no
+        # defaults: the declaration is the one place a default is
+        # spelled.
         spec = REGISTRY.get(experiment_id)
         parameters = list(inspect.signature(spec.body).parameters.values())
-        assert parameters[0].name == "ctx"
-        assert parameters[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
-        rest = parameters[1:]
+        assert [p.name for p in parameters[:2]] == ["ctx", "result"]
+        for parameter in parameters[:2]:
+            assert (
+                parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            )
+        rest = parameters[2:]
         assert [p.name for p in rest] == list(spec.param_names)
         for parameter in rest:
             assert parameter.kind is inspect.Parameter.KEYWORD_ONLY
@@ -164,7 +169,7 @@ class TestRegistrySemantics:
                 title="drifting body",
                 params=(Param("n", INT, 1),),
             )
-            def _body(ctx, *, wrong_name):  # pragma: no cover
+            def _body(ctx, result, *, wrong_name):  # pragma: no cover
                 return None
 
     def test_registration_rejects_capability_name_clash(self):
@@ -245,6 +250,81 @@ EXPECTED_CAPABILITY_MATRIX = {
     "E21": _SEARCH_AXES,
     "E22": _SEARCH_AXES,
 }
+
+
+def _probe_spec(capabilities=()):
+    """A synthetic spec whose body records what the registry hands it."""
+    registry = Registry()
+    received = {}
+
+    @registry.register(
+        "EX",
+        title="shell probe",
+        capabilities=capabilities,
+        params=(Param("sizes", INT_TUPLE, (3, 5)), Param("n", INT, 7)),
+    )
+    def _body(ctx, result, *, sizes, n):
+        received.update(
+            ctx=ctx,
+            result=result,
+            params=dict(result.params),
+            sizes=sizes,
+            n=n,
+        )
+
+    return registry.get("EX"), received
+
+
+class TestResultShell:
+    """:meth:`ExperimentSpec.run` builds the result and the body fills it."""
+
+    def test_shell_comes_from_the_spec(self):
+        spec, received = _probe_spec()
+        result = spec.run({"n": 9})
+        assert received["result"] is result
+        assert result.experiment_id == "EX"
+        assert result.title == "shell probe"
+        # Tuples reach the shell as lists and the body as given.
+        assert received["params"] == {"sizes": [3, 5], "n": 9}
+        assert received["sizes"] == (3, 5)
+        assert received["n"] == 9
+        assert result.tables == [] and result.derived == {}
+
+    def test_mode_only_when_declared(self):
+        spec, _ = _probe_spec()
+        assert "mode" not in spec.run().params
+        spec, received = _probe_spec(capabilities=("mode",))
+        assert spec.run().params["mode"] == "independent"
+        result = spec.run(mode="trajectory")
+        assert result.params["mode"] == received["ctx"].mode
+        assert received["params"]["mode"] == "trajectory"
+        spec, _ = _probe_spec(capabilities=(("mode", "trajectory"),))
+        assert spec.run().params["mode"] == "trajectory"
+
+    def test_body_without_the_shell_argument_is_rejected(self):
+        registry = Registry()
+        with pytest.raises(ExperimentError, match="declares"):
+
+            @registry.register(
+                "EX",
+                title="no shell argument",
+                params=(Param("n", INT, 1),),
+            )
+            def _body(ctx, *, n):  # pragma: no cover
+                return None
+
+    @pytest.mark.parametrize("experiment_id", REGISTRY.ids())
+    def test_every_spec_gets_its_shell(self, experiment_id):
+        spec = REGISTRY.get(experiment_id)
+        overrides = QUICK_OVERRIDES[experiment_id]
+        result = spec.run(overrides)
+        assert result.experiment_id == spec.id
+        assert result.title == spec.title
+        for name, value in spec.resolve_params(overrides).items():
+            expected = list(value) if isinstance(value, tuple) else value
+            assert result.params[name] == expected, name
+            assert type(result.params[name]) is type(expected), name
+        assert ("mode" in result.params) == ("mode" in spec.capabilities)
 
 
 class TestAuditedAxes:
