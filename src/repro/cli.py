@@ -70,8 +70,9 @@ entries directly.
 
 ``repro serve`` runs the long-lived search daemon
 (:mod:`repro.service`): graphs load once, publish into shared memory,
-and a worker pool answers ``POST /search`` queries bit-identically to
-the batch path (same ``run_substream`` seed derivation).  ``--smoke``
+and the daemon answers ``POST /search`` queries bit-identically to the
+batch path (same ``run_substream`` seed derivation): short walks in its
+HTTP threads, long ones in a worker pool.  ``--smoke``
 is the self-test mode CI runs: burst concurrent queries, verify
 batch-path identity and clean shm teardown, exit.
 """
@@ -471,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-queue", type=_positive_int, default=1024,
         help=(
-            "bound on queries in flight (one pool call each, "
-            "submitted but not yet answered); beyond it new queries "
-            "are shed with HTTP 429 (default 1024)"
+            "bound on pool calls in flight (one per query sent to "
+            "the pool, submitted but not yet answered); beyond it new "
+            "queries are shed with HTTP 429 (default 1024)"
         ),
     )
     serve.add_argument(
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=2048,
         help=(
             "hot-cell answer cache capacity in entries; repeated "
-            "queries skip the worker pool (0 disables; default 2048)"
+            "queries skip the search (0 disables; default 2048)"
         ),
     )
     serve.add_argument(
@@ -997,12 +998,13 @@ def _serve_entries(args):
 def _serve_smoke(service, args) -> int:
     """The ``repro serve --smoke`` self-test (the CI serve smoke).
 
-    Bursts concurrent queries at the just-started daemon (one pool
-    call per query), replays the same cells through
-    :func:`repro.core.trials.batched_search_trial`, and demands
+    Bursts concurrent queries at the just-started daemon (each miss
+    answered inline or as one pool call), replays the same cells
+    through :func:`repro.core.trials.batched_search_trial`, and demands
     byte-identical answers; re-issues the same burst so
     the answer cache serves it and demands identity again; checks the
-    ``/stats`` route accounted for both passes; then tears the daemon
+    ``/stats`` route accounted for both passes, with one inline or
+    spilled answer per cache miss; then tears the daemon
     down and proves every published segment is actually gone (attach
     must raise).  Exit 0 only if all of it holds.
     """
@@ -1050,8 +1052,19 @@ def _serve_smoke(service, args) -> int:
             f"/stats saw {snapshot['cache']['hits']} cache hits, "
             f"expected >= {len(queries)} from the warm pass"
         )
-    if snapshot["batches"]["count"] == 0:
-        stats_problems.append("the cold pass made no pool call")
+    batches = snapshot["batches"]
+    answered = batches["inline"] + batches["spilled"]
+    caching = service.cache.capacity > 0 or service.cache_store is not None
+    misses = (
+        snapshot["cache"]["misses"] if caching
+        else search_stats.get("count", 0)
+    )
+    if answered != misses:
+        stats_problems.append(
+            f"/stats counted {batches['inline']} inline + "
+            f"{batches['spilled']} spilled answers for {misses} "
+            "cache misses"
+        )
     by_graph: Dict[str, List[int]] = {}
     for index, query in enumerate(queries):
         by_graph.setdefault(query["graph"], []).append(index)
@@ -1093,7 +1106,7 @@ def _serve_smoke(service, args) -> int:
         f"qps={stats['qps']:.1f}; "
         f"warm p50={warm_stats['p50_ms']:.2f}ms "
         f"qps={warm_stats['qps']:.1f}; "
-        f"batches={snapshot['batches']['count']} "
+        f"inline={batches['inline']} spilled={batches['spilled']} "
         f"cache_hits={snapshot['cache']['hits']})"
     )
     if mismatches or warm_mismatches or leaked or stats_problems:

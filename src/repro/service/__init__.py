@@ -6,13 +6,13 @@ peers*, not about offline tables.  This subpackage is that serving
 story:
 
 * :mod:`repro.service.core` — graph catalog (family grid or on-disk
-  corpus), query validation, and the worker-side execution path that
-  attaches shared-memory snapshots and answers a batch of cells through
-  the exact batch seed derivation;
+  corpus), query validation, and the execution path (in the daemon or
+  a worker, on an attached shared-memory snapshot) that answers cells
+  through the exact batch seed derivation;
 * :mod:`repro.service.daemon` — the long-lived ``repro serve`` HTTP
-  daemon (stdlib ``http.server`` + a process pool over shared-memory
-  graphs, one pool call per query, a hot-cell LRU answer cache in
-  front) with graceful shm lifecycle;
+  daemon (stdlib ``http.server`` over shared-memory graphs: short
+  walks answered in the HTTP thread, long ones by a process pool, a
+  hot-cell LRU answer cache in front) with graceful shm lifecycle;
 * :mod:`repro.service.stats` — the shared latency histogram and the
   daemon's serving counters (``/stats``);
 * :mod:`repro.service.client` — a tiny stdlib client and a concurrent

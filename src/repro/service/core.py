@@ -12,11 +12,12 @@ owns the *meaning* of a query:
   cell are the same function application;
 * :func:`validate_query` maps malformed input to 400 and unknown
   graph/algorithm ids to 404 before anything reaches a worker;
-* :func:`execute_service_batch` runs inside a pool worker: it attaches
-  the entry's shared-memory segment once (cached per process) and
-  answers a batch of cells through
-  :func:`~repro.core.trials._execute_cells` with ``seed = graph seed``
-  — the same ``run_substream`` fan-out as every batch loop.
+* :func:`serve_cells` is the one ``_execute_cells`` call behind every
+  served answer, with ``seed = graph seed`` — the same
+  ``run_substream`` fan-out as every batch loop.  The daemon calls it
+  on its own attached view for an inline attempt;
+  :func:`execute_service_batch` calls it inside a pool worker, on the
+  entry's shared-memory segment attached once per process.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "load_corpus_entries",
     "portfolio_algorithms",
     "query_cell",
+    "serve_cells",
     "service_answer_trial",
     "service_worker_init",
     "validate_query",
@@ -106,7 +108,10 @@ class GraphEntry:
     so serving skips the per-query resolution without changing it.
 
     ``snapshot`` is ``None`` once a daemon has published the graph into
-    ``segment``: from then on the shared segment is the only copy.
+    ``segment``: from then on the shared segment is the only copy, and
+    ``view`` is the daemon's read-only attachment of it.  Both are
+    ``None`` again after the daemon stops; ``num_edges`` is recorded
+    up front, so the descriptor never needs either.
     """
 
     graph_id: str
@@ -116,8 +121,10 @@ class GraphEntry:
     snapshot: Optional[FrozenGraph]
     target: int
     start: int
+    num_edges: int
     shm_name: Optional[str] = None
     segment: Any = field(default=None, repr=False)
+    view: Optional[FrozenGraph] = field(default=None, repr=False)
 
     def describe(self) -> Dict[str, Any]:
         """The JSON descriptor ``GET /graphs`` returns per entry."""
@@ -126,10 +133,7 @@ class GraphEntry:
             "family": dict(self.family),
             "n": self.size,
             "seed": self.seed,
-            "num_edges": (
-                self.snapshot.num_edges if self.segment is None
-                else self.segment.header["num_edges"]
-            ),
+            "num_edges": self.num_edges,
             "target": self.target,
             "start": self.start,
             "shm": self.shm_name,
@@ -155,6 +159,7 @@ def entry_from_snapshot(
         snapshot=snapshot,
         target=target,
         start=start,
+        num_edges=snapshot.num_edges,
     )
 
 
@@ -344,12 +349,58 @@ def _exit_with_parent(parent, parent_pid: int) -> None:
     os._exit(1)
 
 
-def _worker_graph(graph_id: str, shm_name: str) -> FrozenGraph:
+def _worker_graph(graph_id: str) -> FrozenGraph:
     graph = _WORKER_STATE["graphs"].get(graph_id)
     if graph is None:
-        graph = attach_graph(shm_name)
+        graph = attach_graph(_WORKER_STATE["manifest"][graph_id]["shm"])
         _WORKER_STATE["graphs"][graph_id] = graph
     return graph
+
+
+def attach_manifest_graphs() -> int:
+    """Attach every graph of this worker's manifest; the worker's pid.
+
+    The daemon's warm-up task: each worker maps every graph before the
+    daemon answers ``/healthz``.  A graph published later (``/reload``)
+    is attached on the first query that reaches a worker for it.
+    """
+    for graph_id in _WORKER_STATE["manifest"]:
+        _worker_graph(graph_id)
+    return os.getpid()
+
+
+def serve_cells(
+    graph: FrozenGraph,
+    cells: List[Dict[str, Any]],
+    *,
+    portfolio: str,
+    seed: int,
+    start: int,
+    target: int,
+    engine: str,
+    budget: Optional[int] = None,
+) -> List[Dict[str, Any]]:
+    """Answer validated query cells on one served graph.
+
+    The seed handed to ``_execute_cells`` is the graph's *build* seed
+    and each cell carries its query's ``run_index`` — exactly how
+    ``batched_search_trial`` seeds the same cells, which is the whole
+    determinism contract: per-cell RNG substreams depend only on
+    ``(seed, algorithm, run_index)``, never on how cells are grouped
+    or which process runs them.  ``budget=None`` is the batch path's
+    default budget; the daemon's inline attempt passes a smaller one.
+    """
+    return _execute_cells(
+        graph,
+        portfolio_factories(portfolio),
+        cells,
+        default_start=start,
+        default_target=target,
+        budget=budget,
+        neighbor_success=False,
+        seed=seed,
+        engine=engine,
+    )
 
 
 def execute_service_batch(
@@ -359,30 +410,18 @@ def execute_service_batch(
 ) -> List[Dict[str, Any]]:
     """Answer a batch of validated queries in one worker call.
 
-    The daemon sends one cell per call.  The seed handed to
-    ``_execute_cells`` is the graph's *build* seed and each cell
-    carries its query's ``run_index`` — exactly how
-    ``batched_search_trial`` seeds the same cells, which is the whole
-    determinism contract: per-cell RNG substreams depend only on
-    ``(seed, algorithm, run_index)``, never on how cells are grouped,
-    so any batch answers each cell bit for bit as the batch path
-    does.  Under ``engine="ensemble"`` a batch's same-``(algorithm,
-    start, target)`` cells advance through the lock-step kernel in one
-    call (serial fallback cells run unchanged inside the same
-    ``_execute_cells`` invocation).
+    The daemon sends one cell per call.  Runs :func:`serve_cells` on
+    this worker's attachment of the graph, under the query's own
+    (default) budget.
     """
     info = _WORKER_STATE["manifest"][graph_id]
-    graph = _worker_graph(graph_id, info["shm"])
-    factories = portfolio_factories(info["portfolio"])
-    return _execute_cells(
-        graph,
-        factories,
+    return serve_cells(
+        _worker_graph(graph_id),
         cells,
-        default_start=info["start"],
-        default_target=info["target"],
-        budget=None,
-        neighbor_success=False,
+        portfolio=info["portfolio"],
         seed=info["seed"],
+        start=info["start"],
+        target=info["target"],
         engine=engine,
     )
 

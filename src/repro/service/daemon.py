@@ -8,20 +8,25 @@ The load-once/serve-many shape:
    loaded from a corpus) in the daemon process;
 2. every snapshot is published into shared memory
    (:func:`repro.graphs.shm.publish_graph`) and the daemon then drops
-   its own copy: the CSR exists once, system-wide, in the segment, and
-   the workers fork from a parent that holds no graph;
+   its own copy: the CSR exists once, system-wide, in the segment.
+   The daemon keeps a read-only view of each segment it publishes
+   (an O(1) attach) and closes it before the segment is unlinked;
 3. the worker pool starts with
-   :func:`~repro.service.core.service_worker_init` as initializer and
-   is *warmed before any server thread exists* (worker processes fork
-   from a single-threaded parent — forking a threaded process is how
-   stdlib pools deadlock);
-4. HTTP threads validate queries and submit each one as its own pool
-   call: the worker answers the single cell via ``_execute_cells`` on
-   its already-attached snapshot with the ensemble engine.  Cells are
-   independent (each RNG substream depends only on ``(graph seed,
-   algorithm, run_index)``), so grouping them would only add a wait.  A hot-cell
-   :class:`AnswerCache` sits in front: repeated queries are
-   replay-addressable cells, so a hit skips the pool entirely
+   :func:`~repro.service.core.service_worker_init` as initializer, on
+   the pinned start method (:data:`repro.runner.executor.POOL_START_METHOD`),
+   and is warmed before any server thread exists: every worker attaches
+   every graph before the daemon answers ``/healthz``;
+4. HTTP threads validate queries.  A query that misses the hot-cell
+   :class:`AnswerCache` first runs in its HTTP thread, on the daemon's
+   view, through the same :func:`~repro.service.core.serve_cells` call
+   the workers make, with the small request budget
+   :data:`INLINE_BUDGET`.  A run that finds the target within it is
+   exactly the unbounded run, so it is the answer.  Otherwise — or when
+   the algorithm is not in :data:`INLINE_ALGORITHMS` — the cell reruns
+   from scratch as its own pool call, under the query's own budget.
+   Cells are independent (each RNG substream depends only on ``(graph
+   seed, algorithm, run_index)``), so the rerun is bit-identical and
+   grouping cells would only add a wait.  A cache hit skips both
    (optionally write-through/read-through against a trial store, so
    cached answers persist as ordinary versioned trial records).
 
@@ -47,13 +52,17 @@ Routes
     target, start, shm segment name).
 ``GET /stats``
     the serving counters: per-route request counts and latency
-    histogram (p50/p90/p99), pool-call counts (every call is a batch
-    of one), cache hits/misses, shed/timeout counts, and the number
-    of pool calls in flight (``queue_depth``).
+    histogram (p50/p90/p99); under ``batches``, every cache miss that
+    was answered, as a batch of one whether it ran inline or in the
+    pool, split into ``inline`` and ``spilled`` (sent to the pool);
+    cache hits/misses (an inline answer is a miss), shed/timeout
+    counts, and the number of pool calls in flight (``queue_depth``).
 ``POST /search``
     one query ``{"graph", "algorithm", "run_index", "start"?,
     "target"?}`` -> one serialized SearchResult, bit-identical to the
-    batch path's cell whether it came from the pool or from cache.
+    batch path's cell whether it ran inline, in the pool or came from
+    the cache.  A body whose ``Content-Length`` is not a non-negative
+    integer gets a 400 and the connection closes (on every POST).
 ``POST /reload``
     corpus hot-reload: re-scan the corpus directory and publish any
     graphs that appeared since start; ``{"added": [...], "total": N}``.
@@ -74,42 +83,78 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.trials import ENGINES, fastest_available
 from repro.errors import ExperimentError
-from repro.graphs.shm import publish_graph, sweep_dead_segments
+from repro.graphs.shm import (
+    attach_graph,
+    publish_graph,
+    sweep_dead_segments,
+)
+from repro.runner.executor import process_pool
+from repro.search.process import default_budget
 from repro.service.core import (
     GraphEntry,
     QueryError,
     answer_spec,
+    attach_manifest_graphs,
     execute_service_batch,
     load_corpus_entries,
     query_cell,
+    serve_cells,
     service_worker_init,
     validate_query,
     worker_manifest,
 )
 from repro.service.stats import ServiceStats
 
-__all__ = ["AnswerCache", "SearchService"]
+__all__ = [
+    "INLINE_ALGORITHMS",
+    "INLINE_BUDGET",
+    "AnswerCache",
+    "SearchService",
+]
 
 
 #: ``serve_forever``'s shutdown-poll interval, in seconds.
 _POLL_INTERVAL_S = 0.02
 
+#: Request budget of a cache miss's inline attempt in its HTTP thread
+#: (``0`` sends every miss to the pool).  Measured in the daemon at
+#: n = 1e6 (Móri, p = 1/2, 2 workers, 2 vCPUs, ensemble engine): a
+#: one-request hop costs 0.88 ms at p50 as a pool call and 0.16 ms
+#: inline, and 64 requests of a random walk that misses its target
+#: cost 0.15-0.23 ms at p50 (256 cost ~0.6 ms, as much as the trip
+#: they would save).  So a long walk wastes about a quarter of a round
+#: trip, and every walk that ends within 64 requests skips the pool.
+INLINE_BUDGET = 64
+
+#: The portfolio algorithms an inline attempt may run: those whose
+#: ``INLINE_BUDGET`` requests cost O(budget), measured as above from the
+#: root: random-walk 0.15-0.21 ms, restart-walk-0.1 0.11 ms, flooding
+#: 0.20 ms, uniform-walk-strong 0.37 ms.  Every other algorithm goes
+#: straight to the pool.  ``omniscient-window`` builds a BFS tree over
+#: the whole graph before its first request.  The rest pay O(degree)
+#: per request around hubs: 64 requests took 0.7-9 ms for the weak
+#: greedy searches, self-avoiding-walk and biased-walk-strong, and
+#: ~200 ms for high-degree-strong, whose every request reveals a whole
+#: neighbourhood — all of it holding the daemon's GIL.
+INLINE_ALGORITHMS = frozenset({
+    "random-walk",
+    "restart-walk-0.1",
+    "flooding",
+    "uniform-walk-strong",
+})
+
 
 def _publish(entry: GraphEntry) -> None:
-    """Publish ``entry``'s snapshot, then drop the daemon's own copy.
+    """Publish ``entry``'s snapshot, attach it, drop the daemon's copy.
 
-    Workers attach the segment; the daemon only needs the entry's
-    metadata (``describe`` reads the edge count from the segment
-    header), so keeping the snapshot would double the graph's memory.
+    The daemon answers inline cells on its read-only view of the
+    segment (an O(1) attach), so keeping the snapshot would double the
+    graph's memory.
     """
     entry.segment = publish_graph(entry.snapshot)
     entry.shm_name = entry.segment.name
+    entry.view = attach_graph(entry.shm_name)
     entry.snapshot = None
-
-
-def _noop() -> None:
-    """Warm-up task: forces a worker process to actually spawn."""
-    return None
 
 
 class AnswerCache:
@@ -251,9 +296,12 @@ class SearchService:
     def start(self) -> None:
         """Publish, spawn, warm, bind, serve — in that order.
 
-        The pool is created and warmed before any thread exists
-        (workers fork from a single-threaded parent); the stats thread
-        starts next; the socket binds last, so a bind
+        The first pool is created and warmed before any thread exists,
+        so its workers fork from a single-threaded parent.  Later pools
+        do not: a respawn after a worker death and a ``/reload`` that
+        adds graphs each create a pool whose workers fork at its first
+        submit, from this process with its HTTP threads running.  The
+        stats thread starts next; the socket binds last, so a bind
         failure (``EADDRINUSE``) still tears every segment down via
         the ``except`` path — no leak on the double-start error.
         Segments a SIGKILLed daemon left behind are swept first.
@@ -302,7 +350,8 @@ class SearchService:
         the pool cancels every call that has not started (its query
         gets 503, so no handler thread is left waiting on a future
         nobody will resolve) and finishes the running ones, then the
-        handlers get a moment to reply, then the segments unlink.
+        handlers get a moment to reply, then the daemon closes its
+        views and the segments unlink.
         """
         if self._stopped:
             return
@@ -332,6 +381,9 @@ class SearchService:
             self._stats_thread.join(timeout=5)
             self._stats_thread = None
         for entry in self.entries.values():
+            if entry.view is not None:
+                entry.view.close()
+                entry.view = None
             if entry.segment is not None:
                 entry.segment.close()
                 entry.segment.unlink()
@@ -355,16 +407,23 @@ class SearchService:
         )
 
     def _spawn_pool(self, *, warm: bool) -> ProcessPoolExecutor:
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers,
+        pool = process_pool(
+            self.workers,
             initializer=service_worker_init,
             initargs=(self._manifest(),),
         )
         if warm:
-            for future in [
-                pool.submit(_noop) for _ in range(self.workers)
-            ]:
-                future.result()
+            # Repeat until every worker has run the warm-up task (one
+            # worker may take several), so each has attached every
+            # graph before the daemon answers.
+            warmed: set = set()
+            while len(warmed) < self.workers:
+                warmed.update(
+                    future.result() for future in [
+                        pool.submit(attach_manifest_graphs)
+                        for _ in range(self.workers)
+                    ]
+                )
         return pool
 
     def _stats_loop(self) -> None:
@@ -420,7 +479,7 @@ class SearchService:
                 f"{depth} queries in flight; retry later",
                 queue_depth=depth,
             )
-        self.stats.record_batch(1)
+        self.stats.record_batch(1, inline=False)
         try:
             future = self._submit_batch(graph_id, [cell])
         except QueryError:
@@ -465,6 +524,63 @@ class SearchService:
                 return answer
             self.stats.cache_miss()
         cell = query_cell(algorithm, run_index, start, target)
+        answer = self._answer_inline(self.entries[graph_id], cell)
+        if answer is None:
+            answer = self._answer_in_pool(graph_id, cell)
+        self.cache.put(key, answer)
+        self._store_write(
+            graph_id, algorithm, run_index, start, target, answer
+        )
+        return answer
+
+    def _answer_inline(
+        self, entry: GraphEntry, cell: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """The cell's answer from a bounded run in this thread, or ``None``.
+
+        The run gets at most :data:`INLINE_BUDGET` requests, and never
+        more than the query's own budget.  A budget only stops a run, it
+        never steers one, so a run that finds the target within it
+        returns exactly what the unbounded run returns.  A run that
+        does not is discarded (``None``): the cell reruns from scratch
+        in the pool, and at most ``INLINE_BUDGET`` requests were spent
+        here.
+        """
+        view = entry.view
+        if (
+            INLINE_BUDGET <= 0
+            or view is None
+            or self._stopped
+            or cell["algorithm"] not in INLINE_ALGORITHMS
+        ):
+            return None
+        try:
+            (answer,) = serve_cells(
+                view,
+                [cell],
+                portfolio=self.portfolio,
+                seed=entry.seed,
+                start=entry.start,
+                target=entry.target,
+                engine=self.engine,
+                budget=min(INLINE_BUDGET, default_budget(view)),
+            )
+        except Exception as error:  # noqa: BLE001 - as a failed pool call
+            self.stats.record_batch_failure()
+            raise QueryError(
+                503,
+                "query execution failed: "
+                f"{type(error).__name__}: {error}",
+            ) from error
+        if not answer["found"]:
+            return None
+        self.stats.record_batch(1, inline=True)
+        return answer
+
+    def _answer_in_pool(
+        self, graph_id: str, cell: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Run the cell as its own pool call and wait for its answer."""
         future = self._submit_query(graph_id, cell)
         try:
             (answer,) = future.result(timeout=self.query_timeout)
@@ -495,10 +611,6 @@ class SearchService:
                 "query execution failed: "
                 f"{type(error).__name__}: {error}",
             ) from error
-        self.cache.put(key, answer)
-        self._store_write(
-            graph_id, algorithm, run_index, start, target, answer
-        )
         return answer
 
     def _store_read(
@@ -545,13 +657,15 @@ class SearchService:
     def handle_reload(self) -> Dict[str, Any]:
         """Publish corpus entries that appeared since the last scan.
 
-        Existing graphs keep their segments; a pool initializer cannot
-        be re-run in live workers, so when anything new appears the
-        daemon swaps in a fresh pool whose initializer carries the
-        extended manifest (in-flight queries drain on the old pool
-        first).  Each query resolves the active pool when it is
-        submitted, so later queries land on the new one.  With no corpus directory
-        the call is a no-op reporting the current catalog size.
+        Existing graphs keep their segments; each new one is published
+        and attached by the daemon, so inline cells reach it at once.  A
+        pool initializer cannot be re-run in live workers, so when
+        anything new appears the daemon swaps in a fresh pool whose
+        initializer carries the extended manifest (in-flight queries
+        drain on the old pool first).  Each query resolves the active
+        pool when it is submitted, so later queries land on the new
+        one.  With no corpus directory the call is a no-op reporting
+        the current catalog size.
         """
         with self._reload_lock:
             if self.corpus_dir is None:
@@ -608,6 +722,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError, OSError):
@@ -615,14 +731,33 @@ class _Handler(BaseHTTPRequestHandler):
             # dead, the daemon is fine.
             self.close_connection = True
 
+    def _reply_error(self, error: QueryError) -> None:
+        self._reply(error.status, {
+            "error": str(error),
+            "status": error.status,
+            **error.extra,
+        })
+
     def _drain_body(self) -> bytes:
         """Consume the request body (keep-alive correctness).
 
         Every POST body must be read off the socket even when the
         route ignores it — leftover bytes would be parsed as the start
-        of the *next* request line on this connection.
+        of the *next* request line on this connection.  A
+        ``Content-Length`` that is not a non-negative integer leaves the
+        body's end unknown: the request is a 400 and the connection
+        closes after the reply.
         """
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise QueryError(
+                400, f"malformed Content-Length header {header!r}"
+            )
         return self.rfile.read(length) if length else b""
 
     def _read_json(self) -> Any:
@@ -647,11 +782,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, handler())
             except QueryError as query_error:
                 error = True
-                self._reply(query_error.status, {
-                    "error": str(query_error),
-                    "status": query_error.status,
-                    **query_error.extra,
-                })
+                self._reply_error(query_error)
             except (BrokenPipeError, ConnectionResetError):
                 error = True
                 self.close_connection = True
@@ -689,10 +820,17 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
             )
         elif self.path == "/reload":
-            self._drain_body()
-            self._route("reload", self._service.handle_reload)
+            self._route("reload", self._reload)
         else:
-            self._drain_body()
+            try:
+                self._drain_body()
+            except QueryError as error:
+                self._reply_error(error)
+                return
             self._reply(
                 404, {"error": f"unknown path {self.path!r}"}
             )
+
+    def _reload(self) -> Dict[str, Any]:
+        self._drain_body()
+        return self._service.handle_reload()

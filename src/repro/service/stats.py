@@ -15,8 +15,10 @@ lose at million-user volumes.
 
 :class:`ServiceStats` aggregates the daemon-side view: per-route
 request/error counts and latency, the batch-size distribution of
-pool calls (the daemon sends one cell per call), answer-cache hits/misses, shed (429) and timeout (503)
-counts, and the in-flight gauge.  Everything is guarded by one lock
+answered cache misses (the daemon runs one cell per batch, inline or
+as a pool call) with its inline and spilled (pooled) counts,
+answer-cache hits/misses, shed (429) and timeout (503) counts, and the
+in-flight gauge.  Everything is guarded by one lock
 and snapshots to a plain JSON-able dict.
 """
 
@@ -128,6 +130,8 @@ class ServiceStats:
         self._route_latency: Dict[str, LatencyHistogram] = {}
         self._batch_sizes: Dict[int, int] = {}
         self._batch_queries = 0
+        self._inline = 0
+        self._spilled = 0
         self._batch_failures = 0
         self._cache_hits = 0
         self._cache_misses = 0
@@ -167,12 +171,18 @@ class ServiceStats:
         with self._lock:
             return self._in_flight
 
-    # -- pool-call accounting -----------------------------------------
+    # -- batch accounting ---------------------------------------------
 
-    def record_batch(self, size: int) -> None:
+    def record_batch(self, size: int, *, inline: bool) -> None:
+        """A batch of ``size`` cells answered in the daemon's own thread
+        (``inline``) or sent to the pool (spilled)."""
         with self._lock:
             self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
             self._batch_queries += size
+            if inline:
+                self._inline += size
+            else:
+                self._spilled += size
 
     def record_batch_failure(self) -> None:
         with self._lock:
@@ -221,6 +231,8 @@ class ServiceStats:
                 "batches": {
                     "count": batches,
                     "queries": self._batch_queries,
+                    "inline": self._inline,
+                    "spilled": self._spilled,
                     "failed": self._batch_failures,
                     "mean_size": round(
                         self._batch_queries / batches, 3
@@ -252,7 +264,8 @@ class ServiceStats:
             f"p99={search.get('p99_ms', 0.0):.1f}ms "
             f"in_flight={snap['in_flight']} "
             f"batches={batches['count']} "
-            f"mean_batch={batches['mean_size']:.1f} "
+            f"inline={batches['inline']} "
+            f"spilled={batches['spilled']} "
             f"cache={cache['hits']}/{cache['hits'] + cache['misses']} "
             f"shed={snap['shed']} timeouts={snap['timeouts']}"
         )

@@ -260,8 +260,8 @@ class _RecordingPool:
 
     max_observed = 0
 
-    def __init__(self, max_workers=None, initializer=None,
-                 initargs=()):
+    def __init__(self, max_workers=None, mp_context=None,
+                 initializer=None, initargs=()):
         from concurrent.futures import ThreadPoolExecutor
 
         type(self).max_observed = 0

@@ -491,9 +491,12 @@ class TestLifecycle:
             os.pathsep + env["PYTHONPATH"]
             if env.get("PYTHONPATH") else ""
         )
+        # The daemon's pool runs on the pinned start method; the test
+        # re-pins it to the one under test.
         launch = (
-            "import multiprocessing, sys\n"
-            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "import sys\n"
+            "import repro.runner.executor as executor\n"
+            "executor.POOL_START_METHOD = sys.argv[1]\n"
             "from repro.cli import main\n"
             "raise SystemExit(main(sys.argv[2:]))\n"
         )

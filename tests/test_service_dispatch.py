@@ -2,12 +2,13 @@
 its answer cache and `repro.service.stats`.
 
 The serving invariants: answers under concurrent load are bit-
-identical to the batch path, every miss is one pool call (a batch of
-one), cache hits return the same bytes the pool would have, the
-in-flight bound sheds overload with 429 instead of piling threads, a
-timed-out or shutdown-cancelled query gets a structured 503 and never
-reaches a worker, a dead worker fails one query — never the daemon —
-and SIGTERM with a query in flight still exits clean.
+identical to the batch path, every miss is answered inline or as one
+pool call (a batch of one), cache hits return the same bytes the pool
+would have, the in-flight bound sheds overload with 429 instead of
+piling threads, a timed-out or shutdown-cancelled query gets a
+structured 503 and never reaches a worker, a dead worker fails one
+query — never the daemon — and SIGTERM with a query in flight still
+exits clean.
 """
 
 from __future__ import annotations
@@ -124,6 +125,14 @@ class _FakePool:
                 future.cancel()
 
 
+@pytest.fixture
+def pool_only(monkeypatch):
+    """Send every cache miss to the pool: no inline attempt."""
+    import repro.service.daemon as daemon
+
+    monkeypatch.setattr(daemon, "INLINE_BUDGET", 0)
+
+
 def _fake_service(pool, **options):
     """A service whose process pool is ``pool`` (no workers spawn)."""
     options = {"workers": 1, "cache_size": 0, **options}
@@ -157,6 +166,7 @@ def _search_in_thread(service, run_index, outcomes):
     return thread
 
 
+@pytest.mark.usefixtures("pool_only")
 class TestPerQueryDispatch:
     def test_every_pool_call_is_a_batch_of_one(self):
         pool = _FakePool()
@@ -509,6 +519,7 @@ class TestServingUnderLoad:
             assert response == expected[index % len(queries)]
 
 
+@pytest.mark.usefixtures("pool_only")
 class TestRobustness:
     def test_query_timeout_is_structured_503(self):
         # The held pool never answers, so the query deterministically
