@@ -25,14 +25,13 @@ verify-full:
 # corpus-cache
 # smoke (cold fill, warm replay with identical output, verify, and the
 # serve smoke over the filled corpus), then
-# the trial-store smoke (sqlite cold fill, warm replay with identical
-# output and a nonzero hit tally, stat, a verified migration back to
-# json-files), then the
+# the trial-store smoke (cold fill, warm replay with identical output
+# and a nonzero hit tally, stat), then the
 # churn smoke (a downsized E21 through the dynamic-graph flags, then at
 # the default arms), then the serve smoke (a live `repro serve` daemon on a
-# small grid answering a concurrent query stream, every answer
-# verified bit-identical to the batch path and every shared-memory
-# segment verified unlinked on shutdown), then the
+# small grid answering a concurrent query stream through a trial
+# store, every answer verified bit-identical to the batch path and
+# every shared-memory segment verified unlinked on shutdown), then the
 # perfbench self-test (toy sizes).
 ci:
 	$(PYTEST) -x -q
@@ -54,19 +53,20 @@ ci:
 	PYTHONPATH=src python -m repro serve --corpus .ci-corpus --smoke
 	rm -rf .ci-corpus .ci-corpus-cold.log .ci-corpus-warm.log .ci-corpus-cold.trimmed .ci-corpus-warm.trimmed
 	rm -rf .ci-store
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store --store-backend sqlite | tee .ci-store-cold.log
+	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store | tee .ci-store-cold.log
 	grep -q "store: 0 hits" .ci-store-cold.log
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store --store-backend sqlite | tee .ci-store-warm.log
+	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store | tee .ci-store-warm.log
 	grep -Eq "store: [1-9][0-9]* hits, 0 misses" .ci-store-warm.log
 	grep -v "^store:" .ci-store-cold.log > .ci-store-cold.trimmed
 	grep -v "^store:" .ci-store-warm.log > .ci-store-warm.trimmed
 	diff .ci-store-cold.trimmed .ci-store-warm.trimmed
 	PYTHONPATH=src python -m repro store stat .ci-store
-	PYTHONPATH=src python -m repro store migrate .ci-store --from sqlite --to json-files
 	rm -rf .ci-store .ci-store-cold.log .ci-store-warm.log .ci-store-cold.trimmed .ci-store-warm.trimmed
 	PYTHONPATH=src python -m repro run E21 --quick --churn-rate 0.1 --churn-bias degree --resnapshot-every 5
 	PYTHONPATH=src python -m repro run E21 --quick
-	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --smoke
+	rm -rf .ci-serve-store
+	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --smoke --cache-store .ci-serve-store
+	rm -rf .ci-serve-store
 	python3 perfbench/selftest.py
 
 # The layered benchmark's self-test: both workloads at toy sizes,

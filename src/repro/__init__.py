@@ -66,15 +66,7 @@ from repro.equivalence import (
     theorem1_weak_bound,
     verify_lemma2,
 )
-from repro.runner import (
-    ResultStore,
-    SqliteResultStore,
-    TrialSpec,
-    TrialStore,
-    migrate_store,
-    open_store,
-    run_trials,
-)
+from repro.runner import TrialSpec, TrialStore, run_trials
 from repro.core.registry import (
     ExecutionContext,
     ExperimentSpec,
@@ -121,10 +113,6 @@ __all__ = [
     # runner
     "TrialSpec",
     "TrialStore",
-    "ResultStore",
-    "SqliteResultStore",
-    "open_store",
-    "migrate_store",
     "run_trials",
     # experiment registry
     "ExperimentSpec",

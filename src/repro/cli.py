@@ -5,7 +5,6 @@ Usage::
     repro list [--markdown]
     repro run E1 [--seed 7] [--json out.json] [--quick] [--plot]
     repro run E1 --jobs 8 --cache-dir .repro-cache
-    repro run E1 --cache-dir .repro-cache --store-backend sqlite
     repro run E20 --set sizes=200,400 --set num_graphs=2
     repro run E1,E3,E20 --quick
     repro run all --json-dir results/ [--quick]
@@ -17,7 +16,6 @@ Usage::
     repro serve --corpus corpus/ --workers 4 --port-file serve.port
     repro serve --sizes 200 --smoke
     repro store stat .repro-cache
-    repro store migrate .repro-cache --to sqlite
     repro store compact .repro-cache
     repro compare old.json new.json [--rtol 0.25]
 
@@ -38,16 +36,11 @@ experiment needs bespoke CLI flags.
 processes and ``--cache-dir`` replays completed trials from a
 persistent store; neither changes any printed number (trial seeds are
 substream-derived, so parallel output is bit-identical to serial).
-``--store-backend`` picks the ``--cache-dir`` store's persistence
-layout — ``json-files`` (one file per trial, the default) or
-``sqlite`` (one WAL-mode database per cache directory; same values, a
-fraction of the inodes) — equivalently the ``REPRO_STORE_BACKEND``
-environment variable; it applies wherever ``--cache-dir`` does and
-warns without one.  Cached runs report their hit/miss tally
-afterwards.
-``repro store stat/migrate/compact`` inspect a cache directory,
-convert it between backends, and drop entries stale under the current
-code (see :mod:`repro.runner.store`).
+The store is one SQLite database per cache directory
+(``DIR/trials.sqlite``); cached runs report their hit/miss tally
+afterwards.  ``repro store stat/compact`` inspect a cache directory
+and drop entries stale under the current code; neither creates a
+store that is not there (see :mod:`repro.runner.store`).
 ``--mode trajectory`` serves scaling sweeps from checkpoint snapshots
 of shared growth trajectories (one construction pass per sweep).
 Graphs are built and searched by the fast arms: the lock-step ensemble
@@ -290,18 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--store-backend",
-        choices=("json-files", "sqlite"),
-        default=None,
-        help=(
-            "persistence layout of the --cache-dir store: "
-            "'json-files' (default; one file per trial) or 'sqlite' "
-            "(one WAL-mode database per cache directory); values are "
-            "identical either way (equivalent to setting "
-            "REPRO_STORE_BACKEND)"
-        ),
-    )
-    run.add_argument(
         "--churn-rate",
         dest="churn_rate",
         default=None,
@@ -529,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     store = subparsers.add_parser(
         "store",
-        help="inspect, convert, or compact a trial-result cache",
+        help="inspect or compact a trial-result cache",
     )
     store_commands = store.add_subparsers(
         dest="store_command", required=True
@@ -537,49 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
     store_stat = store_commands.add_parser(
         "stat",
         help=(
-            "entry/staleness/size/inode counts per backend present "
-            "in a cache directory"
+            "entry/staleness/size/inode counts of a cache directory's "
+            "store (and any json-files tree it still holds)"
         ),
     )
     store_stat.add_argument("dir", help="cache directory")
-    store_migrate = store_commands.add_parser(
-        "migrate",
-        help=(
-            "copy a cache directory's entries into another backend "
-            "(in place by default), verifying replayed values "
-            "bit-identical; legacy unversioned entries are stamped "
-            "with the current code fingerprint"
-        ),
-    )
-    store_migrate.add_argument("dir", help="source cache directory")
-    store_migrate.add_argument(
-        "--from",
-        dest="source_backend",
-        choices=("json-files", "sqlite"),
-        default="json-files",
-        help="backend to read entries from (default json-files)",
-    )
-    store_migrate.add_argument(
-        "--to",
-        dest="dest_backend",
-        choices=("json-files", "sqlite"),
-        default="sqlite",
-        help="backend to write entries into (default sqlite)",
-    )
-    store_migrate.add_argument(
-        "--dest",
-        default=None,
-        help=(
-            "destination cache directory (default: the source "
-            "directory — both backends coexist in one directory)"
-        ),
-    )
     store_compact = store_commands.add_parser(
         "compact",
         help=(
-            "drop entries stale under the current code (plus "
-            "corrupt/debris files) from every backend present, and "
-            "reclaim space"
+            "drop entries stale under the current code and reclaim "
+            "space"
         ),
     )
     store_compact.add_argument("dir", help="cache directory")
@@ -659,26 +607,18 @@ def _plot_scaling_tables(result) -> None:
             print(render_loglog(table.title, curves))
 
 
-def _warn_ignored(
-    experiment_id: str,
-    flag: str,
-    parameter: str,
-    reason: Optional[str] = None,
-) -> None:
+def _warn_ignored(experiment_id: str, flag: str, parameter: str) -> None:
     """Tell the user a CLI knob has no effect on this experiment.
 
     Silently dropping ``--cache-dir`` (or ``--jobs``/``--mode``/
-    ``--store-backend``/``--seed``/``--set``) would let users believe
-    results were cached, parallelised or reseeded when the experiment
-    never declared the capability (or parameter).  ``reason`` replaces
-    the default "takes no parameter" explanation.
+    ``--seed``/``--set``) would let users believe results were cached,
+    parallelised or reseeded when the experiment never declared the
+    capability (or parameter).
     """
-    reason = reason or (
-        f"this experiment takes no {parameter!r} parameter"
-    )
     print(
         f"warning: {flag} has no effect on {experiment_id} "
-        f"({reason}); the flag was ignored",
+        f"(this experiment takes no {parameter!r} parameter); "
+        "the flag was ignored",
         file=sys.stderr,
     )
 
@@ -691,10 +631,8 @@ def _context_kwargs(spec: ExperimentSpec, args) -> Dict[str, Any]:
     means the flag was not given at all; an explicitly typed value —
     even a default like ``--jobs 1`` or ``--mode independent`` — is
     forwarded when declared (E19, for one, rejects independent mode
-    rather than silently running its trajectory default).
-    ``--store-backend`` lays out the ``--cache-dir`` store, so it is
-    forwarded with a store and warns without one.  Each capability's
-    flag is its keyword parameter spelled as an option
+    rather than silently running its trajectory default).  Each
+    capability's flag is its keyword parameter spelled as an option
     (``cache_dir`` -> ``--cache-dir``).
     """
     kwargs: Dict[str, Any] = {}
@@ -707,15 +645,6 @@ def _context_kwargs(spec: ExperimentSpec, args) -> Dict[str, Any]:
         else:
             flag = "--" + parameter.replace("_", "-")
             _warn_ignored(spec.id, f"{flag} {value}", parameter)
-    if args.store_backend is not None and "cache_dir" in kwargs:
-        kwargs["store_backend"] = args.store_backend
-    elif args.store_backend is not None:
-        _warn_ignored(
-            spec.id,
-            f"--store-backend {args.store_backend}",
-            "store_backend",
-            "it lays out the --cache-dir store and none is in use",
-        )
     return kwargs
 
 
@@ -845,49 +774,33 @@ def _print_store_stats(args) -> None:
 
 
 def _store_main(args) -> int:
-    """The ``repro store stat/migrate/compact`` commands."""
-    from repro.runner import detect_backends, migrate_store, open_store
+    """The ``repro store stat/compact`` commands."""
+    from repro.runner.store import TrialStore, json_tree_files
 
+    store = TrialStore(args.dir)
     if args.store_command == "stat":
-        backends = detect_backends(args.dir)
-        if not backends:
-            print(f"no store backends found in {args.dir}")
-            return 0
-        for backend in backends:
-            stats = open_store(args.dir, backend).stat()
+        tree = json_tree_files(args.dir)
+        if tree:
             print(
-                f"{backend}: {stats['entries']} entries, "
-                f"{stats['stale']} stale, {stats['corrupt']} corrupt, "
-                f"{stats['debris']} debris, {stats['bytes']} bytes, "
+                f"{args.dir}: json-files tree of {tree} files, "
+                "not read (delete or move it away)"
+            )
+        stats = store.stat()
+        if stats is not None:
+            print(
+                f"{store.db_path}: {stats['entries']} entries, "
+                f"{stats['stale']} stale, {stats['bytes']} bytes, "
                 f"{stats['inodes']} inodes"
             )
+        elif not tree:
+            print(f"no trial store in {args.dir}")
         return 0
 
-    if args.store_command == "migrate":
-        source = open_store(args.dir, args.source_backend)
-        destination = open_store(
-            args.dest or args.dir, args.dest_backend
-        )
-        report = migrate_store(source, destination)
-        print(
-            f"store migrate: {report['migrated']} migrated "
-            f"({args.source_backend} -> {args.dest_backend}), "
-            f"{report['skipped_stale']} stale skipped, "
-            f"{report['verify_failed']} verify failures"
-        )
-        return 1 if report["verify_failed"] else 0
-
-    backends = detect_backends(args.dir)
-    if not backends:
-        print(f"no store backends found in {args.dir}")
-        return 0
-    for backend in backends:
-        report = open_store(args.dir, backend).compact()
-        print(
-            f"{backend}: {report['removed_stale']} stale, "
-            f"{report['removed_corrupt']} corrupt, "
-            f"{report['removed_debris']} debris removed"
-        )
+    removed = store.compact()
+    if removed is None:
+        print(f"no trial store in {args.dir}")
+    else:
+        print(f"{store.db_path}: {removed} stale removed")
     return 0
 
 

@@ -10,7 +10,7 @@ overrides for larger runs.
 Experiments are *registered specs* (:mod:`repro.core.registry`): each
 body declares its typed parameter schema and the execution
 capabilities it supports — ``jobs`` (worker fan-out), ``cache``
-(persistent trial store, in the layout ``store_backend`` picks),
+(persistent trial store),
 ``mode`` (independent vs trajectory-coupled scaling sweeps) — and
 receives one :class:`~repro.core.registry.ExecutionContext` instead
 of copy-pasted kwargs, then the result shell the registry built from

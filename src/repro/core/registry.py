@@ -84,14 +84,10 @@ CAPABILITY_PARAMS = {
     "mode": ("mode", "independent"),
 }
 
-# Every execution keyword :func:`run_experiment` accepts.  Beside the
-# capability parameters, ``store_backend`` picks the on-disk layout of
-# the ``cache_dir`` store, so it applies wherever ``cache`` does; its
-# ``None`` default means "auto" (the ``REPRO_STORE_BACKEND``
-# environment variable, else ``json-files``).
+# Every execution keyword :func:`run_experiment` accepts.
 _CONTEXT_PARAMS = tuple(
     parameter for parameter, _ in CAPABILITY_PARAMS.values()
-) + ("store_backend",)
+)
 
 
 @dataclass(frozen=True)
@@ -293,33 +289,24 @@ class ExperimentSpec:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         mode: Optional[str] = None,
-        store_backend: Optional[str] = None,
     ) -> ExecutionContext:
         """Resolve execution-axis overrides into an :class:`ExecutionContext`.
 
         ``None`` means "not requested": declared capabilities fall back
         to their declared defaults, undeclared ones to the context
         defaults.  A non-``None`` value for an undeclared capability
-        raises (the CLI filters those into warnings first), and so
-        does a ``store_backend`` without a ``cache_dir`` store to lay
-        out.
+        raises (the CLI filters those into warnings first).
         """
         resolved = _validated_context_values(
             self.capabilities,
             {"jobs": jobs, "cache": cache_dir, "mode": mode},
         )
-        if store_backend is not None and resolved.get("cache") is None:
-            raise ExperimentError(
-                f"{self.id} got no 'cache_dir'; the 'store_backend' "
-                "argument picks the cache store's layout and does not "
-                "apply without one"
-            )
         _validate_axis_values(resolved)
         kwargs: Dict[str, Any] = {"experiment_id": self.id}
         if "jobs" in resolved:
             kwargs["jobs"] = resolved["jobs"]
         if "cache" in resolved:
-            kwargs["store"] = store_for(resolved["cache"], store_backend)
+            kwargs["store"] = store_for(resolved["cache"])
         if "mode" in resolved:
             kwargs["mode"] = resolved["mode"]
         return ExecutionContext(**kwargs)
@@ -341,7 +328,6 @@ class ExperimentSpec:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         mode: Optional[str] = None,
-        store_backend: Optional[str] = None,
     ) -> ExperimentResult:
         """Execute the experiment body with resolved params + context.
 
@@ -354,7 +340,6 @@ class ExperimentSpec:
             jobs=jobs,
             cache_dir=cache_dir,
             mode=mode,
-            store_backend=store_backend,
         )
         result = ExperimentResult(
             experiment_id=self.id,
@@ -527,8 +512,8 @@ def run_experiment(experiment_id: str, **kwargs):
     The one way to run an experiment from Python, e.g.
     ``run_experiment("E1", sizes=(200, 400), jobs=2)``: ``kwargs`` may
     mix declared experiment parameters with the capability parameters
-    the spec declares (``jobs``, ``cache_dir``, ``mode``, and
-    ``store_backend`` with ``cache_dir``); they are split per the spec
+    the spec declares (``jobs``, ``cache_dir``, ``mode``); they are
+    split per the spec
     and dispatched via :meth:`ExperimentSpec.run`.  Omitted parameters
     take their registered defaults.
     """

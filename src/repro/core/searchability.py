@@ -28,7 +28,7 @@ from repro.errors import ExperimentError
 from repro.equivalence.events import equivalence_window
 from repro.graphs.frozen import GraphBackend
 from repro.rng import substream
-from repro.runner import ResultStore, TrialSpec, run_trials, trial_ref
+from repro.runner import TrialSpec, TrialStore, run_trials, trial_ref
 from repro.search.algorithms.base import SearchAlgorithm
 from repro.search.algorithms.omniscient import OmniscientWindowSearch
 from repro.search.metrics import (
@@ -232,7 +232,7 @@ def measure_search_cost(
     neighbor_success: bool = False,
     start_rule: str = "default",
     jobs: int = 1,
-    store: Optional[ResultStore] = None,
+    store: Optional[TrialStore] = None,
     experiment_id: str = "adhoc",
 ) -> CostMeasurement:
     """Estimate expected request counts on ``family`` at ``size``.
@@ -416,7 +416,7 @@ def measure_scaling(
     neighbor_success: bool = False,
     start_rule: str = "default",
     jobs: int = 1,
-    store: Optional[ResultStore] = None,
+    store: Optional[TrialStore] = None,
     experiment_id: str = "adhoc",
     mode: str = "independent",
 ) -> ScalingMeasurement:
@@ -538,7 +538,7 @@ def _measure_scaling_trajectory(
     neighbor_success: bool,
     start_rule: str,
     jobs: int,
-    store: Optional[ResultStore],
+    store: Optional[TrialStore],
     experiment_id: str,
 ) -> ScalingMeasurement:
     """The ``mode='trajectory'`` body of :func:`measure_scaling`.

@@ -23,9 +23,8 @@ Entries are deterministic — the same key always serialises to the same
 bytes, with no timestamps — and are committed atomically (temp file +
 ``os.replace``, blob before manifest), so concurrent writers racing on
 the same key are harmless: whichever order their renames land in, the
-files always hold one complete, valid entry (this mirrors the
-ResultStore's shared-directory guarantees, with content-identity making
-the corpus case strictly easier).  A reader that finds anything
+files always hold one complete, valid entry (content identity makes
+every writer's entry the same bytes).  A reader that finds anything
 unusable treats it as a miss and rebuilds; only ``verify`` judges.
 
 The corpus activates through the ``REPRO_CORPUS_DIR`` environment

@@ -1,21 +1,16 @@
-"""Atomic filesystem idioms shared by every on-disk layer.
+"""Atomic filesystem idioms shared by the on-disk layers.
 
-Both persistence layers in this codebase — the trial-result store
-(:mod:`repro.runner.store`) and the graph corpus
-(:mod:`repro.graphs.corpus`) — write files the same way: serialize
-into a same-directory temp file created by :func:`tempfile.mkstemp`,
-then :func:`os.replace` it over the destination, so readers only ever
-observe absent-or-complete files and crashed writers leave nothing at
-the destination path.  They also name corruption sidecars the same
-way: an atomic rename to a private per-process name before judging or
-deleting the bytes, so recovery can never unlink a concurrent peer's
-just-landed replacement.
+The graph corpus (:mod:`repro.graphs.corpus`) writes files by
+serializing into a same-directory temp file created by
+:func:`tempfile.mkstemp`, then :func:`os.replace`-ing it over the
+destination, so readers only ever observe absent-or-complete files and
+crashed writers leave nothing at the destination path.  The trial
+store (:mod:`repro.runner.store`) moves a corrupted database aside
+under a private sidecar name before starting a fresh one.
 
-This module is the single home of those idioms.  Policy stays with the
-callers — record schemas, retry loops, which files count as debris —
-but the mechanics (temp-file lifecycle, umask handling, sidecar
-uniquification, forgiving cleanup) live here so the two layers cannot
-drift apart again.
+This module is the single home of those mechanics (temp-file
+lifecycle, sidecar uniquification, forgiving cleanup); policy stays
+with the callers.
 """
 
 from __future__ import annotations
@@ -26,25 +21,14 @@ import tempfile
 
 __all__ = [
     "discard",
-    "process_umask",
     "sidecar_path",
     "write_atomic",
 ]
 
-#: Uniquifies quarantine/corrupt-sidecar names within one process.
-#: Shared across all callers on purpose: a single counter means two
-#: subsystems quarantining into the same directory can never collide.
+#: Uniquifies sidecar names within one process.  Shared across all
+#: callers on purpose: a single counter means two subsystems moving
+#: files aside in the same directory can never collide.
 _SIDECAR_IDS = itertools.count(1)
-
-
-def process_umask() -> int:
-    """The process umask, read without changing it (net)."""
-    # There is no read-only query for the umask; set-and-restore is
-    # the standard idiom (the window only matters to other threads
-    # creating files, and both values are this process's own).
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
 
 
 def discard(path: str) -> None:
@@ -63,9 +47,9 @@ def discard(path: str) -> None:
 def sidecar_path(path: str, tag: str) -> str:
     """A private sidecar name for ``path`` no other process will pick.
 
-    ``tag`` spells the sidecar's role (``"quarantine"``, ``"corrupt"``);
-    the pid plus a process-wide counter make the name unique even when
-    one process quarantines the same path repeatedly.
+    ``tag`` spells the sidecar's role (``"corrupt"``); the pid plus a
+    process-wide counter make the name unique even when one process
+    moves the same path aside repeatedly.
     """
     return f"{path}.{tag}-{os.getpid()}-{next(_SIDECAR_IDS)}"
 
@@ -75,7 +59,6 @@ def write_atomic(
     data: bytes,
     *,
     prefix: str = ".tmp-",
-    apply_umask: bool = False,
 ) -> None:
     """Write ``data`` to ``path`` atomically (temp file + rename).
 
@@ -83,17 +66,11 @@ def write_atomic(
     rename is atomic) with the given ``prefix``, making half-written
     debris recognisable to each caller's cleanup.  On any failure the
     temp file is discarded and the destination is untouched.
-
-    ``apply_umask=True`` widens the file mode from mkstemp's private
-    0600 to ``0o666 & ~umask`` — for cache directories shared across
-    users/CI stages, where the process umask states the sharing policy.
     """
     descriptor, temp_path = tempfile.mkstemp(
         prefix=prefix, suffix=".tmp", dir=os.path.dirname(path)
     )
     try:
-        if apply_umask:
-            os.fchmod(descriptor, 0o666 & ~process_umask())
         with os.fdopen(descriptor, "wb") as handle:
             handle.write(data)
         os.replace(temp_path, path)

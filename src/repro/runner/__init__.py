@@ -4,9 +4,9 @@ The runner is the scaling seam of the reproduction: experiments express
 their Monte-Carlo grids as lists of pure :class:`TrialSpec` units,
 :func:`run_trials` executes them serially or across worker processes
 (bit-identically, thanks to substream-derived per-trial seeds), and a
-:class:`TrialStore` backend (:data:`STORE_BACKENDS`: per-trial JSON
-files or a single WAL-mode SQLite database) replays completed cells
-across invocations, refusing entries written by other code versions.
+:class:`TrialStore` (one WAL-mode SQLite database per cache
+directory) replays completed cells across invocations, refusing
+entries whose code fingerprint does not match.
 :func:`batched_specs` / :func:`unbatch_values` pack many per-search
 cells into one spec so a single generated graph snapshot serves the
 whole batch (see :mod:`repro.runner.batching`).
@@ -22,17 +22,9 @@ from repro.runner.executor import run_trials
 from repro.runner.store import (
     MISS,
     RECORD_FORMAT,
-    STORE_BACKENDS,
-    STORE_BACKEND_VARIABLE,
-    ResultStore,
-    SqliteResultStore,
     TrialStore,
-    detect_backends,
-    migrate_store,
-    open_store,
     record_fingerprint,
     reset_store_stats,
-    resolve_store_backend,
     store_for,
     store_stats,
 )
@@ -48,22 +40,14 @@ from repro.runner.trial import (
 __all__ = [
     "MISS",
     "RECORD_FORMAT",
-    "STORE_BACKENDS",
-    "STORE_BACKEND_VARIABLE",
-    "ResultStore",
-    "SqliteResultStore",
     "TrialExecutionError",
     "TrialResult",
     "TrialSpec",
     "TrialStore",
     "batched_specs",
-    "detect_backends",
-    "migrate_store",
-    "open_store",
     "params_hash",
     "record_fingerprint",
     "reset_store_stats",
-    "resolve_store_backend",
     "resolve_trial",
     "run_trials",
     "split_trajectory_values",

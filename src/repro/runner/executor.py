@@ -8,7 +8,7 @@ drawn from shared state), ``jobs=8`` output is bit-identical to
 ``jobs=1`` — the scheduler affects wall-clock time only.
 
 With a :class:`~repro.runner.store.TrialStore`, completed cells are
-replayed from disk (one batched ``get_many`` scan, so the backend can
+replayed from disk (one batched ``get_many`` scan, so the store can
 amortize lookup cost) and only the misses are dispatched; fresh values
 are written back **as they complete**, not after the whole batch: when
 a later trial raises, everything that already finished is on disk, so

@@ -1,58 +1,32 @@
-"""Pluggable on-disk result stores for completed trials.
+"""The on-disk store of completed trials.
 
-Every backend implements one contract, keyed by the spec's
-``(experiment_id, params_hash, seed)`` triple:
+One WAL-mode SQLite database per cache directory
+(``<cache_dir>/trials.sqlite``), one row per trial, keyed by the
+spec's ``(experiment_id, params_hash, seed)`` triple:
 
 * ``get(spec)`` — the stored value, or :data:`MISS`;
-* ``put(spec, value)`` — persist atomically (a killed run never
-  leaves a torn entry);
-* ``spec in store`` — a *cheap probe* (no value deserialization);
-* ``get_many(specs)`` — the replay scan the executor uses, letting a
-  backend amortize per-entry lookup cost.
+* ``put(spec, value)`` — persist in one transaction (a killed run
+  leaves the old row or the new one, never a torn entry);
+* ``get_many(specs)`` — the replay scan the executor uses, one SELECT
+  per batch instead of one per spec.
 
-Two backends ship (:data:`STORE_BACKENDS`):
+**Versioned records.**  Every row carries a ``format``
+(:data:`RECORD_FORMAT`) and a code ``fingerprint`` from
+:func:`record_fingerprint`.  A row whose format or fingerprint does
+not match the running code reads as :data:`MISS` (and is overwritten
+by the next ``put``); ``repro store compact`` deletes such rows.
 
-``json-files``
-    :class:`ResultStore`, the original layout — one file per trial at
-    ``<cache_dir>/<experiment_id>/<params_hash>/<seed>.json``.  Fully
-    compatible with pre-existing cache trees and the default.
+**Shared directories and threads.**  The store is a cache: a row or a
+database it cannot read is a miss, never an error, so a crashed run
+cannot poison later ones.  Parallel processes share one directory
+through SQLite's own locking.  Within a process one connection serves
+every thread (the daemon's HTTP threads read and write through it),
+serialised by the store's lock.
 
-``sqlite``
-    :class:`SqliteResultStore` — a single WAL-mode SQLite database per
-    cache directory, one row per key.  Writes are transactions, so the
-    torn-file/unlink-race class of defects is impossible by
-    construction, and a million-trial sweep costs a handful of inodes
-    instead of a million.  ``repro store migrate`` converts a legacy
-    file tree into this form.
-
-Pick a backend with :func:`store_for`/:func:`open_store` (explicitly,
-or via the ``REPRO_STORE_BACKEND`` environment variable; the default
-is ``json-files``).
-
-**Versioned records.**  Every stored record carries a
-``format`` (:data:`RECORD_FORMAT`) and a code ``fingerprint`` —
-package version plus the trial-function reference, from
-:func:`record_fingerprint`.  A record whose version or fingerprint
-does not match the running code is reported as :data:`MISS` (and
-overwritten by the next ``put``), never replayed: entries computed by
-*old code* can no longer leak into new results.  ``repro store
-migrate`` stamps legacy (unversioned) entries with the current
-fingerprint — the explicit statement that the old cache is trusted —
-while ``repro store compact`` deletes whatever is stale.
-
-**Shared directories.**  Both backends tolerate a cache directory
-shared by parallel processes.  The store is deliberately forgiving: a
-corrupted or half-written entry is treated as a miss, never an error —
-a crashed run must not poison later ones.  For ``json-files``,
-recovery *quarantines* an unreadable file (an atomic rename to a
-private name) before deleting it, and re-checks the quarantined bytes:
-if a concurrent writer's fresh atomic replacement raced the corrupt
-reads, it is restored and its value returned.  Recovery can therefore
-never unlink a peer's just-landed value — the defect the previous
-remove-in-place implementation documented as a "vanishingly small
-window".  (Restoring may overwrite an even newer replacement, which is
-harmless: trials are pure, so every valid record for a key holds the
-same value.)
+An older layout kept one JSON file per trial under
+``<cache_dir>/<experiment_id>/<params_hash>/``.  Such a tree is not
+read: a process that opens a store over it warns once on stderr, and
+``repro store stat`` reports it.
 """
 
 from __future__ import annotations
@@ -60,47 +34,28 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+import sys
+import threading
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExperimentError
-from repro.ioatomic import discard, sidecar_path, write_atomic
+from repro.ioatomic import sidecar_path
 from repro.runner.trial import TrialSpec
 
 __all__ = [
     "MISS",
     "RECORD_FORMAT",
-    "STORE_BACKENDS",
-    "STORE_BACKEND_VARIABLE",
     "TrialStore",
-    "ResultStore",
-    "SqliteResultStore",
-    "detect_backends",
-    "migrate_store",
-    "open_store",
+    "json_tree_files",
     "record_fingerprint",
     "reset_store_stats",
-    "resolve_store_backend",
     "store_for",
     "store_stats",
 ]
 
-#: Record format written by this code.  Version 1 is the legacy
-#: unversioned one-file-per-trial record (no ``format`` key at all);
-#: bumping this invalidates every existing entry at once.
+#: Record format written by this code; bumping it invalidates every
+#: existing row at once.
 RECORD_FORMAT = 2
-
-#: Environment variable naming the default backend when none is
-#: requested explicitly (``repro run --store-backend`` beats it).
-STORE_BACKEND_VARIABLE = "REPRO_STORE_BACKEND"
 
 
 class _Miss:
@@ -118,6 +73,8 @@ MISS = _Miss()
 #: ``--jobs`` are not counted (the replay scan happens in the parent).
 _STATS = {"hits": 0, "misses": 0}
 
+#: Cache directories already warned about holding a json-files tree.
+_WARNED_TREES: set = set()
 
 _PACKAGE_VERSION: Optional[str] = None
 
@@ -147,436 +104,76 @@ def _package_version() -> str:
 def record_fingerprint(trial: str) -> str:
     """The code fingerprint stamped into (and demanded of) records.
 
-    Package version plus the trial-function reference
-    (``module:qualname``): editing a trial function across a release,
-    or renaming it, changes the fingerprint and turns every old entry
-    into a MISS instead of replaying stale values verbatim.
+    It is ``repro.__version__`` plus the trial-function reference
+    (``module:qualname``), nothing more.  Renaming or moving a trial
+    function, or bumping the version, turns its old records into
+    misses.  Editing the code does not: ``__version__`` has stayed
+    ``1.0.0`` across every kernel change, so a record written by older
+    code still replays.  A fingerprint of the code's content is an
+    open ROADMAP item (item 6, stale replay).
     """
     return f"{_package_version()}/{trial}"
 
 
-def resolve_store_backend(backend: Optional[str] = None) -> str:
-    """The effective backend name: explicit arg, else environment,
-    else ``json-files``; unknown names raise."""
-    chosen = (
-        backend
-        or os.environ.get(STORE_BACKEND_VARIABLE)
-        or "json-files"
-    )
-    if chosen not in STORE_BACKENDS:
-        raise ExperimentError(
-            f"unknown store backend {chosen!r}; valid: "
-            f"{', '.join(STORE_BACKENDS)}"
-        )
-    return chosen
-
-
-def open_store(
-    cache_dir: Union[str, os.PathLike],
-    backend: Optional[str] = None,
-) -> "TrialStore":
-    """A :class:`TrialStore` of the requested backend at ``cache_dir``."""
-    return STORE_BACKENDS[resolve_store_backend(backend)](cache_dir)
-
-
 def store_for(
     cache_dir: Optional[Union[str, os.PathLike]],
-    backend: Optional[str] = None,
 ) -> Optional["TrialStore"]:
     """A store rooted at ``cache_dir``, or ``None``.
 
-    The canonical resolution of the ``cache_dir``/``store_backend``
-    execution axes: every layer that accepts a directory-or-nothing
-    cache knob (the experiment registry's
-    :class:`~repro.core.registry.ExecutionContext`, benchmarks
-    honouring ``REPRO_BENCH_CACHE_DIR``) funnels through this helper
-    instead of re-spelling the conditional.
+    The one resolution of a directory-or-nothing cache knob: the
+    experiment registry's
+    :class:`~repro.core.registry.ExecutionContext`, ``repro serve
+    --cache-store`` and benchmarks honouring ``REPRO_BENCH_CACHE_DIR``
+    all funnel through it.
     """
-    return open_store(cache_dir, backend) if cache_dir else None
+    return TrialStore(cache_dir) if cache_dir else None
 
 
-def detect_backends(
-    cache_dir: Union[str, os.PathLike]
-) -> List[str]:
-    """Backend names with data present under ``cache_dir``.
-
-    ``json-files`` is detected by experiment subdirectories, ``sqlite``
-    by its database file; ``repro store stat/compact`` report every
-    backend found rather than guessing one.
-    """
-    root = os.fspath(cache_dir)
-    present = []
+def json_tree_files(cache_dir: Union[str, os.PathLike]) -> int:
+    """``.json`` files of the older one-file-per-trial layout under
+    ``cache_dir`` (0 when there is no such tree)."""
     try:
-        has_tree = any(
-            entry.is_dir() for entry in os.scandir(root)
-        )
+        subdirs = [
+            entry.path
+            for entry in os.scandir(cache_dir)
+            if entry.is_dir()
+        ]
     except OSError:
-        has_tree = False
-    if has_tree:
-        present.append("json-files")
-    if os.path.exists(
-        os.path.join(root, SqliteResultStore.DB_FILENAME)
-    ):
-        present.append("sqlite")
-    return present
+        return 0
+    return sum(
+        name.endswith(".json")
+        for subdir in subdirs
+        for _directory, _dirs, files in os.walk(subdir)
+        for name in files
+    )
+
+
+def _warn_json_tree(cache_dir: str) -> None:
+    """One stderr line per process for a directory holding the older
+    json-files layout; its files are neither read nor deleted."""
+    if cache_dir in _WARNED_TREES:
+        return
+    _WARNED_TREES.add(cache_dir)
+    files = json_tree_files(cache_dir)
+    if files:
+        print(
+            f"warning: {cache_dir} holds a json-files trial tree "
+            f"({files} files) that is no longer read; its trials are "
+            f"recomputed into {TrialStore.DB_FILENAME} and the files "
+            "are left in place",
+            file=sys.stderr,
+        )
 
 
 class TrialStore:
-    """Contract + shared record logic of every store backend.
+    """One WAL-mode SQLite database of trial records per cache dir.
 
-    Subclasses provide the persistence (:meth:`get`, :meth:`put`,
-    :meth:`__contains__`, :meth:`records`, :meth:`put_record`,
-    :meth:`stat`, :meth:`compact`); the record schema, fingerprint
-    policy and replay tally live here so the backends cannot drift.
+    A corrupted database file is quarantined (sidecar-renamed) and
+    recreated rather than raised.  One connection, opened on first use
+    and shared by every thread under :attr:`_lock`.
     """
 
-    #: Backend name as spelled on ``--store-backend``.
-    kind = "abstract"
-
-    def __init__(self, cache_dir: Union[str, os.PathLike]):
-        self.cache_dir = os.fspath(cache_dir)
-
-    # -- the runner-facing contract -----------------------------------
-
-    def get(self, spec: TrialSpec) -> Any:
-        """The stored value for ``spec``, or :data:`MISS`."""
-        raise NotImplementedError
-
-    def put(self, spec: TrialSpec, value: Any) -> None:
-        """Persist ``value`` for ``spec`` atomically."""
-        raise NotImplementedError
-
-    def __contains__(self, spec: TrialSpec) -> bool:
-        """Cheap existence probe — no value deserialization.
-
-        A probe, not a promise: a ``True`` may still ``get`` to MISS
-        (e.g. a stale-fingerprint entry awaiting overwrite); a
-        ``False`` is always a miss.
-        """
-        raise NotImplementedError
-
-    def get_many(self, specs: Sequence[TrialSpec]) -> List[Any]:
-        """Values (or :data:`MISS`) for ``specs``, in order.
-
-        The executor's replay scan; backends override to amortize
-        per-entry lookup cost (the sqlite backend batches keys into
-        single SELECTs).
-        """
-        return [self.get(spec) for spec in specs]
-
-    # -- maintenance surface (migrate/compact/stat) --------------------
-
-    def records(self) -> Iterator[Dict[str, Any]]:
-        """Every parseable stored record, as plain dicts."""
-        raise NotImplementedError
-
-    def put_record(self, record: Dict[str, Any]) -> None:
-        """Persist a full record verbatim (the migration primitive)."""
-        raise NotImplementedError
-
-    def stat(self) -> Dict[str, Any]:
-        """Entry/staleness/size/inode counts for ``repro store stat``."""
-        raise NotImplementedError
-
-    def compact(self) -> Dict[str, int]:
-        """Drop stale entries and reclaim space; returns counts."""
-        raise NotImplementedError
-
-    # -- shared record logic -------------------------------------------
-
-    def _make_record(
-        self, spec: TrialSpec, value: Any
-    ) -> Dict[str, Any]:
-        return {
-            "experiment_id": spec.experiment_id,
-            "trial": spec.trial,
-            "params": dict(spec.params),
-            "seed": spec.seed,
-            "value": value,
-            "format": RECORD_FORMAT,
-            "fingerprint": record_fingerprint(spec.trial),
-        }
-
-    @staticmethod
-    def _usable(record: Any) -> bool:
-        """Structurally a record (regardless of code version)."""
-        return isinstance(record, dict) and "value" in record
-
-    @staticmethod
-    def _current_for(record: Dict[str, Any], trial: str) -> bool:
-        """Record written by *this* code for ``trial``?"""
-        return (
-            record.get("format") == RECORD_FORMAT
-            and record.get("fingerprint") == record_fingerprint(trial)
-        )
-
-    @classmethod
-    def _current(cls, record: Dict[str, Any]) -> bool:
-        """Self-consistency form of :meth:`_current_for` (for walks
-        over stored records, where no spec is in hand)."""
-        return cls._current_for(record, record.get("trial", ""))
-
-    @staticmethod
-    def _tally(hit: bool) -> None:
-        _STATS["hits" if hit else "misses"] += 1
-
-    @staticmethod
-    def _spec_of(record: Dict[str, Any]) -> TrialSpec:
-        return TrialSpec(
-            experiment_id=record["experiment_id"],
-            trial=record["trial"],
-            params=record["params"],
-            seed=record["seed"],
-        )
-
-
-class ResultStore(TrialStore):
-    """The ``json-files`` backend: one file per trial.
-
-    The original (and default) layout — fully compatible with cache
-    trees written before backends existed, except that unversioned
-    entries now read as MISS (see the module docstring).
-    """
-
-    kind = "json-files"
-
-    def path_for(self, spec: TrialSpec) -> str:
-        """Filesystem location of ``spec``'s entry."""
-        experiment_id, digest, seed = spec.key()
-        return os.path.join(
-            self.cache_dir, experiment_id, digest, f"{seed}.json"
-        )
-
-    def get(self, spec: TrialSpec) -> Any:
-        """The stored value for ``spec``, or :data:`MISS`.
-
-        A file that exists but does not parse is quarantined and
-        reported as a miss (corruption recovery); a file that parses
-        but was written by different code is left in place and
-        reported as a miss (stale-code protection) — the next ``put``
-        overwrites it.
-
-        With a cache directory shared by parallel processes, a read
-        that sees garbage may be racing another process's atomic
-        rewrite of the same entry: by the time we react, the path may
-        already hold that writer's fresh, valid record.  So a corrupt
-        read is retried once, and recovery renames the entry to a
-        quarantine name *before* judging it — a fresh peer record
-        found under quarantine is restored and returned, so recovery
-        can never unlink a concurrent writer's just-landed value.
-        """
-        value = self._lookup(spec)
-        self._tally(value is not MISS)
-        return value
-
-    def _lookup(self, spec: TrialSpec) -> Any:
-        path = self.path_for(spec)
-        for _attempt in range(2):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    record = json.load(handle)
-            except FileNotFoundError:
-                return MISS
-            except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-                continue
-            if self._usable(record):
-                if self._current_for(record, spec.trial):
-                    return record["value"]
-                return MISS  # well-formed but stale: keep for migrate
-        return self._recover(path, spec)
-
-    def _recover(self, path: str, spec: TrialSpec) -> Any:
-        """Quarantine a repeatedly unreadable entry, then judge it.
-
-        The rename is atomic, so whatever bytes sat at ``path`` move
-        to a name no other process will ever touch.  If they turn out
-        to be a *valid* record, a peer's atomic replacement raced our
-        corrupt reads: restore it and return its value (any valid
-        record for a key holds the same pure-trial value, so clobbering
-        an even newer replacement is harmless).  Only verified garbage
-        is ever deleted — and only under the quarantine name.
-        """
-        quarantine = sidecar_path(path, "quarantine")
-        try:
-            os.replace(path, quarantine)
-        except OSError:
-            # Vanished (a peer recovered first) or locked (a Windows
-            # peer mid-rewrite): either way it is not ours to clean.
-            return MISS
-        try:
-            with open(quarantine, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            record = None
-        if self._usable(record):
-            try:
-                os.replace(quarantine, path)
-            except OSError:
-                pass
-            if self._current_for(record, spec.trial):
-                return record["value"]
-            return MISS
-        discard(quarantine)
-        return MISS
-
-    def put(self, spec: TrialSpec, value: Any) -> None:
-        """Persist ``value`` for ``spec`` atomically."""
-        path = self.path_for(spec)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        self._write_record(path, self._make_record(spec, value))
-
-    def _write_record(
-        self, path: str, record: Dict[str, Any]
-    ) -> None:
-        # apply_umask: a cache directory shared across users/CI stages
-        # must stay readable per whatever policy the umask states.
-        write_atomic(
-            path,
-            json.dumps(record, sort_keys=True).encode("utf-8"),
-            prefix=".trial-",
-            apply_umask=True,
-        )
-
-    def __contains__(self, spec: TrialSpec) -> bool:
-        """Existence/validity probe: a non-empty file at the key's
-        path, without parsing the record."""
-        try:
-            return os.path.getsize(self.path_for(spec)) > 0
-        except OSError:
-            return False
-
-    def records(self) -> Iterator[Dict[str, Any]]:
-        for path in self._entry_paths():
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    record = json.load(handle)
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if self._usable(record):
-                yield record
-
-    def put_record(self, record: Dict[str, Any]) -> None:
-        path = self.path_for(self._spec_of(record))
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        self._write_record(path, record)
-
-    def stat(self) -> Dict[str, Any]:
-        entries = stale = corrupt = debris = 0
-        total_bytes = 0
-        inodes = 0
-        for directory, subdirs, files in os.walk(self.cache_dir):
-            inodes += len(subdirs)
-            for name in files:
-                if name.endswith(
-                    (".sqlite", ".sqlite-wal", ".sqlite-shm")
-                ) or ".sqlite.corrupt-" in name:
-                    continue  # the sqlite backend's files, not ours
-                inodes += 1
-                path = os.path.join(directory, name)
-                try:
-                    total_bytes += os.path.getsize(path)
-                except OSError:
-                    continue
-                if not name.endswith(".json"):
-                    debris += 1
-                    continue
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        record = json.load(handle)
-                except (
-                    OSError,
-                    json.JSONDecodeError,
-                    UnicodeDecodeError,
-                ):
-                    corrupt += 1
-                    continue
-                if not self._usable(record):
-                    corrupt += 1
-                elif not self._current(record):
-                    stale += 1
-                else:
-                    entries += 1
-        return {
-            "backend": self.kind,
-            "entries": entries,
-            "stale": stale,
-            "corrupt": corrupt,
-            "debris": debris,
-            "bytes": total_bytes,
-            "inodes": inodes,
-        }
-
-    def compact(self) -> Dict[str, int]:
-        """Delete stale/corrupt entries, leftover temp and quarantine
-        files, and any directories emptied by doing so."""
-        removed_stale = removed_corrupt = removed_debris = 0
-        for directory, _subdirs, files in os.walk(self.cache_dir):
-            for name in files:
-                path = os.path.join(directory, name)
-                if name.endswith(
-                    (".sqlite", ".sqlite-wal", ".sqlite-shm")
-                ) or ".sqlite.corrupt-" in name:
-                    continue
-                if not name.endswith(".json"):
-                    discard(path)
-                    removed_debris += 1
-                    continue
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        record = json.load(handle)
-                except (
-                    OSError,
-                    json.JSONDecodeError,
-                    UnicodeDecodeError,
-                ):
-                    discard(path)
-                    removed_corrupt += 1
-                    continue
-                if not self._usable(record):
-                    discard(path)
-                    removed_corrupt += 1
-                elif not self._current(record):
-                    discard(path)
-                    removed_stale += 1
-        for directory, subdirs, files in os.walk(
-            self.cache_dir, topdown=False
-        ):
-            if directory == self.cache_dir:
-                continue
-            if not subdirs and not files:
-                try:
-                    os.rmdir(directory)
-                except OSError:
-                    pass
-        return {
-            "removed_stale": removed_stale,
-            "removed_corrupt": removed_corrupt,
-            "removed_debris": removed_debris,
-        }
-
-    def _entry_paths(self) -> Iterator[str]:
-        for directory, _subdirs, files in os.walk(self.cache_dir):
-            for name in sorted(files):
-                if name.endswith(".json"):
-                    yield os.path.join(directory, name)
-
-
-class SqliteResultStore(TrialStore):
-    """The ``sqlite`` backend: one WAL-mode database per cache dir.
-
-    One row per ``(experiment_id, params_hash, seed)``; every write is
-    a transaction, so a killed run leaves either the old row or the
-    new one — never a torn entry — and readers never race a cleanup
-    path because there is none.  A corrupted database file is
-    quarantined (sidecar-renamed) and recreated rather than raised.
-    """
-
-    kind = "sqlite"
-
-    #: Database filename inside the cache directory.  The json tree
-    #: and the database coexist in one directory, which is what lets
-    #: ``repro store migrate`` convert in place.
+    #: Database filename inside the cache directory.
     DB_FILENAME = "trials.sqlite"
 
     # Seeds are stored as TEXT: substream-derived trial seeds are
@@ -601,19 +198,22 @@ class SqliteResultStore(TrialStore):
     _SCAN_CHUNK = 300
 
     def __init__(self, cache_dir: Union[str, os.PathLike]):
-        super().__init__(cache_dir)
+        self.cache_dir = os.fspath(cache_dir)
         self.db_path = os.path.join(self.cache_dir, self.DB_FILENAME)
         self._connection: Optional[sqlite3.Connection] = None
+        self._lock = threading.Lock()
 
-    # -- connection management -----------------------------------------
+    # -- connection management (callers hold self._lock) ---------------
 
     def _connect(self) -> sqlite3.Connection:
         if self._connection is not None:
             return self._connection
+        _warn_json_tree(self.cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
-        last_error: Optional[BaseException] = None
         for attempt in range(2):
-            connection = sqlite3.connect(self.db_path, timeout=30.0)
+            connection = sqlite3.connect(
+                self.db_path, timeout=30.0, check_same_thread=False
+            )
             try:
                 connection.execute("PRAGMA journal_mode=WAL")
                 connection.execute("PRAGMA synchronous=NORMAL")
@@ -623,7 +223,6 @@ class SqliteResultStore(TrialStore):
                 # Not a database (truncated, bit-flipped, or foreign
                 # bytes): quarantine the file and start fresh — a
                 # corrupted cache must read as misses, not exceptions.
-                last_error = error
                 connection.close()
                 if attempt == 0:
                     self._quarantine_database()
@@ -634,9 +233,7 @@ class SqliteResultStore(TrialStore):
                 ) from error
             self._connection = connection
             return connection
-        raise ExperimentError(  # pragma: no cover - loop always returns
-            f"cannot open result store {self.db_path!r}: {last_error}"
-        )
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def _reset_connection(self) -> None:
         if self._connection is not None:
@@ -661,29 +258,27 @@ class SqliteResultStore(TrialStore):
     # -- the runner-facing contract ------------------------------------
 
     def get(self, spec: TrialSpec) -> Any:
-        value = self._lookup(spec)
-        self._tally(value is not MISS)
+        """The stored value for ``spec``, or :data:`MISS`."""
+        experiment_id, digest, seed = spec.key()
+        with self._lock:
+            try:
+                row = self._connect().execute(
+                    "SELECT value, format, fingerprint FROM trials "
+                    "WHERE experiment_id = ? AND params_hash = ? "
+                    "AND seed = ?",
+                    (experiment_id, digest, str(seed)),
+                ).fetchone()
+            except (sqlite3.DatabaseError, ExperimentError):
+                self._reset_connection()
+                row = None
+            value = (
+                MISS if row is None else self._row_value(row, spec.trial)
+            )
+            _STATS["hits" if value is not MISS else "misses"] += 1
         return value
 
-    def _lookup(self, spec: TrialSpec) -> Any:
-        experiment_id, digest, seed = spec.key()
-        try:
-            row = self._connect().execute(
-                "SELECT value, format, fingerprint FROM trials "
-                "WHERE experiment_id = ? AND params_hash = ? "
-                "AND seed = ?",
-                (experiment_id, digest, str(seed)),
-            ).fetchone()
-        except (sqlite3.DatabaseError, ExperimentError):
-            self._reset_connection()
-            return MISS
-        if row is None:
-            return MISS
-        return self._row_value(row, spec.trial)
-
-    def _row_value(
-        self, row: Tuple[Any, Any, Any], trial: str
-    ) -> Any:
+    @staticmethod
+    def _row_value(row: Tuple[Any, Any, Any], trial: str) -> Any:
         value_text, record_format, fingerprint = row
         if (
             record_format != RECORD_FORMAT
@@ -696,44 +291,30 @@ class SqliteResultStore(TrialStore):
             return MISS
 
     def put(self, spec: TrialSpec, value: Any) -> None:
-        record = self._make_record(spec, value)
-        self._insert(record)
-
-    def _insert(self, record: Dict[str, Any]) -> None:
-        experiment_id, digest, seed = self._spec_of(record).key()
-        connection = self._connect()
-        with connection:  # one transaction: atomic by construction
-            connection.execute(
-                "INSERT OR REPLACE INTO trials (experiment_id, "
-                "params_hash, seed, trial, params, value, format, "
-                "fingerprint) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    experiment_id,
-                    digest,
-                    str(seed),
-                    record["trial"],
-                    json.dumps(record["params"], sort_keys=True),
-                    json.dumps(record["value"], sort_keys=True),
-                    record["format"],
-                    record["fingerprint"],
-                ),
-            )
-
-    def __contains__(self, spec: TrialSpec) -> bool:
+        """Persist ``value`` for ``spec`` in one transaction."""
         experiment_id, digest, seed = spec.key()
-        try:
-            row = self._connect().execute(
-                "SELECT 1 FROM trials WHERE experiment_id = ? "
-                "AND params_hash = ? AND seed = ?",
-                (experiment_id, digest, str(seed)),
-            ).fetchone()
-        except (sqlite3.DatabaseError, ExperimentError):
-            self._reset_connection()
-            return False
-        return row is not None
+        row = (
+            experiment_id,
+            digest,
+            str(seed),
+            spec.trial,
+            json.dumps(dict(spec.params), sort_keys=True),
+            json.dumps(value, sort_keys=True),
+            RECORD_FORMAT,
+            record_fingerprint(spec.trial),
+        )
+        with self._lock:
+            connection = self._connect()
+            with connection:  # one transaction: atomic by construction
+                connection.execute(
+                    "INSERT OR REPLACE INTO trials (experiment_id, "
+                    "params_hash, seed, trial, params, value, format, "
+                    "fingerprint) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    row,
+                )
 
     def get_many(self, specs: Sequence[TrialSpec]) -> List[Any]:
-        """Batched replay scan.
+        """Values (or :data:`MISS`) for ``specs``, in order.
 
         Two plans, chosen by how much of the table the batch covers.
         A warm full replay asks for (nearly) every row, so one
@@ -752,70 +333,73 @@ class SqliteResultStore(TrialStore):
             bound.append((experiment_id, digest, str(seed)))
             trials.add(spec.trial)
         fingerprints = sorted(record_fingerprint(t) for t in trials)
-        found: Dict[Tuple[str, str, str], str] = {}
-        try:
-            connection = self._connect()
-            total = connection.execute(
-                "SELECT COUNT(*) FROM trials"
-            ).fetchone()[0]
-            scan_sql = (
-                "SELECT experiment_id, params_hash, seed, value "
-                "FROM trials WHERE format = ? AND fingerprint = ?"
-            )
-            if len(bound) * 4 >= total:
-                if len(fingerprints) == 1:
-                    # Rows outside the batch land in ``found`` too;
-                    # they are simply never looked up below.
-                    found = {
-                        (row[0], row[1], row[2]): row[3]
-                        for row in connection.execute(
-                            scan_sql,
-                            (RECORD_FORMAT, fingerprints[0]),
-                        )
-                    }
-                else:
-                    expected = {
-                        key: record_fingerprint(spec.trial)
-                        for spec, key in zip(specs, bound)
-                    }
-                    for fingerprint in fingerprints:
-                        for row in connection.execute(
-                            scan_sql, (RECORD_FORMAT, fingerprint)
-                        ):
-                            key = (row[0], row[1], row[2])
-                            if expected.get(key) == fingerprint:
-                                found[key] = row[3]
-            else:
-                expected = {
-                    key: record_fingerprint(spec.trial)
-                    for spec, key in zip(specs, bound)
-                }
-                for start in range(0, len(bound), self._SCAN_CHUNK):
-                    chunk = bound[start:start + self._SCAN_CHUNK]
-                    placeholders = ",".join("(?,?,?)" for _ in chunk)
-                    cursor = connection.execute(
-                        "SELECT experiment_id, params_hash, seed, "
-                        "value, fingerprint FROM trials WHERE "
-                        "format = ? AND "
-                        "(experiment_id, params_hash, seed) IN "
-                        f"(VALUES {placeholders})",
-                        [RECORD_FORMAT]
-                        + [part for key in chunk for part in key],
-                    )
-                    for row in cursor:
-                        key = (row[0], row[1], row[2])
-                        if expected.get(key) == row[4]:
-                            found[key] = row[3]
-        except (sqlite3.DatabaseError, ExperimentError):
-            self._reset_connection()
-            found = {}
-        found_get = found.get
-        texts = [found_get(key) for key in bound]
-        values = self._decode_values(texts)
-        hits = sum(value is not MISS for value in values)
-        _STATS["hits"] += hits
-        _STATS["misses"] += len(bound) - hits
+        with self._lock:
+            try:
+                found = self._scan(specs, bound, fingerprints)
+            except (sqlite3.DatabaseError, ExperimentError):
+                self._reset_connection()
+                found = {}
+            values = self._decode_values([found.get(key) for key in bound])
+            hits = sum(value is not MISS for value in values)
+            _STATS["hits"] += hits
+            _STATS["misses"] += len(bound) - hits
         return values
+
+    def _scan(
+        self,
+        specs: Sequence[TrialSpec],
+        bound: List[Tuple[str, str, str]],
+        fingerprints: List[str],
+    ) -> Dict[Tuple[str, str, str], str]:
+        """Key -> value text of the current rows :meth:`get_many`
+        asked for (plus, on the full-scan plan, rows it did not)."""
+        connection = self._connect()
+        total = connection.execute(
+            "SELECT COUNT(*) FROM trials"
+        ).fetchone()[0]
+        scan_sql = (
+            "SELECT experiment_id, params_hash, seed, value "
+            "FROM trials WHERE format = ? AND fingerprint = ?"
+        )
+        if len(bound) * 4 >= total and len(fingerprints) == 1:
+            # Rows outside the batch land in the result too; they are
+            # simply never looked up.
+            return {
+                (row[0], row[1], row[2]): row[3]
+                for row in connection.execute(
+                    scan_sql, (RECORD_FORMAT, fingerprints[0])
+                )
+            }
+        expected = {
+            key: record_fingerprint(spec.trial)
+            for spec, key in zip(specs, bound)
+        }
+        found: Dict[Tuple[str, str, str], str] = {}
+        if len(bound) * 4 >= total:
+            for fingerprint in fingerprints:
+                for row in connection.execute(
+                    scan_sql, (RECORD_FORMAT, fingerprint)
+                ):
+                    key = (row[0], row[1], row[2])
+                    if expected.get(key) == fingerprint:
+                        found[key] = row[3]
+            return found
+        for start in range(0, len(bound), self._SCAN_CHUNK):
+            chunk = bound[start:start + self._SCAN_CHUNK]
+            placeholders = ",".join("(?,?,?)" for _ in chunk)
+            cursor = connection.execute(
+                "SELECT experiment_id, params_hash, seed, "
+                "value, fingerprint FROM trials WHERE "
+                "format = ? AND "
+                "(experiment_id, params_hash, seed) IN "
+                f"(VALUES {placeholders})",
+                [RECORD_FORMAT] + [part for key in chunk for part in key],
+            )
+            for row in cursor:
+                key = (row[0], row[1], row[2])
+                if expected.get(key) == row[4]:
+                    found[key] = row[3]
+        return found
 
     @staticmethod
     def _decode_values(texts: List[Optional[str]]) -> List[Any]:
@@ -852,54 +436,29 @@ class SqliteResultStore(TrialStore):
                 values.append(MISS)
         return values
 
-    # -- maintenance surface -------------------------------------------
+    # -- maintenance surface (repro store stat/compact) ----------------
 
-    def records(self) -> Iterator[Dict[str, Any]]:
-        try:
-            cursor = self._connect().execute(
-                "SELECT experiment_id, seed, trial, params, value, "
-                "format, fingerprint FROM trials "
-                "ORDER BY experiment_id, params_hash, seed"
-            )
-            rows = cursor.fetchall()
-        except (sqlite3.DatabaseError, ExperimentError):
-            self._reset_connection()
-            return
-        for row in rows:
-            try:
-                params = json.loads(row[3])
-                value = json.loads(row[4])
-            except (TypeError, ValueError):
-                continue
-            yield {
-                "experiment_id": row[0],
-                "seed": int(row[1]),
-                "trial": row[2],
-                "params": params,
-                "value": value,
-                "format": row[5],
-                "fingerprint": row[6],
-            }
-
-    def put_record(self, record: Dict[str, Any]) -> None:
-        self._insert(record)
-
-    def stat(self) -> Dict[str, Any]:
+    def stat(self) -> Optional[Dict[str, int]]:
+        """Entry/staleness/size/inode counts, or ``None`` when the
+        directory holds no database (nothing is created)."""
+        if not os.path.exists(self.db_path):
+            return None
         entries = stale = 0
-        try:
-            cursor = self._connect().execute(
-                "SELECT trial, format, fingerprint FROM trials"
-            )
-            for trial, record_format, fingerprint in cursor:
-                if (
-                    record_format == RECORD_FORMAT
-                    and fingerprint == record_fingerprint(trial)
-                ):
-                    entries += 1
-                else:
-                    stale += 1
-        except (sqlite3.DatabaseError, ExperimentError):
-            self._reset_connection()
+        with self._lock:
+            try:
+                cursor = self._connect().execute(
+                    "SELECT trial, format, fingerprint FROM trials"
+                )
+                for trial, record_format, fingerprint in cursor:
+                    if (
+                        record_format == RECORD_FORMAT
+                        and fingerprint == record_fingerprint(trial)
+                    ):
+                        entries += 1
+                    else:
+                        stale += 1
+            except (sqlite3.DatabaseError, ExperimentError):
+                self._reset_connection()
         total_bytes = 0
         inodes = 0
         for suffix in ("", "-wal", "-shm"):
@@ -909,105 +468,41 @@ class SqliteResultStore(TrialStore):
             except OSError:
                 continue
         return {
-            "backend": self.kind,
             "entries": entries,
             "stale": stale,
-            "corrupt": 0,
-            "debris": 0,
             "bytes": total_bytes,
             "inodes": inodes,
         }
 
-    def compact(self) -> Dict[str, int]:
-        """Delete stale rows, checkpoint the WAL and VACUUM."""
+    def compact(self) -> Optional[int]:
+        """Delete stale rows, checkpoint the WAL and VACUUM; the number
+        of rows removed, or ``None`` when there is no database."""
+        if not os.path.exists(self.db_path):
+            return None
         removed_stale = 0
-        try:
-            connection = self._connect()
-            with connection:
-                for trial, record_format, fingerprint in (
-                    connection.execute(
-                        "SELECT DISTINCT trial, format, fingerprint "
-                        "FROM trials"
-                    ).fetchall()
-                ):
-                    if (
-                        record_format == RECORD_FORMAT
-                        and fingerprint == record_fingerprint(trial)
+        with self._lock:
+            try:
+                connection = self._connect()
+                with connection:
+                    for trial, record_format, fingerprint in (
+                        connection.execute(
+                            "SELECT DISTINCT trial, format, "
+                            "fingerprint FROM trials"
+                        ).fetchall()
                     ):
-                        continue
-                    cursor = connection.execute(
-                        "DELETE FROM trials WHERE trial = ? "
-                        "AND format = ? AND fingerprint = ?",
-                        (trial, record_format, fingerprint),
-                    )
-                    removed_stale += cursor.rowcount
-            connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            connection.execute("VACUUM")
-        except (sqlite3.DatabaseError, ExperimentError):
-            self._reset_connection()
-        return {
-            "removed_stale": removed_stale,
-            "removed_corrupt": 0,
-            "removed_debris": 0,
-        }
-
-
-#: Backend name -> class, as spelled on ``--store-backend`` and in
-#: ``REPRO_STORE_BACKEND``.
-STORE_BACKENDS: Dict[str, type] = {
-    "json-files": ResultStore,
-    "sqlite": SqliteResultStore,
-}
-
-
-def migrate_store(
-    source: TrialStore,
-    destination: TrialStore,
-    verify: bool = True,
-) -> Dict[str, int]:
-    """Copy ``source``'s entries into ``destination``.
-
-    Policy per record:
-
-    * written by the current code — copied verbatim;
-    * legacy (unversioned, pre-backend) — stamped with the current
-      format and fingerprint.  Migrating *is* the explicit statement
-      that the old cache matches the running code (the checked
-      replacement for the old "delete the cache directory after
-      editing code" advice);
-    * stale (versioned, but by *other* code) — skipped and counted;
-      ``repro store compact`` deletes them at the source.
-
-    With ``verify`` (the default), every migrated value is read back
-    through the destination's ``get`` and compared bit-identically
-    (canonical JSON); mismatches are counted in ``"verify_failed"``.
-    """
-    migrated = skipped_stale = verify_failed = 0
-    for record in source.records():
-        if "fingerprint" not in record and "format" not in record:
-            record = dict(record)
-            record["format"] = RECORD_FORMAT
-            record["fingerprint"] = record_fingerprint(
-                record["trial"]
-            )
-        elif not TrialStore._current(record):
-            skipped_stale += 1
-            continue
-        destination.put_record(record)
-        migrated += 1
-        if verify:
-            replayed = destination.get(
-                TrialStore._spec_of(record)
-            )
-            original = json.dumps(record["value"], sort_keys=True)
-            copied = (
-                MISS if replayed is MISS
-                else json.dumps(replayed, sort_keys=True)
-            )
-            if copied != original:
-                verify_failed += 1
-    return {
-        "migrated": migrated,
-        "skipped_stale": skipped_stale,
-        "verify_failed": verify_failed,
-    }
+                        if (
+                            record_format == RECORD_FORMAT
+                            and fingerprint == record_fingerprint(trial)
+                        ):
+                            continue
+                        cursor = connection.execute(
+                            "DELETE FROM trials WHERE trial = ? "
+                            "AND format = ? AND fingerprint = ?",
+                            (trial, record_format, fingerprint),
+                        )
+                        removed_stale += cursor.rowcount
+                connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+                connection.execute("VACUUM")
+            except (sqlite3.DatabaseError, ExperimentError):
+                self._reset_connection()
+        return removed_stale

@@ -480,8 +480,8 @@ def service_answer_trial(
     trial record whose replay rebuilds the graph and re-runs the cell
     through :func:`~repro.core.trials.batched_search_trial` — so a
     store written by a serving daemon is interchangeable with one
-    written by a batch run, and ``repro store`` tooling (stat,
-    migrate, compact) applies unchanged.
+    written by a batch run, and ``repro store stat/compact`` apply
+    unchanged.
     """
     from repro.core.trials import batched_search_trial
 

@@ -276,7 +276,6 @@ class SearchService:
         self.stats = ServiceStats()
         self.cache = AnswerCache(cache_size)
         self.cache_store = cache_store
-        self._store_lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._inflight = 0
@@ -624,8 +623,7 @@ class SearchService:
             self.entries[graph_id], self.portfolio,
             algorithm, run_index, start, target,
         )
-        with self._store_lock:
-            value = self.cache_store.get(spec)
+        value = self.cache_store.get(spec)
         return None if value is MISS else value
 
     def _store_write(
@@ -637,8 +635,7 @@ class SearchService:
             self.entries[graph_id], self.portfolio,
             algorithm, run_index, start, target,
         )
-        with self._store_lock:
-            self.cache_store.put(spec, answer)
+        self.cache_store.put(spec, answer)
 
     def handle_graphs(self) -> List[Dict[str, Any]]:
         return [

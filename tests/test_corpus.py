@@ -11,8 +11,7 @@ wall-clock time.  The battery pins:
   stays structural-only (a digest check per lookup would defeat the
   cache), mirroring the documented split;
 * **races** — two writers landing on one key leave exactly one valid
-  entry (the ResultStore shared-directory guarantee, easier here
-  because both writers produce identical bytes);
+  entry (easy here because both writers produce identical bytes);
 * **the cache protocol** — hit/miss accounting, build-once semantics,
   environment activation, and the ``build_graph_snapshot`` wiring that
   serves experiment runs from the corpus;

@@ -696,7 +696,7 @@ class TestTrajectoryTrials:
             trajectory_scaling_trial,
         )
         from repro.runner import (
-            ResultStore,
+            TrialStore,
             run_trials,
             trajectory_specs,
             trial_ref,
@@ -711,7 +711,7 @@ class TestTrajectoryTrials:
             [60, 120],
             graph_seeds=[8],
         )
-        store = ResultStore(tmp_path)
+        store = TrialStore(tmp_path)
         fresh = run_trials(specs, store=store)
         replayed = run_trials(specs, store=store)
         assert replayed[0].from_cache

@@ -136,16 +136,10 @@ class TestRegistrySemantics:
         with pytest.raises(ExperimentError, match="bogus"):
             run_experiment("E10", bogus=1)
 
-    def test_axis_vocabulary_validated_once(self, tmp_path):
+    def test_axis_vocabulary_validated_once(self):
         spec = REGISTRY.get("E17")
         with pytest.raises(ExperimentError, match="unknown mode"):
             spec.make_context(mode="coupled")
-        spec = REGISTRY.get("E1")
-        with pytest.raises(ExperimentError, match="unknown store backend"):
-            spec.make_context(
-                cache_dir=str(tmp_path / "cache"), store_backend="tape"
-            )
-        assert not (tmp_path / "cache").exists()
 
     def test_declared_defaults_reach_the_context(self):
         context = REGISTRY.get("E19").make_context()
@@ -437,7 +431,6 @@ class TestE20:
         argv = [
             "run", "E20", "--quick", "--jobs", "2",
             "--cache-dir", str(tmp_path / "cache"),
-            "--store-backend", "sqlite",
         ]
         assert main(argv) == 0
         captured = capsys.readouterr()
@@ -549,36 +542,12 @@ class TestCLICapabilityDerivation:
                 "run", "E18", "--quick",
                 "--jobs", "2",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--store-backend", "sqlite",
                 "--mode", "trajectory",
             ]
         ) == 0
         captured = capsys.readouterr()
         assert "warning:" not in captured.err
         assert "mode=trajectory" in captured.out
-
-    def test_store_backend_without_cache_dir_warns(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        # The layout of a store that does not exist is no choice at
-        # all: say so instead of silently dropping the flag.
-        monkeypatch.chdir(tmp_path)
-        assert main(
-            ["run", "E17", "--quick", "--store-backend", "sqlite"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert captured.err.count("warning:") == 1
-        assert "--store-backend sqlite has no effect on E17" in captured.err
-        assert "--cache-dir" in captured.err
-        assert "store:" not in captured.out
-        assert os.listdir(tmp_path) == []
-
-    def test_store_backend_without_cache_dir_raises(self):
-        with pytest.raises(ExperimentError, match="cache_dir"):
-            run_experiment("E17", store_backend="sqlite")
-        # E4 declares no cache at all: the layout applies even less.
-        with pytest.raises(ExperimentError, match="store_backend"):
-            run_experiment("E4", store_backend="sqlite")
 
     def test_backend_axis_is_gone(self, capsys):
         # Every realisation is searched frozen: no flag, no keyword.
@@ -588,6 +557,15 @@ class TestCLICapabilityDerivation:
         assert "--backend" in capsys.readouterr().err
         with pytest.raises(ExperimentError, match="backend"):
             run_experiment("E1", backend="frozen")
+
+    def test_store_backend_axis_is_gone(self, capsys):
+        # One store layout: no flag, no keyword.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "E17", "--quick", "--store-backend", "sqlite"])
+        assert exit_info.value.code == 2
+        assert "--store-backend" in capsys.readouterr().err
+        with pytest.raises(ExperimentError, match="store_backend"):
+            run_experiment("E17", store_backend="sqlite")
 
 
 class TestCLICommaLists:

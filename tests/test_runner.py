@@ -18,9 +18,10 @@ import pytest
 from repro.errors import ExperimentError
 from repro.rng import make_rng, stream_seeds, substream
 from repro.runner import (
-    ResultStore,
+    MISS,
     TrialExecutionError,
     TrialSpec,
+    TrialStore,
     resolve_trial,
     run_trials,
     trial_ref,
@@ -190,27 +191,29 @@ class TestWriteBackOnFailure:
         ]
 
     def test_serial_failure_keeps_completed_prefix(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = TrialStore(tmp_path)
         specs = self._specs(threshold=3, count=5)
         with pytest.raises(TrialExecutionError):
             run_trials(specs, jobs=1, store=store)
         # Trials 0..2 completed before trial 3 raised; they must be
         # on disk already.
         for spec in specs[:3]:
-            assert spec in store
+            assert store.get(spec) is not MISS
         rerun = run_trials(specs[:3], jobs=1, store=store)
         assert all(result.from_cache for result in rerun)
         assert [result.value for result in rerun] == [0, 1, 2]
 
     def test_parallel_failure_keeps_completed_work(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = TrialStore(tmp_path)
         specs = self._specs(threshold=6, count=8)
         with pytest.raises(TrialExecutionError):
             run_trials(specs, jobs=2, store=store)
         # Completion order is nondeterministic under the pool, but the
         # passing trials vastly outnumber the failing ones and at
         # least one must have finished before the raise propagated.
-        written = [spec for spec in specs[:6] if spec in store]
+        written = [
+            spec for spec in specs[:6] if store.get(spec) is not MISS
+        ]
         assert written, "no completed trial was written back"
         rerun = run_trials(written, jobs=1, store=store)
         assert all(result.from_cache for result in rerun)
@@ -237,7 +240,7 @@ class TestWorkerDeathAttribution:
         assert "worker process died" in str(info.value)
 
     def test_innocent_suspects_are_completed_by_probe(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = TrialStore(tmp_path)
         reference = trial_ref(kill_self_trial)
         specs = [
             TrialSpec("T", reference, {"victim": 5}, seed=seed)
@@ -248,7 +251,7 @@ class TestWorkerDeathAttribution:
         assert info.value.spec.seed == 5
         # The sleeping innocent (seed 4) was in flight when the worker
         # died; the isolated probe completed it and wrote it back.
-        assert specs[4] in store
+        assert store.get(specs[4]) == 4
 
 
 class _RecordingPool:

@@ -645,9 +645,9 @@ class TestStoreWriteThrough:
     def test_answers_persist_and_prewarm_a_fresh_daemon(
         self, tmp_path
     ):
-        from repro.runner.store import open_store
+        from repro.runner.store import TrialStore
 
-        store = open_store(tmp_path)
+        store = TrialStore(tmp_path)
         with SearchService(
             _entries(),
             portfolio=PORTFOLIO,
@@ -665,7 +665,7 @@ class TestStoreWriteThrough:
             portfolio=PORTFOLIO,
             workers=1,
             cache_size=8,
-            cache_store=open_store(tmp_path),
+            cache_store=TrialStore(tmp_path),
         ) as second:
             with ServiceClient(second.host, second.port) as client:
                 warm = client.search(GRAPH_ID, "random-walk", 3)
@@ -676,6 +676,64 @@ class TestStoreWriteThrough:
         assert warm == _expected(
             [{"algorithm": "random-walk", "run_index": 3}]
         )[0]
+
+    def test_concurrent_clients_share_one_store(self, tmp_path):
+        # The daemon's HTTP threads read and write the store's one
+        # connection concurrently (inline answers and pool spills
+        # alike); every answer must still equal the batch path and
+        # persist for a fresh daemon.
+        from repro.runner.store import TrialStore
+
+        algorithms = portfolio_algorithms(PORTFOLIO)
+        cells = [
+            {"algorithm": algorithm, "run_index": run_index}
+            for algorithm in algorithms
+            for run_index in range(3)
+        ]
+        expected = _expected(cells)
+        clients = 4
+
+        def serve_all(service):
+            barrier = threading.Barrier(clients)
+
+            def drive(offset):
+                with ServiceClient(service.host, service.port) as client:
+                    barrier.wait(timeout=60)
+                    return [
+                        (index, client.search(
+                            GRAPH_ID,
+                            cells[index]["algorithm"],
+                            cells[index]["run_index"],
+                        ))
+                        for index in range(offset, len(cells), clients)
+                    ]
+
+            with ThreadPoolExecutor(clients) as threads:
+                batches = list(threads.map(drive, range(clients)))
+            return dict(pair for batch in batches for pair in batch)
+
+        with SearchService(
+            _entries(),
+            portfolio=PORTFOLIO,
+            workers=1,
+            cache_size=64,
+            cache_store=TrialStore(tmp_path),
+        ) as first:
+            cold = serve_all(first)
+            assert first.stats.snapshot()["cache"]["misses"] == len(cells)
+        assert [cold[i] for i in range(len(cells))] == expected
+        with SearchService(
+            _entries(),
+            portfolio=PORTFOLIO,
+            workers=1,
+            cache_size=64,
+            cache_store=TrialStore(tmp_path),
+        ) as second:
+            warm = serve_all(second)
+            snap = second.stats.snapshot()
+        assert warm == cold
+        assert snap["cache"]["hits"] == len(cells)
+        assert snap["batches"]["queries"] == 0
 
 
 class TestSigterm:

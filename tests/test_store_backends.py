@@ -1,18 +1,18 @@
-"""Tests for the pluggable trial-store backends (`repro.runner.store`).
+"""Tests for the trial store (`repro.runner.store`).
 
-Four batteries:
+Five batteries:
 
-* the backend contract, parametrized over both backends — round trip,
-  key partitioning, the cheap ``__contains__`` probe, ``get_many``
-  order (including past the sqlite batching chunk);
-* versioned-record semantics — legacy/stale entries are MISS, never
-  replayed, and a fresh ``put`` overwrites them;
-* crash consistency — kill-mid-write torn entries (truncated JSON,
-  a half-committed sqlite transaction from a died process, flipped
-  bytes) are always MISS and never an exception, over both backends;
-* migration — ``migrate_store`` round-trips values bit-identically in
-  both directions, stamps legacy entries, skips stale ones, and the
-  ``repro store stat/migrate/compact`` CLI drives it end to end.
+* the store contract — round trip, key partitioning, ``get_many``
+  order (including past the batching chunk), one connection serving
+  several threads;
+* versioned-record semantics — stale-fingerprint and old-format rows
+  are MISS, never replayed, and a fresh ``put`` overwrites them;
+* crash consistency — a half-committed transaction from a died
+  process, a torn value column, flipped bytes and a garbage database
+  file are always MISS and never an exception;
+* the older json-files layout — a directory still holding one warns
+  once, is not read and is left in place;
+* the ``repro store stat/compact`` CLI, which never creates a store.
 """
 
 from __future__ import annotations
@@ -24,33 +24,25 @@ import stat as stat_module
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
 import repro
 from repro.cli import main
-from repro.errors import ExperimentError
 from repro.runner import (
     MISS,
     RECORD_FORMAT,
-    STORE_BACKENDS,
-    STORE_BACKEND_VARIABLE,
-    ResultStore,
-    SqliteResultStore,
     TrialSpec,
-    detect_backends,
-    migrate_store,
-    open_store,
+    TrialStore,
     record_fingerprint,
-    resolve_store_backend,
     run_trials,
     store_for,
     store_stats,
     reset_store_stats,
     trial_ref,
 )
-
-BACKENDS = sorted(STORE_BACKENDS)
+from repro.runner import store as store_module
 
 
 def sample_trial(*, label: str, seed: int = 0) -> dict:
@@ -69,26 +61,65 @@ def _spec(seed: int = 1, label: str = "x") -> TrialSpec:
     )
 
 
-@pytest.fixture(params=BACKENDS)
-def store(request, tmp_path):
-    return open_store(tmp_path, request.param)
+def _put_row(store, spec, value, /, **columns) -> None:
+    """Write ``spec``'s row as ``store.put`` would, with ``columns``
+    (``format``, ``fingerprint``, raw ``value`` text) overridden."""
+    store.put(spec, value)
+    experiment_id, digest, seed = spec.key()
+    connection = sqlite3.connect(store.db_path)
+    with connection:
+        for column, text in columns.items():
+            connection.execute(
+                f"UPDATE trials SET {column} = ? WHERE experiment_id = ? "
+                "AND params_hash = ? AND seed = ?",
+                (text, experiment_id, digest, str(seed)),
+            )
+    connection.close()
 
 
-class TestBackendContract:
-    """Both backends honour the same get/put/contains/get_many contract."""
+def _json_tree(cache_dir, count=3):
+    """An older json-files layout tree: one file per trial."""
+    paths = []
+    for seed in range(count):
+        experiment_id, digest, _ = _spec(seed=seed).key()
+        directory = os.path.join(cache_dir, experiment_id, digest)
+        os.makedirs(directory, exist_ok=True)
+        path = os.path.join(directory, f"{seed}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(
+                {
+                    "experiment_id": experiment_id,
+                    "trial": SAMPLE,
+                    "params": {"label": "x"},
+                    "seed": seed,
+                    "value": seed,
+                    "format": RECORD_FORMAT,
+                    "fingerprint": record_fingerprint(SAMPLE),
+                },
+                handle,
+            )
+        paths.append(path)
+    return paths
+
+
+@pytest.fixture
+def store(tmp_path):
+    return TrialStore(tmp_path)
+
+
+class TestStoreContract:
+    """The get/put/get_many contract of the one store."""
 
     def test_round_trip(self, store):
         spec = _spec()
         assert store.get(spec) is MISS
         store.put(spec, {"a": 1, "b": [1, 2.5, "s", None]})
         assert store.get(spec) == {"a": 1, "b": [1, 2.5, "s", None]}
-        assert spec in store
 
     def test_none_is_a_valid_cached_value(self, store):
         spec = _spec()
         store.put(spec, None)
         assert store.get(spec) is None
-        assert spec in store
 
     def test_keys_partition(self, store):
         store.put(_spec(seed=1, label="x"), "base")
@@ -111,11 +142,10 @@ class TestBackendContract:
         spec = _spec(seed=2**96 + 17)
         store.put(spec, "wide")
         assert store.get(spec) == "wide"
-        assert spec in store
 
     def test_get_many_preserves_order_past_chunking(self, store):
-        # 2x the sqlite batching chunk plus change, half of them
-        # missing, in interleaved order.
+        # 2x the batching chunk plus change, half of them missing, in
+        # interleaved order.
         present = [_spec(seed=s) for s in range(0, 1300, 2)]
         absent = [_spec(seed=s) for s in range(1, 1300, 2)]
         for index, spec in enumerate(present):
@@ -141,28 +171,73 @@ class TestBackendContract:
         ]
         assert store_stats() == {"hits": 3, "misses": 1}
 
-    def test_contains_is_a_probe_not_a_parse(self, store):
-        # A stale entry may probe True; get() still refuses it.  The
-        # probe's promise is only that False means miss.
-        spec = _spec()
-        record = dict(
-            store._make_record(spec, "old"),
-            fingerprint="0.0.0/elsewhere:fn",
-        )
-        store.put_record(record)
-        assert spec in store
-        assert store.get(spec) is MISS
-        assert _spec(seed=999) not in store
-
     def test_stat_counts_entries(self, store):
         for seed in range(4):
             store.put(_spec(seed=seed), seed)
         stats = store.stat()
-        assert stats["backend"] == store.kind
         assert stats["entries"] == 4
         assert stats["stale"] == 0
         assert stats["bytes"] > 0
         assert stats["inodes"] >= 1
+
+    def test_store_for(self, tmp_path):
+        assert isinstance(store_for(tmp_path), TrialStore)
+        assert store_for(None) is None
+
+    def test_connection_serves_other_threads(self, store):
+        # The connection is opened in this thread; a second thread that
+        # is alive at the same time reads and writes through it.
+        store.put(_spec(seed=1), "main")
+        seen = {}
+
+        def worker():
+            seen["get"] = store.get(_spec(seed=1))
+            seen["many"] = store.get_many([_spec(seed=1), _spec(seed=2)])
+            store.put(_spec(seed=2), "worker")
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert seen == {"get": "main", "many": ["main", MISS]}
+        assert store.get(_spec(seed=2)) == "worker"
+
+    def test_threads_hammering_one_store(self, store):
+        # Concurrent puts and gets through the one connection, more
+        # threads than cores and frequent switches: every read is MISS
+        # or the value its key was written with, every write lands and
+        # the process tally counts every lookup.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        reset_store_stats()
+        errors = []
+
+        def worker(offset):
+            try:
+                for seed in range(offset, 200, 8):
+                    store.put(_spec(seed=seed), seed)
+                    for probe in (seed, seed + 1):
+                        value = store.get(_spec(seed=probe))
+                        assert value is MISS or value == probe
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(offset,))
+            for offset in range(8)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(store_stats().values()) == 2 * 200
+        assert store.get_many([_spec(seed=s) for s in range(200)]) == (
+            list(range(200))
+        )
 
 
 class TestVersionedRecords:
@@ -173,114 +248,41 @@ class TestVersionedRecords:
             f"{repro.__version__}/{SAMPLE}"
         )
 
-    def test_legacy_unversioned_entry_is_a_miss(self, tmp_path):
-        # A pre-backend cache tree: structurally fine, but unversioned
-        # — exactly the stale-code replay hazard, so never replayed.
-        store = ResultStore(tmp_path)
+    def test_stale_fingerprint_is_a_miss_until_overwritten(self, store):
         spec = _spec()
-        path = store.path_for(spec)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "experiment_id": "T",
-                    "trial": SAMPLE,
-                    "params": {"label": "x"},
-                    "seed": 1,
-                    "value": 42,
-                },
-                handle,
-            )
+        _put_row(store, spec, "stale", fingerprint="0.0.0/old:fn")
         assert store.get(spec) is MISS
-        # ...but the well-formed file is kept (migrate can stamp it).
-        assert os.path.exists(path)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stale_fingerprint_is_a_miss_until_overwritten(
-        self, tmp_path, backend
-    ):
-        store = open_store(tmp_path, backend)
-        spec = _spec()
-        store.put_record(
-            dict(
-                store._make_record(spec, "stale"),
-                fingerprint="0.0.0/old_module:old_fn",
-            )
-        )
-        assert store.get(spec) is MISS
+        assert store.get_many([spec]) == [MISS]
         store.put(spec, "fresh")
         assert store.get(spec) == "fresh"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_format_bump_is_a_miss(self, tmp_path, backend):
-        store = open_store(tmp_path, backend)
+    def test_format_bump_is_a_miss(self, store):
         spec = _spec()
-        store.put_record(
-            dict(store._make_record(spec, "v1"), format=RECORD_FORMAT - 1)
-        )
+        _put_row(store, spec, "v1", format=RECORD_FORMAT - 1)
         assert store.get(spec) is MISS
+        assert store.get_many([spec]) == [MISS]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stat_and_compact_report_stale(self, tmp_path, backend):
-        store = open_store(tmp_path, backend)
+    def test_stat_and_compact_report_stale(self, store):
         store.put(_spec(seed=1), "current")
-        store.put_record(
-            dict(
-                store._make_record(_spec(seed=2), "old"),
-                fingerprint="0.0.0/old:fn",
-            )
-        )
+        _put_row(store, _spec(seed=2), "old", fingerprint="0.0.0/old:fn")
         stats = store.stat()
         assert (stats["entries"], stats["stale"]) == (1, 1)
-        assert store.compact()["removed_stale"] == 1
+        assert store.compact() == 1
         after = store.stat()
         assert (after["entries"], after["stale"]) == (1, 0)
         assert store.get(_spec(seed=1)) == "current"
 
 
-class TestBackendSelection:
-    def test_resolve_prefers_explicit_over_environment(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv(STORE_BACKEND_VARIABLE, "sqlite")
-        assert resolve_store_backend("json-files") == "json-files"
-        assert resolve_store_backend(None) == "sqlite"
-        monkeypatch.delenv(STORE_BACKEND_VARIABLE)
-        assert resolve_store_backend(None) == "json-files"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ExperimentError, match="unknown store"):
-            resolve_store_backend("oracle")
-
-    def test_store_for_environment_default(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(STORE_BACKEND_VARIABLE, "sqlite")
-        store = store_for(tmp_path)
-        assert isinstance(store, SqliteResultStore)
-        assert store_for(None) is None
-
-    def test_detect_backends(self, tmp_path):
-        assert detect_backends(tmp_path) == []
-        open_store(tmp_path, "sqlite").put(_spec(), 1)
-        assert detect_backends(tmp_path) == ["sqlite"]
-        open_store(tmp_path, "json-files").put(_spec(), 1)
-        assert detect_backends(tmp_path) == ["json-files", "sqlite"]
-
-
 @pytest.mark.skipif(os.name != "posix", reason="umask is POSIX")
 class TestPutPermissions:
     def test_put_honours_process_umask(self, tmp_path):
-        # mkstemp creates 0600 files; pre-fix the entry kept that
-        # mode, making a shared cache dir unreadable to other users.
+        # A cache directory shared across users/CI stages must stay
+        # readable per whatever policy the umask states.
         previous = os.umask(0o022)
         try:
-            store = ResultStore(tmp_path)
-            spec = _spec()
-            store.put(spec, 1)
-            mode = stat_module.S_IMODE(
-                os.stat(store.path_for(spec)).st_mode
-            )
+            store = TrialStore(tmp_path)
+            store.put(_spec(), 1)
+            mode = stat_module.S_IMODE(os.stat(store.db_path).st_mode)
             assert mode == 0o644
         finally:
             os.umask(previous)
@@ -289,58 +291,15 @@ class TestPutPermissions:
 class TestCrashConsistency:
     """Every torn entry is a MISS, never an exception."""
 
-    def test_truncated_json_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = _spec()
-        path = store.path_for(spec)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"value": {"ok": tr')
-        assert store.get(spec) is MISS
-
-    def test_flipped_byte_in_json_entry_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = _spec()
-        store.put(spec, {"ok": True})
-        path = store.path_for(spec)
-        with open(path, "r+b") as handle:
-            handle.seek(2)
-            byte = handle.read(1)
-            handle.seek(2)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        assert store.get(spec) is MISS
-
-    def test_json_writer_killed_mid_write_leaves_a_miss(
-        self, tmp_path
-    ):
-        # A crashed legacy writer (no atomic replace) dies mid-write:
-        # the torn bytes at the entry path read as a MISS, and the
-        # killed atomic writer's orphan temp file is invisible to
-        # reads and swept by compact.
-        store = ResultStore(tmp_path)
-        spec = _spec()
-        path = store.path_for(spec)
-        script = textwrap.dedent(
-            f"""
-            import json, os
-            path = {path!r}
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w") as handle:
-                handle.write(json.dumps({{"value": 1}})[:9])
-                handle.flush()
-                with open(os.path.join(os.path.dirname(path),
-                                       ".trial-dead.tmp"), "w") as t:
-                    t.write("{{")
-                    t.flush()
-                    os._exit(1)
-            """
-        )
-        process = subprocess.run(
-            [sys.executable, "-c", script], timeout=60
-        )
-        assert process.returncode == 1
-        assert store.get(spec) is MISS
-        assert store.compact()["removed_debris"] == 1
+    def test_torn_value_column_is_a_miss(self, store):
+        # Foreign bytes in one value column: that row reads as a miss,
+        # its neighbours in the same batched scan still replay.
+        _put_row(store, _spec(seed=1), "x", value='{"ok": tr')
+        store.put(_spec(seed=2), "intact")
+        assert store.get(_spec(seed=1)) is MISS
+        assert store.get_many([_spec(seed=1), _spec(seed=2)]) == [
+            MISS, "intact",
+        ]
 
     def test_sqlite_writer_killed_before_commit_leaves_a_miss(
         self, tmp_path
@@ -348,7 +307,7 @@ class TestCrashConsistency:
         # The half-committed transaction: a process INSERTs and dies
         # without COMMIT.  WAL atomicity makes the row simply not
         # exist; the database stays healthy.
-        store = SqliteResultStore(tmp_path)
+        store = TrialStore(tmp_path)
         spec = _spec()
         store.put(_spec(seed=99), "committed")  # create the schema
         experiment_id, digest, seed = spec.key()
@@ -375,7 +334,7 @@ class TestCrashConsistency:
         assert store.get(_spec(seed=99)) == "committed"
 
     def test_flipped_byte_in_database_never_raises(self, tmp_path):
-        store = SqliteResultStore(tmp_path)
+        store = TrialStore(tmp_path)
         specs = [_spec(seed=s) for s in range(20)]
         for index, spec in enumerate(specs):
             store.put(spec, index)
@@ -387,7 +346,7 @@ class TestCrashConsistency:
                 byte = handle.read(1)
                 handle.seek(offset)
                 handle.write(bytes([byte[0] ^ 0xFF]))
-        fresh = SqliteResultStore(tmp_path)
+        fresh = TrialStore(tmp_path)
         values = fresh.get_many(specs)  # MISS or value, never a raise
         assert all(v is MISS or v in range(20) for v in values)
         fresh.put(specs[0], "recovered")
@@ -396,12 +355,10 @@ class TestCrashConsistency:
     def test_garbage_database_file_quarantined_and_rebuilt(
         self, tmp_path
     ):
-        db_path = os.path.join(
-            tmp_path, SqliteResultStore.DB_FILENAME
-        )
+        db_path = os.path.join(tmp_path, TrialStore.DB_FILENAME)
         with open(db_path, "wb") as handle:
             handle.write(b"this is not a sqlite database at all")
-        store = SqliteResultStore(tmp_path)
+        store = TrialStore(tmp_path)
         spec = _spec()
         assert store.get(spec) is MISS
         store.put(spec, "fresh")
@@ -414,133 +371,97 @@ class TestCrashConsistency:
         assert len(sidecars) == 1  # the garbage is kept for autopsy
 
 
-class TestMigration:
-    def _populate(self, store, count=6):
-        values = {}
-        for seed in range(count):
-            value = {"seed": seed, "grid": [seed, seed + 0.5, None]}
-            store.put(_spec(seed=seed), value)
-            values[seed] = value
-        return values
+class TestJsonFilesTree:
+    """A directory still holding the older one-file-per-trial layout."""
 
-    @pytest.mark.parametrize(
-        "source_backend,dest_backend",
-        [("json-files", "sqlite"), ("sqlite", "json-files")],
-    )
-    def test_round_trip_bit_identical(
-        self, tmp_path, source_backend, dest_backend
+    @pytest.fixture(autouse=True)
+    def _fresh_warnings(self, monkeypatch):
+        monkeypatch.setattr(store_module, "_WARNED_TREES", set())
+
+    def test_one_warning_no_hits_files_left(self, tmp_path, capsys):
+        paths = _json_tree(tmp_path)
+        reset_store_stats()
+        first = TrialStore(tmp_path)
+        specs = [_spec(seed=s) for s in range(len(paths))]
+        assert first.get_many(specs) == [MISS] * len(paths)
+        first.get(specs[0])
+        # A second store over the same directory in this process.
+        assert TrialStore(tmp_path).get(specs[1]) is MISS
+        assert store_stats()["hits"] == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert str(tmp_path) in err
+        assert "json-files" in err
+        assert all(os.path.exists(path) for path in paths)
+
+    def test_sqlite_only_directory_does_not_warn(self, tmp_path, capsys):
+        store = TrialStore(tmp_path)
+        store.put(_spec(), 1)
+        assert TrialStore(tmp_path).get(_spec()) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_run_over_a_tree_recomputes_into_the_store(
+        self, tmp_path, capsys
     ):
-        source = open_store(tmp_path / "src", source_backend)
-        destination = open_store(tmp_path / "dst", dest_backend)
-        values = self._populate(source)
-        report = migrate_store(source, destination)
-        assert report == {
-            "migrated": 6, "skipped_stale": 0, "verify_failed": 0,
-        }
-        for seed, value in values.items():
-            replayed = destination.get(_spec(seed=seed))
-            assert json.dumps(replayed, sort_keys=True) == json.dumps(
-                value, sort_keys=True
-            )
-
-    def test_legacy_entries_stamped_with_current_fingerprint(
-        self, tmp_path
-    ):
-        source = ResultStore(tmp_path / "legacy")
-        spec = _spec()
-        path = source.path_for(spec)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "experiment_id": "T",
-                    "trial": SAMPLE,
-                    "params": {"label": "x"},
-                    "seed": 1,
-                    "value": {"pinned": [1, 2, 3]},
-                },
-                handle,
-            )
-        assert source.get(spec) is MISS  # unversioned: not replayed
-        destination = SqliteResultStore(tmp_path / "migrated")
-        report = migrate_store(source, destination)
-        assert report["migrated"] == 1
-        # Migration is the explicit trust statement: stamped entries
-        # replay under the current code.
-        assert destination.get(spec) == {"pinned": [1, 2, 3]}
-
-    def test_stale_entries_skipped(self, tmp_path):
-        source = ResultStore(tmp_path / "src")
-        source.put(_spec(seed=1), "current")
-        source.put_record(
-            dict(
-                source._make_record(_spec(seed=2), "old"),
-                fingerprint="0.0.0/old:fn",
-            )
-        )
-        destination = SqliteResultStore(tmp_path / "dst")
-        report = migrate_store(source, destination)
-        assert report["migrated"] == 1
-        assert report["skipped_stale"] == 1
-        assert destination.get(_spec(seed=2)) is MISS
-
-    def test_in_place_migration_shares_the_directory(self, tmp_path):
-        # Both backends coexist in one cache dir, which is what the
-        # CLI's default (no --dest) relies on.
-        source = ResultStore(tmp_path)
-        self._populate(source, count=3)
-        destination = SqliteResultStore(tmp_path)
-        assert migrate_store(source, destination)["migrated"] == 3
-        assert detect_backends(tmp_path) == ["json-files", "sqlite"]
-        assert destination.get(_spec(seed=0)) == {
-            "seed": 0, "grid": [0, 0.5, None],
-        }
+        cache = tmp_path / "cache"
+        paths = _json_tree(cache)
+        arguments = ["run", "E6", "--quick", "--cache-dir", str(cache)]
+        assert main(arguments) == 0
+        cold = capsys.readouterr()
+        assert "store: 0 hits, " in cold.out
+        assert cold.err.count(f"warning: {cache} holds") == 1
+        assert all(os.path.exists(path) for path in paths)
+        assert os.path.exists(cache / TrialStore.DB_FILENAME)
 
 
 class TestStoreCLI:
     def _fill(self, cache_dir, count=4):
-        store = ResultStore(cache_dir)
+        store = TrialStore(cache_dir)
         for seed in range(count):
             store.put(_spec(seed=seed), seed)
         return store
 
-    def test_stat_reports_backends(self, tmp_path, capsys):
-        self._fill(tmp_path)
+    def test_stat_reports_the_store(self, tmp_path, capsys):
+        store = self._fill(tmp_path)
         assert main(["store", "stat", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "json-files: 4 entries, 0 stale" in out
+        assert f"{store.db_path}: 4 entries, 0 stale" in out
+        assert "corrupt" not in out and "debris" not in out
 
-    def test_stat_empty_dir(self, tmp_path, capsys):
+    def test_stat_reports_a_json_tree(self, tmp_path, capsys):
+        _json_tree(tmp_path, count=3)
         assert main(["store", "stat", str(tmp_path)]) == 0
-        assert "no store backends" in capsys.readouterr().out
-
-    def test_migrate_then_replay(self, tmp_path, capsys):
-        self._fill(tmp_path)
-        assert main(["store", "migrate", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "4 migrated (json-files -> sqlite)" in out
-        assert "0 verify failures" in out
-        migrated = SqliteResultStore(tmp_path)
-        assert migrated.get(_spec(seed=2)) == 2
+        assert f"{tmp_path}: json-files tree of 3 files" in out
+        assert not os.path.exists(
+            os.path.join(tmp_path, TrialStore.DB_FILENAME)
+        )
+
+    @pytest.mark.parametrize("command", ["stat", "compact"])
+    def test_read_only_commands_create_nothing(
+        self, tmp_path, capsys, command
+    ):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        missing = tmp_path / "misspelled" / "cache"
+        for directory in (empty, missing):
+            assert main(["store", command, str(directory)]) == 0
+            out = capsys.readouterr().out
+            assert out == f"no trial store in {directory}\n"
+        assert os.listdir(empty) == []
+        assert sorted(os.listdir(tmp_path)) == ["empty"]
 
     def test_compact_sweeps_stale(self, tmp_path, capsys):
         store = self._fill(tmp_path)
-        store.put_record(
-            dict(
-                store._make_record(_spec(seed=9), "old"),
-                fingerprint="0.0.0/old:fn",
-            )
-        )
+        _put_row(store, _spec(seed=9), "old", fingerprint="0.0.0/old:fn")
         assert main(["store", "compact", str(tmp_path)]) == 0
-        assert "1 stale" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out == f"{store.db_path}: 1 stale removed\n"
         assert store.stat()["stale"] == 0
 
     def test_run_reports_store_tally(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
-        arguments = [
-            "run", "E6", "--quick", "--cache-dir", cache,
-            "--store-backend", "sqlite",
-        ]
+        arguments = ["run", "E6", "--quick", "--cache-dir", cache]
         assert main(arguments) == 0
         cold = capsys.readouterr().out
         assert "store: 0 hits, " in cold
@@ -549,17 +470,11 @@ class TestStoreCLI:
         assert " hits, 0 misses" in warm
         assert "store: 0 hits" not in warm
 
-    def test_store_backend_warns_when_undeclared(
-        self, tmp_path, capsys
-    ):
-        # E12 declares no cache/store capability.
-        arguments = [
-            "run", "E12", "--quick",
-            "--store-backend", "sqlite",
-        ]
-        assert main(arguments) == 0
-        err = capsys.readouterr().err
-        assert "--store-backend sqlite has no effect on E12" in err
+    def test_migrate_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "migrate", "."])
+        assert exit_info.value.code == 2
+        assert "migrate" in capsys.readouterr().err
 
     def test_no_tally_without_cache_dir(self, tmp_path, capsys):
         assert main(["run", "E6", "--quick"]) == 0
