@@ -154,6 +154,16 @@ class TestRegistrySemantics:
         )
         assert context.store is not None
 
+    def test_cache_dir_on_a_cacheless_experiment_creates_nothing(
+        self, tmp_path
+    ):
+        # E4 declares no cache: the argument is refused before any
+        # store is opened.
+        cache = tmp_path / "cache"
+        with pytest.raises(ExperimentError, match="cache_dir"):
+            run_experiment("E4", cache_dir=str(cache))
+        assert not cache.exists()
+
     def test_registration_validates_body_signature(self):
         registry = Registry()
         with pytest.raises(ExperimentError, match="declares"):

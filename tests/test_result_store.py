@@ -1,15 +1,16 @@
 """Tests for the persistent trial-result store (`repro.runner.store`).
 
 Covers the cache round-trip, params-hash stability under dict
-reordering, recovery from a corrupted entry, two processes sharing one
-directory, and the core promise: a warm cache means zero
-recomputation.
+reordering, recovery from a corrupted entry or database, processes and
+connections sharing one directory, and the core promise: a warm cache
+means zero recomputation.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
+import threading
 
 import pytest
 
@@ -76,6 +77,27 @@ class TestRoundTrip:
         )
         assert store.get(other_experiment) is MISS
 
+    def test_floats_round_trip_bit_exact(self, tmp_path):
+        # Replayed tables must print the same digits as computed ones.
+        store = TrialStore(tmp_path)
+        values = [0.1 + 0.2, 1 / 3, 2.0**-1074, 1e308, -0.0]
+        specs = [_spec(seed=s) for s in range(len(values))]
+        for spec, value in zip(specs, values):
+            store.put(spec, value)
+        for replayed in (
+            [store.get(spec) for spec in specs],
+            store.get_many(specs),
+        ):
+            assert [v.hex() for v in replayed] == [
+                v.hex() for v in values
+            ]
+
+    def test_values_survive_reopening_the_directory(self, tmp_path):
+        first = TrialStore(tmp_path)
+        first.put(_spec(), {"kept": True})
+        first._reset_connection()
+        assert TrialStore(tmp_path).get(_spec()) == {"kept": True}
+
 
 class TestParamsHash:
     def test_stable_across_dict_ordering(self):
@@ -128,6 +150,51 @@ class TestCorruptionRecovery:
         assert len(CALLS) == 2  # recomputed exactly once
         assert store.get(spec) == outcomes[0].value  # and rewritten
 
+    def test_truncated_value_treated_as_miss_and_rewritten(self, tmp_path):
+        # A value column cut off mid-JSON (foreign bytes, not a torn
+        # transaction) is a miss in both lookups and the runner's next
+        # put replaces it.
+        store = TrialStore(tmp_path)
+        spec = _spec()
+        run_trials([spec], store=store)
+        experiment_id, digest, seed = spec.key()
+        connection = sqlite3.connect(store.db_path)
+        with connection:
+            connection.execute(
+                "UPDATE trials SET value = substr(value, 1, 9) WHERE "
+                "experiment_id = ? AND params_hash = ? AND seed = ?",
+                (experiment_id, digest, str(seed)),
+            )
+        connection.close()
+        assert store.get(spec) is MISS
+        assert store.get_many([spec]) == [MISS]
+        outcomes = run_trials([spec], store=store)
+        assert outcomes[0].from_cache is False
+        assert store.get(spec) == outcomes[0].value
+
+    def test_foreign_trials_table_reads_as_misses(self, tmp_path):
+        # A trials.sqlite written by something else, with a table of
+        # the same name and another shape: lookups are misses.
+        connection = sqlite3.connect(tmp_path / TrialStore.DB_FILENAME)
+        with connection:
+            connection.execute("CREATE TABLE trials (x)")
+            connection.execute("INSERT INTO trials VALUES (1)")
+        connection.close()
+        store = TrialStore(tmp_path)
+        assert store.get(_spec()) is MISS
+        assert store.get_many([_spec(seed=s) for s in range(3)]) == (
+            [MISS] * 3
+        )
+
+    def test_unopenable_database_path_reads_as_misses(self, tmp_path):
+        # A directory where the database file belongs cannot be opened
+        # at all; lookups are misses and the directory is left alone.
+        os.mkdir(tmp_path / TrialStore.DB_FILENAME)
+        store = TrialStore(tmp_path)
+        assert store.get(_spec()) is MISS
+        assert store.get_many([_spec(), _spec(seed=2)]) == [MISS, MISS]
+        assert os.path.isdir(tmp_path / TrialStore.DB_FILENAME)
+
 
 class TestSharedCacheRaces:
     """Two processes sharing one --cache-dir never lose each other's
@@ -176,6 +243,70 @@ class TestSharedCacheRaces:
         store.put(spec, {"round": "final"})
         assert TrialStore(tmp_path).get(spec) == {"round": "final"}
 
+    def test_rewrite_by_another_connection_is_seen(self, tmp_path):
+        # The store caches no values: a row rewritten by another
+        # process after this store opened its connection is read fresh.
+        store = TrialStore(tmp_path)
+        spec = _spec()
+        store.put(spec, "old")
+        assert store.get(spec) == "old"
+        TrialStore(tmp_path).put(spec, "new")
+        assert store.get(spec) == "new"
+        assert store.get_many([spec]) == ["new"]
+
+    def test_uncommitted_write_elsewhere_does_not_block_reads(
+        self, tmp_path
+    ):
+        # WAL readers see the last committed row while another
+        # connection holds the write lock mid-transaction.
+        store = TrialStore(tmp_path)
+        spec = _spec()
+        store.put(spec, "committed")
+        other = sqlite3.connect(store.db_path, isolation_level=None)
+        try:
+            other.execute("BEGIN IMMEDIATE")
+            other.execute("UPDATE trials SET value = '\"uncommitted\"'")
+            assert store.get(spec) == "committed"
+            assert store.get_many([spec]) == ["committed"]
+        finally:
+            other.execute("ROLLBACK")
+            other.close()
+        assert store.get(spec) == "committed"
+
+    def test_put_waits_out_another_writers_lock(self, tmp_path):
+        # A put that meets another connection's open write transaction
+        # waits for it instead of failing, and both writes land.
+        store = TrialStore(tmp_path)
+        store.put(_spec(seed=1), "first")
+        other = sqlite3.connect(
+            store.db_path, isolation_level=None, check_same_thread=False
+        )
+        other.execute("BEGIN IMMEDIATE")
+        other.execute("UPDATE trials SET value = '\"other\"'")
+        releaser = threading.Timer(0.5, other.execute, ("COMMIT",))
+        releaser.start()
+        try:
+            assert other.in_transaction
+            store.put(_spec(seed=2), "second")
+        finally:
+            releaser.join(timeout=60)
+            other.close()
+        assert store.get_many([_spec(seed=1), _spec(seed=2)]) == [
+            "other", "second",
+        ]
+
+    def test_two_stores_in_one_process_share_the_directory(
+        self, tmp_path
+    ):
+        # Two stores over one directory (two experiments of one
+        # ``run all``) each see what the other committed.
+        left, right = TrialStore(tmp_path), TrialStore(tmp_path)
+        for seed in range(6):
+            (left if seed % 2 else right).put(_spec(seed=seed), seed)
+        specs = [_spec(seed=s) for s in range(6)]
+        assert left.get_many(specs) == list(range(6))
+        assert right.get_many(specs) == list(range(6))
+
 
 class TestCacheSkipsRecompute:
     def test_second_run_executes_nothing(self, tmp_path):
@@ -200,6 +331,14 @@ class TestCacheSkipsRecompute:
         assert [o.from_cache for o in outcomes] == [
             True, True, False, False,
         ]
+
+    def test_reopened_store_replays_without_recompute(self, tmp_path):
+        specs = [_spec(seed=s) for s in range(3)]
+        first = run_trials(specs, store=TrialStore(tmp_path))
+        again = run_trials(specs, store=TrialStore(tmp_path))
+        assert len(CALLS) == 3
+        assert all(r.from_cache for r in again)
+        assert [r.value for r in again] == [r.value for r in first]
 
     def test_cached_experiment_rerun_executes_no_trials(
         self, tmp_path, monkeypatch

@@ -49,7 +49,12 @@ def sample_trial(*, label: str, seed: int = 0) -> dict:
     return {"label": label, "seed": seed, "value": seed * 3 + 1}
 
 
+def other_trial(*, label: str, seed: int = 0) -> int:
+    return seed
+
+
 SAMPLE = trial_ref(sample_trial)
+OTHER = trial_ref(other_trial)
 
 
 def _spec(seed: int = 1, label: str = "x") -> TrialSpec:
@@ -240,6 +245,73 @@ class TestStoreContract:
         )
 
 
+    def test_get_many_of_nothing(self, store):
+        assert store.get_many([]) == []
+        assert not os.path.exists(store.db_path)
+
+    def test_get_many_repeated_spec(self, store):
+        store.put(_spec(seed=1), "one")
+        assert store.get_many(
+            [_spec(seed=1), _spec(seed=2), _spec(seed=1)]
+        ) == ["one", MISS, "one"]
+
+    def test_get_many_decodes_awkward_values_in_one_batch(self, store):
+        # The hot path joins every hit into one JSON array; values with
+        # commas, brackets, quotes, nesting and nulls must come back
+        # one per spec.
+        values = [
+            "a,b]", '"[', {"k": [1, {"n": None}]}, None, [], {}, -0.5,
+            "\u00e9\u2192", True,
+        ]
+        specs = [_spec(seed=s) for s in range(len(values))]
+        for spec, value in zip(specs, values):
+            store.put(spec, value)
+        assert store.get_many(specs) == values
+
+    def test_sparse_batch_takes_keyed_lookups_past_chunking(self, store):
+        # A batch covering under a quarter of the table reads by key,
+        # TrialStore._SCAN_CHUNK keys per SELECT.
+        total = 5 * (TrialStore._SCAN_CHUNK + 20)
+        for seed in range(total):
+            store.put(_spec(seed=seed), seed)
+        wanted = list(range(total - 1, 0, -5)) + [total + 1]
+        assert len(wanted) > TrialStore._SCAN_CHUNK
+        assert len(wanted) * 4 < total
+        values = store.get_many([_spec(seed=s) for s in wanted])
+        assert values == wanted[:-1] + [MISS]
+
+    def test_mixed_trial_batch_replays_each_trial(self, store):
+        # Two trial functions in one batch: one scan per fingerprint.
+        mixed = [
+            TrialSpec("T", trial, {"label": "x"}, seed)
+            for seed in range(3)
+            for trial in (SAMPLE, OTHER)
+        ]
+        for index, spec in enumerate(mixed[:-1]):
+            store.put(spec, index)
+        assert store.get_many(mixed) == list(range(5)) + [MISS]
+
+    def test_put_records_trial_and_params(self, store):
+        # stat/compact judge staleness from the trial column; params
+        # are kept readable beside the hash.
+        store.put(_spec(label="y"), 1)
+        connection = sqlite3.connect(store.db_path)
+        try:
+            rows = connection.execute(
+                "SELECT trial, params, format, fingerprint FROM trials"
+            ).fetchall()
+        finally:
+            connection.close()
+        assert rows == [
+            (
+                SAMPLE,
+                '{"label": "y"}',
+                RECORD_FORMAT,
+                record_fingerprint(SAMPLE),
+            )
+        ]
+
+
 class TestVersionedRecords:
     """Records carry format + code fingerprint; a mismatch is a MISS."""
 
@@ -261,6 +333,35 @@ class TestVersionedRecords:
         _put_row(store, spec, "v1", format=RECORD_FORMAT - 1)
         assert store.get(spec) is MISS
         assert store.get_many([spec]) == [MISS]
+
+    def test_another_trials_fingerprint_is_a_miss(self, store):
+        # A row stamped with a fingerprint that is current, but for a
+        # different trial, is not replayed by either scan plan.
+        spec = _spec()
+        _put_row(
+            store, spec, "foreign", fingerprint=record_fingerprint(OTHER)
+        )
+        other = TrialSpec("T", OTHER, {"label": "x"}, 5)
+        store.put(other, "other")
+        assert store.get(spec) is MISS
+        assert store.get_many([spec]) == [MISS]
+        assert store.get_many([spec, other]) == [MISS, "other"]
+
+    def test_stale_rows_count_as_misses_in_the_tally(self, store):
+        _put_row(store, _spec(seed=1), "old", fingerprint="0.0.0/old:fn")
+        store.put(_spec(seed=2), "current")
+        reset_store_stats()
+        store.get(_spec(seed=1))
+        store.get_many([_spec(seed=1), _spec(seed=2)])
+        assert store_stats() == {"hits": 1, "misses": 2}
+
+    def test_compact_of_a_current_store_removes_nothing(self, store):
+        for seed in range(3):
+            store.put(_spec(seed=seed), seed)
+        assert store.compact() == 0
+        assert store.get_many([_spec(seed=s) for s in range(3)]) == [
+            0, 1, 2,
+        ]
 
     def test_stat_and_compact_report_stale(self, store):
         store.put(_spec(seed=1), "current")
@@ -333,6 +434,47 @@ class TestCrashConsistency:
         assert store.get(spec) is MISS
         assert store.get(_spec(seed=99)) == "committed"
 
+    def test_writer_killed_after_commit_keeps_its_row(self, tmp_path):
+        # A put returns once committed: a process that dies right after
+        # (its row still only in the WAL) loses nothing.
+        store = TrialStore(tmp_path)
+        store.put(_spec(seed=99), "before")
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+        script = textwrap.dedent(
+            f"""
+            import os, sys
+            sys.path.insert(0, {src_dir!r})
+            sys.path.insert(0, {tests_dir!r})
+            from test_store_backends import _spec
+            from repro.runner import TrialStore
+            TrialStore({str(tmp_path)!r}).put(_spec(), "durable")
+            os._exit(1)
+            """
+        )
+        process = subprocess.run(
+            [sys.executable, "-c", script], timeout=60
+        )
+        assert process.returncode == 1
+        assert store.get(_spec()) == "durable"
+        assert TrialStore(tmp_path).get_many(
+            [_spec(), _spec(seed=99)]
+        ) == ["durable", "before"]
+
+    def test_truncated_database_file_never_raises(self, tmp_path):
+        store = TrialStore(tmp_path)
+        specs = [_spec(seed=s) for s in range(50)]
+        for index, spec in enumerate(specs):
+            store.put(spec, index)
+        store._reset_connection()
+        with open(store.db_path, "r+b") as handle:
+            handle.truncate(os.path.getsize(store.db_path) // 2)
+        fresh = TrialStore(tmp_path)
+        values = fresh.get_many(specs)
+        assert all(v is MISS or v in range(50) for v in values)
+        fresh.put(specs[0], "recovered")
+        assert fresh.get(specs[0]) == "recovered"
+
     def test_flipped_byte_in_database_never_raises(self, tmp_path):
         store = TrialStore(tmp_path)
         specs = [_spec(seed=s) for s in range(20)]
@@ -394,6 +536,31 @@ class TestJsonFilesTree:
         assert "json-files" in err
         assert all(os.path.exists(path) for path in paths)
 
+    def test_each_tree_directory_warns_once(self, tmp_path, capsys):
+        left, right = tmp_path / "left", tmp_path / "right"
+        _json_tree(left)
+        _json_tree(right, count=2)
+        for _ in range(2):
+            TrialStore(left).get(_spec())
+            TrialStore(right).get(_spec())
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 2
+        assert f"{left} holds a json-files trial tree (3 files)" in err
+        assert f"{right} holds a json-files trial tree (2 files)" in err
+
+    def test_tree_count_is_json_files_below_the_top(self, tmp_path):
+        # The older layout kept records two levels down; loose files
+        # beside the database, other suffixes and a missing directory
+        # count nothing.
+        assert store_module.json_tree_files(tmp_path / "absent") == 0
+        (tmp_path / "notes.json").write_text("{}")
+        nested = tmp_path / "E1" / "abc"
+        nested.mkdir(parents=True)
+        (nested / "1.json").write_text("{}")
+        (nested / "2.json.corrupt-1-1").write_text("")
+        (nested / "README").write_text("")
+        assert store_module.json_tree_files(tmp_path) == 1
+
     def test_sqlite_only_directory_does_not_warn(self, tmp_path, capsys):
         store = TrialStore(tmp_path)
         store.put(_spec(), 1)
@@ -436,6 +603,38 @@ class TestStoreCLI:
         assert not os.path.exists(
             os.path.join(tmp_path, TrialStore.DB_FILENAME)
         )
+
+    def test_stat_reports_stale_rows(self, tmp_path, capsys):
+        store = self._fill(tmp_path, count=2)
+        _put_row(store, _spec(seed=7), "old", format=RECORD_FORMAT - 1)
+        assert main(["store", "stat", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"{store.db_path}: 2 entries, 1 stale" in out
+
+    def test_stat_reports_store_and_tree_together(self, tmp_path, capsys):
+        _json_tree(tmp_path, count=2)
+        store = self._fill(tmp_path, count=3)
+        assert main(["store", "stat", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"{tmp_path}: json-files tree of 2")
+        assert lines[1].startswith(f"{store.db_path}: 3 entries, 0 stale")
+
+    def test_compact_keeps_a_run_replaying(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        arguments = ["run", "E6", "--quick", "--cache-dir", cache]
+        assert main(arguments) == 0
+        cold = capsys.readouterr().out
+        assert main(["store", "compact", cache]) == 0
+        assert capsys.readouterr().out.endswith(": 0 stale removed\n")
+        assert main(arguments) == 0
+        warm = capsys.readouterr().out
+        assert " hits, 0 misses" in warm
+        strip = lambda text: [
+            line for line in text.splitlines()
+            if not line.startswith("store:")
+        ]
+        assert strip(warm) == strip(cold)
 
     @pytest.mark.parametrize("command", ["stat", "compact"])
     def test_read_only_commands_create_nothing(
