@@ -17,17 +17,18 @@ verify-full:
 # What .github/workflows/ci.yml runs, locally: the tier-1 suite, then
 # the registry CLI smoke (the capability matrix plus one
 # downsized registry-driven experiment through the real CLI), then the
-# reference-arm diff (E1, E6, E11 and E20 at the fast defaults and with
-# `repro.core.trials.fastest_available` patched to resolve a default to
-# the serial arm and `repro.core.trials.freeze` made the identity
-# in-process, which selects the serial engine and generator and searches
-# the mutable MultiGraph, must print byte-identical output), then the
+# reference-arm diff (E1, E6, E11, E12, E20 and E21 at the fast
+# defaults and with `repro.core.trials.fastest_available` patched to
+# resolve a default to the serial arm and `repro.core.trials.freeze`
+# made the identity in-process, which selects the serial engine and
+# generator and searches the mutable MultiGraph, must print
+# byte-identical output), then the
 # corpus-cache
 # smoke (cold fill, warm replay with identical output, verify, and the
 # serve smoke over the filled corpus), then
 # the trial-store smoke (cold fill, warm replay with identical output
 # and a nonzero hit tally, stat), then the
-# churn smoke (a downsized E21 through the dynamic-graph flags, then at
+# churn smoke (a downsized E21 with its churn parameters set, then at
 # the default arms), then the serve smoke (a live `repro serve` daemon on a
 # small grid answering a concurrent query stream through a trial
 # store, every answer verified bit-identical to the batch path and
@@ -37,8 +38,8 @@ ci:
 	$(PYTEST) -x -q
 	PYTHONPATH=src python -m repro list
 	PYTHONPATH=src python -m repro run E20 --quick --jobs 2
-	PYTHONPATH=src python -m repro run E1,E6,E11,E20 --quick > .ci-default.out
-	PYTHONPATH=src python -c "import repro.core.trials as t; r = t.fastest_available; t.fastest_available = lambda c, a: r(c or a[0], a); t.freeze = lambda g: g; from repro.cli import main; raise SystemExit(main(['run','E1,E6,E11,E20','--quick']))" > .ci-reference.out
+	PYTHONPATH=src python -m repro run E1,E6,E11,E12,E20,E21 --quick > .ci-default.out
+	PYTHONPATH=src python -c "import repro.core.trials as t; r = t.fastest_available; t.fastest_available = lambda c, a: r(c or a[0], a); t.freeze = lambda g: g; from repro.cli import main; raise SystemExit(main(['run','E1,E6,E11,E12,E20,E21','--quick']))" > .ci-reference.out
 	cmp .ci-default.out .ci-reference.out
 	rm -f .ci-default.out .ci-reference.out
 	rm -rf .ci-corpus
@@ -62,7 +63,7 @@ ci:
 	diff .ci-store-cold.trimmed .ci-store-warm.trimmed
 	PYTHONPATH=src python -m repro store stat .ci-store
 	rm -rf .ci-store .ci-store-cold.log .ci-store-warm.log .ci-store-cold.trimmed .ci-store-warm.trimmed
-	PYTHONPATH=src python -m repro run E21 --quick --churn-rate 0.1 --churn-bias degree --resnapshot-every 5
+	PYTHONPATH=src python -m repro run E21 --quick --set churn_rates=0.1 --set churn_bias=degree --set resnapshot_every=5
 	PYTHONPATH=src python -m repro run E21 --quick
 	rm -rf .ci-serve-store
 	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --smoke --cache-store .ci-serve-store

@@ -127,17 +127,6 @@ QUICK_OVERRIDES = {
             "num_graphs": 2},
 }
 
-#: Churn-axis sugar: flag dest -> candidate declared parameter names
-#: (first declared wins).  The flags are generic — a value rides the
-#: same typed coercion as ``--set`` against whichever churn parameter
-#: the experiment declares, so new churn experiments get the axis for
-#: free and experiments without churn parameters warn, exactly like
-#: an undeclared capability flag.  No experiment-specific CLI code.
-_CHURN_FLAG_PARAMS = {
-    "churn_rate": ("churn_rates", "churn_rate"),
-    "churn_bias": ("churn_bias",),
-    "resnapshot_every": ("resnapshot_every",),
-}
 
 def _positive_int(text: str) -> int:
     """argparse type for ``--jobs``: an integer >= 1."""
@@ -280,38 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
             "evolves each realisation once to the largest size and "
             "serves every size from bit-identical checkpoint "
             "snapshots (one construction pass per sweep)"
-        ),
-    )
-    run.add_argument(
-        "--churn-rate",
-        dest="churn_rate",
-        default=None,
-        metavar="RATE[,RATE...]",
-        help=(
-            "churn-axis sugar: override the experiment's declared "
-            "churn-rate parameter (a comma list sweeps several rates; "
-            "experiments without a churn axis warn and ignore it)"
-        ),
-    )
-    run.add_argument(
-        "--churn-bias",
-        dest="churn_bias",
-        choices=("uniform", "degree"),
-        default=None,
-        help=(
-            "leave-selection bias for churn experiments: 'uniform' "
-            "removes random peers, 'degree' removes hubs first"
-        ),
-    )
-    run.add_argument(
-        "--resnapshot-every",
-        dest="resnapshot_every",
-        default=None,
-        metavar="STEPS",
-        help=(
-            "compact the churn overlay into a fresh snapshot every "
-            "this many steps (0 disables; an execution knob of churn "
-            "experiments)"
         ),
     )
     run.add_argument(
@@ -677,19 +634,6 @@ def _resolve_overrides(
             overrides["seed"] = args.seed
         else:
             _warn_ignored(spec.id, f"--seed {args.seed}", "seed")
-    for dest, candidates in _CHURN_FLAG_PARAMS.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        flag = "--" + dest.replace("_", "-")
-        declared = next(
-            (name for name in candidates if name in spec.param_names),
-            None,
-        )
-        if declared is None:
-            _warn_ignored(spec.id, f"{flag} {value}", candidates[-1])
-            continue
-        overrides[declared] = spec.param(declared).coerce(str(value))
     for key, text in args.overrides:
         if key not in spec.param_names:
             if strict:

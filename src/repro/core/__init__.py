@@ -7,7 +7,7 @@
 * :mod:`repro.core.registry` — the declarative experiment registry:
   typed param schemas, capability declarations, and the
   :class:`~repro.core.registry.ExecutionContext` carrying the resolved
-  jobs/store/backend/mode axes once per run, and
+  jobs/store/mode axes once per run, and
   :func:`~repro.core.registry.run_experiment`, the one way to run an
   experiment;
 * :mod:`repro.core.experiments` — the registered experiments E1–E22

@@ -62,6 +62,7 @@ from repro.core.registry import (
 )
 from repro.core.results import Table
 from repro.errors import ExperimentError
+from repro.core import trials
 from repro.core.trials import (
     churn_search_trial,
     churn_survival_trial,
@@ -69,7 +70,6 @@ from repro.core.trials import (
     family_spec,
     result_from_dict,
     simulation_slowdown_trial,
-    snapshot_graph,
     trajectory_slowdown_trial,
 )
 from repro.runner import (
@@ -854,9 +854,9 @@ def _e12_body(
 ):
     """E12: replication turns broadcast search sublinear (Sarshar et al.)."""
     family = ConfigurationFamily(exponent=exponent, min_degree=2)
-    graph = snapshot_graph(
-        family.build(n, seed=substream(seed, 0)), "frozen"
-    )
+    # Looked up on the module at call time, so that patching
+    # ``trials.freeze`` (the reference arms) reaches this snapshot too.
+    graph = trials.freeze(family.build(n, seed=substream(seed, 0)))
     rng = make_rng(substream(seed, 1))
     result.params["giant_n"] = graph.num_vertices
     table = Table(
@@ -1642,10 +1642,9 @@ def _e21_body(
 
     Sweeps the churn rate (steps per vertex of population-preserving
     leave+join turnover on the overlay layer) and re-measures the
-    weak and strong portfolios on the churned graph.  A pure spec per
-    the PR 5 recipe: churn parameters are ordinary registry params
-    (the CLI's ``--churn-rate/--churn-bias/--resnapshot-every`` sugar
-    maps onto them generically), and every cell is one
+    weak and strong portfolios on the churned graph.  A pure spec:
+    churn parameters are ordinary registry params (set from the CLI
+    with ``--set``), and every cell is one
     :func:`~repro.core.trials.churn_search_trial` replayable from the
     store across ``--jobs`` and engines.
 

@@ -353,7 +353,11 @@ class ExperimentSpec:
         )
         if "mode" in self.capabilities:
             result.params["mode"] = context.mode
-        self.body(context, result, **params)
+        try:
+            self.body(context, result, **params)
+        finally:
+            if context.store is not None:
+                context.store.close()
         return result
 
 

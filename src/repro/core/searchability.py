@@ -161,47 +161,6 @@ def _build_cell_specs(
     ]
 
 
-def _portfolio_grid_in_process(
-    graph,
-    factories: Dict[str, AlgorithmFactory],
-    runs_per_graph: int,
-    *,
-    start: int,
-    target: int,
-    budget: Optional[int],
-    neighbor_success: bool,
-    graph_seed: int,
-):
-    """One graph's whole portfolio grid through the shared executor.
-
-    The in-process factory paths (independent and trajectory) both
-    delegate here, which delegates to the trial layer's
-    ``_execute_cells`` — one derivation of run seeds, one engine
-    dispatch — so closures get the ensemble kernel too, and the
-    factory and named-portfolio paths cannot drift apart.  Yields
-    ``(algorithm_name, SearchResult)`` in the serial loop's order.
-    """
-    from repro.core.trials import _execute_cells, result_from_dict
-
-    cells = [
-        {"algorithm": name, "run_index": run_index}
-        for name in factories
-        for run_index in range(runs_per_graph)
-    ]
-    cell_results = _execute_cells(
-        graph,
-        factories,
-        cells,
-        default_start=start,
-        default_target=target,
-        budget=budget,
-        neighbor_success=neighbor_success,
-        seed=graph_seed,
-    )
-    for cell, value in zip(cells, cell_results):
-        yield cell["algorithm"], result_from_dict(value)
-
-
 def _fold_cell(
     family: GraphFamily, size: int, values: Sequence[Dict]
 ) -> CostMeasurement:
@@ -300,49 +259,32 @@ def measure_search_cost(
             "portfolio name from repro.core.trials.PORTFOLIOS"
         )
 
-    from repro.core.trials import build_graph_snapshot
+    from repro.core.trials import (
+        build_graph_snapshot,
+        choose_start,
+        portfolio_grid,
+    )
 
-    measurement = CostMeasurement(family_name=family.name, size=size)
-    collected: Dict[str, List[SearchResult]] = {
-        name: [] for name in factories
-    }
-
+    values = []
     for graph_index in range(num_graphs):
         graph_seed = substream(seed, graph_index)
         graph = build_graph_snapshot(family, size, graph_seed)
         target = family.theorem_target(graph)
-        start = _choose_start(
-            family, graph, target, start_rule, graph_seed
+        values.append(
+            portfolio_grid(
+                graph,
+                factories,
+                runs_per_graph,
+                start=choose_start(
+                    family, graph, target, start_rule, graph_seed
+                ),
+                target=target,
+                budget=budget,
+                neighbor_success=neighbor_success,
+                seed=graph_seed,
+            )
         )
-        for name, result in _portfolio_grid_in_process(
-            graph,
-            factories,
-            runs_per_graph,
-            start=start,
-            target=target,
-            budget=budget,
-            neighbor_success=neighbor_success,
-            graph_seed=graph_seed,
-        ):
-            collected[name].append(result)
-
-    for name, results in collected.items():
-        measurement.results[name] = results
-        measurement.summaries[name] = summarize_results(results)
-    return measurement
-
-
-def _choose_start(
-    family: GraphFamily,
-    graph: MultiGraph,
-    target: int,
-    start_rule: str,
-    graph_seed: int,
-) -> int:
-    """Resolve a start rule to a concrete vertex (never the target)."""
-    from repro.core.trials import choose_start
-
-    return choose_start(family, graph, target, start_rule, graph_seed)
+    return _fold_cell(family, size, values)
 
 
 @dataclass
@@ -592,40 +534,36 @@ def _measure_scaling_trajectory(
 
     from repro.core.trials import (
         GENERATORS,
+        choose_start,
         fastest_available,
+        portfolio_grid,
         trajectory_snapshots,
     )
 
     generator = fastest_available(None, GENERATORS)
-    collected: Dict[int, Dict[str, List[SearchResult]]] = {
-        size: {name: [] for name in factories} for size in ordered
-    }
+    per_size: Dict[int, List[Dict]] = {size: [] for size in ordered}
     for graph_seed in graph_seeds:
         full_graph, marks = family.build_trajectory(
             ordered, seed=graph_seed, generator=generator
         )
         for size, graph in trajectory_snapshots(
-            full_graph, marks, ordered, "frozen"
+            full_graph, marks, ordered
         ):
             target = family.theorem_target(graph)
-            start = _choose_start(
-                family, graph, target, start_rule, graph_seed
+            per_size[size].append(
+                portfolio_grid(
+                    graph,
+                    factories,
+                    runs_per_graph,
+                    start=choose_start(
+                        family, graph, target, start_rule, graph_seed
+                    ),
+                    target=target,
+                    budget=None,
+                    neighbor_success=neighbor_success,
+                    seed=graph_seed,
+                )
             )
-            for name, result in _portfolio_grid_in_process(
-                graph,
-                factories,
-                runs_per_graph,
-                start=start,
-                target=target,
-                budget=None,
-                neighbor_success=neighbor_success,
-                graph_seed=graph_seed,
-            ):
-                collected[size][name].append(result)
     for size in ordered:
-        cell = CostMeasurement(family_name=family.name, size=size)
-        for name, results in collected[size].items():
-            cell.results[name] = results
-            cell.summaries[name] = summarize_results(results)
-        measurement.cells[size] = cell
+        measurement.cells[size] = _fold_cell(family, size, per_size[size])
     return measurement

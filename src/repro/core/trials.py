@@ -13,15 +13,16 @@ Graph families and algorithm portfolios cross process boundaries by
 *name*: :func:`family_spec` / :func:`build_family` serialize the former,
 :func:`portfolio_factories` resolves the latter.
 
-Search trials take a ``backend`` parameter: after the evolving
-construction finishes, ``"frozen"`` (the default, and the only form
-experiments use) snapshots the graph into a
-:class:`~repro.graphs.frozen.FrozenGraph` so the whole batch of search
-cells runs on the read-optimised CSR form, while ``"multigraph"``
-keeps the mutable object as the reference the equivalence batteries
-call.  The choice affects wall-clock time only — every number is
-backend-independent (``tests/test_frozen_graph.py`` and the
-regression pins enforce it).
+Search trials snapshot each built graph through :func:`freeze` into a
+:class:`~repro.graphs.frozen.FrozenGraph`, so the whole batch of search
+cells runs on the read-optimised CSR form; graphs are built and
+searched on the fast arms that :func:`fastest_available` picks.  None
+of this changes a number, only wall-clock time.  The reference arms (the serial engine
+and generator, searches on the mutable
+:class:`~repro.graphs.base.MultiGraph`) are not trial parameters: the
+test suite's ``reference_arms`` fixture reaches them by patching this
+module's ``fastest_available`` and ``freeze``, which every trial
+resolves at call time.
 :func:`batched_search_trial` is the general form: one generated graph
 serves an explicit batch of (algorithm, start, target, run) cells, each
 with the same substream-derived run seed the serial loops used.
@@ -47,7 +48,6 @@ from repro.core.families import (
     MoriFamily,
 )
 from repro.errors import ExperimentError
-from repro.graphs.base import MultiGraph
 from repro.graphs.churn import CHURN_BIASES, ChurnProcess
 from repro.graphs.components import connected_components
 from repro.graphs.delta import DeltaGraph
@@ -78,9 +78,9 @@ __all__ = [
     "portfolio_factories",
     "choose_start",
     "fastest_available",
-    "snapshot_graph",
     "build_graph_snapshot",
     "trajectory_snapshots",
+    "portfolio_grid",
     "search_cost_graph_trial",
     "batched_search_trial",
     "churn_search_trial",
@@ -93,18 +93,14 @@ __all__ = [
     "result_from_dict",
 ]
 
-#: Valid values of the ``backend`` trial parameter.
-BACKENDS = ("frozen", "multigraph")
-
-#: Valid values of the ``engine`` trial parameter.  ``"serial"`` steps
+#: The search engine arms of :func:`_execute_cells`.  ``"serial"`` steps
 #: every search cell through the oracle machinery one run at a time;
 #: ``"ensemble"`` advances all runs of each walk-family (algorithm,
 #: start, target) cell together through the numpy kernel in
 #: :mod:`repro.search.ensemble` (non-walk algorithms fall back to the
-#: serial path per cell).  ``None`` (the default everywhere) means the
-#: fastest available arm — see :func:`fastest_available`.  Like
-#: ``backend``, the engine never changes a number — per-run costs,
-#: flags, and oracle traces are bit-identical
+#: serial path per cell).  Trials take the fastest available arm (see
+#: :func:`fastest_available`).  The engine never changes a number —
+#: per-run costs, flags, and oracle traces are bit-identical
 #: (``tests/test_search_ensemble.py``) — only wall-clock time.
 ENGINES = ("serial", "ensemble")
 
@@ -114,8 +110,8 @@ ENGINES = ("serial", "ensemble")
 #: kernels in :mod:`repro.graphs.fastgen`, which consume the RNG in
 #: exactly the serial draw order (families without a kernel build
 #: serially).  ``None`` (the default everywhere) means the fastest
-#: available arm — see :func:`fastest_available`.  Like ``backend``
-#: and ``engine``, the generator never changes a number — edge lists,
+#: available arm — see :func:`fastest_available`.  Like the engine,
+#: the generator never changes a number — edge lists,
 #: edge ids, and snapshot hashes are bit-identical
 #: (``tests/test_fastgen_equivalence.py``) — only wall-clock time.
 GENERATORS = ("serial", "vectorized")
@@ -141,65 +137,32 @@ def fastest_available(choice: Optional[str], axis) -> str:
     return choice
 
 
-def snapshot_graph(graph: MultiGraph, backend: str) -> GraphBackend:
-    """Apply a backend choice to a freshly built graph.
-
-    ``"frozen"`` returns an immutable CSR snapshot (the read-optimised
-    default); ``"multigraph"`` returns the graph unchanged.  Numbers
-    never depend on the choice — only wall-clock time does.
-    """
-    if backend == "frozen":
-        return freeze(graph)
-    if backend == "multigraph":
-        return graph
-    raise ExperimentError(
-        f"unknown graph backend {backend!r}; valid: "
-        f"{', '.join(BACKENDS)}"
-    )
-
-
 def trajectory_snapshots(
-    graph: GraphBackend,
-    marks: Dict[int, int],
-    sizes,
-    backend: str,
+    graph: GraphBackend, marks: Dict[int, int], sizes
 ):
     """Per-checkpoint snapshots of one evolved realisation.
 
     ``graph``/``marks`` come from
-    :meth:`~repro.core.families.GraphFamily.build_trajectory` (either
-    backend: the vectorized generator hands over a
+    :meth:`~repro.core.families.GraphFamily.build_trajectory` (the
+    vectorized generator hands over a
     :class:`~repro.graphs.frozen.FrozenGraph` directly).  Returns a
     list of ``(size, snapshot)`` in ascending size order; each snapshot
-    is bit-identical to what :func:`snapshot_graph` would return for an
-    independent same-seed build of that size.  On the ``"frozen"``
-    backend the whole grid shares one full CSR freeze, each checkpoint
-    being a buffer-reusing prefix slice of it.
+    is bit-identical to what :func:`build_graph_snapshot` returns for
+    an independent same-seed build of that size.  The whole grid
+    shares one full CSR freeze, each checkpoint being a buffer-reusing
+    prefix slice of it.
     """
-    ordered = sorted(set(sizes))
-    if backend == "frozen":
-        full = freeze(graph)
-        return [(n, full.prefix(n, marks[n])) for n in ordered]
-    if backend == "multigraph":
-        from repro.graphs.frozen import FrozenGraph
-
-        if isinstance(graph, FrozenGraph):
-            graph = graph.thaw()
-        return [(n, graph.prefix(n, marks[n])) for n in ordered]
-    raise ExperimentError(
-        f"unknown graph backend {backend!r}; valid: "
-        f"{', '.join(BACKENDS)}"
-    )
+    full = freeze(graph)
+    return [(n, full.prefix(n, marks[n])) for n in sorted(set(sizes))]
 
 
 def build_graph_snapshot(
     family_obj: GraphFamily,
     size: int,
     seed: int,
-    backend: str = "frozen",
     generator: Optional[str] = None,
 ) -> GraphBackend:
-    """Build one family instance and snapshot it per ``backend``.
+    """Build one family instance and snapshot it through :func:`freeze`.
 
     The one place independent-build trials obtain their graph, so the
     ``generator`` axis and the on-disk corpus compose uniformly:
@@ -207,14 +170,12 @@ def build_graph_snapshot(
     * ``generator="vectorized"`` builds through
       :meth:`~repro.core.families.GraphFamily.build_frozen` (the
       fastgen kernels where the family has one — bit-identical to the
-      serial builder), then thaws if ``backend="multigraph"`` asks for
-      the mutable form.
+      serial builder).
     * When ``REPRO_CORPUS_DIR`` names a corpus (see
-      :func:`repro.graphs.corpus.active_corpus`), the backend is
-      ``"frozen"`` and the family builds exact-size graphs (the
-      configuration family's giant component does not), the snapshot
-      is served from / persisted to the memory-mapped store keyed by
-      ``(family spec, n, seed)``.  The
+      :func:`repro.graphs.corpus.active_corpus`) and the family builds
+      exact-size graphs (the configuration family's giant component
+      does not), the snapshot is served from / persisted to the
+      memory-mapped store keyed by ``(family spec, n, seed)``.  The
       stored bytes are generator-independent, so a corpus built
       serially also serves vectorized runs (and vice versa) — the
       determinism contract makes them the same graph.
@@ -230,7 +191,7 @@ def build_graph_snapshot(
             )
         return family_obj.build(size, seed=seed)
 
-    if backend == "frozen" and family_obj.exact_size:
+    if family_obj.exact_size:
         from repro.graphs.corpus import active_corpus
 
         corpus = active_corpus()
@@ -243,13 +204,7 @@ def build_graph_snapshot(
                 return corpus.get_or_build(
                     spec, size, seed, _build, generator=generator
                 )
-    built = _build()
-    if backend == "multigraph":
-        from repro.graphs.frozen import FrozenGraph
-
-        if isinstance(built, FrozenGraph):
-            return built.thaw()
-    return snapshot_graph(built, backend)
+    return freeze(_build())
 
 
 # ----------------------------------------------------------------------
@@ -484,8 +439,10 @@ def _execute_cells(
     ensemble) is draw-for-draw identical to the monolithic iteration.
 
     ``engine`` selects the execution strategy (see :data:`ENGINES`):
-    under ``"ensemble"``, cells are grouped by (algorithm, start,
-    target) and each walk-family group advances through
+    the trials leave it ``None``, the fastest available arm, and the
+    daemon passes the arm it resolved at start-up.  Under
+    ``"ensemble"``, cells are grouped by (algorithm, start, target)
+    and each walk-family group advances through
     :func:`repro.search.ensemble.run_ensemble` in one lock-step batch,
     each run seeded exactly as its serial counterpart; groups without a
     kernel run serially.  Results come back in cell order either way.
@@ -497,11 +454,11 @@ def _execute_cells(
         from repro.search.ensemble import ensemble_supported, run_ensemble
 
         # One shared snapshot for every walk-family group (a no-op on
-        # the frozen backend); run_ensemble would otherwise re-freeze
-        # a multigraph-backend graph once per group.  A DeltaGraph
-        # overlay passes through unfrozen — the kernel runs on its
-        # masked-CSR view so edge ids (and hence traces) match the
-        # serial path on the same overlay.
+        # a FrozenGraph); run_ensemble would otherwise re-freeze a
+        # MultiGraph once per group.  A DeltaGraph overlay passes
+        # through unfrozen — the kernel runs on its masked-CSR view
+        # so edge ids (and hence traces) match the serial path on the
+        # same overlay.
         if not isinstance(graph, DeltaGraph):
             ensemble_graph = freeze(graph)
     instance_budget = (
@@ -569,39 +526,26 @@ def _execute_cells(
     return results
 
 
-def search_cost_graph_trial(
+def portfolio_grid(
+    graph: GraphBackend,
+    factories: Dict[str, Any],
+    runs_per_graph: int,
     *,
-    family: Dict[str, Any],
-    size: int,
-    portfolio: str,
-    runs_per_graph: int = 2,
-    budget: Optional[int] = None,
-    neighbor_success: bool = False,
-    start_rule: str = "default",
-    backend: str = "frozen",
-    engine: Optional[str] = None,
-    generator: Optional[str] = None,
-    seed: int = 0,
+    start: int,
+    target: int,
+    budget: Optional[int],
+    neighbor_success: bool,
+    seed: int,
 ) -> Dict[str, List[Dict[str, Any]]]:
-    """One graph realisation searched by a whole portfolio.
+    """One graph searched ``runs_per_graph`` times by every portfolio
+    member: serialized results grouped by algorithm, in portfolio order.
 
-    ``seed`` is the graph substream seed (what ``measure_search_cost``
-    derives as ``substream(seed, graph_index)``); all run seeds fan out
-    from it exactly as in the original serial loop, so the decomposed
-    grid is draw-for-draw identical to the monolithic one.  ``backend``
-    selects the graph form the searches run on (see
-    :func:`snapshot_graph`), ``engine`` the cell execution strategy
-    (see :data:`ENGINES`) and ``generator`` the construction strategy
-    (see :data:`GENERATORS`); all three change wall-clock time, never
-    numbers.
+    The one portfolio-grid loop: the portfolio trials and the
+    in-process factory paths of :mod:`repro.core.searchability` all
+    build their cells here and run them through :func:`_execute_cells`
+    — one derivation of run seeds, one engine dispatch — so closures
+    get the ensemble kernel too and no two paths can drift apart.
     """
-    family_obj = build_family(family)
-    factories = portfolio_factories(portfolio)
-    graph = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
-    )
-    target = family_obj.theorem_target(graph)
-    start = choose_start(family_obj, graph, target, start_rule, seed)
     cells = [
         {"algorithm": name, "run_index": run_index}
         for name in factories
@@ -616,12 +560,48 @@ def search_cost_graph_trial(
         budget=budget,
         neighbor_success=neighbor_success,
         seed=seed,
-        engine=engine,
     )
     collected: Dict[str, List[Dict[str, Any]]] = {}
     for cell, result in zip(cells, cell_results):
         collected.setdefault(cell["algorithm"], []).append(result)
     return collected
+
+
+def search_cost_graph_trial(
+    *,
+    family: Dict[str, Any],
+    size: int,
+    portfolio: str,
+    runs_per_graph: int = 2,
+    budget: Optional[int] = None,
+    neighbor_success: bool = False,
+    start_rule: str = "default",
+    generator: Optional[str] = None,
+    seed: int = 0,
+) -> Dict[str, List[Dict[str, Any]]]:
+    """One graph realisation searched by a whole portfolio.
+
+    ``seed`` is the graph substream seed (what ``measure_search_cost``
+    derives as ``substream(seed, graph_index)``); all run seeds fan out
+    from it exactly as in the original serial loop, so the decomposed
+    grid is draw-for-draw identical to the monolithic one.
+    ``generator`` selects the construction strategy (see
+    :data:`GENERATORS`); it changes wall-clock time, never numbers.
+    """
+    family_obj = build_family(family)
+    factories = portfolio_factories(portfolio)
+    graph = build_graph_snapshot(family_obj, size, seed, generator)
+    target = family_obj.theorem_target(graph)
+    return portfolio_grid(
+        graph,
+        factories,
+        runs_per_graph,
+        start=choose_start(family_obj, graph, target, start_rule, seed),
+        target=target,
+        budget=budget,
+        neighbor_success=neighbor_success,
+        seed=seed,
+    )
 
 
 def batched_search_trial(
@@ -633,8 +613,6 @@ def batched_search_trial(
     budget: Optional[int] = None,
     neighbor_success: bool = False,
     start_rule: str = "default",
-    backend: str = "frozen",
-    engine: Optional[str] = None,
     generator: Optional[str] = None,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
@@ -643,8 +621,8 @@ def batched_search_trial(
     The general per-graph trial: instead of re-generating (or
     re-traversing) the topology for every (algorithm, start, target,
     seed) search cell, the graph is built once from ``seed``,
-    snapshotted per ``backend``, and every cell runs against the shared
-    snapshot.  Cells are dicts with
+    snapshotted, and every cell runs against the shared snapshot.
+    Cells are dicts with
 
     * ``"algorithm"`` — a member of ``portfolio`` (required);
     * ``"run_index"`` — repetition index feeding the run-seed substream
@@ -657,16 +635,14 @@ def batched_search_trial(
     per cell, in cell order.  Per-cell run seeds use the same substream
     formula as the serial loops, so a batch containing the portfolio
     grid reproduces :func:`search_cost_graph_trial` bit-for-bit.
-    ``engine="ensemble"`` advances each walk-family (algorithm, start,
+    The ensemble engine advances each walk-family (algorithm, start,
     target) group of the batch in one lock-step kernel call — same
     seeds, same numbers, same traces (see :data:`ENGINES`); the graph
     itself is built per ``generator`` (see :data:`GENERATORS`).
     """
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
-    graph = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
-    )
+    graph = build_graph_snapshot(family_obj, size, seed, generator)
     target = family_obj.theorem_target(graph)
     start = choose_start(family_obj, graph, target, start_rule, seed)
     return _execute_cells(
@@ -678,7 +654,6 @@ def batched_search_trial(
         budget=budget,
         neighbor_success=neighbor_success,
         seed=seed,
-        engine=engine,
     )
 
 
@@ -714,15 +689,13 @@ def churn_search_trial(
     runs_per_graph: int = 2,
     budget: Optional[int] = None,
     neighbor_success: bool = False,
-    backend: str = "frozen",
-    engine: Optional[str] = None,
     generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One churned graph realisation searched by a whole portfolio.
 
-    Builds the family graph from ``seed`` (honoring ``backend`` /
-    ``generator`` exactly like :func:`search_cost_graph_trial`), drives
+    Builds the family graph from ``seed`` (honoring ``generator``
+    exactly like :func:`search_cost_graph_trial`), drives
     ``round(churn_rate * size)`` population-preserving churn steps
     (leave + model-faithful join per step, leaves biased per
     ``churn_bias``) through a :class:`~repro.graphs.churn.ChurnProcess`
@@ -747,9 +720,7 @@ def churn_search_trial(
         )
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
-    base = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
-    )
+    base = build_graph_snapshot(family_obj, size, seed, generator)
     process = ChurnProcess(
         family_obj,
         base,
@@ -760,27 +731,17 @@ def churn_search_trial(
     steps = int(round(churn_rate * base.num_vertices))
     graph = process.run(steps)
     start, target = _churn_endpoints(family_obj, base, graph)
-    cells = [
-        {"algorithm": name, "run_index": run_index}
-        for name in factories
-        for run_index in range(runs_per_graph)
-    ]
-    cell_results = _execute_cells(
-        graph,
-        factories,
-        cells,
-        default_start=start,
-        default_target=target,
-        budget=budget,
-        neighbor_success=neighbor_success,
-        seed=seed,
-        engine=engine,
-    )
-    collected: Dict[str, List[Dict[str, Any]]] = {}
-    for cell, result in zip(cells, cell_results):
-        collected.setdefault(cell["algorithm"], []).append(result)
     return {
-        "results": collected,
+        "results": portfolio_grid(
+            graph,
+            factories,
+            runs_per_graph,
+            start=start,
+            target=target,
+            budget=budget,
+            neighbor_success=neighbor_success,
+            seed=seed,
+        ),
         "steps": steps,
         "live_vertices": graph.num_live_vertices,
         "surviving_edges": graph.num_edges,
@@ -796,7 +757,6 @@ def churn_survival_trial(
     remove_fractions: List[float],
     churn_bias: str = "uniform",
     resnapshot_every: int = 0,
-    backend: str = "frozen",
     generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Any]:
@@ -826,9 +786,7 @@ def churn_survival_trial(
             f"got {churn_bias!r}"
         )
     family_obj = build_family(family)
-    base = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
-    )
+    base = build_graph_snapshot(family_obj, size, seed, generator)
     initial = base.num_vertices
     process = ChurnProcess(
         family_obj,
@@ -868,8 +826,6 @@ def trajectory_scaling_trial(
     budget: Optional[int] = None,
     neighbor_success: bool = False,
     start_rule: str = "default",
-    backend: str = "frozen",
-    engine: Optional[str] = None,
     generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Dict[str, List[Dict[str, Any]]]]:
@@ -892,33 +848,20 @@ def trajectory_scaling_trial(
         sizes, seed=seed, generator=generator
     )
     values: Dict[str, Dict[str, List[Dict[str, Any]]]] = {}
-    for size, graph in trajectory_snapshots(
-        full_graph, marks, sizes, backend
-    ):
+    for size, graph in trajectory_snapshots(full_graph, marks, sizes):
         target = family_obj.theorem_target(graph)
-        start = choose_start(
-            family_obj, graph, target, start_rule, seed
-        )
-        cells = [
-            {"algorithm": name, "run_index": run_index}
-            for name in factories
-            for run_index in range(runs_per_graph)
-        ]
-        cell_results = _execute_cells(
+        values[str(size)] = portfolio_grid(
             graph,
             factories,
-            cells,
-            default_start=start,
-            default_target=target,
+            runs_per_graph,
+            start=choose_start(
+                family_obj, graph, target, start_rule, seed
+            ),
+            target=target,
             budget=budget,
             neighbor_success=neighbor_success,
             seed=seed,
-            engine=engine,
         )
-        collected: Dict[str, List[Dict[str, Any]]] = {}
-        for cell, result in zip(cells, cell_results):
-            collected.setdefault(cell["algorithm"], []).append(result)
-        values[str(size)] = collected
     return values
 
 
@@ -926,7 +869,6 @@ def trajectory_slowdown_trial(
     *,
     family: Dict[str, Any],
     sizes: List[int],
-    backend: str = "frozen",
     generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Dict[str, int]]:
@@ -945,9 +887,7 @@ def trajectory_slowdown_trial(
         sizes, seed=seed, generator=generator
     )
     values: Dict[str, Dict[str, int]] = {}
-    for size, graph in trajectory_snapshots(
-        full_graph, marks, sizes, backend
-    ):
+    for size, graph in trajectory_snapshots(full_graph, marks, sizes):
         target = theorem_target_for_size(size)
         strong_result = run_search(
             HighDegreeStrongSearch(), graph, 1, target, seed=0
@@ -971,7 +911,6 @@ def degree_fit_trial(
     *,
     family: Dict[str, Any],
     n: int,
-    backend: str = "frozen",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One E6 specimen: build a graph and fit its degree power law.
@@ -981,15 +920,16 @@ def degree_fit_trial(
     compares against Kleinberg grids, which are not a
     :class:`GraphFamily` (their size is a lattice side, not a vertex
     count): ``family={"model": "kleinberg", "side", "r", "q"}`` builds
-    one serially and ignores ``n``.
+    one serially, snapshots it through :func:`freeze` and ignores
+    ``n``.
     """
     if family.get("model") == "kleinberg":
         grid = kleinberg_grid(
             family["side"], r=family["r"], q=family["q"], seed=seed
         )
-        graph = snapshot_graph(grid.graph, backend)
+        graph = freeze(grid.graph)
     else:
-        graph = build_graph_snapshot(build_family(family), n, seed, backend)
+        graph = build_graph_snapshot(build_family(family), n, seed)
     degrees = graph.degree_sequence()
     fit = fit_power_law(degrees)
     return {
@@ -1004,7 +944,6 @@ def simulation_slowdown_trial(
     *,
     family: Dict[str, Any],
     size: int,
-    backend: str = "frozen",
     generator: Optional[str] = None,
     seed: int = 0,
 ) -> Dict[str, Any]:
@@ -1016,9 +955,7 @@ def simulation_slowdown_trial(
     from repro.core.families import theorem_target_for_size
 
     family_obj = build_family(family)
-    graph = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
-    )
+    graph = build_graph_snapshot(family_obj, size, seed, generator)
     target = theorem_target_for_size(size)
     strong_result = run_search(
         HighDegreeStrongSearch(), graph, 1, target, seed=0

@@ -7,16 +7,14 @@ their Monte-Carlo grids as lists of pure :class:`TrialSpec` units,
 :class:`TrialStore` (one WAL-mode SQLite database per cache
 directory) replays completed cells across invocations, refusing
 entries whose code fingerprint does not match.
-:func:`batched_specs` / :func:`unbatch_values` pack many per-search
-cells into one spec so a single generated graph snapshot serves the
-whole batch (see :mod:`repro.runner.batching`).
+:func:`trajectory_specs` / :func:`split_trajectory_values` pack a whole
+size grid into one spec per realisation, so one evolved graph serves
+every checkpoint (see :mod:`repro.runner.batching`).
 """
 
 from repro.runner.batching import (
-    batched_specs,
     split_trajectory_values,
     trajectory_specs,
-    unbatch_values,
 )
 from repro.runner.executor import run_trials
 from repro.runner.store import (
@@ -44,7 +42,6 @@ __all__ = [
     "TrialResult",
     "TrialSpec",
     "TrialStore",
-    "batched_specs",
     "params_hash",
     "record_fingerprint",
     "reset_store_stats",
@@ -55,5 +52,4 @@ __all__ = [
     "store_stats",
     "trajectory_specs",
     "trial_ref",
-    "unbatch_values",
 ]

@@ -168,9 +168,10 @@ def _warn_json_tree(cache_dir: str) -> None:
 class TrialStore:
     """One WAL-mode SQLite database of trial records per cache dir.
 
-    A corrupted database file is quarantined (sidecar-renamed) and
-    recreated rather than raised.  One connection, opened on first use
-    and shared by every thread under :attr:`_lock`.
+    A corrupted database file, or one whose ``trials`` table has
+    another shape, is quarantined (sidecar-renamed) and recreated
+    rather than raised.  One connection, opened on first use, shared
+    by every thread under :attr:`_lock` and dropped by :meth:`close`.
     """
 
     #: Database filename inside the cache directory.
@@ -193,6 +194,12 @@ class TrialStore:
         )
     """
 
+    #: The ``trials`` table's columns, in schema order.
+    _COLUMNS = (
+        "experiment_id", "params_hash", "seed", "trial", "params",
+        "value", "format", "fingerprint",
+    )
+
     #: Keys per batched replay SELECT: 3 bound variables each, kept
     #: well under SQLite's default 999-variable limit.
     _SCAN_CHUNK = 300
@@ -202,6 +209,11 @@ class TrialStore:
         self.db_path = os.path.join(self.cache_dir, self.DB_FILENAME)
         self._connection: Optional[sqlite3.Connection] = None
         self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Drop the connection; the next call opens a new one."""
+        with self._lock:
+            self._reset_connection()
 
     # -- connection management (callers hold self._lock) ---------------
 
@@ -219,9 +231,18 @@ class TrialStore:
                 connection.execute("PRAGMA synchronous=NORMAL")
                 connection.execute(self._SCHEMA_SQL)
                 connection.commit()
+                columns = tuple(
+                    row[1] for row in
+                    connection.execute("PRAGMA table_info(trials)")
+                )
+                if columns != self._COLUMNS:
+                    raise sqlite3.DatabaseError(
+                        f"trials table has columns {columns}"
+                    )
             except sqlite3.DatabaseError as error:
                 # Not a database (truncated, bit-flipped, or foreign
-                # bytes): quarantine the file and start fresh — a
+                # bytes) or not ours (a ``trials`` table of another
+                # shape): quarantine the file and start fresh — a
                 # corrupted cache must read as misses, not exceptions.
                 connection.close()
                 if attempt == 0:

@@ -184,7 +184,7 @@ def build_grid_entries(
     for size in sizes:
         for seed in seeds:
             snapshot = build_graph_snapshot(
-                family_obj, size, seed, "frozen", generator
+                family_obj, size, seed, generator
             )
             entries.append(
                 entry_from_snapshot(spec, size, seed, snapshot)
@@ -406,13 +406,13 @@ def serve_cells(
 def execute_service_batch(
     graph_id: str,
     cells: List[Dict[str, Any]],
-    engine: str = "serial",
+    engine: str,
 ) -> List[Dict[str, Any]]:
     """Answer a batch of validated queries in one worker call.
 
-    The daemon sends one cell per call.  Runs :func:`serve_cells` on
-    this worker's attachment of the graph, under the query's own
-    (default) budget.
+    The daemon sends one cell per call, with the engine it resolved
+    at start-up.  Runs :func:`serve_cells` on this worker's attachment
+    of the graph, under the query's own (default) budget.
     """
     info = _WORKER_STATE["manifest"][graph_id]
     return serve_cells(

@@ -195,6 +195,11 @@ class AnswerCache:
 class SearchService:
     """One serving daemon: catalog + shared segments + pool + HTTP.
 
+    Cells run on the fastest available search engine
+    (:func:`~repro.core.trials.fastest_available`), resolved once here
+    and kept in :attr:`engine`; the serial reference arm is a test
+    oracle, not a daemon option.
+
     Parameters
     ----------
     entries:
@@ -224,9 +229,6 @@ class SearchService:
         Optional :class:`~repro.runner.store.TrialStore` the cache
         writes through to (and reads through from): served answers
         persist as replay-addressable trial records.
-    engine:
-        Cell execution engine; default ensemble (``"serial"`` runs
-        the reference arm).
     stats_interval:
         Seconds between operator log lines (``0`` disables).
     """
@@ -244,7 +246,6 @@ class SearchService:
         query_timeout: float = 30.0,
         cache_size: int = 2048,
         cache_store: Any = None,
-        engine: Optional[str] = None,
         stats_interval: float = 0.0,
     ):
         if not entries:
@@ -257,7 +258,6 @@ class SearchService:
             raise ExperimentError(
                 f"max_queue must be >= 1, got {max_queue}"
             )
-        engine = fastest_available(engine, ENGINES)
         if query_timeout <= 0:
             raise ExperimentError(
                 f"query_timeout must be > 0, got {query_timeout}"
@@ -272,7 +272,7 @@ class SearchService:
         self.corpus_dir = corpus_dir
         self.max_queue = max_queue
         self.query_timeout = query_timeout
-        self.engine = engine
+        self.engine = fastest_available(None, ENGINES)
         self.stats = ServiceStats()
         self.cache = AnswerCache(cache_size)
         self.cache_store = cache_store

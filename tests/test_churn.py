@@ -253,11 +253,10 @@ class TestChurnTrials:
         for results in outcome["results"].values():
             assert len(results) == 2
 
-    def test_serial_and_ensemble_engines_identical(self):
-        serial = churn_search_trial(**self.trial_kwargs(engine="serial"))
-        ensemble = churn_search_trial(
-            **self.trial_kwargs(engine="ensemble")
-        )
+    def test_serial_and_ensemble_engines_identical(self, reference_arms):
+        ensemble = churn_search_trial(**self.trial_kwargs())
+        with reference_arms():
+            serial = churn_search_trial(**self.trial_kwargs())
         assert serial == ensemble
 
     def test_degree_bias_changes_the_trial(self):
@@ -337,6 +336,27 @@ class TestChurnExperiments:
             assert name in e21.param_names
         e22 = REGISTRY.get("E22")
         assert "remove_fractions" in e22.param_names
+
+    def test_cli_sets_churn_parameters_through_set(self, tmp_path):
+        """The churn parameters are ordinary registry parameters: the
+        CLI sets them with ``--set`` and has no churn flags."""
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "e21.json"
+        assert main([
+            "run", "E21", "--quick", "--set", "churn_rates=0.1",
+            "--set", "churn_bias=degree", "--set", "resnapshot_every=5",
+            "--json", str(path),
+        ]) == 0
+        params = json.loads(path.read_text())["params"]
+        assert params["churn_rates"] == [0.1]
+        assert params["churn_bias"] == "degree"
+        assert params["resnapshot_every"] == 5
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "E21", "--quick", "--churn-rate", "0.1"])
+        assert exit_info.value.code == 2
 
     def test_e21_identical_across_jobs(self):
         solo = run_experiment("E21", **self.E21_KWARGS, jobs=1)

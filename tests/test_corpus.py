@@ -15,8 +15,8 @@ wall-clock time.  The battery pins:
 * **the cache protocol** — hit/miss accounting, build-once semantics,
   environment activation, and the ``build_graph_snapshot`` wiring that
   serves experiment runs from the corpus;
-* **cache keys** — the ``generator`` axis follows the backend/engine
-  policy: the default never enters trial params, so corpus-less and
+* **cache keys** — the ``generator`` axis follows the engine policy:
+  the default never enters trial params, so corpus-less and
   pre-corpus cache entries keep replaying.
 """
 
@@ -264,23 +264,11 @@ class TestCacheProtocol:
         monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
         reset_corpus_stats()
         family = MoriFamily(p=0.5, m=2)
-        first = build_graph_snapshot(family, 60, 2, "frozen", "serial")
-        again = build_graph_snapshot(family, 60, 2, "frozen", "serial")
-        crossed = build_graph_snapshot(
-            family, 60, 2, "frozen", "vectorized"
-        )
+        first = build_graph_snapshot(family, 60, 2, "serial")
+        again = build_graph_snapshot(family, 60, 2, "serial")
+        crossed = build_graph_snapshot(family, 60, 2, "vectorized")
         assert corpus_stats() == {"hits": 2, "misses": 1}
         assert first == again == crossed
-
-    def test_multigraph_backend_bypasses_corpus(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
-        reset_corpus_stats()
-        family = MoriFamily(p=0.5, m=1)
-        build_graph_snapshot(family, 50, 0, "multigraph", "serial")
-        assert corpus_stats() == {"hits": 0, "misses": 0}
-        assert list(GraphCorpus(tmp_path).entries()) == []
 
     def test_inexact_size_family_bypasses_corpus(
         self, tmp_path, monkeypatch
@@ -294,9 +282,7 @@ class TestCacheProtocol:
         monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
         reset_corpus_stats()
         family = ConfigurationFamily(exponent=2.5, min_degree=2)
-        snapshot = build_graph_snapshot(
-            family, 120, 7, "frozen", "serial"
-        )
+        snapshot = build_graph_snapshot(family, 120, 7, "serial")
         assert snapshot.num_vertices <= 120
         assert corpus_stats() == {"hits": 0, "misses": 0}
         assert list(GraphCorpus(tmp_path).entries()) == []

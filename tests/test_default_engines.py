@@ -2,8 +2,8 @@
 
 Experiments do not choose an engine or a generator: the trial
 functions resolve ``None`` to the numpy arms (``ensemble``/
-``vectorized``).  The ``serial`` arms stay as the reference, taken only
-when named: this module checks that
+``vectorized``).  The ``serial`` arms stay as the reference, reached
+only through the ``reference_arms`` fixture: this module checks that
 
 * every experiment that grows or searches graphs gives byte-identical
   records at the default and on the reference arms (the
@@ -16,6 +16,7 @@ when named: this module checks that
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -146,8 +147,7 @@ class TestReferenceArms:
 
 
 class TestCacheKeyPolicy:
-    """No engine or generator in experiment trial params; an explicit
-    choice at the trial level (``batched_specs``) still enters."""
+    """No engine or generator in experiment trial params."""
 
     def test_build_cell_specs(self):
         from repro.core.searchability import _build_cell_specs
@@ -158,19 +158,6 @@ class TestCacheKeyPolicy:
         )
         assert "engine" not in spec.params
         assert "generator" not in spec.params
-
-    def test_batched_specs(self):
-        from repro.runner import batched_specs
-
-        cells = [{"algorithm": "random-walk", "run_index": 0}]
-        (default,) = batched_specs("EX", "m:f", {}, cells, [0])
-        assert "engine" not in default.params
-        for engine in ENGINES:
-            (explicit,) = batched_specs(
-                "EX", "m:f", {}, cells, [0], engine=engine
-            )
-            assert explicit.params["engine"] == engine
-            assert explicit.key() != default.key()
 
     @pytest.mark.parametrize("mode", ["independent", "trajectory"])
     def test_experiment_specs(self, mode, captured_specs, reference_arms):
@@ -189,6 +176,44 @@ class TestCacheKeyPolicy:
         for spec in default_specs:
             assert "engine" not in spec.params
             assert "generator" not in spec.params
+
+
+class TestOneRouteToTheReferenceArms:
+    """The ``reference_arms`` patch is the only way to the serial
+    arms: no trial and no service entry point takes a graph-form
+    (``backend``) or search-engine (``engine``) keyword."""
+
+    @pytest.mark.parametrize("name", [
+        "search_cost_graph_trial",
+        "batched_search_trial",
+        "churn_search_trial",
+        "churn_survival_trial",
+        "trajectory_scaling_trial",
+        "trajectory_slowdown_trial",
+        "degree_fit_trial",
+        "simulation_slowdown_trial",
+        "build_graph_snapshot",
+    ])
+    def test_trials_take_no_arm_keyword(self, name):
+        import repro.core.trials as trials
+
+        parameters = inspect.signature(getattr(trials, name)).parameters
+        assert "backend" not in parameters
+        assert "engine" not in parameters
+
+    def test_service_takes_no_engine_keyword(self):
+        from repro.service import SearchService
+
+        parameters = inspect.signature(SearchService).parameters
+        assert "engine" not in parameters
+
+    def test_service_batch_needs_the_daemons_engine(self):
+        from repro.service.core import execute_service_batch
+
+        engine = inspect.signature(execute_service_batch).parameters[
+            "engine"
+        ]
+        assert engine.default is inspect.Parameter.empty
 
 
 class TestE6Specimens:

@@ -415,29 +415,26 @@ class TestChunkedScan:
 
 
 class TestDispatch:
-    def test_build_graph_snapshot_frozen_backend(self):
+    def test_build_graph_snapshot_generators_agree(self):
         family = MoriFamily(p=0.5, m=2)
-        fast = build_graph_snapshot(family, 80, 4, "frozen", "vectorized")
-        serial = build_graph_snapshot(family, 80, 4, "frozen", "serial")
+        fast = build_graph_snapshot(family, 80, 4, "vectorized")
+        serial = build_graph_snapshot(family, 80, 4, "serial")
         assert isinstance(fast, FrozenGraph)
+        assert isinstance(serial, FrozenGraph)
         assert fast == serial
         assert hash(fast) == hash(serial)
 
-    def test_build_graph_snapshot_multigraph_backend_thaws(self):
+    def test_build_graph_snapshot_on_reference_arms(self, reference_arms):
         family = MoriFamily(p=0.5, m=2)
-        fast = build_graph_snapshot(
-            family, 80, 4, "multigraph", "vectorized"
-        )
-        serial = build_graph_snapshot(
-            family, 80, 4, "multigraph", "serial"
-        )
-        assert isinstance(fast, MultiGraph)
-        assert freeze(fast) == freeze(serial)
+        with reference_arms():
+            reference = build_graph_snapshot(family, 80, 4)
+        assert isinstance(reference, MultiGraph)
+        assert freeze(reference) == build_graph_snapshot(family, 80, 4)
 
     def test_unknown_generator_is_rejected(self):
         family = MoriFamily(p=0.5, m=1)
         with pytest.raises(ExperimentError, match="unknown graph generator"):
-            build_graph_snapshot(family, 40, 0, "frozen", "warp")
+            build_graph_snapshot(family, 40, 0, "warp")
 
     def test_kernel_less_family_falls_back_serially(self):
         """ConfigurationFamily has no kernel: vectorized == serial."""

@@ -10,7 +10,8 @@ tests pin the contract from every side:
 * **search equivalence** — full searches, including the flooding CSR
   kernel's fast path, return bit-identical ``SearchResult`` values;
 * **batched trials** — :func:`repro.core.trials.batched_search_trial`
-  reproduces the portfolio trial draw-for-draw, on either backend;
+  reproduces the portfolio trial draw-for-draw, on the snapshot and
+  (through the ``reference_arms`` fixture) on the mutable graph;
 * **freeze-then-hash** — the documented mutability caveat on
   ``MultiGraph.__hash__`` and the snapshot's stability under it;
 * **array-native snapshots** — every origin (vectorized generator,
@@ -353,7 +354,7 @@ class TestSearchEquivalence:
 class TestBatchedTrials:
     """One snapshot, many cells — draw-for-draw identical regrouping."""
 
-    def test_batched_reproduces_portfolio_trial(self):
+    def test_batched_reproduces_portfolio_trial(self, reference_arms):
         from repro.core.families import MoriFamily as Fam
         from repro.core.trials import (
             batched_search_trial,
@@ -372,10 +373,10 @@ class TestBatchedTrials:
             for name in portfolio_factories("weak")
             for run_index in range(2)
         ]
-        for backend in ("frozen", "multigraph"):
-            flat = batched_search_trial(
-                **kwargs, cells=cells, backend=backend
-            )
+        default = batched_search_trial(**kwargs, cells=cells)
+        with reference_arms():
+            reference = batched_search_trial(**kwargs, cells=cells)
+        for flat in (default, reference):
             regrouped: dict = {}
             for cell, value in zip(cells, flat):
                 regrouped.setdefault(cell["algorithm"], []).append(
@@ -410,53 +411,41 @@ class TestBatchedTrials:
             )
 
     def test_runner_batching_helpers(self):
+        """A batched trial dispatched through ``run_trials`` equals a
+        direct call, one spec per graph seed."""
         from repro.core.families import MoriFamily as Fam
         from repro.core.trials import (
             batched_search_trial,
             family_spec,
         )
-        from repro.runner import (
-            batched_specs,
-            run_trials,
-            trial_ref,
-            unbatch_values,
-        )
+        from repro.runner import TrialSpec, run_trials, trial_ref
 
         spec = family_spec(Fam(p=0.5, m=1))
         cells = [
             {"algorithm": "flooding", "run_index": 0},
             {"algorithm": "random-walk", "run_index": 0},
         ]
-        specs = batched_specs(
-            "ADHOC",
-            trial_ref(batched_search_trial),
-            {"family": spec, "size": 80, "portfolio": "weak"},
-            cells,
-            graph_seeds=[1, 2],
-        )
-        assert [s.seed for s in specs] == [1, 2]
-        outcomes = run_trials(specs)
-        per_graph = unbatch_values(outcomes, len(cells))
-        assert len(per_graph) == 2
-        assert per_graph[0] == batched_search_trial(
-            family=spec, size=80, portfolio="weak", cells=cells, seed=1
-        )
-        with pytest.raises(ExperimentError):
-            unbatch_values(outcomes, len(cells) + 1)
-        with pytest.raises(ExperimentError):
-            batched_specs(
-                "ADHOC",
-                trial_ref(batched_search_trial),
-                {},
-                [],
-                graph_seeds=[1],
+        params = {
+            "family": spec, "size": 80, "portfolio": "weak",
+            "cells": cells,
+        }
+        specs = [
+            TrialSpec(
+                experiment_id="ADHOC",
+                trial=trial_ref(batched_search_trial),
+                params=params,
+                seed=seed,
             )
-
-    def test_unknown_backend_rejected(self):
-        from repro.core.trials import snapshot_graph
-
-        with pytest.raises(ExperimentError):
-            snapshot_graph(MultiGraph(2), "networkx")
+            for seed in (1, 2)
+        ]
+        outcomes = run_trials(specs)
+        assert len(outcomes) == 2
+        for seed, outcome in zip((1, 2), outcomes):
+            assert outcome.value == batched_search_trial(
+                family=spec, size=80, portfolio="weak", cells=cells,
+                seed=seed,
+            )
+        assert outcomes[0].value != outcomes[1].value
 
     def test_default_backend_keeps_cache_keys_stable(self):
         """Existing stores are filed under keys without a backend: this
@@ -606,7 +595,9 @@ class TestTrajectoryCheckpoints:
 class TestTrajectoryTrials:
     """One trajectory spec reproduces the independent trials draw-for-draw."""
 
-    def test_checkpoint_cells_equal_independent_trials(self):
+    def test_checkpoint_cells_equal_independent_trials(
+        self, reference_arms
+    ):
         from repro.core.trials import (
             family_spec,
             search_cost_graph_trial,
@@ -615,15 +606,17 @@ class TestTrajectoryTrials:
 
         spec = family_spec(MoriFamily(p=0.5, m=1))
         sizes = [60, 120]
-        for backend in ("frozen", "multigraph"):
-            value = trajectory_scaling_trial(
-                family=spec,
-                sizes=sizes,
-                portfolio="high-degree",
-                runs_per_graph=2,
-                seed=77,
-                backend=backend,
-            )
+        kwargs = dict(
+            family=spec,
+            sizes=sizes,
+            portfolio="high-degree",
+            runs_per_graph=2,
+            seed=77,
+        )
+        default = trajectory_scaling_trial(**kwargs)
+        with reference_arms():
+            reference = trajectory_scaling_trial(**kwargs)
+        for value in (default, reference):
             for n in sizes:
                 assert value[str(n)] == search_cost_graph_trial(
                     family=spec,

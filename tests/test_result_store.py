@@ -92,6 +92,18 @@ class TestRoundTrip:
                 v.hex() for v in values
             ]
 
+    def test_close_drops_the_connection_and_reopens_on_use(
+        self, tmp_path
+    ):
+        store = TrialStore(tmp_path)
+        store.put(_spec(), "kept")
+        store.close()
+        assert store._connection is None
+        assert store.get(_spec()) == "kept"
+        store.close()
+        store.close()  # closing a closed store is a no-op
+        assert store._connection is None
+
     def test_values_survive_reopening_the_directory(self, tmp_path):
         first = TrialStore(tmp_path)
         first.put(_spec(), {"kept": True})
@@ -174,7 +186,8 @@ class TestCorruptionRecovery:
 
     def test_foreign_trials_table_reads_as_misses(self, tmp_path):
         # A trials.sqlite written by something else, with a table of
-        # the same name and another shape: lookups are misses.
+        # the same name and another shape: lookups are misses, and the
+        # file is quarantined so that a put lands in a fresh database.
         connection = sqlite3.connect(tmp_path / TrialStore.DB_FILENAME)
         with connection:
             connection.execute("CREATE TABLE trials (x)")
@@ -185,6 +198,12 @@ class TestCorruptionRecovery:
         assert store.get_many([_spec(seed=s) for s in range(3)]) == (
             [MISS] * 3
         )
+        store.put(_spec(), {"stored": True})
+        assert store.get(_spec()) == {"stored": True}
+        assert TrialStore(tmp_path).get(_spec()) == {"stored": True}
+        assert [
+            name for name in os.listdir(tmp_path) if ".corrupt-" in name
+        ]
 
     def test_unopenable_database_path_reads_as_misses(self, tmp_path):
         # A directory where the database file belongs cannot be opened
@@ -357,6 +376,28 @@ class TestCacheSkipsRecompute:
         monkeypatch.setattr(TrialSpec, "execute", exploding_execute)
         second = run_experiment("E6", n=300, seed=6, cache_dir=cache)
         assert first.derived == second.derived
+
+    def test_experiment_run_closes_its_store(self, tmp_path, monkeypatch):
+        """``run_experiment`` leaves no connection open on the cache
+        directory once the experiment returns."""
+        import repro.core.registry as registry_module
+        from repro.core import run_experiment
+
+        opened = []
+
+        def recording_store_for(cache_dir):
+            store = TrialStore(cache_dir)
+            opened.append(store)
+            return store
+
+        monkeypatch.setattr(
+            registry_module, "store_for", recording_store_for
+        )
+        cache = str(tmp_path / "cache")
+        run_experiment("E6", n=300, seed=6, cache_dir=cache)
+        (store,) = opened
+        assert os.path.exists(store.db_path)
+        assert store._connection is None
 
     def test_different_params_do_not_share_cache(self, tmp_path):
         from repro.core import run_experiment

@@ -6,11 +6,10 @@ counts, success flags, result extras, and the oracle request journal
 itself.  This battery pins that claim for every walk-family algorithm
 across all five graph models and both graph backends, plus:
 
-* the trial layer's ``engine`` axis (grouped ensemble dispatch and the
-  serial fallback for non-walk algorithms give the same cell values);
-* the cache-key policy (a non-default engine — like a non-default
-  backend — is the only thing that enters trial params);
-* ``engine='serial'`` never reaches the kernel;
+* the trial layer's engine choice (grouped ensemble dispatch and the
+  serial fallback for non-walk algorithms give the same cell values as
+  the ``reference_arms`` fixture's serial engine);
+* the serial reference arm never reaches the kernel;
 * golden pins of :func:`repro.rng.run_substream` — the one derivation
   both paths draw their per-run seeds from — including the first-draw
   traces of the generators it seeds.
@@ -307,12 +306,12 @@ class TestEnsembleSpecialCases:
 
 
 class TestEngineTrialAxis:
-    """engine='ensemble' through the trial layer: same values."""
+    """The default (ensemble) engine through the trial layer equals
+    the serial reference arms: same values."""
 
     FAMILY = {"model": "mori", "p": 0.5, "m": 2}
 
-    @pytest.mark.parametrize("backend", ("frozen", "multigraph"))
-    def test_batched_search_trial_engine_equality(self, backend):
+    def test_batched_search_trial_engine_equality(self, reference_arms):
         # A batch mixing walk cells (ensemble kernel) with non-walk
         # cells (serial fallback) and explicit overrides.
         cells = [
@@ -328,15 +327,17 @@ class TestEngineTrialAxis:
             size=120,
             portfolio="weak",
             cells=cells,
-            backend=backend,
             seed=23,
         )
-        serial = batched_search_trial(engine="serial", **kwargs)
-        ensemble = batched_search_trial(engine="ensemble", **kwargs)
+        ensemble = batched_search_trial(**kwargs)
+        with reference_arms():
+            serial = batched_search_trial(**kwargs)
         assert ensemble == serial
 
     @pytest.mark.parametrize("portfolio", ("weak", "strong"))
-    def test_search_cost_graph_trial_engine_equality(self, portfolio):
+    def test_search_cost_graph_trial_engine_equality(
+        self, portfolio, reference_arms
+    ):
         kwargs = dict(
             family=self.FAMILY,
             size=100,
@@ -344,11 +345,12 @@ class TestEngineTrialAxis:
             runs_per_graph=3,
             seed=29,
         )
-        serial = search_cost_graph_trial(engine="serial", **kwargs)
-        ensemble = search_cost_graph_trial(engine="ensemble", **kwargs)
+        ensemble = search_cost_graph_trial(**kwargs)
+        with reference_arms():
+            serial = search_cost_graph_trial(**kwargs)
         assert ensemble == serial
 
-    def test_trajectory_trial_engine_equality(self):
+    def test_trajectory_trial_engine_equality(self, reference_arms):
         from repro.core.trials import trajectory_scaling_trial
 
         kwargs = dict(
@@ -358,52 +360,36 @@ class TestEngineTrialAxis:
             runs_per_graph=2,
             seed=31,
         )
-        serial = trajectory_scaling_trial(engine="serial", **kwargs)
-        ensemble = trajectory_scaling_trial(engine="ensemble", **kwargs)
+        ensemble = trajectory_scaling_trial(**kwargs)
+        with reference_arms():
+            serial = trajectory_scaling_trial(**kwargs)
         assert ensemble == serial
-
-    def test_batched_specs_engine_cache_policy(self):
-        from repro.runner import batched_specs
-
-        cells = [{"algorithm": "random-walk", "run_index": 0}]
-        base = {"family": self.FAMILY, "size": 60, "portfolio": "weak"}
-        default = batched_specs("EX", "m:f", base, cells, [0])
-        assert "engine" not in default[0].params
-        forced = batched_specs(
-            "EX", "m:f", base, cells, [0], engine="ensemble"
-        )
-        assert forced[0].params["engine"] == "ensemble"
-        assert forced[0].key() != default[0].key()
 
 
 class TestEngineValidation:
     def test_unknown_engine_rejected(self):
+        from repro.core.trials import ENGINES, fastest_available
+
         with pytest.raises(ExperimentError, match="serial, ensemble"):
-            batched_search_trial(
+            fastest_available("warp", ENGINES)
+
+    def test_serial_engine_never_reaches_the_kernel(
+        self, monkeypatch, reference_arms
+    ):
+        import repro.search.ensemble as ensemble_module
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("the serial engine ran the ensemble kernel")
+
+        monkeypatch.setattr(ensemble_module, "run_ensemble", kernel)
+        with reference_arms():
+            values = batched_search_trial(
                 family={"model": "mori", "p": 0.5, "m": 1},
                 size=40,
                 portfolio="weak",
                 cells=[{"algorithm": "random-walk"}],
-                engine="warp",
                 seed=1,
             )
-
-    def test_serial_engine_never_reaches_the_kernel(self, monkeypatch):
-        import repro.search.ensemble as ensemble_module
-
-        def kernel(*args, **kwargs):
-            raise AssertionError("engine='serial' ran the ensemble kernel")
-
-        monkeypatch.setattr(ensemble_module, "run_ensemble", kernel)
-        values = batched_search_trial(
-            family={"model": "mori", "p": 0.5, "m": 1},
-            size=40,
-            portfolio="weak",
-            cells=[{"algorithm": "random-walk"}],
-            backend="multigraph",
-            engine="serial",
-            seed=1,
-        )
         assert len(values) == 1
         assert values[0]["algorithm"] == "random-walk"
 

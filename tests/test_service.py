@@ -611,9 +611,9 @@ class TestServeGenerator:
         seen = []
         original = service_core.build_graph_snapshot
 
-        def recording(family_obj, size, seed, backend, generator):
+        def recording(family_obj, size, seed, generator):
             seen.append(generator)
-            return original(family_obj, size, seed, backend, generator)
+            return original(family_obj, size, seed, generator)
 
         args = build_parser().parse_args(
             ["serve", "--sizes", "60", "--seeds", "1", *argv]
