@@ -23,9 +23,9 @@ verify-full:
 # made the identity in-process, which selects the serial engine and
 # generator and searches the mutable MultiGraph, must print
 # byte-identical output), then the
-# corpus-cache
-# smoke (cold fill, warm replay with identical output, verify, and the
-# serve smoke over the filled corpus), then
+# corpus smoke (a `corpus build` of two Móri families that share an
+# (n, seed), a rebuild that builds nothing, verify, and the serve
+# smoke over all 5 graphs of the corpus), then
 # the trial-store smoke (cold fill, warm replay with identical output
 # and a nonzero hit tally, stat), then the
 # churn smoke (a downsized E21 with its churn parameters set, then at
@@ -43,16 +43,15 @@ ci:
 	cmp .ci-default.out .ci-reference.out
 	rm -f .ci-default.out .ci-reference.out
 	rm -rf .ci-corpus
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --corpus-dir .ci-corpus | tee .ci-corpus-cold.log
-	grep -q "corpus: 0 hits, 4 misses" .ci-corpus-cold.log
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --corpus-dir .ci-corpus | tee .ci-corpus-warm.log
-	grep -q "corpus: 4 hits, 0 misses" .ci-corpus-warm.log
-	grep -v "^corpus:" .ci-corpus-cold.log > .ci-corpus-cold.trimmed
-	grep -v "^corpus:" .ci-corpus-warm.log > .ci-corpus-warm.trimmed
-	diff .ci-corpus-cold.trimmed .ci-corpus-warm.trimmed
+	PYTHONPATH=src python -m repro corpus build .ci-corpus --model mori --p 0.25 --sizes 60,120 --seeds 0,1
+	PYTHONPATH=src python -m repro corpus build .ci-corpus --model mori --p 0.5 --sizes 60 --seeds 0
+	PYTHONPATH=src python -m repro corpus build .ci-corpus --model mori --p 0.25 --sizes 60,120 --seeds 0,1 | tee .ci-corpus-rebuild.log
+	grep -q "0 built, 4 already present" .ci-corpus-rebuild.log
 	PYTHONPATH=src python -m repro corpus verify .ci-corpus
-	PYTHONPATH=src python -m repro serve --corpus .ci-corpus --smoke
-	rm -rf .ci-corpus .ci-corpus-cold.log .ci-corpus-warm.log .ci-corpus-cold.trimmed .ci-corpus-warm.trimmed
+	PYTHONPATH=src python -m repro serve --corpus .ci-corpus --smoke | tee .ci-corpus-serve.log
+	grep -q "over 5 graphs" .ci-corpus-serve.log
+	grep -q "serve smoke: PASS" .ci-corpus-serve.log
+	rm -rf .ci-corpus .ci-corpus-rebuild.log .ci-corpus-serve.log
 	rm -rf .ci-store
 	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store | tee .ci-store-cold.log
 	grep -q "store: 0 hits" .ci-store-cold.log

@@ -8,7 +8,6 @@ Usage::
     repro run E20 --set sizes=200,400 --set num_graphs=2
     repro run E1,E3,E20 --quick
     repro run all --json-dir results/ [--quick]
-    repro run E17 --corpus-dir corpus/
     repro corpus build corpus/ --model mori --sizes 1000,2000
     repro corpus list corpus/
     repro corpus verify corpus/
@@ -53,13 +52,10 @@ capabilities*, not guessed from signatures: requesting an axis an
 experiment does not declare emits a warning on stderr instead of
 silently ignoring it.
 
-``--corpus-dir`` (equivalently the ``REPRO_CORPUS_DIR`` environment
-variable) points runs at a memory-mapped on-disk corpus of generated
-snapshots (:mod:`repro.graphs.corpus`): independent
-builds are served from the corpus when present and persisted when not,
-and the run reports its hit/miss tally afterwards.  ``repro corpus
-build/list/verify`` pre-generates, enumerates and digest-checks corpus
-entries directly.
+``repro corpus build/list/verify`` pre-generates, enumerates and
+digest-checks a memory-mapped on-disk corpus of graph snapshots
+(:mod:`repro.graphs.corpus`), the graph catalog ``repro serve
+--corpus`` serves; ``repro run`` builds its graphs in memory.
 
 ``repro serve`` runs the long-lived search daemon
 (:mod:`repro.service`): graphs load once, publish into shared memory,
@@ -228,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json-dir",
         default=None,
         help=(
-            "with 'all' or a comma-separated list: write one JSON "
-            "record per experiment here"
+            "write one JSON record per experiment here, named "
+            "<id>.json (e.g. e10.json)"
         ),
     )
     run.add_argument(
@@ -269,15 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
             "evolves each realisation once to the largest size and "
             "serves every size from bit-identical checkpoint "
             "snapshots (one construction pass per sweep)"
-        ),
-    )
-    run.add_argument(
-        "--corpus-dir",
-        default=None,
-        help=(
-            "serve independent graph builds from this "
-            "on-disk snapshot corpus, persisting misses (equivalent "
-            "to setting REPRO_CORPUS_DIR)"
         ),
     )
 
@@ -650,7 +637,7 @@ def _resolve_overrides(
 def _run_one(
     spec: ExperimentSpec,
     args,
-    json_path: Optional[str],
+    json_paths: List[str],
     strict: bool,
 ) -> None:
     """Run one registered spec with the CLI's overrides and context."""
@@ -661,7 +648,7 @@ def _run_one(
     if args.plot:
         _plot_scaling_tables(result)
     print()
-    if json_path:
+    for json_path in json_paths:
         save_result(result, json_path)
         print(f"wrote {json_path}")
 
@@ -686,28 +673,12 @@ def _requested_ids(text: str) -> Optional[List[str]]:
     return ids
 
 
-def _print_corpus_stats() -> None:
-    """Report this run's corpus hit/miss tally (if a corpus is active).
-
-    The tally is process-local: with ``--jobs`` > 1 the workers'
-    lookups are not counted here, only the parent's.
-    """
-    from repro.graphs.corpus import active_corpus, corpus_stats
-
-    if active_corpus() is None:
-        return
-    stats = corpus_stats()
-    print(
-        f"corpus: {stats['hits']} hits, {stats['misses']} misses"
-    )
-
-
 def _print_store_stats(args) -> None:
     """Report this run's store hit/miss tally (if a store is active).
 
-    Same contract as the corpus tally: process-local, so with
-    ``--jobs`` > 1 only the parent's replay scan is counted (which is
-    where all lookups happen — workers only execute misses).
+    The tally is process-local, so with ``--jobs`` > 1 only the
+    parent's replay scan is counted (which is where all lookups happen
+    — workers only execute misses).
     """
     from repro.runner import store_stats
 
@@ -1089,7 +1060,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "run":
         try:
-            return _run_with_corpus(args)
+            return _run_main(args)
         except OSError as error:
             return _path_error(error.filename, error.strerror or error)
 
@@ -1142,33 +1113,24 @@ def _unwritable_file_reason(path: str) -> Optional[str]:
     return None
 
 
-def _run_with_corpus(args) -> int:
-    """``repro run``, with ``--corpus-dir`` exported while it runs."""
-    if not args.corpus_dir:
-        return _run_main(args)
-    from repro.graphs.corpus import CORPUS_DIR_VARIABLE
+def _record_paths(args, experiment_id: str, single: bool) -> List[str]:
+    """Where ``repro run`` writes one experiment's JSON record.
 
-    # Workers inherit the environment, so the variable also
-    # activates the corpus in --jobs subprocesses; restored
-    # afterwards so in-process callers of main() (tests, other
-    # runs) are not left with a corpus they never asked for.
-    previous = os.environ.get(CORPUS_DIR_VARIABLE)
-    os.environ[CORPUS_DIR_VARIABLE] = args.corpus_dir
-    try:
-        return _run_main(args)
-    finally:
-        if previous is None:
-            del os.environ[CORPUS_DIR_VARIABLE]
-        else:
-            os.environ[CORPUS_DIR_VARIABLE] = previous
+    ``--json`` names one file, so it applies to a single-experiment
+    run only; ``--json-dir`` holds ``<id>.json`` for every experiment.
+    """
+    paths = [args.json] if single and args.json else []
+    if args.json_dir:
+        paths.append(
+            os.path.join(args.json_dir, f"{experiment_id.lower()}.json")
+        )
+    return paths
 
 
 def _run_main(args) -> int:
-    """The ``repro run`` branch (corpus activation handled by the caller)."""
-    from repro.graphs.corpus import reset_corpus_stats
+    """The ``repro run`` branch."""
     from repro.runner import reset_store_stats
 
-    reset_corpus_stats()
     reset_store_stats()
     ids = _requested_ids(args.experiment)
     if ids is None:
@@ -1178,26 +1140,8 @@ def _run_main(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if len(ids) == 1:
-        spec = REGISTRY.get(ids[0])
-        if args.json:
-            # Checked before the run, so a typo in the output
-            # directory does not cost the experiment's result.
-            problem = _unwritable_file_reason(args.json)
-            if problem is not None:
-                return _path_error(args.json, problem)
-        try:
-            _run_one(spec, args, args.json, strict=True)
-        except ReproError as error:
-            print(
-                f"error: {spec.id} failed: {error}",
-                file=sys.stderr,
-            )
-            return 1
-        _print_store_stats(args)
-        _print_corpus_stats()
-        return 0
-    if args.json:
+    single = len(ids) == 1
+    if args.json and not single:
         # The single-record flag cannot name one file for many
         # results; saying so beats silently writing nothing.
         print(
@@ -1206,17 +1150,23 @@ def _run_main(args) -> int:
             "experiment (the flag was ignored)",
             file=sys.stderr,
         )
+    if args.json_dir:
+        os.makedirs(args.json_dir, exist_ok=True)
+    # Checked before the run, so a typo in an output path does not
+    # cost the experiments' results.
+    for experiment_id in ids:
+        for path in _record_paths(args, experiment_id, single):
+            problem = _unwritable_file_reason(path)
+            if problem is not None:
+                return _path_error(path, problem)
     failures = 0
     for experiment_id in ids:
         spec = REGISTRY.get(experiment_id)
-        json_path = None
-        if args.json_dir:
-            os.makedirs(args.json_dir, exist_ok=True)
-            json_path = os.path.join(
-                args.json_dir, f"{experiment_id.lower()}.json"
-            )
         try:
-            _run_one(spec, args, json_path, strict=False)
+            _run_one(
+                spec, args, _record_paths(args, experiment_id, single),
+                strict=single,
+            )
         except ReproError as error:
             # One experiment rejecting a knob (e.g. E19 and
             # --mode independent) must not abort the sweep or
@@ -1227,7 +1177,6 @@ def _run_main(args) -> int:
                 file=sys.stderr,
             )
     _print_store_stats(args)
-    _print_corpus_stats()
     return 1 if failures else 0
 
 

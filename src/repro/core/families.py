@@ -92,12 +92,6 @@ class GraphFamily:
     #: is a global operation.
     prefix_stable: bool = False
 
-    #: Whether ``build(n)`` returns a graph with exactly ``n`` vertices.
-    #: False for the configuration family, which restricts to the giant
-    #: component — its realisations cannot be stored in a corpus keyed
-    #: by ``(spec, n, seed)`` with an exact-size invariant.
-    exact_size: bool = True
-
     def build(self, size: int, seed: RandomLike = None) -> MultiGraph:
         """Build one instance with ``size`` vertices."""
         raise NotImplementedError
@@ -381,17 +375,15 @@ class ConfigurationFamily(GraphFamily):
     """Giant component of a power-law configuration model (Adamic, E7).
 
     ``build`` generates a size-``size`` Molloy–Reed graph and returns
-    its largest component (fewer than ``size`` vertices, so
-    ``exact_size`` is False), relabelled order-preservingly (so the
-    highest new identity is still the "newest" vertex in spirit — ids
-    are arbitrary in this model anyway, neighbors being independent).
+    its largest component (fewer than ``size`` vertices), relabelled
+    order-preservingly (so the highest new identity is still the
+    "newest" vertex in spirit — ids are arbitrary in this model anyway,
+    neighbors being independent).
     """
 
     exponent: float = 2.5
     min_degree: int = 1
     max_degree: Optional[int] = None
-
-    exact_size = False
 
     def __post_init__(self) -> None:
         self.name = f"config(k={self.exponent:g})"

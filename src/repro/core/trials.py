@@ -164,47 +164,22 @@ def build_graph_snapshot(
 ) -> GraphBackend:
     """Build one family instance and snapshot it through :func:`freeze`.
 
-    The one place independent-build trials obtain their graph, so the
-    ``generator`` axis and the on-disk corpus compose uniformly:
+    The one place independent-build trials obtain their graph.
+    ``generator="vectorized"`` builds through
+    :meth:`~repro.core.families.GraphFamily.build_frozen` (the fastgen
+    kernels where the family has one — bit-identical to the serial
+    builder).  ``freeze`` is looked up in this module at call time, so
+    patching ``repro.core.trials.freeze`` (the ``reference_arms``
+    fixture) reaches every build.
 
-    * ``generator="vectorized"`` builds through
-      :meth:`~repro.core.families.GraphFamily.build_frozen` (the
-      fastgen kernels where the family has one — bit-identical to the
-      serial builder).
-    * When ``REPRO_CORPUS_DIR`` names a corpus (see
-      :func:`repro.graphs.corpus.active_corpus`) and the family builds
-      exact-size graphs (the configuration family's giant component
-      does not), the snapshot is served from / persisted to the
-      memory-mapped store keyed by ``(family spec, n, seed)``.  The
-      stored bytes are generator-independent, so a corpus built
-      serially also serves vectorized runs (and vice versa) — the
-      determinism contract makes them the same graph.
-
-    Numbers never depend on any of this — only wall-clock time.
+    Numbers never depend on the generator — only wall-clock time.
     """
     generator = fastest_available(generator, GENERATORS)
-
-    def _build() -> GraphBackend:
-        if generator == "vectorized":
-            return family_obj.build_frozen(
-                size, seed=seed, generator=generator
-            )
-        return family_obj.build(size, seed=seed)
-
-    if family_obj.exact_size:
-        from repro.graphs.corpus import active_corpus
-
-        corpus = active_corpus()
-        if corpus is not None:
-            try:
-                spec = family_spec(family_obj)
-            except ExperimentError:
-                spec = None
-            if spec is not None:
-                return corpus.get_or_build(
-                    spec, size, seed, _build, generator=generator
-                )
-    return freeze(_build())
+    if generator == "vectorized":
+        graph = family_obj.build_frozen(size, seed=seed, generator=generator)
+    else:
+        graph = family_obj.build(size, seed=seed)
+    return freeze(graph)
 
 
 # ----------------------------------------------------------------------

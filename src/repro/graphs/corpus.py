@@ -1,38 +1,30 @@
 """Memory-mapped on-disk corpus of generated CSR graph snapshots.
 
-Generating a scale-free graph is now the dominant cost of many
-experiment cells (the searches themselves were vectorised in the
-walker-ensemble PR, the generators in :mod:`repro.graphs.fastgen`), and
-the *same* snapshot — identified entirely by ``(model parameters, n,
-seed)`` — recurs across experiments, grids and repeated runs.  A
-:class:`GraphCorpus` persists each snapshot once:
+A corpus is the graph catalog of the search service: ``repro corpus
+build`` fills it, ``repro corpus list/verify`` enumerates and
+digest-checks it, and ``repro serve --corpus`` (plus ``POST /reload``)
+serves every snapshot in it.  Batch runs never read it; each builds its
+graphs in memory.  An entry is identified entirely by ``(model
+parameters, n, seed)`` and stored as
 
-* one **CSR blob** per entry — the seven int64 arrays of a
-  :class:`~repro.graphs.frozen.FrozenGraph` (endpoint columns, CSR
-  offsets, incidence slots, directed degrees) concatenated
+* one **CSR blob** — the seven int64 arrays of a
+  :class:`~repro.graphs.frozen.FrozenGraph` in
+  :data:`~repro.graphs.frozen.BLOB_ARRAYS` order, concatenated
   little-endian, loaded back with ``numpy.memmap`` so the buffers are
   shared, lazily paged, and **read-only** (a write through a loaded
   array raises, preserving the frozen-graph immutability contract);
-* one **JSON manifest** per entry carrying the identifying key
-  (model, canonical parameter spec, its sha256 hash, ``n``, ``seed``),
-  the array layout, and a sha256 digest of the blob so
-  :meth:`GraphCorpus.verify` (and ``repro corpus verify``) can detect
-  any byte-level corruption.
+* one **JSON manifest** carrying the identifying key (model, canonical
+  parameter spec, its sha256 hash, ``n``, ``seed``), the array layout
+  (:func:`~repro.graphs.frozen.blob_layout`), and a sha256 digest of
+  the blob so :meth:`GraphCorpus.verify` (and ``repro corpus verify``)
+  can detect any byte-level corruption.
 
 Entries are deterministic — the same key always serialises to the same
 bytes, with no timestamps — and are committed atomically (temp file +
 ``os.replace``, blob before manifest), so concurrent writers racing on
 the same key are harmless: whichever order their renames land in, the
-files always hold one complete, valid entry (content identity makes
-every writer's entry the same bytes).  A reader that finds anything
-unusable treats it as a miss and rebuilds; only ``verify`` judges.
-
-The corpus activates through the ``REPRO_CORPUS_DIR`` environment
-variable (see :func:`active_corpus`): the generator-aware build helper
-in :mod:`repro.core.trials` consults it on every independent frozen
-snapshot build, and the variable is inherited by worker processes.
-Hit/miss counters are process-local; the CLI reports the parent
-process's tally after a run.
+files always hold one complete, valid entry.  A reader that finds
+anything unusable treats it as absent; only ``verify`` judges.
 """
 
 from __future__ import annotations
@@ -40,61 +32,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as _np
 
 from repro.errors import ExperimentError
-from repro.graphs.frozen import FrozenGraph, freeze
+from repro.graphs.frozen import FrozenGraph, blob_layout, freeze
 from repro.ioatomic import write_atomic
 
 __all__ = [
     "CORPUS_SCHEMA",
-    "CORPUS_DIR_VARIABLE",
     "GraphCorpus",
-    "active_corpus",
-    "corpus_stats",
-    "reset_corpus_stats",
+    "spec_digest",
 ]
 
 CORPUS_SCHEMA = "repro-corpus/v1"
-CORPUS_DIR_VARIABLE = "REPRO_CORPUS_DIR"
-
-#: Array names in blob order; lengths are functions of (n, num_edges).
-_ARRAY_NAMES = (
-    "tails",
-    "heads",
-    "offsets",
-    "slot_edges",
-    "slot_targets",
-    "indegree",
-    "outdegree",
-)
-
-_STATS = {"hits": 0, "misses": 0}
-
-
-def corpus_stats() -> Dict[str, int]:
-    """This process's corpus hit/miss tally (since the last reset)."""
-    return dict(_STATS)
-
-
-def reset_corpus_stats() -> None:
-    """Zero the hit/miss tally (one CLI run = one tally)."""
-    _STATS["hits"] = 0
-    _STATS["misses"] = 0
-
-
-def active_corpus() -> Optional["GraphCorpus"]:
-    """The corpus named by ``REPRO_CORPUS_DIR``, or ``None``.
-
-    ``None`` when the variable is unset or empty — the build paths
-    then construct in memory.
-    """
-    root = os.environ.get(CORPUS_DIR_VARIABLE)
-    if not root:
-        return None
-    return GraphCorpus(root)
 
 
 def _spec_hash(spec: Mapping[str, Any]) -> str:
@@ -103,6 +55,16 @@ def _spec_hash(spec: Mapping[str, Any]) -> str:
         dict(spec), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def spec_digest(spec: Mapping[str, Any]) -> str:
+    """The 16-hex-digit spec-hash prefix that names a corpus entry.
+
+    Two families that differ in any parameter (Móri ``p = 0.25`` and
+    ``0.5``, say) get different digests, so ``(model, n, seed)`` plus
+    this digest names one graph.
+    """
+    return _spec_hash(spec)[:16]
 
 
 class GraphCorpus:
@@ -118,8 +80,9 @@ class GraphCorpus:
     def stem_for(self, spec: Mapping[str, Any], n: int, seed: int) -> str:
         """Path stem (no extension) of the entry for this key."""
         model = str(spec.get("model", "adhoc"))
-        digest = _spec_hash(spec)[:16]
-        return os.path.join(self.root, model, f"n{n}-s{seed}-{digest}")
+        return os.path.join(
+            self.root, model, f"n{n}-s{seed}-{spec_digest(spec)}"
+        )
 
     # ------------------------------------------------------------------
     # Read side
@@ -149,7 +112,9 @@ class GraphCorpus:
         if blob.size * 8 != manifest["blob_bytes"]:
             return None
         try:
-            return self._assemble(manifest, blob)
+            return FrozenGraph.from_blob(
+                blob, manifest["arrays"], n, manifest["num_loops"]
+            )
         except (KeyError, ValueError, TypeError):
             return None
 
@@ -161,26 +126,6 @@ class GraphCorpus:
             and manifest.get("n") == n
             and manifest.get("seed") == seed
             and manifest.get("params_hash") == _spec_hash(spec)
-        )
-
-    @staticmethod
-    def _assemble(manifest, blob) -> FrozenGraph:
-        views = {}
-        for entry in manifest["arrays"]:
-            offset, length = entry["offset"], entry["length"]
-            views[entry["name"]] = blob[offset:offset + length]
-        return FrozenGraph(
-            manifest["n"],
-            views["offsets"],
-            views["slot_edges"],
-            views["slot_targets"],
-            manifest["num_loops"],
-            columns=(
-                views["tails"],
-                views["heads"],
-                views["indegree"],
-                views["outdegree"],
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -208,17 +153,8 @@ class GraphCorpus:
                 f"corpus key says n={n} but the snapshot has "
                 f"{snapshot.num_vertices} vertices"
             )
-        arrays = []
-        chunks = []
-        offset = 0
-        for name, column in zip(_ARRAY_NAMES, snapshot._blob_arrays()):
-            data = _np.ascontiguousarray(column, dtype="<i8")
-            arrays.append(
-                {"name": name, "offset": offset, "length": len(data)}
-            )
-            chunks.append(data.tobytes())
-            offset += len(data)
-        blob = b"".join(chunks)
+        columns = snapshot.blob_columns()
+        blob = b"".join(column.tobytes() for column in columns)
         manifest = {
             "schema": CORPUS_SCHEMA,
             "model": str(spec.get("model", "adhoc")),
@@ -231,7 +167,7 @@ class GraphCorpus:
             "generator": generator,
             "blob_bytes": len(blob),
             "sha256": hashlib.sha256(blob).hexdigest(),
-            "arrays": arrays,
+            "arrays": blob_layout(columns),
         }
         stem = self.stem_for(spec, n, seed)
         os.makedirs(os.path.dirname(stem), exist_ok=True)
@@ -243,34 +179,6 @@ class GraphCorpus:
             prefix=".corpus-",
         )
         return stem + ".json"
-
-    # ------------------------------------------------------------------
-    # The cache protocol
-    # ------------------------------------------------------------------
-
-    def get_or_build(
-        self,
-        spec: Mapping[str, Any],
-        n: int,
-        seed: int,
-        build: Callable[[], Any],
-        generator: str = "serial",
-    ) -> FrozenGraph:
-        """Return the stored snapshot, or build, store and return it.
-
-        The race between concurrent builders of the same key is
-        benign: both compute identical bytes (generation is seeded and
-        serialisation deterministic) and both commit atomically, so
-        the survivor is always one valid entry.
-        """
-        snapshot = self.get(spec, n, seed)
-        if snapshot is not None:
-            _STATS["hits"] += 1
-            return snapshot
-        _STATS["misses"] += 1
-        snapshot = freeze(build())
-        self.put(spec, n, seed, snapshot, generator=generator)
-        return snapshot
 
     # ------------------------------------------------------------------
     # Enumeration and integrity

@@ -34,7 +34,7 @@ the CSR therefore costs its arrays and nothing per edge.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as _np
 
@@ -42,13 +42,30 @@ from repro.errors import GraphConstructionError
 from repro.graphs.base import MultiGraph
 
 __all__ = [
+    "BLOB_ARRAYS",
     "FrozenGraph",
     "GraphBackend",
+    "blob_layout",
     "freeze",
     "vectorized_bfs_distances",
     "vectorized_connected_components",
     "vectorized_degree_histogram",
 ]
+
+#: The seven int64 arrays of a snapshot's blob, in storage order: the
+#: endpoint columns, the CSR (offsets, incidence slots, far endpoints)
+#: and the directed degrees.  A corpus blob (:mod:`repro.graphs.corpus`)
+#: and a shared-memory segment (:mod:`repro.graphs.shm`) both hold them
+#: little-endian and back to back, as :func:`blob_layout` describes.
+BLOB_ARRAYS = (
+    "tails",
+    "heads",
+    "offsets",
+    "slot_edges",
+    "slot_targets",
+    "indegree",
+    "outdegree",
+)
 
 
 class FrozenGraph:
@@ -331,10 +348,6 @@ class FrozenGraph:
         distances = vectorized_bfs_distances(self, 1)
         return all(d >= 0 for d in distances[1:])
 
-    def thaw(self) -> MultiGraph:
-        """An independent mutable copy with identical content and edge ids."""
-        return MultiGraph.from_edges(self._n, list(self._endpoint_list()))
-
     # ------------------------------------------------------------------
     # Column arrays and the lazily built scalar lists
     # ------------------------------------------------------------------
@@ -346,21 +359,62 @@ class FrozenGraph:
             self._endpoints = list(zip(tails.tolist(), heads.tolist()))
         return self._endpoints
 
-    def _blob_arrays(self):
-        """The seven int64 arrays in corpus/shared-memory blob order.
+    def blob_columns(self) -> List[_np.ndarray]:
+        """The seven arrays in :data:`BLOB_ARRAYS` order, as contiguous
+        little-endian int64 buffers.
 
-        ``tails, heads, offsets, slot_edges, slot_targets, indegree,
-        outdegree``; see :mod:`repro.graphs.corpus`.
+        These are the snapshot's own arrays (no copy unless one is
+        strided), so a writer copies each array once, straight into its
+        blob or segment.
         """
         tails, heads, indegree, outdegree = self._columns
-        return (
-            tails,
-            heads,
-            self._offsets,
-            self._slot_edges,
-            self._slot_targets,
-            indegree,
-            outdegree,
+        return [
+            _np.ascontiguousarray(column, dtype="<i8")
+            for column in (
+                tails,
+                heads,
+                self._offsets,
+                self._slot_edges,
+                self._slot_targets,
+                indegree,
+                outdegree,
+            )
+        ]
+
+    @classmethod
+    def from_blob(
+        cls,
+        words,
+        layout: List[Dict[str, Any]],
+        num_vertices: int,
+        num_loops: int,
+    ) -> "FrozenGraph":
+        """A snapshot whose arrays are views of ``words``.
+
+        ``words`` is one flat int64 array (a memory map, a shared
+        buffer) holding the arrays as the ``{name, offset, length}``
+        table ``layout`` (see :func:`blob_layout`) places them.  Only
+        slices are taken, so this is O(1) in the graph size and shares
+        the buffer's read-only flag.
+        """
+        views = {
+            entry["name"]: words[
+                entry["offset"]: entry["offset"] + entry["length"]
+            ]
+            for entry in layout
+        }
+        return cls(
+            num_vertices,
+            views["offsets"],
+            views["slot_edges"],
+            views["slot_targets"],
+            num_loops,
+            columns=(
+                views["tails"],
+                views["heads"],
+                views["indegree"],
+                views["outdegree"],
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -492,6 +546,23 @@ class FrozenGraph:
 
 #: Either graph backend; public read-only APIs accept both.
 GraphBackend = Union[MultiGraph, FrozenGraph]
+
+
+def blob_layout(columns) -> List[Dict[str, Any]]:
+    """The ``{name, offset, length}`` table of blob-ordered ``columns``.
+
+    Offsets and lengths count int64 words from the start of the
+    arrays; the corpus manifest and the shared-memory header both
+    store this table as their ``arrays`` field.
+    """
+    layout = []
+    offset = 0
+    for name, column in zip(BLOB_ARRAYS, columns):
+        layout.append(
+            {"name": name, "offset": offset, "length": len(column)}
+        )
+        offset += len(column)
+    return layout
 
 
 def freeze(graph: GraphBackend) -> FrozenGraph:

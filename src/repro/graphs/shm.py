@@ -4,11 +4,14 @@ A :class:`~repro.graphs.frozen.FrozenGraph` is immutable, so its CSR
 arrays can be *published once* into a ``multiprocessing.shared_memory``
 segment and attached read-only by any number of worker processes —
 instead of pickling the whole graph into every task (the cost that
-dominates per-trial dispatch at search scale).  The layout reuses the
-corpus blob convention (:mod:`repro.graphs.corpus`): the seven int64
-arrays (endpoint columns, CSR offsets, incidence slots, directed
-degrees) concatenated little-endian, here prefixed by a length-framed
-JSON header so an attach needs nothing but the segment *name*::
+dominates per-trial dispatch at search scale).  The arrays are the
+snapshot's blob, as a corpus entry (:mod:`repro.graphs.corpus`) stores
+it: the seven int64 arrays of
+:data:`~repro.graphs.frozen.BLOB_ARRAYS` (endpoint columns, CSR
+offsets, incidence slots, directed degrees) concatenated
+little-endian, here prefixed by a length-framed JSON header whose
+``arrays`` table is :func:`~repro.graphs.frozen.blob_layout`'s, so an
+attach needs nothing but the segment *name*::
 
     [magic "REPROSHM"][uint64 header length][header JSON][pad to 8]
     [tails][heads][offsets][slot_edges][slot_targets][indegree][outdegree]
@@ -24,9 +27,10 @@ before it could unlink leaves names that
 arrays are views straight into the shared buffer.  Attached views are
 read-only, preserving the frozen-graph immutability contract.
 
-The views are zero-copy numpy ``frombuffer`` arrays, all seven of them,
-so an attach parses the header and builds nothing else — O(1) in the
-graph size.  The endpoint and degree lists the scalar API needs
+The views are zero-copy numpy ``frombuffer`` slices, all seven of them,
+taken by :meth:`~repro.graphs.frozen.FrozenGraph.from_blob`, so an
+attach parses the header and builds nothing else — O(1) in the graph
+size.  The endpoint and degree lists the scalar API needs
 (``edge_endpoints``, ``in_degree``, ...) are built only if a search
 calls it; the ensemble engine never does.
 """
@@ -42,7 +46,7 @@ from typing import Any, Dict, List, Optional
 import numpy as _np
 
 from repro.errors import ExperimentError
-from repro.graphs.frozen import FrozenGraph, freeze
+from repro.graphs.frozen import FrozenGraph, blob_layout, freeze
 
 __all__ = [
     "SHM_SCHEMA",
@@ -60,31 +64,6 @@ SHM_DIR = "/dev/shm"
 
 _MAGIC = b"REPROSHM"
 _PREFIX = struct.Struct("<8sQ")
-
-#: Array names in blob order — the corpus convention.
-_ARRAY_NAMES = (
-    "tails",
-    "heads",
-    "offsets",
-    "slot_edges",
-    "slot_targets",
-    "indegree",
-    "outdegree",
-)
-
-
-def _blob_columns(snapshot: FrozenGraph) -> List[Any]:
-    """The seven arrays as contiguous little-endian int64 buffers.
-
-    These are the snapshot's own arrays (no copy unless one is
-    strided), so publishing copies each array once, straight into the
-    segment.
-    """
-    return [
-        _np.ascontiguousarray(column, dtype="<i8")
-        for column in snapshot._blob_arrays()
-    ]
-
 
 class SharedGraphSegment:
     """Owner-side handle of one published snapshot.
@@ -141,28 +120,20 @@ def publish_graph(graph, *, name: Optional[str] = None) -> SharedGraphSegment:
     if name is None:
         name = f"repro-{os.getpid()}-{os.urandom(8).hex()}"
     snapshot = freeze(graph)
-    columns = _blob_columns(snapshot)
-    arrays = []
-    offset = 0
-    for array_name, column in zip(_ARRAY_NAMES, columns):
-        length = len(column)
-        arrays.append(
-            {"name": array_name, "offset": offset, "length": length}
-        )
-        offset += length
+    columns = snapshot.blob_columns()
     header = {
         "schema": SHM_SCHEMA,
         "n": snapshot.num_vertices,
         "num_edges": snapshot.num_edges,
         "num_loops": snapshot.num_self_loops(),
-        "arrays": arrays,
+        "arrays": blob_layout(columns),
     }
     header_bytes = json.dumps(
         header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     payload_offset = _PREFIX.size + len(header_bytes)
     payload_offset += (-payload_offset) % 8  # 8-align the arrays
-    total = payload_offset + 8 * offset
+    total = payload_offset + 8 * sum(len(column) for column in columns)
     shm = shared_memory.SharedMemory(
         create=True, size=max(total, 1), name=name
     )
@@ -320,27 +291,13 @@ def attach_graph(name: str) -> ShmFrozenGraph:
         total_words = sum(
             entry["length"] for entry in header["arrays"]
         )
-        views: Dict[str, Any] = {}
-        base = _np.frombuffer(
+        words = _np.frombuffer(
             shm.buf, dtype="<i8",
             count=total_words, offset=payload_offset,
         )
-        base.flags.writeable = False
-        for entry in header["arrays"]:
-            lo = entry["offset"]
-            views[entry["name"]] = base[lo: lo + entry["length"]]
-        snapshot = ShmFrozenGraph(
-            header["n"],
-            views["offsets"],
-            views["slot_edges"],
-            views["slot_targets"],
-            header["num_loops"],
-            columns=(
-                views["tails"],
-                views["heads"],
-                views["indegree"],
-                views["outdegree"],
-            ),
+        words.flags.writeable = False
+        snapshot = ShmFrozenGraph.from_blob(
+            words, header["arrays"], header["n"], header["num_loops"]
         )
     except BaseException:
         shm.close()

@@ -68,9 +68,9 @@ class _Miss:
 #: Returned by :meth:`TrialStore.get` when no usable entry exists.
 MISS = _Miss()
 
-#: Process-local replay tally, mirroring the corpus hit/miss counters:
-#: ``repro run`` reports it after a cached run.  Workers spawned with
-#: ``--jobs`` are not counted (the replay scan happens in the parent).
+#: Process-local replay tally: ``repro run`` reports it after a cached
+#: run.  Workers spawned with ``--jobs`` are not counted (the replay
+#: scan happens in the parent).
 _STATS = {"hits": 0, "misses": 0}
 
 #: Cache directories already warned about holding a json-files tree.

@@ -41,6 +41,7 @@ from repro.core.trials import (
     portfolio_factories,
 )
 from repro.errors import ExperimentError
+from repro.graphs.corpus import CORPUS_SCHEMA, GraphCorpus, spec_digest
 from repro.graphs.frozen import FrozenGraph
 from repro.graphs.shm import attach_graph
 
@@ -85,8 +86,9 @@ class QueryError(ExperimentError):
 
     ``400`` for malformed requests (bad JSON, missing/ill-typed
     fields, out-of-range vertices), ``404`` for well-formed requests
-    naming an unknown graph or algorithm id, ``429`` when too many
-    queries are in flight, ``503`` for timeouts and shutdown.  ``extra``
+    naming an unknown graph or algorithm id, ``413`` for a body over
+    the daemon's size cap, ``429`` when too many queries are in
+    flight, ``503`` for timeouts and shutdown.  ``extra``
     keys are merged into the JSON error body so machine clients get a
     structured reason (``timeout_s``, ``queue_depth``, ...) alongside
     the message.
@@ -146,11 +148,19 @@ def entry_from_snapshot(
     seed: int,
     snapshot: FrozenGraph,
 ) -> GraphEntry:
-    """Wrap an already-built snapshot in its catalog entry."""
+    """Wrap an already-built snapshot in its catalog entry.
+
+    The graph id ends in the family's spec digest, so two families of
+    one model (Móri ``p = 0.25`` and ``0.5``, say) never share an id at
+    the same ``(n, seed)``.
+    """
     family_obj = build_family(spec)
     target = family_obj.theorem_target(snapshot)
     start = choose_start(family_obj, snapshot, target, "default", seed)
-    graph_id = f"{spec.get('model', 'adhoc')}-n{size}-s{seed}"
+    graph_id = (
+        f"{spec.get('model', 'adhoc')}-n{size}-s{seed}-"
+        f"{spec_digest(spec)}"
+    )
     return GraphEntry(
         graph_id=graph_id,
         family=dict(spec),
@@ -198,8 +208,6 @@ def load_corpus_entries(corpus_dir: str) -> List[GraphEntry]:
     Unreadable or schema-mismatched entries are skipped (the corpus
     CLI's ``verify`` is the integrity judge, not the serving path).
     """
-    from repro.graphs.corpus import CORPUS_SCHEMA, GraphCorpus
-
     corpus = GraphCorpus(corpus_dir)
     entries = []
     for _, manifest in corpus.entries():

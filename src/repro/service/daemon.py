@@ -62,7 +62,8 @@ Routes
     "target"?}`` -> one serialized SearchResult, bit-identical to the
     batch path's cell whether it ran inline, in the pool or came from
     the cache.  A body whose ``Content-Length`` is not a non-negative
-    integer gets a 400 and the connection closes (on every POST).
+    integer gets a 400, one over ``MAX_BODY_BYTES`` a 413, and the
+    connection closes after either (on every POST).
 ``POST /reload``
     corpus hot-reload: re-scan the corpus directory and publish any
     graphs that appeared since start; ``{"added": [...], "total": N}``.
@@ -108,6 +109,7 @@ from repro.service.stats import ServiceStats
 __all__ = [
     "INLINE_ALGORITHMS",
     "INLINE_BUDGET",
+    "MAX_BODY_BYTES",
     "AnswerCache",
     "SearchService",
 ]
@@ -115,6 +117,11 @@ __all__ = [
 
 #: ``serve_forever``'s shutdown-poll interval, in seconds.
 _POLL_INTERVAL_S = 0.02
+
+#: Largest POST body the daemon reads.  A query body is under 200
+#: bytes; a longer ``Content-Length`` gets a 413 without its body being
+#: read (reading it would allocate the whole claimed length first).
+MAX_BODY_BYTES = 64 * 1024
 
 #: Request budget of a cache miss's inline attempt in its HTTP thread
 #: (``0`` sends every miss to the pool).  Measured in the daemon at
@@ -743,7 +750,9 @@ class _Handler(BaseHTTPRequestHandler):
         of the *next* request line on this connection.  A
         ``Content-Length`` that is not a non-negative integer leaves the
         body's end unknown: the request is a 400 and the connection
-        closes after the reply.
+        closes after the reply.  A length over :data:`MAX_BODY_BYTES`
+        is a 413, and the body is left unread on a connection that
+        closes.
         """
         header = self.headers.get("Content-Length") or "0"
         try:
@@ -754,6 +763,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise QueryError(
                 400, f"malformed Content-Length header {header!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise QueryError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                max_body_bytes=MAX_BODY_BYTES,
             )
         return self.rfile.read(length) if length else b""
 

@@ -1,28 +1,29 @@
-"""Corpus battery: the memory-mapped snapshot store must be safe.
+"""Corpus battery: the memory-mapped snapshot catalog must be safe.
 
-The corpus is a cache keyed purely by content identity ``(model
-params, n, seed)``; like every other execution axis it may only change
-wall-clock time.  The battery pins:
+The corpus is the graph catalog ``repro serve --corpus`` serves, keyed
+purely by content identity ``(model params, n, seed)``.  The battery
+pins:
 
 * **round-trips** — ``put`` then ``get`` reproduces the snapshot bit
   for bit (edge ids included) for every model with a family, and the
   loaded arrays are memory-mapped **read-only** (writes raise);
+* **the bytes** — a manifest and blob pinned by sha256, and the blob
+  layout shared with shared-memory segments
+  (:func:`~repro.graphs.frozen.blob_layout`);
 * **integrity** — a single flipped blob byte fails ``verify``; ``get``
-  stays structural-only (a digest check per lookup would defeat the
-  cache), mirroring the documented split;
+  stays structural-only (a digest check per lookup would make every
+  catalog load read every blob), mirroring the documented split;
 * **races** — two writers landing on one key leave exactly one valid
   entry (easy here because both writers produce identical bytes);
-* **the cache protocol** — hit/miss accounting, build-once semantics,
-  environment activation, and the ``build_graph_snapshot`` wiring that
-  serves experiment runs from the corpus;
+* **batch runs** — ``repro run`` builds in memory and never touches a
+  corpus, whatever the environment says;
 * **cache keys** — the ``generator`` axis follows the engine policy:
-  the default never enters trial params, so corpus-less and
-  pre-corpus cache entries keep replaying.
+  the default never enters trial params.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 import os
 
 import pytest
@@ -32,17 +33,11 @@ from repro.core.families import (
     CooperFriezeFamily,
     MoriFamily,
 )
-from repro.core.trials import build_graph_snapshot, family_spec
+from repro.core.trials import family_spec
 from repro.errors import ExperimentError
 from repro.graphs import FrozenGraph, freeze
-from repro.graphs.corpus import (
-    CORPUS_DIR_VARIABLE,
-    CORPUS_SCHEMA,
-    GraphCorpus,
-    active_corpus,
-    corpus_stats,
-    reset_corpus_stats,
-)
+from repro.graphs.corpus import CORPUS_SCHEMA, GraphCorpus
+from repro.graphs.frozen import BLOB_ARRAYS, blob_layout
 
 FAMILIES = {
     "mori": lambda: MoriFamily(p=0.5, m=2),
@@ -200,92 +195,85 @@ class TestIntegrity:
         assert corpus.verify() == []
 
 
-class TestCacheProtocol:
-    def setup_method(self):
-        reset_corpus_stats()
+class TestBlobBytes:
+    """The on-disk bytes and the layout both blob readers share."""
 
-    def test_get_or_build_counts_miss_then_hit(self, tmp_path):
-        family = MoriFamily(p=0.5, m=1)
-        spec = family_spec(family)
+    @pytest.mark.parametrize("family, manifest_sha, blob_sha", [
+        (
+            MoriFamily(p=0.5, m=2),
+            "a81f6200142448d7b3160f8879ded5f1"
+            "fb1c2ba7adf651a3341f65d6c6e23549",
+            "d8f1fd5e2091b1eaefb7750d7a16e800"
+            "04df08a19576c821ca56701fde3fac5e",
+        ),
+        (
+            CooperFriezeFamily(),
+            "074928a14214f6f743294a064ba9fef9"
+            "ee91fb7b552052d035d8466da1008e92",
+            "5d5e414a4fe49fecd437a17e9dfcc8c1"
+            "de28917b2b719c1fe1aef766bb3e6d94",
+        ),
+    ])
+    def test_entry_bytes_are_pinned(
+        self, tmp_path, family, manifest_sha, blob_sha
+    ):
+        """A corpus written today is byte-identical to one written by
+        every earlier version of ``repro-corpus/v1``."""
+        manifest_path = GraphCorpus(tmp_path).put(
+            family_spec(family), 60, 0,
+            family.build_frozen(60, seed=0, generator="vectorized"),
+            generator="vectorized",
+        )
+        with open(manifest_path, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == \
+                manifest_sha
+        with open(_blob_path(manifest_path), "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == blob_sha
+
+    def test_manifest_and_segment_share_one_layout(self, tmp_path):
+        from repro.graphs.shm import attach_graph, publish_graph
+
+        family = MoriFamily(p=0.5, m=2)
+        snapshot = family.build_frozen(70, seed=4)
+        layout = blob_layout(snapshot.blob_columns())
+        assert [entry["name"] for entry in layout] == list(BLOB_ARRAYS)
         corpus = GraphCorpus(tmp_path)
-        calls = []
+        corpus.put(family_spec(family), 70, 4, snapshot)
+        (_, manifest), = corpus.entries()
+        assert manifest["arrays"] == layout
+        segment = publish_graph(snapshot)
+        try:
+            assert segment.header["arrays"] == layout
+            attached = attach_graph(segment.name)
+            assert attached == snapshot
+            attached.close()
+        finally:
+            segment.close()
+            segment.unlink()
 
-        def build():
-            calls.append(1)
-            return family.build(60, seed=0)
 
-        first = corpus.get_or_build(spec, 60, 0, build)
-        second = corpus.get_or_build(spec, 60, 0, build)
-        assert calls == [1]  # built exactly once
-        assert first == second
-        assert corpus_stats() == {"hits": 1, "misses": 1}
-
+class TestConcurrentWriters:
     def test_two_writer_race_leaves_one_valid_entry(self, tmp_path):
         """Writer B lands a full entry while A is still building.
 
         A's subsequent put overwrites with byte-identical content, so
         whichever rename lands last, the key holds one valid entry and
-        both writers return the same snapshot.
+        both writers' snapshots read back the same.
         """
         family = MoriFamily(p=0.5, m=2)
         spec = family_spec(family)
         corpus = GraphCorpus(tmp_path)
-
-        def racing_build():
-            # B's whole get_or_build completes inside A's miss window.
-            GraphCorpus(tmp_path).put(
-                spec, 70, 5, family.build_frozen(70, seed=5)
-            )
-            return family.build(70, seed=5)
-
-        built = corpus.get_or_build(spec, 70, 5, racing_build)
-        assert built == family.build_frozen(70, seed=5)
+        assert corpus.get(spec, 70, 5) is None
+        built = family.build(70, seed=5)
+        # B's whole build-and-put completes inside A's miss window.
+        GraphCorpus(tmp_path).put(
+            spec, 70, 5, family.build_frozen(70, seed=5)
+        )
+        corpus.put(spec, 70, 5, built)
         report = corpus.verify()
         assert len(report) == 1
         assert report[0][1]  # the surviving entry is valid
-        assert corpus.get(spec, 70, 5) == built
-
-    def test_active_corpus_tracks_environment(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CORPUS_DIR_VARIABLE, raising=False)
-        assert active_corpus() is None
-        monkeypatch.setenv(CORPUS_DIR_VARIABLE, "")
-        assert active_corpus() is None
-        monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
-        corpus = active_corpus()
-        assert isinstance(corpus, GraphCorpus)
-        assert corpus.root == str(tmp_path)
-
-    def test_build_graph_snapshot_serves_from_corpus(
-        self, tmp_path, monkeypatch
-    ):
-        """The experiment build path fills, then hits, the corpus —
-        and a serial-built entry serves a vectorized run (the stored
-        bytes are generator-independent by the equivalence contract)."""
-        monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
-        reset_corpus_stats()
-        family = MoriFamily(p=0.5, m=2)
-        first = build_graph_snapshot(family, 60, 2, "serial")
-        again = build_graph_snapshot(family, 60, 2, "serial")
-        crossed = build_graph_snapshot(family, 60, 2, "vectorized")
-        assert corpus_stats() == {"hits": 2, "misses": 1}
-        assert first == again == crossed
-
-    def test_inexact_size_family_bypasses_corpus(
-        self, tmp_path, monkeypatch
-    ):
-        """The configuration family's giant component has fewer than
-        ``n`` vertices, so it cannot honour the corpus's exact-size
-        key — it must build past the store, not crash ``put``."""
-        from repro.core.families import ConfigurationFamily
-
-        assert ConfigurationFamily.exact_size is False
-        monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
-        reset_corpus_stats()
-        family = ConfigurationFamily(exponent=2.5, min_degree=2)
-        snapshot = build_graph_snapshot(family, 120, 7, "serial")
-        assert snapshot.num_vertices <= 120
-        assert corpus_stats() == {"hits": 0, "misses": 0}
-        assert list(GraphCorpus(tmp_path).entries()) == []
+        assert corpus.get(spec, 70, 5) == freeze(built)
 
 
 class TestGeneratorCacheKey:
@@ -345,29 +333,35 @@ class TestCorpusCli:
         assert "sha256 mismatch" in captured.err
         assert "0/1 entries ok" in captured.out
 
-    def test_run_reports_hits_on_second_pass(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_run_has_no_corpus_flag(self, tmp_path, capsys):
         from repro.cli import main
 
-        monkeypatch.delenv(CORPUS_DIR_VARIABLE, raising=False)
-        root = str(tmp_path / "corpus")
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "run", "E17", "--quick",
+                "--corpus-dir", str(tmp_path / "corpus"),
+            ])
+        assert exit_info.value.code == 2
+        assert "--corpus-dir" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
+
+    def test_run_ignores_a_corpus_variable(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Batch builds are in memory: a leftover ``REPRO_CORPUS_DIR``
+        neither fills a corpus nor changes a printed line."""
+        from repro.cli import main
+
         argv = [
             "run", "E17", "--quick", "--set", "sizes=60",
-            "--set", "num_graphs=1", "--corpus-dir", root,
+            "--set", "num_graphs=1",
         ]
+        monkeypatch.delenv("REPRO_CORPUS_DIR", raising=False)
         assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "corpus: 0 hits, 1 misses" in first
+        plain = capsys.readouterr().out
+        root = tmp_path / "corpus"
+        root.mkdir()
+        monkeypatch.setenv("REPRO_CORPUS_DIR", str(root))
         assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "corpus: 1 hits, 0 misses" in second
-        # The replayed numbers are identical to the cold-cache run.
-        assert first == second.replace(
-            "corpus: 1 hits, 0 misses", "corpus: 0 hits, 1 misses"
-        )
-        # --corpus-dir activates the corpus for the run (and its
-        # workers) only: the process environment is restored, so later
-        # in-process main() calls do not inherit a corpus they never
-        # asked for.
-        assert CORPUS_DIR_VARIABLE not in os.environ
+        assert capsys.readouterr().out == plain
+        assert list(root.iterdir()) == []

@@ -210,20 +210,12 @@ class TestImmutability:
         assert freeze(frozen) is frozen
         assert FrozenGraph.from_multigraph(frozen) is frozen
 
-    def test_thaw_round_trips(self, loop_graph):
-        frozen = freeze(loop_graph)
-        thawed = frozen.thaw()
-        assert thawed == loop_graph
-        assert thawed is not loop_graph
-        eid = thawed.add_edge(1, 1)  # thawed copy is mutable again
-        assert eid == loop_graph.num_edges
-
-    def test_thaw_keeps_edge_ids_loops_and_parallels(self):
+    def test_freeze_keeps_edge_ids_loops_and_parallels(self):
         """The adversarial pin: ids, loop counts, parallel bundles.
 
-        Thawing must give back the *labeled* edge list: a permutation
-        of a parallel bundle would still pass plain isomorphism yet
-        break the incidence-slot order the walk oracles read.
+        A snapshot must keep the *labeled* edge list: a permutation of
+        a parallel bundle would still pass plain isomorphism yet break
+        the incidence-slot order the walk oracles read.
         """
         graph = MultiGraph(5)  # vertex 5 stays isolated
         graph.add_edge(1, 1)  # self-loop first, id 0
@@ -233,23 +225,15 @@ class TestImmutability:
         graph.add_edge(3, 3)
         graph.add_edge(3, 3)  # doubled self-loop, ids 4-5
         graph.add_edge(4, 3)
-        thawed = freeze(graph).thaw()
-        assert thawed == graph
-        assert list(thawed.edges()) == list(graph.edges())
-        assert thawed.num_self_loops() == 3
+        frozen = freeze(graph)
+        assert frozen == graph
+        assert list(frozen.edges()) == list(graph.edges())
+        assert frozen.num_self_loops() == 3
         for vertex in graph.vertices():
-            assert thawed.incident_edges(vertex) == graph.incident_edges(
+            assert frozen.incident_edges(vertex) == graph.incident_edges(
                 vertex
             )
-        assert hash(freeze(thawed)) == hash(freeze(graph))
-
-    def test_vectorized_snapshot_survives_thaw_and_refreeze(self):
-        from repro.graphs.fastgen import fast_merged_mori_frozen
-
-        snapshot = fast_merged_mori_frozen(60, 2, 0.5, seed=0)
-        thawed = snapshot.thaw()
-        assert freeze(thawed) == snapshot
-        assert list(thawed.edges()) == list(snapshot.edges())
+        assert hash(frozen) == hash(graph)
 
 
 class TestFreezeThenHashContract:
@@ -258,7 +242,6 @@ class TestFreezeThenHashContract:
     def test_snapshot_hash_and_equality_cross_backend(self, triangle):
         frozen = freeze(triangle)
         assert frozen == triangle
-        assert triangle == frozen.thaw()
         assert hash(frozen) == hash(triangle)
         assert freeze(triangle.copy()) == frozen
 
@@ -788,7 +771,6 @@ class TestArrayNativeSnapshots:
                 assert list(graph.edges()) == list(source.edges())
                 assert graph == source and source == graph
                 assert hash(graph) == hash(source)
-                assert graph.thaw() == source
                 assert all(
                     value is not None for value in _scalar_lists(graph)
                 ), name

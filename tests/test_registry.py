@@ -596,6 +596,49 @@ class TestCLICommaLists:
         ) == 0
         assert sorted(os.listdir(json_dir)) == ["e10.json", "e16.json"]
 
+    def test_single_id_writes_json_dir(self, tmp_path, capsys):
+        """One id writes ``<id>.json`` exactly as a list run does."""
+        import os
+
+        single_dir = tmp_path / "single"
+        list_dir = tmp_path / "list"
+        assert main(
+            ["run", "E10", "--quick", "--json-dir", str(single_dir)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert f"wrote {single_dir / 'e10.json'}" in out
+        assert main(
+            ["run", "E10,E16", "--quick", "--json-dir", str(list_dir)]
+        ) == 0
+        assert os.listdir(single_dir) == ["e10.json"]
+        assert (single_dir / "e10.json").read_bytes() == (
+            list_dir / "e10.json"
+        ).read_bytes()
+
+    def test_bad_json_dir_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.core.registry import ExperimentSpec
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(ExperimentSpec, "run", forbidden)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "taken" / "e10.json").mkdir(parents=True)
+        for ids in ("E10", "E16,E10"):
+            for bad, reason in (
+                (tmp_path / "file", "File exists"),
+                (tmp_path / "taken" / "e10.json", "Is a directory"),
+            ):
+                json_dir = bad if bad.name == "file" else bad.parent
+                assert main([
+                    "run", ids, "--quick", "--json-dir", str(json_dir),
+                ]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: {bad}: {reason}\n"
+
     def test_json_flag_warns_on_multi_runs(self, tmp_path, capsys):
         out_path = tmp_path / "out.json"
         assert main(

@@ -110,7 +110,7 @@ def client(service):
         yield handle
 
 
-GRAPH_ID = f"mori-n{SIZE}-s{SEED}"
+GRAPH_ID = f"mori-n{SIZE}-s{SEED}-e49ee3716b80aaef"
 
 
 class TestServing:
@@ -589,15 +589,60 @@ class TestLifecycle:
                     spec, 60, 2, family.build_frozen(60, seed=2)
                 )
                 report = probe.reload()
-                assert report["added"] == ["mori-n60-s2"]
+                new_id = "mori-n60-s2-e49ee3716b80aaef"
+                assert report["added"] == [new_id]
                 assert report["total"] == 2
-                response = probe.search("mori-n60-s2", "random-walk")
+                response = probe.search(new_id, "random-walk")
         expected = batched_search_trial(
             family=spec, size=60, portfolio=PORTFOLIO,
             cells=[{"algorithm": "random-walk", "run_index": 0}],
             seed=2,
         )[0]
         assert response == expected
+
+
+class TestCorpusIds:
+    """Two families of one model, one ``(n, seed)``: two graphs."""
+
+    def test_each_family_is_served_its_own_graph(self, tmp_path):
+        from repro.cli import main
+        from repro.service import load_corpus_entries
+
+        root = str(tmp_path / "corpus")
+        for p in ("0.25", "0.5"):
+            assert main([
+                "corpus", "build", root, "--model", "mori",
+                "--p", p, "--sizes", "100",
+            ]) == 0
+        entries = load_corpus_entries(root)
+        assert len({entry.graph_id for entry in entries}) == 2
+        cells = [
+            {"algorithm": algorithm, "run_index": run_index}
+            for algorithm in ("random-walk", "high-degree-strong")
+            for run_index in range(2)
+        ]
+        with SearchService(
+            entries, portfolio=PORTFOLIO, workers=1
+        ) as running:
+            with ServiceClient(running.host, running.port) as probe:
+                graphs = probe.graphs()
+                served = {
+                    graph["family"]["p"]: [
+                        probe.search(
+                            graph["id"], cell["algorithm"],
+                            cell["run_index"],
+                        )
+                        for cell in cells
+                    ]
+                    for graph in graphs
+                }
+        assert sorted(served) == [0.25, 0.5]
+        for p, answers in served.items():
+            assert answers == batched_search_trial(
+                family=family_spec(MoriFamily(p=p, m=1)), size=100,
+                portfolio=PORTFOLIO, cells=cells, seed=0,
+            )
+        assert served[0.25] != served[0.5]
 
 
 class TestServeGenerator:

@@ -44,7 +44,7 @@ from repro.service.loadgen import build_queries, parse_arrival
 SIZE = 120
 SEED = 3
 PORTFOLIO = "adamic"
-GRAPH_ID = f"mori-n{SIZE}-s{SEED}"
+GRAPH_ID = f"mori-n{SIZE}-s{SEED}-e49ee3716b80aaef"
 FAMILY = MoriFamily(p=0.5, m=1)
 
 
@@ -774,7 +774,8 @@ class TestSigterm:
                 ("127.0.0.1", port), timeout=10
             )
             body = json.dumps({
-                "graph": "mori-n60-s1", "algorithm": "random-walk",
+                "graph": "mori-n60-s1-e49ee3716b80aaef",
+                "algorithm": "random-walk",
             }).encode()
             raw.sendall(
                 b"POST /search HTTP/1.1\r\n"

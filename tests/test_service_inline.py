@@ -9,8 +9,9 @@ every served answer — inline, spilled or cached — equals
 ``batched_search_trial``; concurrent inline cells on one view agree
 with a single thread; ``/reload``ed graphs are answered inline; the
 daemon's views close before their segments unlink.  Also here: the
-typed 400 for a malformed ``Content-Length``, ``GET /graphs`` after
-``stop()``, and the start method both kinds of pool run on.
+typed 400 for a malformed ``Content-Length`` and the typed 413 for an
+oversized one, ``GET /graphs`` after ``stop()``, and the start method
+both kinds of pool run on.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ SIZE = 150
 SEED = 4
 PORTFOLIO = "adamic"
 FAMILY = MoriFamily(p=0.5, m=1)
-GRAPH_ID = f"mori-n{SIZE}-s{SEED}"
+GRAPH_ID = f"mori-n{SIZE}-s{SEED}-e49ee3716b80aaef"
 
 
 def _oracle(cells, *, size=SIZE, seed=SEED, portfolio=PORTFOLIO):
@@ -301,10 +302,11 @@ def test_reloaded_graph_is_answered_inline(tmp_path):
     with service:
         with ServiceClient(service.host, service.port) as client:
             corpus.put(spec, 60, 2, new_graph)
-            assert client.reload()["added"] == ["mori-n60-s2"]
+            new_id = "mori-n60-s2-e49ee3716b80aaef"
+            assert client.reload()["added"] == [new_id]
             answers = [
                 client.search(
-                    "mori-n60-s2", cell["algorithm"], cell["run_index"],
+                    new_id, cell["algorithm"], cell["run_index"],
                     start=cell["start"], target=cell["target"],
                 )
                 for cell in cells
@@ -338,7 +340,8 @@ def test_stop_closes_views_and_unlinks_segments():
 
 
 # ----------------------------------------------------------------------
-# Malformed Content-Length: a typed 400, then the connection closes
+# Malformed or oversized Content-Length: a typed 400 or 413, then the
+# connection closes
 # ----------------------------------------------------------------------
 
 
@@ -376,6 +379,24 @@ def test_malformed_content_length_is_400_and_closes(
     payload = json.loads(body)
     assert payload["status"] == 400
     assert "Content-Length" in payload["error"]
+    assert http_service.stats.in_flight == 0
+
+
+@pytest.mark.parametrize("length", [2 * 10**9, 10**12])
+@pytest.mark.parametrize("path", ["/search", "/reload"])
+def test_oversized_body_is_413_unread_and_closes(
+    http_service, path, length
+):
+    """The daemon answers a body it will not read at once: no
+    allocation of the claimed length, no wait for its bytes."""
+    reply = _raw_post(http_service.port, path, length)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 "), reply
+    assert b"Connection: close" in head
+    payload = json.loads(body)
+    assert payload["status"] == 413
+    assert payload["max_body_bytes"] == daemon.MAX_BODY_BYTES
+    assert str(length) in payload["error"]
     assert http_service.stats.in_flight == 0
 
 
