@@ -3,6 +3,11 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
+# Recipes run under bash with pipefail, so a command piped through
+# `tee` fails its line when it fails, not only the greps on its log.
+SHELL := /bin/bash
+.SHELLFLAGS := -eo pipefail -c
+
 .PHONY: verify verify-full ci bench bench-smoke
 
 # Tier-1: the fast suite (pytest.ini excludes `slow`-marked tests).

@@ -1,4 +1,4 @@
-"""BFS distances, diameter, and average distance.
+"""BFS distances and diameter.
 
 The paper's headline contrast (experiment E9): the considered scale-free
 graphs have **logarithmic diameter** — proved in expectation and w.h.p.
@@ -6,7 +6,8 @@ graphs have **logarithmic diameter** — proved in expectation and w.h.p.
 measure the left side of that contrast.
 
 Exact diameter is ``O(n (n + m))`` (BFS from every vertex) and reserved
-for small graphs; :func:`estimate_diameter` runs BFS from a few
+for small graphs: :func:`diameter` is the oracle the tests hold
+:func:`estimate_diameter` to.  E9 runs the estimator, BFS from a few
 farthest-point sweeps, a standard heuristic that lower-bounds (and on
 these graph families typically attains) the true diameter.
 """
@@ -14,7 +15,7 @@ these graph families typically attains) the true diameter.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import AnalysisError, InvalidParameterError
 from repro.graphs.frozen import GraphBackend, vectorized_bfs_distances
@@ -25,7 +26,6 @@ __all__ = [
     "eccentricity",
     "diameter",
     "estimate_diameter",
-    "average_distance",
 ]
 
 _UNREACHED = -1
@@ -70,7 +70,12 @@ def eccentricity(graph: GraphBackend, source: int) -> Tuple[int, int]:
 
 
 def diameter(graph: GraphBackend) -> int:
-    """Exact diameter of a connected graph (BFS from every vertex)."""
+    """Exact diameter of a connected graph (BFS from every vertex).
+
+    The reference for :func:`estimate_diameter`, the farthest-point
+    sweep E9 runs: ``tests/test_analysis.py`` checks the estimate
+    against this value on Móri trees.
+    """
     if graph.num_vertices == 0:
         raise AnalysisError("graph has no vertices")
     worst = 0
@@ -110,31 +115,3 @@ def estimate_diameter(
         best = max(best, distance)
         current = farthest
     return best
-
-
-def average_distance(
-    graph: GraphBackend,
-    num_sources: int = 16,
-    seed: RandomLike = None,
-) -> float:
-    """Mean finite pairwise distance, estimated from sampled BFS sources."""
-    n = graph.num_vertices
-    if n < 2:
-        raise AnalysisError("need at least 2 vertices")
-    if num_sources < 1:
-        raise InvalidParameterError(
-            f"num_sources must be >= 1, got {num_sources}"
-        )
-    rng = make_rng(seed)
-    total = 0
-    count = 0
-    for _ in range(min(num_sources, n)):
-        source = rng.randint(1, n)
-        distances = bfs_distances(graph, source)
-        for v in graph.vertices():
-            if v != source and distances[v] != _UNREACHED:
-                total += distances[v]
-                count += 1
-    if count == 0:
-        raise AnalysisError("no reachable pairs sampled")
-    return total / count

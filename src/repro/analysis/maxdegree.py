@@ -1,4 +1,4 @@
-"""Maximum-degree growth along an evolving construction (E5).
+"""Maximum degree of a graph (E6, E17) and along a construction (E5).
 
 Theorem 1's strong-model case rests on Móri's result that the maximum
 degree of the Móri tree grows like ``t^p``; the paper's Section 3
@@ -12,21 +12,31 @@ so one constructed graph yields the whole trajectory.  The caller
 supplies the map from checkpoint time to edge count, which is
 model-specific (Móri tree: ``t - 1`` vertices hold ``t - 2`` edges...
 the edge added at time ``t`` has index ``t - 2``; BA with out-degree
-``m``: time ``t`` holds ``1 + m (t - 1)`` edges).
+``m``: time ``t`` holds ``1 + m (t - 1)`` edges).  :func:`max_degree`
+is the end point of that trajectory, read off a finished graph.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple
 
-from repro.errors import InvalidParameterError
+from repro.errors import AnalysisError, InvalidParameterError
 from repro.graphs.base import MultiGraph
+from repro.graphs.frozen import GraphBackend
 
 __all__ = [
+    "max_degree",
     "max_degree_trajectory",
     "mori_edge_count",
     "ba_edge_count",
 ]
+
+
+def max_degree(graph: GraphBackend) -> int:
+    """Largest undirected degree in the graph."""
+    if graph.num_vertices == 0:
+        raise AnalysisError("graph has no vertices")
+    return max(graph.degree_sequence())
 
 
 def mori_edge_count(t: int) -> int:

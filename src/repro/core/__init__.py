@@ -12,8 +12,13 @@
   experiment;
 * :mod:`repro.core.experiments` — the registered experiments E1–E22
   that regenerate every table/figure of the reproduction;
+* :mod:`repro.core.trials` — the pure top-level trial functions the
+  runner executes, one Monte-Carlo cell each;
 * :mod:`repro.core.results` — printable tables and JSON records;
-* :mod:`repro.core.sweep` — parameter-grid helpers.
+* :mod:`repro.core.compare` — record-against-record regression checks
+  (``repro compare``);
+* :mod:`repro.core.plotting` — ASCII plots of scaling curves
+  (``--plot``).
 """
 
 from repro.core.families import (

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.degrees import max_degree
+from repro.analysis.maxdegree import max_degree
 from repro.analysis.powerlaw_fit import fit_power_law
 from repro.core.families import (
     BarabasiAlbertFamily,

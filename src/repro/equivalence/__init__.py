@@ -1,11 +1,10 @@
 """Probabilistic vertex equivalence (paper, Section 2).
 
-The paper's lower bounds rest on three pieces, each implemented and
-*exactly verifiable* here:
+The paper's lower bounds rest on these pieces, each implemented here
+(the Móri ones *exactly verifiable*):
 
 * :mod:`repro.equivalence.permutation` — the action of a vertex
-  permutation on labeled graphs and on Móri parent vectors
-  (Definition 1);
+  permutation on Móri parent vectors (Definition 1);
 * :mod:`repro.equivalence.events` — the conditioning event
   ``E_{a,b} = {N_k <= a for all a < k <= b}`` and its Monte-Carlo
   estimation (Lemma 2's event);
@@ -14,12 +13,12 @@ The paper's lower bounds rest on three pieces, each implemented and
   Lemma 2, and the closed-form ``P(E_{a,b})`` of Lemma 3;
 * :mod:`repro.equivalence.lower_bound` — Lemma 1's
   ``|V| * P(E) / 2`` floor and the Theorem 1/2 bound calculators;
-* :mod:`repro.equivalence.empirical` — sampling-based exchangeability
-  diagnostics for sizes beyond exhaustive enumeration.
+* :mod:`repro.equivalence.cooper_frieze` — the untouched-window event,
+  Theorem 2's analogue of ``E_{a,b}``, and its Monte-Carlo estimators
+  (E15).
 """
 
 from repro.equivalence.permutation import (
-    apply_permutation_to_graph,
     apply_permutation_to_parents,
     is_valid_parent_vector,
     window_transpositions,
@@ -46,7 +45,6 @@ from repro.equivalence.lower_bound import (
 )
 
 __all__ = [
-    "apply_permutation_to_graph",
     "apply_permutation_to_parents",
     "is_valid_parent_vector",
     "window_transpositions",

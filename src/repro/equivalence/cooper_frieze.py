@@ -73,6 +73,13 @@ def untouched_window_event(
     2. that edge's head is ``<= a`` (the window attaches below itself);
     3. ``v`` has indegree 0 (never chosen as a terminal vertex);
     4. ``v`` never initiated an OLD step.
+
+    The scalar oracle of E15's flat replay: :func:`_untouched_parents`
+    evaluates the same four conditions on a
+    :func:`~repro.graphs.fastgen.cooper_frieze_replay` record, and
+    ``tests/test_equivalence_cooper_frieze.py`` checks the two agree
+    sample by sample, and that both estimators equal this event's
+    hit rate on traced serial builds.
     """
     _require_trace(cf)
     n = cf.n

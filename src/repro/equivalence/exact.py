@@ -21,7 +21,10 @@ lemmas *exactly* rather than statistically:
   uniform mass ``(1 - p) a``, out of the total
   ``p (k - 2) + (1 - p)(k - 1)``;
 * :func:`enumerated_event_probability` recomputes the same quantity by
-  brute-force enumeration — the test suite asserts exact equality;
+  brute-force enumeration — the oracle the test suite holds the closed
+  form to, with exact equality;
+* :func:`ensemble_total_probability` sums :func:`tree_probability`
+  over every tree of a size — the oracle that it is a distribution;
 * :func:`lemma3_bound` is the paper's ``e^{-(1-p)}`` lower bound for the
   window end ``b = a + ⌊(a-1)^{1/2}⌋``.
 
@@ -126,7 +129,12 @@ def enumerate_parent_vectors(n: int) -> Iterator[Tuple[int, ...]]:
 
 
 def ensemble_total_probability(n: int, p: FractionLike) -> Fraction:
-    """Sum of :func:`tree_probability` over all trees (must equal 1)."""
+    """Sum of :func:`tree_probability` over all trees (must equal 1).
+
+    The normalisation oracle for :func:`tree_probability`, the weight
+    :func:`verify_lemma2` (E10) compares:
+    ``tests/test_equivalence_exact.py`` checks the sum is exactly 1.
+    """
     return sum(
         tree_probability(parents, p)
         for parents in enumerate_parent_vectors(n)
@@ -156,7 +164,12 @@ def exact_event_probability(
 def enumerated_event_probability(
     n: int, a: int, b: int, p: FractionLike
 ) -> Fraction:
-    """Brute-force ``P(E_{a,b})`` by summing over all size-``n`` trees."""
+    """Brute-force ``P(E_{a,b})`` by summing over all size-``n`` trees.
+
+    The oracle for :func:`exact_event_probability`, the closed form E4
+    prints: ``tests/test_equivalence_exact.py`` checks the two are equal
+    as Fractions.
+    """
     if not 1 <= a <= b <= n:
         raise InvalidParameterError(
             f"need 1 <= a <= b <= n, got a={a}, b={b}, n={n}"

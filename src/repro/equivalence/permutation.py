@@ -1,8 +1,8 @@
-"""Permutation action on labeled graphs and parent vectors (Definition 1).
+"""Permutation action on Móri parent vectors (Definition 1).
 
-For a graph ``G`` on vertex set ``[[1, n]]`` and a permutation ``sigma``,
-``sigma(G)`` relabels every edge endpoint.  For a Móri tree represented
-by its parent vector ``N`` (``N[k]`` = father of ``k``), the action is
+A permutation ``sigma`` of ``[[1, n]]`` acts on a labeled graph by
+relabeling every edge endpoint.  For a Móri tree represented by its
+parent vector ``N`` (``N[k]`` = father of ``k``), the action is
 
     ``N'[sigma(k)] = sigma(N[k])``  for every ``k >= 2``,
 
@@ -22,10 +22,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
-from repro.graphs.base import MultiGraph
 
 __all__ = [
-    "apply_permutation_to_graph",
     "apply_permutation_to_parents",
     "is_valid_parent_vector",
     "window_transpositions",
@@ -41,22 +39,6 @@ def _validate_permutation(sigma: Dict[int, int]) -> None:
             f"not a permutation: moves {sorted(sources)} onto "
             f"{sorted(images)}"
         )
-
-
-def apply_permutation_to_graph(
-    graph: MultiGraph, sigma: Dict[int, int]
-) -> MultiGraph:
-    """``sigma(G)``: relabel endpoints, preserving edge ids and order."""
-    _validate_permutation(sigma)
-    for v in sigma:
-        if not graph.has_vertex(v):
-            raise InvalidParameterError(
-                f"permutation moves vertex {v}, which is not in the graph"
-            )
-    result = MultiGraph(graph.num_vertices)
-    for _, tail, head in graph.edges():
-        result.add_edge(sigma.get(tail, tail), sigma.get(head, head))
-    return result
 
 
 def apply_permutation_to_parents(
@@ -116,7 +98,14 @@ def window_transpositions(
 def window_permutations(
     window: Sequence[int],
 ) -> Iterator[Dict[int, int]]:
-    """All non-identity permutations of a (small) window of vertices."""
+    """All non-identity permutations of a (small) window of vertices.
+
+    The full window group, which
+    :func:`repro.equivalence.exact.verify_lemma2` (E10) covers only
+    through its generators, :func:`window_transpositions`: the oracle
+    ``tests/test_properties_equivalence.py`` checks event-tree
+    invariance under, permutation by permutation.
+    """
     import itertools
 
     ordered = sorted(set(window))

@@ -19,26 +19,25 @@ uses or contrasts against:
   lattice (the positive result the paper contrasts with);
 * :mod:`repro.graphs.sampling` — weighted samplers shared by the
   evolving models;
-* :mod:`repro.graphs.merge` — vertex-merging used by the ``m``-out
-  construction;
+* :mod:`repro.graphs.fastgen` — vectorized builders, bit-identical to
+  the serial Móri, Barabási–Albert and Cooper–Frieze ones;
+* :mod:`repro.graphs.components` — connected components and induced
+  subgraphs;
 * :mod:`repro.graphs.delta` — the dynamic overlay backend (tombstones
   + late joins over a frozen base) and its canonical content digest;
 * :mod:`repro.graphs.churn` — deterministic, family-faithful peer
   churn driven on the overlay;
 * :mod:`repro.graphs.shm` — shared-memory publication of frozen
-  snapshots (publish once, attach by name from worker processes).
+  snapshots (publish once, attach by name from worker processes);
+* :mod:`repro.graphs.corpus` — the memory-mapped snapshot catalog
+  ``repro serve --corpus`` loads.
 """
 
 from repro.graphs.base import MultiGraph
 from repro.graphs.churn import ChurnProcess
 from repro.graphs.delta import DeltaGraph, graph_digest
 from repro.graphs.frozen import FrozenGraph, GraphBackend, freeze
-from repro.graphs.mori import (
-    MoriTree,
-    merged_mori_graph,
-    mori_edges_per_step_graph,
-    mori_tree,
-)
+from repro.graphs.mori import MoriTree, merged_mori_graph, mori_tree
 from repro.graphs.cooper_frieze import CooperFriezeParams, cooper_frieze_graph
 from repro.graphs.barabasi_albert import barabasi_albert_graph
 from repro.graphs.configuration import configuration_model_graph
@@ -63,7 +62,6 @@ __all__ = [
     "MoriTree",
     "mori_tree",
     "merged_mori_graph",
-    "mori_edges_per_step_graph",
     "CooperFriezeParams",
     "cooper_frieze_graph",
     "barabasi_albert_graph",

@@ -1,8 +1,15 @@
 """Batched graph generation straight into CSR buffers.
 
-PR 4 vectorized the *search* side of every Monte-Carlo cell; this
-module vectorizes the *generation* side.  The serial builders
-(:func:`repro.graphs.mori.mori_tree` and friends) remain the
+:mod:`repro.search.ensemble` vectorizes the *search* side of every
+Monte-Carlo cell; this module vectorizes the *generation* side, one
+kernel per family a run builds: the Móri tree's parent vector
+(:func:`fast_mori_parents`) and the merged ``m``-out graph on it
+(:func:`fast_merged_mori_frozen`), Barabási–Albert
+(:func:`fast_barabasi_albert_frozen`) and Cooper–Frieze
+(:func:`fast_cooper_frieze_frozen`).  The serial builders
+(:func:`repro.graphs.mori.merged_mori_graph`,
+:func:`repro.graphs.barabasi_albert.barabasi_albert_graph`,
+:func:`repro.graphs.cooper_frieze.cooper_frieze_graph`) remain the
 equivalence oracle — everything here reproduces their output
 **bit-identically**, by consuming the underlying Mersenne-Twister
 stream in exactly the serial draw order:
@@ -67,20 +74,14 @@ from repro.graphs.sampling import discrete_distribution_sampler
 from repro.rng import RandomLike, make_rng
 
 __all__ = [
-    "FASTGEN_MODELS",
     "frozen_from_pairs",
     "fast_mori_parents",
-    "fast_mori_tree_frozen",
     "fast_merged_mori_frozen",
-    "fast_mori_edges_per_step_frozen",
     "fast_barabasi_albert_frozen",
     "fast_cooper_frieze_frozen",
     "CooperFriezeReplay",
     "cooper_frieze_replay",
 ]
-
-#: Model names (family_spec vocabulary) with a vectorized kernel.
-FASTGEN_MODELS = ("mori", "mori-edges-per-step", "ba", "cooper-frieze")
 
 #: ``rng.random()``'s final scale factor, an exact power of two.
 _RECIP53 = 1.0 / 9007199254740992.0
@@ -161,24 +162,23 @@ def _shifts_for(bounds):
     return (32 - _np.frexp(bounds.astype(_np.float64))[1]).tolist()
 
 
-def _coin_mixture_scan(stream, p, first_pref_bound, uniform_bounds):
-    """Replay the Mori-style mixture steps of the serial builders.
+def _coin_mixture_scan(stream, p, uniform_bounds):
+    """Replay the mixture steps of the serial Mori tree builder.
 
     Each step ``i`` replays::
 
         if rng.random() * total_mass < preferential_mass:
-            r = rng.randrange(first_pref_bound + i)   # urn token index
+            r = rng.randrange(1 + i)                  # urn token index
         else:
             r = rng.randrange(uniform_bounds[i])      # vertex 1 + r
 
-    where ``preferential_mass = p * (first_pref_bound + i)`` (one unit
-    of mass per urn token, and the urn gains exactly one token per
-    step in every Mori variant) and ``total_mass`` adds ``(1 - p) *
-    uniform_bounds[i]`` — the same IEEE expressions, evaluated in the
-    same order, as the serial code.  Returns an int64 array of one
-    encoded choice per step — token index ``r`` for preferential
-    draws, ``-(1 + r)`` for uniform draws of vertex ``1 + r`` — and
-    the number of words consumed.
+    where ``preferential_mass = p * (1 + i)`` (one unit of mass per
+    urn token; the urn starts with one token and gains one per step)
+    and ``total_mass`` adds ``(1 - p) * uniform_bounds[i]`` — the same
+    IEEE expressions, evaluated in the same order, as the serial code.
+    Returns an int64 array of one encoded choice per step — token
+    index ``r`` for preferential draws, ``-(1 + r)`` for uniform draws
+    of vertex ``1 + r`` — and the number of words consumed.
 
     Steps are scanned one :data:`_CHUNK` at a time, each with its own
     word window and per-step lists, so the Python objects alive at any
@@ -195,7 +195,7 @@ def _coin_mixture_scan(stream, p, first_pref_bound, uniform_bounds):
     while start < count:
         stop = min(start + _CHUNK, count)
         pref_mass = p * (
-            first_pref_bound + _np.arange(start, stop, dtype=_np.int64)
+            1 + _np.arange(start, stop, dtype=_np.int64)
         ).astype(_np.float64)
         bounds = uniform_bounds[start:stop]
         total_mass = pref_mass + (1.0 - p) * bounds.astype(_np.float64)
@@ -204,7 +204,7 @@ def _coin_mixture_scan(stream, p, first_pref_bound, uniform_bounds):
         )
         # The preferential bound grows by one per step; its shift
         # drops by one whenever the bound reaches a power of two.
-        b_p = first_pref_bound + start
+        b_p = 1 + start
         sh_p = 32 - b_p.bit_length()
         next_power = 1 << b_p.bit_length()
         out = []
@@ -333,17 +333,8 @@ def frozen_from_pairs(num_vertices, tails, heads) -> FrozenGraph:
 
 
 # ----------------------------------------------------------------------
-# Mori tree and its two higher-out-degree variants
+# Mori tree and its merged m-out variant
 # ----------------------------------------------------------------------
-
-
-def _validate_mori(n: int, p: float, what: str) -> None:
-    if n < 2:
-        raise InvalidParameterError(f"{what} needs n >= 2, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(
-            f"attachment parameter p must lie in [0, 1], got {p}"
-        )
 
 
 def fast_mori_parents(n: int, p: float, seed: RandomLike = None):
@@ -355,7 +346,12 @@ def fast_mori_parents(n: int, p: float, seed: RandomLike = None):
     generator behind ``seed`` is left in the same state the serial
     build would leave it.
     """
-    _validate_mori(n, p, "Mori tree")
+    if n < 2:
+        raise InvalidParameterError(f"Mori tree needs n >= 2, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise InvalidParameterError(
+            f"attachment parameter p must lie in [0, 1], got {p}"
+        )
     rng = make_rng(seed)
     parents = _np.zeros(n + 1, dtype=_np.int64)
     parents[2] = 1
@@ -364,7 +360,7 @@ def fast_mori_parents(n: int, p: float, seed: RandomLike = None):
         # vertices exist — the bounds double as the mass integers.
         steps = _np.arange(n - 2, dtype=_np.int64)
         stream = _WordStream(rng)
-        encoded, consumed = _coin_mixture_scan(stream, p, 1, steps + 2)
+        encoded, consumed = _coin_mixture_scan(stream, p, steps + 2)
         stream.rewind(consumed)
 
         # Urn slot s holds the head of edge s (the parent of vertex
@@ -380,15 +376,6 @@ def fast_mori_parents(n: int, p: float, seed: RandomLike = None):
         pointers[slots[~uniform]] = encoded[~uniform]
         parents[2:] = _resolve_values(values, pointers)
     return parents
-
-
-def fast_mori_tree_frozen(
-    n: int, p: float, seed: RandomLike = None
-) -> FrozenGraph:
-    """Frozen snapshot equal to ``freeze(mori_tree(n, p, seed).graph)``."""
-    parents = fast_mori_parents(n, p, seed)
-    tails = _np.arange(2, n + 1, dtype=_np.int64)
-    return frozen_from_pairs(n, tails, parents[2:])
 
 
 def fast_merged_mori_frozen(
@@ -412,48 +399,6 @@ def fast_merged_mori_frozen(
     tree_tails = _np.arange(2, n * m + 1, dtype=_np.int64)
     tails = (tree_tails - 1) // m + 1
     heads = (parents[2:] - 1) // m + 1
-    return frozen_from_pairs(n, tails, heads)
-
-
-def fast_mori_edges_per_step_frozen(
-    n: int, m: int, p: float, seed: RandomLike = None
-) -> FrozenGraph:
-    """Frozen edges-per-step Mori variant, batched.
-
-    Equal to ``freeze(mori_edges_per_step_graph(n, m, p, seed))``.
-    Per-edge granularity: the urn grows by one token per edge (so the
-    preferential bound of edge ``e`` is ``e`` itself) while the
-    uniform bound steps once per *vertex*.
-    """
-    _validate_mori(n, p, "edges-per-step Mori graph")
-    if m < 1:
-        raise InvalidParameterError(f"m must be >= 1, got {m}")
-    rng = make_rng(seed)
-
-    drawn = (n - 2) * m  # edges drawn after the initial bundle
-    num_edges = m + drawn
-    tails = _np.empty(num_edges, dtype=_np.int64)
-    tails[:m] = 2
-    heads = _np.empty(num_edges, dtype=_np.int64)
-    heads[:m] = 1
-    if drawn:
-        edge_ids = _np.arange(m, num_edges, dtype=_np.int64)
-        tails[m:] = 3 + (edge_ids - m) // m
-        stream = _WordStream(rng)
-        encoded, consumed = _coin_mixture_scan(
-            stream, p, m, tails[m:] - 1
-        )
-        stream.rewind(consumed)
-
-        # Urn slot e holds the head of edge e; the m initial slots
-        # anchor at vertex 1.
-        values = _np.zeros(num_edges, dtype=_np.int64)
-        values[:m] = 1
-        pointers = _np.arange(num_edges, dtype=_np.int64)
-        uniform = encoded < 0
-        values[edge_ids[uniform]] = -encoded[uniform]
-        pointers[edge_ids[~uniform]] = encoded[~uniform]
-        heads = _resolve_values(values, pointers)
     return frozen_from_pairs(n, tails, heads)
 
 

@@ -11,7 +11,7 @@ compressed-sparse-row (CSR) snapshot taken once, after which
 
 * per-vertex incidence lists are contiguous slices (``incident_edges``
   returns a cached tuple — no per-call copy, unlike the mutable graph);
-* the analysis hot paths (degree sequence/histogram, connected
+* the analysis hot paths (degree sequence, connected
   components, BFS distances) run as vectorised numpy kernels;
 * the object is genuinely immutable, so hashing it is sound (see the
   freeze-then-hash contract on :meth:`MultiGraph.__hash__`).
@@ -49,7 +49,6 @@ __all__ = [
     "freeze",
     "vectorized_bfs_distances",
     "vectorized_connected_components",
-    "vectorized_degree_histogram",
 ]
 
 #: The seven int64 arrays of a snapshot's blob, in storage order: the
@@ -664,18 +663,3 @@ def vectorized_connected_components(
     components = [group.tolist() for group in groups]
     components.sort(key=lambda c: (-len(c), c[0]))
     return components
-
-
-def vectorized_degree_histogram(
-    graph: GraphBackend,
-) -> Optional[Dict[int, int]]:
-    """``degree -> count`` via bincount; ``None`` for a non-snapshot."""
-    if not isinstance(graph, FrozenGraph):
-        return None
-    degrees = _np.diff(graph._offsets[1:])
-    counts = _np.bincount(degrees)
-    return {
-        int(degree): int(count)
-        for degree, count in enumerate(counts)
-        if count
-    }

@@ -46,7 +46,6 @@ from typing import Optional, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.graphs.base import MultiGraph
-from repro.graphs.sampling import EndpointUrn
 from repro.rng import RandomLike, make_rng
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "MergedMoriGraph",
     "mori_tree",
     "merged_mori_graph",
-    "mori_edges_per_step_graph",
 ]
 
 
@@ -115,20 +113,14 @@ class MoriTree:
             )
         return self.parents[k]
 
-    def indegree_at_time(self, u: int, t: int) -> int:
-        """Indegree of vertex ``u`` just *before* vertex ``t`` attaches.
-
-        Counts edges from vertices ``2 .. t-1`` into ``u``.  Used by the
-        exact-probability machinery to recompute attachment weights.
-        """
-        if not 1 <= u < t:
-            raise InvalidParameterError(
-                f"vertex {u} does not exist before time {t}"
-            )
-        return sum(1 for k in range(2, t) if self.parents[k] == u)
-
     def satisfies_event(self, a: int, b: int) -> bool:
-        """Whether the realisation lies in ``E_{a,b} = {N_k <= a, a < k <= b}``."""
+        """Whether the realisation lies in ``E_{a,b} = {N_k <= a, a < k <= b}``.
+
+        The method form of :func:`repro.equivalence.events.event_holds`,
+        the predicate E4's estimator and E10's enumeration evaluate on
+        parent vectors: ``tests/test_properties_equivalence.py`` checks
+        the two agree on sampled trees.
+        """
         if not 1 <= a <= b <= self.n:
             raise InvalidParameterError(
                 f"need 1 <= a <= b <= n={self.n}, got a={a}, b={b}"
@@ -277,69 +269,3 @@ def merged_mori_graph(
     return MergedMoriGraph(
         m=m, p=p, graph=graph, tree=tree if keep_tree else None
     )
-
-
-def mori_edges_per_step_graph(
-    n: int,
-    m: int,
-    p: float,
-    seed: RandomLike = None,
-) -> MultiGraph:
-    """The paper's *other* higher-out-degree Móri variant.
-
-    "Variants with higher out-degree can be obtained either by adding
-    more edges per time step, or, say, by building an nm-vertex graph
-    and merging..." (paper, Related works).  This is the first option:
-    starting from vertices ``1, 2`` joined by ``m`` parallel edges,
-    each new vertex ``t`` adds ``m`` outgoing edges, each target drawn
-    independently with probability proportional to
-    ``p * d(u) + (1 - p)`` where ``d`` is the *current* indegree —
-    updated after every single edge, so within-step reinforcement is
-    exact, mirroring the merged construction's statistics.
-
-    Returns a connected multigraph with ``n * m - m`` + ``m`` edges
-    (``m`` per vertex from 2 to n, plus the initial bundle's share):
-    concretely every vertex except vertex 1 has out-degree exactly
-    ``m``.
-
-    Parameters
-    ----------
-    n:
-        Number of vertices, at least 2.
-    m:
-        Out-degree of each arriving vertex, at least 1.
-    p:
-        Indegree/uniform mixture parameter in ``[0, 1]``.
-    seed:
-        Seed or generator.
-    """
-    if n < 2:
-        raise InvalidParameterError(
-            f"edges-per-step Mori graph needs n >= 2, got {n}"
-        )
-    if m < 1:
-        raise InvalidParameterError(f"m must be >= 1, got {m}")
-    _validate_p(p)
-    rng = make_rng(seed)
-
-    graph = MultiGraph(2)
-    urn = EndpointUrn()
-    for _ in range(m):
-        graph.add_edge(2, 1)
-        urn.add(1)
-
-    num_edges = m
-    for t in range(3, n + 1):
-        graph.add_vertex()
-        num_vertices = t - 1
-        for _ in range(m):
-            preferential_mass = p * num_edges
-            total_mass = preferential_mass + (1.0 - p) * num_vertices
-            if rng.random() * total_mass < preferential_mass:
-                u = urn.sample(rng)
-            else:
-                u = rng.randint(1, num_vertices)
-            graph.add_edge(t, u)
-            urn.add(u)
-            num_edges += 1
-    return graph

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import InvalidParameterError
 from repro.rng import RandomLike, make_rng
@@ -24,9 +23,7 @@ from repro.rng import RandomLike, make_rng
 __all__ = [
     "power_law_weights",
     "power_law_pmf",
-    "power_law_mean",
     "power_law_degree_sequence",
-    "is_graphical",
 ]
 
 
@@ -64,21 +61,16 @@ def power_law_weights(
 def power_law_pmf(
     exponent: float, min_degree: int, max_degree: int
 ) -> List[float]:
-    """Normalised pmf over ``[min_degree, max_degree]``."""
+    """Normalised pmf over ``[min_degree, max_degree]``.
+
+    The reference distribution for :func:`power_law_degree_sequence`,
+    the sampler behind every configuration-model graph:
+    ``tests/test_graphs_models.py`` checks a large sample's frequencies
+    against it.
+    """
     weights = power_law_weights(exponent, min_degree, max_degree)
     total = sum(weights)
     return [w / total for w in weights]
-
-
-def power_law_mean(
-    exponent: float, min_degree: int, max_degree: int
-) -> float:
-    """Expected value of the truncated power law."""
-    pmf = power_law_pmf(exponent, min_degree, max_degree)
-    return sum(
-        d * prob
-        for d, prob in zip(range(min_degree, max_degree + 1), pmf)
-    )
 
 
 def power_law_degree_sequence(
@@ -152,28 +144,3 @@ def _fix_parity(degrees: List[int], max_degree: int, rng) -> None:
     # a corner case).
     index = rng.randrange(len(degrees))
     degrees[index] -= 1
-
-
-def is_graphical(degrees: Sequence[int]) -> bool:
-    """Erdős–Gallai test: is ``degrees`` realisable as a *simple* graph?
-
-    The configuration model itself produces multigraphs, so this test is
-    not needed for construction — it is exposed for analyses that want
-    to know whether a simple realisation exists.
-    """
-    if any(d < 0 for d in degrees):
-        return False
-    if sum(degrees) % 2 == 1:
-        return False
-    if not degrees:
-        return True
-    ordered = sorted(degrees, reverse=True)
-    n = len(ordered)
-    prefix = list(itertools.accumulate(ordered))
-    for k in range(1, n + 1):
-        right = k * (k - 1) + sum(
-            min(d, k) for d in ordered[k:]
-        )
-        if prefix[k - 1] > right:
-            return False
-    return True

@@ -38,15 +38,13 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Iterator, Optional, Union
+from typing import Union
 
 __all__ = [
     "RandomLike",
     "make_rng",
     "run_substream",
-    "spawn",
     "substream",
-    "stream_seeds",
 ]
 
 #: Anything accepted as a source of randomness by library entry points.
@@ -138,24 +136,3 @@ def run_substream(seed: int, algorithm_name: str, run_index: int) -> int:
         )
     name_code = zlib.crc32(algorithm_name.encode("utf-8"))
     return substream(seed, (name_code << 16) ^ run_index)
-
-
-def spawn(rng: random.Random) -> random.Random:
-    """Create a new generator seeded from ``rng``.
-
-    Useful when a component needs private random state that must not be
-    perturbed by (or perturb) the caller's draws.
-    """
-    return random.Random(rng.getrandbits(64))
-
-
-def stream_seeds(seed: int, count: int) -> Iterator[int]:
-    """Yield ``count`` decorrelated child seeds of ``seed``.
-
-    The i-th element equals ``substream(seed, i)``; the whole stream is a
-    pure function of ``seed``.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    for index in range(count):
-        yield substream(seed, index)

@@ -18,7 +18,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
 from repro.errors import ExperimentError
 
@@ -110,9 +110,8 @@ class TrialSpec:
         JSON-serializable keyword arguments (everything but the seed).
     seed:
         The derived per-trial seed.  Callers derive it with
-        :func:`repro.rng.substream` / :func:`repro.rng.stream_seeds`
-        from the experiment seed, which is what keeps parallel output
-        bit-identical to serial.
+        :func:`repro.rng.substream` from the experiment seed, which is
+        what keeps parallel output bit-identical to serial.
     """
 
     experiment_id: str

@@ -6,9 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.degrees import ccdf, degree_histogram, max_degree, mean_degree
 from repro.analysis.diameter import (
-    average_distance,
     bfs_distances,
     diameter,
     eccentricity,
@@ -16,6 +14,7 @@ from repro.analysis.diameter import (
 )
 from repro.analysis.maxdegree import (
     ba_edge_count,
+    max_degree,
     max_degree_trajectory,
     mori_edge_count,
 )
@@ -33,28 +32,6 @@ from repro.graphs.power_law import power_law_degree_sequence
 
 
 class TestDegrees:
-    def test_histogram(self, triangle):
-        assert degree_histogram(triangle) == {2: 3}
-
-    def test_histogram_empty_graph(self):
-        with pytest.raises(AnalysisError):
-            degree_histogram(MultiGraph(0))
-
-    def test_ccdf_starts_at_one(self, path4):
-        curve = ccdf(path4)
-        assert curve[0][1] == pytest.approx(1.0)
-        values = [v for _, v in curve]
-        assert values == sorted(values, reverse=True)
-
-    def test_ccdf_values(self, path4):
-        # Degrees: 1,2,2,1 -> P(>=1)=1, P(>=2)=0.5.
-        curve = dict(ccdf(path4))
-        assert curve[1] == pytest.approx(1.0)
-        assert curve[2] == pytest.approx(0.5)
-
-    def test_mean_degree(self, triangle):
-        assert mean_degree(triangle) == pytest.approx(2.0)
-
     def test_max_degree(self, loop_graph):
         assert max_degree(loop_graph) == 3
 
@@ -96,14 +73,6 @@ class TestDiameter:
             exact = diameter(graph)
             assert estimate <= exact
             assert estimate >= exact - 1  # sweeps are near-exact on trees
-
-    def test_average_distance_path(self, path4):
-        value = average_distance(path4, num_sources=4, seed=0)
-        assert 1.0 <= value <= 3.0
-
-    def test_average_distance_validates(self):
-        with pytest.raises(AnalysisError):
-            average_distance(MultiGraph(1))
 
 
 class TestMaxDegreeTrajectory:

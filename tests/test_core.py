@@ -20,7 +20,6 @@ from repro.core.searchability import (
     measure_search_cost,
     omniscient_factory,
 )
-from repro.core.sweep import geometric_sizes, grid
 from repro.errors import ExperimentError, InvalidParameterError
 from repro.search.algorithms import FloodingSearch, HighDegreeWeakSearch
 
@@ -276,31 +275,6 @@ class TestExperimentResult:
         assert loaded.params == {"seed": 3}
         assert loaded.derived == {"metric": 0.25}
         assert loaded.tables[0].rows == [("row", 2.5)]
-
-
-class TestSweep:
-    def test_grid_order(self):
-        combos = list(grid(b=["x"], a=[1, 2]))
-        assert combos == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-
-    def test_grid_empty(self):
-        assert list(grid()) == []
-
-    def test_grid_empty_list_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            list(grid(a=[]))
-
-    def test_geometric_sizes(self):
-        assert geometric_sizes(100, 2.0, 3) == [100, 200, 400]
-        assert geometric_sizes(10, 1.5, 4) == [10, 15, 22, 34]
-
-    def test_geometric_validation(self):
-        with pytest.raises(InvalidParameterError):
-            geometric_sizes(0, 2.0, 3)
-        with pytest.raises(InvalidParameterError):
-            geometric_sizes(10, 1.0, 3)
-        with pytest.raises(InvalidParameterError):
-            geometric_sizes(10, 2.0, 0)
 
 
 class TestCompareResults:

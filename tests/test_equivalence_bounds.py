@@ -1,4 +1,4 @@
-"""Unit tests for Lemma 1 / theorem bound calculators and empirical profiles."""
+"""Unit tests for the Lemma 1 / theorem bound calculators."""
 
 from __future__ import annotations
 
@@ -6,11 +6,7 @@ import math
 
 import pytest
 
-from repro.errors import AnalysisError, InvalidParameterError
-from repro.equivalence.empirical import (
-    profile_spread,
-    window_indegree_profile,
-)
+from repro.errors import InvalidParameterError
 from repro.equivalence.lower_bound import (
     lemma1_lower_bound,
     strong_model_bound,
@@ -101,47 +97,3 @@ class TestStrongBound:
             strong_model_bound(100, 0.3, epsilon=0.0)
         with pytest.raises(InvalidParameterError):
             strong_model_bound(2, 0.3)
-
-
-class TestEmpiricalProfile:
-    def test_profile_flat_under_conditioning(self):
-        # Lemma 2 consequence: conditional mean indegrees across the
-        # window are equal; with moderate sampling the spread is small.
-        profile = window_indegree_profile(
-            n=40, a=20, b=24, p=0.5, num_samples=3000, seed=0
-        )
-        assert profile.num_event_samples > 100
-        assert len(profile.mean_indegree) == 4
-        assert profile_spread(profile) < 0.25
-
-    def test_event_rate_close_to_exact(self):
-        from repro.equivalence.exact import exact_event_probability
-
-        profile = window_indegree_profile(
-            n=30, a=20, b=24, p=0.5, num_samples=3000, seed=1
-        )
-        exact = float(exact_event_probability(20, 24, 0.5))
-        assert abs(profile.event_rate - exact) < 0.05
-
-    def test_no_event_samples_raises(self):
-        # A window far wider than sqrt(a) makes the event essentially
-        # impossible at p = 0; expect a clean error.
-        with pytest.raises(AnalysisError):
-            window_indegree_profile(
-                n=60, a=3, b=59, p=0.0, num_samples=50, seed=2
-            )
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            window_indegree_profile(10, 0, 5, 0.5, 10)
-        with pytest.raises(InvalidParameterError):
-            window_indegree_profile(10, 3, 5, 0.5, 0)
-
-    def test_spread_of_empty_profile(self):
-        from repro.equivalence.empirical import WindowProfile
-
-        empty = WindowProfile(
-            a=5, b=5, num_samples=10, num_event_samples=10,
-            mean_indegree=(),
-        )
-        assert profile_spread(empty) == 0.0

@@ -5,55 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.graphs.base import MultiGraph
 from repro.equivalence.permutation import (
-    apply_permutation_to_graph,
     apply_permutation_to_parents,
     is_valid_parent_vector,
     window_permutations,
     window_transpositions,
 )
-
-
-class TestGraphAction:
-    def test_identity(self, triangle):
-        assert apply_permutation_to_graph(triangle, {}) == triangle
-
-    def test_transposition(self):
-        graph = MultiGraph.from_edges(3, [(2, 1), (3, 1)])
-        image = apply_permutation_to_graph(graph, {2: 3, 3: 2})
-        assert list(image.edges()) == [(0, 3, 1), (1, 2, 1)]
-
-    def test_preserves_counts(self, small_merged):
-        graph = small_merged.graph
-        image = apply_permutation_to_graph(graph, {5: 6, 6: 5})
-        assert image.num_vertices == graph.num_vertices
-        assert image.num_edges == graph.num_edges
-        assert sorted(image.degree_sequence()) == sorted(
-            graph.degree_sequence()
-        )
-
-    def test_degree_transport(self, small_merged):
-        graph = small_merged.graph
-        image = apply_permutation_to_graph(graph, {5: 6, 6: 5})
-        assert image.degree(5) == graph.degree(6)
-        assert image.degree(6) == graph.degree(5)
-
-    def test_involution(self, small_merged):
-        graph = small_merged.graph
-        sigma = {3: 7, 7: 3}
-        twice = apply_permutation_to_graph(
-            apply_permutation_to_graph(graph, sigma), sigma
-        )
-        assert twice == graph
-
-    def test_invalid_permutation_rejected(self, triangle):
-        with pytest.raises(InvalidParameterError):
-            apply_permutation_to_graph(triangle, {1: 2})  # not a bijection
-
-    def test_moving_missing_vertex_rejected(self, triangle):
-        with pytest.raises(InvalidParameterError):
-            apply_permutation_to_graph(triangle, {4: 5, 5: 4})
 
 
 class TestParentAction:
@@ -86,6 +43,14 @@ class TestParentAction:
     def test_root_must_be_fixed(self):
         with pytest.raises(InvalidParameterError):
             apply_permutation_to_parents((0, 0, 1), {1: 2, 2: 1})
+
+    def test_invalid_permutation_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            apply_permutation_to_parents((0, 0, 1, 1), {2: 3})
+
+    def test_moving_missing_vertex_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            apply_permutation_to_parents((0, 0, 1), {4: 5, 5: 4})
 
 
 class TestValidity:

@@ -8,8 +8,7 @@ contract from every side:
 * **bit-identity** — edge lists *with ids*, degree sequences,
   self-loop counts and ``FrozenGraph`` hashes agree with the serial
   builders across a Móri ``p`` grid (both endpoints included), merge
-  arities, the edges-per-step variant, BA, and Cooper–Frieze parameter
-  corners;
+  arities, BA, and Cooper–Frieze parameter corners;
 * **golden digests** — independent sha256 pins (shared with the PR 3
   trajectory battery in ``test_frozen_graph.py``) catch the case where
   both builders drift together;
@@ -47,20 +46,13 @@ from repro.graphs.cooper_frieze import (
     cooper_frieze_graph,
 )
 from repro.graphs.fastgen import (
-    FASTGEN_MODELS,
     fast_barabasi_albert_frozen,
     fast_cooper_frieze_frozen,
     fast_merged_mori_frozen,
-    fast_mori_edges_per_step_frozen,
     fast_mori_parents,
-    fast_mori_tree_frozen,
     frozen_from_pairs,
 )
-from repro.graphs.mori import (
-    merged_mori_graph,
-    mori_edges_per_step_graph,
-    mori_tree,
-)
+from repro.graphs.mori import merged_mori_graph, mori_tree
 
 P_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 SEEDS = (0, 7)
@@ -114,8 +106,9 @@ class TestMoriTreeEquivalence:
         assert fast.tolist() == list(serial.parents)
 
     def test_frozen_tree_matches_serial(self, p, seed):
+        """At m = 1 the merged kernel builds the tree itself."""
         assert_identical(
-            fast_mori_tree_frozen(150, p, seed=seed),
+            fast_merged_mori_frozen(150, 1, p, seed=seed),
             mori_tree(150, p, seed=seed).graph,
         )
 
@@ -134,16 +127,6 @@ class TestMergedMoriEquivalence:
         assert_identical(
             family.build_frozen(90, seed=11, generator="vectorized"),
             family.build(90, seed=11),
-        )
-
-
-@pytest.mark.parametrize("m", (1, 2, 3))
-@pytest.mark.parametrize("p", (0.0, 0.5, 1.0))
-class TestEdgesPerStepEquivalence:
-    def test_matches_serial(self, p, m):
-        assert_identical(
-            fast_mori_edges_per_step_frozen(120, m, p, seed=5),
-            mori_edges_per_step_graph(120, m, p, seed=5),
         )
 
 
@@ -246,14 +229,6 @@ GOLDEN_FAMILIES = {
     "ba": lambda: BarabasiAlbertFamily(m=2),
 }
 
-#: Pins for the variant without a family wrapper.  m=1 degenerates to
-#: the plain Móri tree (same draws, same edges), hence the shared value.
-EDGES_PER_STEP_GOLDEN = {
-    1: "27eafce69e852236b2bb3e07a0a2f764c5d36d1f6cabc94c2d28a03077ac5c6c",
-    2: "ed1d677cee6c3e2c6fb29a15a8a7faabb60cd2bb8f553b0dc60f45a639893f91",
-    3: "99e42cb5861f5d718754c68f5000a1f1639d02674eff3a1017a9c9272981afdc",
-}
-
 
 class TestGoldenDigests:
     @pytest.mark.parametrize("model", sorted(GOLDEN_FAMILIES))
@@ -280,11 +255,6 @@ class TestGoldenDigests:
             snapshot = graph.prefix(n, marks[n])
             assert _digest(snapshot) == GOLDEN_DIGESTS[model][n]
 
-    @pytest.mark.parametrize("m", sorted(EDGES_PER_STEP_GOLDEN))
-    def test_edges_per_step_pins(self, m):
-        fast = fast_mori_edges_per_step_frozen(120, m, 0.5, seed=0)
-        assert _digest(fast) == EDGES_PER_STEP_GOLDEN[m]
-
 
 # ----------------------------------------------------------------------
 # Stream discipline: the generator ends where the serial build ends
@@ -305,7 +275,7 @@ class TestStreamDiscipline:
 
     def test_mori_tree(self):
         fast_rng, serial_rng = random.Random(42), random.Random(42)
-        fast_mori_tree_frozen(130, 0.3, seed=fast_rng)
+        fast_mori_parents(130, 0.3, seed=fast_rng)
         mori_tree(130, 0.3, seed=serial_rng)
         assert self._tail(fast_rng) == self._tail(serial_rng)
 
@@ -313,12 +283,6 @@ class TestStreamDiscipline:
         fast_rng, serial_rng = random.Random(42), random.Random(42)
         fast_merged_mori_frozen(90, 2, 0.7, seed=fast_rng)
         merged_mori_graph(90, 2, 0.7, seed=serial_rng, keep_tree=False)
-        assert self._tail(fast_rng) == self._tail(serial_rng)
-
-    def test_edges_per_step(self):
-        fast_rng, serial_rng = random.Random(42), random.Random(42)
-        fast_mori_edges_per_step_frozen(90, 2, 0.4, seed=fast_rng)
-        mori_edges_per_step_graph(90, 2, 0.4, seed=serial_rng)
         assert self._tail(fast_rng) == self._tail(serial_rng)
 
     def test_barabasi_albert(self):
@@ -364,16 +328,10 @@ class TestChunkedScan:
     def _builds(self):
         return [
             (
-                lambda rng: fast_mori_tree_frozen(300, 0.4, seed=rng),
+                lambda rng: fast_merged_mori_frozen(
+                    300, 1, 0.4, seed=rng
+                ),
                 lambda rng: mori_tree(300, 0.4, seed=rng).graph,
-            ),
-            (
-                lambda rng: fast_mori_edges_per_step_frozen(
-                    120, 3, 0.6, seed=rng
-                ),
-                lambda rng: mori_edges_per_step_graph(
-                    120, 3, 0.6, seed=rng
-                ),
             ),
             (
                 lambda rng: fast_barabasi_albert_frozen(150, 2, seed=rng),
@@ -444,9 +402,6 @@ class TestDispatch:
 
     def test_generators_vocabulary(self):
         assert GENERATORS == ("serial", "vectorized")
-        assert FASTGEN_MODELS == (
-            "mori", "mori-edges-per-step", "ba", "cooper-frieze"
-        )
 
 
 class TestGeneratorArms:
@@ -465,7 +420,7 @@ class TestGeneratorArms:
         with pytest.raises(InvalidParameterError):
             fast_mori_parents(1, 0.5, seed=0)
         with pytest.raises(InvalidParameterError):
-            fast_mori_tree_frozen(50, 1.5, seed=0)
+            fast_merged_mori_frozen(50, 1, 1.5, seed=0)
         with pytest.raises(InvalidParameterError):
             fast_merged_mori_frozen(50, 0, 0.5, seed=0)
         with pytest.raises(InvalidParameterError):

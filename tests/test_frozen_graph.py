@@ -37,9 +37,7 @@ from repro.graphs.components import connected_components
 from repro.graphs.frozen import (
     vectorized_bfs_distances,
     vectorized_connected_components,
-    vectorized_degree_histogram,
 )
-from repro.analysis.degrees import degree_histogram
 from repro.analysis.diameter import bfs_distances
 from repro.search.algorithms import FloodingSearch, RandomWalkSearch
 from repro.search.oracle import WeakOracle
@@ -129,11 +127,6 @@ class TestBackendEquivalence:
                     bfs_distances(graph, source)
                 )
 
-    def test_degree_histogram_agrees(self, model, seed):
-        graph = model_graph(model, seed)
-        frozen = freeze(graph)
-        assert degree_histogram(frozen) == degree_histogram(graph)
-
     def test_python_int_types_everywhere(self, model, seed):
         """No numpy scalars may leak into the scalar API (JSON safety)."""
         frozen = freeze(model_graph(model, seed))
@@ -155,7 +148,6 @@ class TestVectorizedKernels:
     def test_kernels_decline_multigraph(self, triangle):
         assert vectorized_bfs_distances(triangle, 1) is None
         assert vectorized_connected_components(triangle) is None
-        assert vectorized_degree_histogram(triangle) is None
 
     def test_component_ordering_matches_generic(self):
         # Equal-size components: largest first, ties by smallest member
@@ -784,14 +776,14 @@ class TestArrayNativeSnapshots:
         reason="reads this process's memory map",
     )
     def test_close_after_scalar_access_releases_the_mapping(self):
-        from repro.graphs.fastgen import fast_mori_tree_frozen
+        from repro.graphs.fastgen import fast_merged_mori_frozen
         from repro.graphs.shm import attach_graph, publish_graph
 
         def mapped(name):
             with open("/proc/self/maps", encoding="utf-8") as maps:
                 return f"/{name}" in maps.read()
 
-        segment = publish_graph(fast_mori_tree_frozen(80, 0.5, seed=2))
+        segment = publish_graph(fast_merged_mori_frozen(80, 1, 0.5, seed=2))
         segment.close()  # only the attachment maps it now
         try:
             attached = attach_graph(segment.name)

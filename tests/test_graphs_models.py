@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 import pytest
@@ -15,9 +14,7 @@ from repro.graphs.configuration import (
 )
 from repro.graphs.kleinberg import kleinberg_grid
 from repro.graphs.power_law import (
-    is_graphical,
     power_law_degree_sequence,
-    power_law_mean,
     power_law_pmf,
     power_law_weights,
 )
@@ -60,13 +57,6 @@ class TestPowerLawSequence:
         pmf = power_law_pmf(2.5, 1, 100)
         assert sum(pmf) == pytest.approx(1.0)
 
-    def test_mean_matches_pmf(self):
-        mean = power_law_mean(3.0, 1, 10)
-        pmf = power_law_pmf(3.0, 1, 10)
-        assert mean == pytest.approx(
-            sum(d * q for d, q in zip(range(1, 11), pmf))
-        )
-
     def test_sequence_even_sum(self):
         for seed in range(20):
             degrees = power_law_degree_sequence(101, 2.5, seed=seed)
@@ -97,15 +87,6 @@ class TestPowerLawSequence:
             power_law_weights(2.5, 0, 5)
         with pytest.raises(InvalidParameterError):
             power_law_weights(2.5, 5, 4)
-
-    def test_is_graphical(self):
-        assert is_graphical([1, 1])
-        assert is_graphical([2, 2, 2])
-        assert not is_graphical([1, 1, 1])  # odd sum
-        assert is_graphical([3, 1, 1, 1, 0, 0])  # star plus isolated
-        assert is_graphical([])
-        assert not is_graphical([-1, 1])
-        assert not is_graphical([5, 1, 1, 1])  # degree 5 needs 5 others
 
 
 class TestConfigurationModel:

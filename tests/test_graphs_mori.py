@@ -83,20 +83,6 @@ class TestMoriTree:
         small_p = mori_tree(500, 0.0, seed=7)
         assert big_p.graph.in_degree(1) > small_p.graph.in_degree(1)
 
-    def test_indegree_at_time(self, small_tree):
-        # Indegree of 1 just before time 3 is exactly 1 (from vertex 2).
-        assert small_tree.indegree_at_time(1, 3) == 1
-        assert small_tree.indegree_at_time(2, 3) == 0
-        # Final indegree is consistent with the graph.
-        for v in range(1, small_tree.n):
-            assert small_tree.indegree_at_time(
-                v, small_tree.n + 1
-            ) == small_tree.graph.in_degree(v)
-
-    def test_indegree_at_time_validates(self, small_tree):
-        with pytest.raises(InvalidParameterError):
-            small_tree.indegree_at_time(5, 4)
-
     def test_satisfies_event(self):
         tree = mori_tree(6, 1.0, seed=0)  # star: all parents are 1
         assert tree.satisfies_event(2, 6)
@@ -315,77 +301,3 @@ class TestMergedMoriGraph:
             merged = merged_mori_graph(5, 8, 0.5, seed=seed)
             counts["loops"] += merged.graph.num_self_loops()
         assert counts["loops"] > 0
-
-
-class TestEdgesPerStepVariant:
-    """The paper's other higher-out-degree construction."""
-
-    def test_sizes(self):
-        from repro.graphs.mori import mori_edges_per_step_graph
-
-        graph = mori_edges_per_step_graph(50, 3, 0.5, seed=1)
-        assert graph.num_vertices == 50
-        # m initial parallel edges + m per vertex 3..n.
-        assert graph.num_edges == 3 * 49
-        assert graph.is_connected()
-
-    def test_out_degrees(self):
-        from repro.graphs.mori import mori_edges_per_step_graph
-
-        graph = mori_edges_per_step_graph(30, 2, 0.5, seed=2)
-        assert graph.out_degree(1) == 0
-        assert all(
-            graph.out_degree(v) == 2 for v in range(2, 31)
-        )
-
-    def test_m1_matches_tree_distribution(self):
-        """At m=1 the variant IS the Mori tree process: attachment
-        frequencies at time 3 must match the tree's."""
-        from repro.graphs.mori import mori_edges_per_step_graph
-
-        p = 0.5
-        expected = 1.0 / (2.0 - p)  # P(N_3 = 1), see tree tests
-        hits = 0
-        for seed in range(3000):
-            graph = mori_edges_per_step_graph(3, 1, p, seed=seed)
-            _, head = graph.edge_endpoints(1)
-            hits += head == 1
-        assert abs(hits / 3000 - expected) < 0.03
-
-    def test_no_self_loops(self):
-        from repro.graphs.mori import mori_edges_per_step_graph
-
-        graph = mori_edges_per_step_graph(60, 4, 0.75, seed=3)
-        assert graph.num_self_loops() == 0
-
-    def test_deterministic(self):
-        from repro.graphs.mori import mori_edges_per_step_graph
-
-        assert mori_edges_per_step_graph(
-            40, 2, 0.5, seed=9
-        ) == mori_edges_per_step_graph(40, 2, 0.5, seed=9)
-
-    def test_validation(self):
-        from repro.graphs.mori import mori_edges_per_step_graph
-        from repro.errors import InvalidParameterError
-        import pytest as _pytest
-
-        with _pytest.raises(InvalidParameterError):
-            mori_edges_per_step_graph(1, 1, 0.5)
-        with _pytest.raises(InvalidParameterError):
-            mori_edges_per_step_graph(10, 0, 0.5)
-        with _pytest.raises(InvalidParameterError):
-            mori_edges_per_step_graph(10, 1, -0.1)
-
-    def test_searchable_floor_still_applies(self):
-        """Quick sanity: searching the variant is also expensive."""
-        from repro.graphs.mori import mori_edges_per_step_graph
-        from repro.search.algorithms import HighDegreeWeakSearch
-        from repro.search.process import run_search
-
-        graph = mori_edges_per_step_graph(400, 2, 0.5, seed=4)
-        result = run_search(
-            HighDegreeWeakSearch(), graph, 1, 380, seed=0
-        )
-        assert result.found
-        assert result.requests > 20  # far above the ~6-hop diameter

@@ -1,4 +1,4 @@
-"""Unit tests for merge and components graph utilities."""
+"""Unit tests for the connected-components graph utilities."""
 
 from __future__ import annotations
 
@@ -11,52 +11,7 @@ from repro.graphs.components import (
     induced_subgraph,
     largest_component,
 )
-from repro.graphs.merge import merge_consecutive, quotient_graph
 from repro.graphs.mori import mori_tree
-
-
-class TestMerge:
-    def test_merge_consecutive_pairs(self):
-        graph = MultiGraph.from_edges(4, [(2, 1), (3, 2), (4, 3)])
-        merged = merge_consecutive(graph, 2)
-        assert merged.num_vertices == 2
-        assert merged.num_edges == 3
-        # Edge (2,1) becomes a self-loop at block 1.
-        assert merged.num_self_loops() >= 1
-
-    def test_merge_block_one_is_identity(self, triangle):
-        merged = merge_consecutive(triangle, 1)
-        assert merged == triangle
-
-    def test_degree_mass_conserved(self):
-        tree = mori_tree(24, 0.5, seed=0).graph
-        merged = merge_consecutive(tree, 4)
-        assert sum(merged.degree_sequence()) == sum(
-            tree.degree_sequence()
-        )
-
-    def test_merge_validates(self, triangle):
-        with pytest.raises(InvalidParameterError):
-            merge_consecutive(triangle, 0)
-        with pytest.raises(InvalidParameterError):
-            merge_consecutive(triangle, 2)  # 3 not divisible by 2
-
-    def test_quotient_graph_custom_blocks(self):
-        graph = MultiGraph.from_edges(4, [(2, 1), (3, 2), (4, 3)])
-        merged = quotient_graph(graph, [1, 2, 1, 2], 2)
-        assert merged.num_vertices == 2
-        assert merged.num_edges == 3
-
-    def test_quotient_validates_block_range(self):
-        graph = MultiGraph(2)
-        with pytest.raises(InvalidParameterError):
-            quotient_graph(graph, [1, 3], 2)
-        with pytest.raises(InvalidParameterError):
-            quotient_graph(graph, [1], 1)
-        with pytest.raises(InvalidParameterError):
-            quotient_graph(graph, [1, 1], 2)  # block 2 empty
-        with pytest.raises(InvalidParameterError):
-            quotient_graph(graph, [1, 1], 0)
 
 
 class TestComponents:

@@ -16,7 +16,6 @@ from repro.equivalence.exact import (
     tree_probability,
 )
 from repro.equivalence.permutation import (
-    apply_permutation_to_graph,
     apply_permutation_to_parents,
     is_valid_parent_vector,
     window_permutations,
@@ -30,26 +29,6 @@ p_fractions = st.fractions(
 
 
 class TestPermutationGroupAction:
-    @given(
-        n=st.integers(min_value=3, max_value=30),
-        seed=seeds,
-        data=st.data(),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_graph_action_composes(self, n, seed, data):
-        graph = mori_tree(n, 0.5, seed=seed).graph
-        v1 = data.draw(st.integers(2, n), label="v1")
-        v2 = data.draw(st.integers(2, n), label="v2")
-        if v1 == v2:
-            return
-        sigma = {v1: v2, v2: v1}
-        once = apply_permutation_to_graph(graph, sigma)
-        twice = apply_permutation_to_graph(once, sigma)
-        assert twice == graph  # involution
-        assert sorted(once.degree_sequence()) == sorted(
-            graph.degree_sequence()
-        )
-
     @given(n=st.integers(min_value=4, max_value=7), p=p_fractions)
     @settings(max_examples=15, deadline=None)
     def test_event_trees_closed_under_window_permutations(self, n, p):

@@ -1,8 +1,7 @@
 """Property-based tests for the extension features.
 
 Covers the code added beyond the paper's minimal scope: Cooper–Frieze
-step traces, the Adamic ``neighbor_success`` oracle mode, and the
-edges-per-step Móri variant.
+step traces and the Adamic ``neighbor_success`` oracle mode.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from repro.graphs.cooper_frieze import (
     CooperFriezeParams,
     cooper_frieze_graph,
 )
-from repro.graphs.mori import merged_mori_graph, mori_edges_per_step_graph
+from repro.graphs.mori import merged_mori_graph
 from repro.search.algorithms import FloodingSearch, RandomWalkSearch
 from repro.search.oracle import WeakOracle
 from repro.search.process import run_search
@@ -112,22 +111,3 @@ class TestNeighborSuccessProperties:
             oracle.knowledge.is_discovered(v) for v in zone
         )
         assert oracle.found == touched
-
-
-class TestEdgesPerStepProperties:
-    @given(
-        n=st.integers(min_value=2, max_value=40),
-        m=st.integers(min_value=1, max_value=4),
-        p=st.floats(min_value=0.0, max_value=1.0),
-        seed=seeds,
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_invariants(self, n, m, p, seed):
-        graph = mori_edges_per_step_graph(n, m, p, seed=seed)
-        assert graph.num_vertices == n
-        assert graph.num_edges == m * (n - 1)
-        assert graph.is_connected()
-        assert graph.num_self_loops() == 0
-        # Construction orientation: edges point to older vertices.
-        for _, tail, head in graph.edges():
-            assert head < tail

@@ -11,7 +11,6 @@ from repro.graphs.cooper_frieze import (
     CooperFriezeParams,
     cooper_frieze_graph,
 )
-from repro.graphs.merge import merge_consecutive
 from repro.graphs.mori import merged_mori_graph, mori_tree
 from repro.graphs.power_law import power_law_degree_sequence
 
@@ -62,20 +61,6 @@ class TestMoriProperties:
         assert sum(graph.degree_sequence()) == sum(
             merged.tree.graph.degree_sequence()
         )
-
-    @given(
-        n=st.integers(min_value=4, max_value=40),
-        block=st.integers(min_value=1, max_value=4),
-        seed=seeds,
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_generic_merge_conserves_degree_mass(self, n, block, seed):
-        tree = mori_tree(n * block, 0.5, seed=seed).graph
-        merged = merge_consecutive(tree, block)
-        assert sum(merged.degree_sequence()) == sum(
-            tree.degree_sequence()
-        )
-        assert merged.num_edges == tree.num_edges
 
 
 class TestCooperFriezeProperties:

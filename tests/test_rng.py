@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.rng import make_rng, spawn, stream_seeds, substream
+from repro.rng import make_rng, substream
 
 
 class TestMakeRng:
@@ -51,25 +51,6 @@ class TestSubstream:
         ]
         mean = sum(draws) / len(draws)
         assert 0.45 < mean < 0.55
-
-
-class TestStreams:
-    def test_stream_seeds_matches_substream(self):
-        assert list(stream_seeds(9, 5)) == [
-            substream(9, i) for i in range(5)
-        ]
-
-    def test_stream_seeds_validates(self):
-        with pytest.raises(ValueError):
-            list(stream_seeds(1, -1))
-
-    def test_spawn_changes_parent_state(self):
-        parent = random.Random(0)
-        child = spawn(parent)
-        assert isinstance(child, random.Random)
-        # Spawning consumed entropy, so spawning again differs.
-        child2 = spawn(parent)
-        assert child.random() != child2.random()
 
 
 class TestBoundedDrawIdentity:

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.errors import ExperimentError
-from repro.rng import make_rng, stream_seeds, substream
+from repro.rng import make_rng, substream
 from repro.runner import (
     MISS,
     TrialExecutionError,
@@ -79,7 +79,7 @@ def _draw_specs(count: int, base_seed: int = 7) -> list:
             params={"rounds": 5},
             seed=seed,
         )
-        for seed in stream_seeds(base_seed, count)
+        for seed in (substream(base_seed, i) for i in range(count))
     ]
 
 
@@ -127,8 +127,8 @@ class TestDeterminism:
 
 
 class TestSeedDerivation:
-    def test_stream_seeds_never_collide(self):
-        seeds = list(stream_seeds(1, 20_000))
+    def test_substreams_never_collide(self):
+        seeds = [substream(1, i) for i in range(20_000)]
         assert len(set(seeds)) == len(seeds)
 
     def test_grid_substreams_never_collide(self):
@@ -143,8 +143,8 @@ class TestSeedDerivation:
         assert len(set(derived)) == len(derived)
 
     def test_sibling_experiments_get_distinct_seeds(self):
-        a = set(stream_seeds(1, 1000))
-        b = set(stream_seeds(2, 1000))
+        a = {substream(1, i) for i in range(1000)}
+        b = {substream(2, i) for i in range(1000)}
         assert not (a & b)
 
 

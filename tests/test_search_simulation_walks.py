@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.degrees import max_degree
+from repro.analysis.maxdegree import max_degree
 from repro.errors import InvalidParameterError, OracleProtocolError
 from repro.graphs.base import MultiGraph
 from repro.graphs.mori import merged_mori_graph, mori_tree

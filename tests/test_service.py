@@ -44,7 +44,6 @@ from repro.service.core import (
     portfolio_algorithms,
     service_worker_init,
 )
-from repro.service.loadgen import build_queries
 
 SIZE = 120
 SEED = 3
