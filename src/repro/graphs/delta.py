@@ -336,7 +336,8 @@ class DeltaGraph:
     def is_trivial(self) -> bool:
         """Whether the overlay records no change over the base."""
         return (
-            not self._dead_vertices
+            self._n == self._base_n
+            and not self._dead_vertices
             and not self._dead_edges
             and not self._join_endpoints
         )
@@ -367,7 +368,8 @@ class DeltaGraph:
         live_n = self._num_live
         live_m = self._num_edges
         if (
-            not self._join_endpoints
+            self._n == self._base_n
+            and not self._join_endpoints
             and all(v > live_n for v in self._dead_vertices)
             and all(eid >= live_m for eid in self._dead_edges)
         ):

@@ -35,6 +35,15 @@ class TestDegrees:
     def test_max_degree(self, loop_graph):
         assert max_degree(loop_graph) == 3
 
+    def test_max_degree_of_star_is_its_hub(self):
+        # p = 1 attaches every vertex to the root: a star on n vertices.
+        star = mori_tree(25, 1.0, seed=0).graph
+        assert max_degree(star) == 24
+
+    def test_max_degree_empty_graph_raises(self):
+        with pytest.raises(AnalysisError):
+            max_degree(MultiGraph(0))
+
 
 class TestDiameter:
     def test_bfs_distances(self, path4):
@@ -66,6 +75,15 @@ class TestDiameter:
         with pytest.raises(AnalysisError):
             diameter(graph)
 
+    def test_diameter_empty_graph_raises(self):
+        with pytest.raises(AnalysisError):
+            diameter(MultiGraph(0))
+
+    def test_eccentricity_skips_unreached_vertices(self):
+        graph = MultiGraph.from_edges(4, [(2, 1), (3, 2)])
+        assert eccentricity(graph, 1) == (2, 3)
+        assert eccentricity(graph, 4) == (0, 4)  # isolated: itself
+
     def test_estimate_matches_exact_on_trees(self):
         for seed in range(5):
             graph = mori_tree(60, 0.5, seed=seed).graph
@@ -73,6 +91,18 @@ class TestDiameter:
             exact = diameter(graph)
             assert estimate <= exact
             assert estimate >= exact - 1  # sweeps are near-exact on trees
+
+    def test_estimate_deterministic_with_seed(self):
+        graph = mori_tree(200, 0.5, seed=3).graph
+        assert estimate_diameter(graph, seed=8) == (
+            estimate_diameter(graph, seed=8)
+        )
+
+    def test_estimate_validates(self, path4):
+        with pytest.raises(AnalysisError):
+            estimate_diameter(MultiGraph(0))
+        with pytest.raises(InvalidParameterError):
+            estimate_diameter(path4, num_sweeps=0)
 
 
 class TestMaxDegreeTrajectory:

@@ -24,6 +24,7 @@ from repro.core.families import (
     BarabasiAlbertFamily,
     ConfigurationFamily,
     CooperFriezeFamily,
+    GraphFamily,
     MoriFamily,
 )
 from repro.core.trials import (
@@ -33,6 +34,7 @@ from repro.core.trials import (
 )
 from repro.errors import InvalidParameterError
 from repro.graphs.churn import CHURN_BIASES, ChurnProcess
+from repro.graphs.cooper_frieze import CooperFriezeParams
 from repro.graphs.delta import graph_digest
 from repro.graphs.sampling import FenwickFlags
 
@@ -228,6 +230,97 @@ class TestChurnSemantics:
         process._steps_taken = (1 << 16) + 5  # deep into block 1
         process.step()  # must not raise InvalidParameterError
         assert process.steps_taken == (1 << 16) + 6
+
+
+class _KindSampler:
+    """A live-population sampler that answers with the kind of draw.
+
+    Each primitive returns a sentinel vertex naming itself, so a join
+    rule's target list spells out which draws the rule made.
+    """
+
+    UNIFORM, DEGREE, INDEGREE = -1, -2, -3
+
+    def __init__(self, num_edges=30, num_live_vertices=10):
+        self.num_edges = num_edges
+        self.num_live_vertices = num_live_vertices
+
+    def uniform_vertex(self, rng):
+        return self.UNIFORM
+
+    def degree_vertex(self, rng):
+        return self.DEGREE
+
+    def indegree_vertex(self, rng):
+        return self.INDEGREE
+
+
+class TestChurnJoinRules:
+    """Each family re-expresses its growth step in the churn draws."""
+
+    S = _KindSampler
+
+    def test_default_is_one_degree_preferential_edge(self):
+        joins = GraphFamily().churn_join_edges(self.S(), random.Random(0))
+        assert joins == [self.S.DEGREE]
+
+    def test_mori_endpoints_are_the_p_mixture(self):
+        rng = random.Random(1)
+        assert MoriFamily(p=1.0, m=3).churn_join_edges(self.S(), rng) == (
+            [self.S.INDEGREE] * 3
+        )
+        assert MoriFamily(p=0.0, m=2).churn_join_edges(self.S(), rng) == (
+            [self.S.UNIFORM] * 2
+        )
+
+    def test_mori_mixture_weighs_edges_against_vertices(self):
+        # p = 1/2 over 30 edges and 10 vertices: preferential mass 15
+        # against uniform mass 5, so 3 draws in 4 go by indegree.
+        rng = random.Random(2)
+        family = MoriFamily(p=0.5, m=1)
+        draws = [
+            family.churn_join_edges(self.S(), rng)[0]
+            for _ in range(4000)
+        ]
+        share = draws.count(self.S.INDEGREE) / len(draws)
+        assert abs(share - 0.75) < 0.03
+
+    def test_ba_endpoints_prefer_total_degree(self):
+        joins = BarabasiAlbertFamily(m=2).churn_join_edges(
+            self.S(), random.Random(0)
+        )
+        assert joins == [self.S.DEGREE] * 2
+
+    def test_configuration_wires_min_degree_uniform_edges(self):
+        joins = ConfigurationFamily(min_degree=3).churn_join_edges(
+            self.S(), random.Random(0)
+        )
+        assert joins == [self.S.UNIFORM] * 3
+
+    def test_cooper_frieze_terminals_follow_beta_and_preference(self):
+        rng = random.Random(3)
+        cases = {
+            (1.0, "indegree"): self.S.UNIFORM,
+            (0.0, "indegree"): self.S.INDEGREE,
+            (0.0, "total"): self.S.DEGREE,
+        }
+        for (beta, preference), kind in cases.items():
+            family = CooperFriezeFamily(
+                params=CooperFriezeParams(
+                    beta=beta, preferential_by=preference
+                )
+            )
+            assert family.churn_join_edges(self.S(), rng) == [kind]
+
+    def test_cooper_frieze_edge_count_follows_q(self):
+        # q puts all mass on three edges.
+        family = CooperFriezeFamily(
+            params=CooperFriezeParams(
+                beta=1.0, new_edge_distribution=(0.0, 0.0, 1.0)
+            )
+        )
+        joins = family.churn_join_edges(self.S(), random.Random(4))
+        assert joins == [self.S.UNIFORM] * 3
 
 
 class TestChurnTrials:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -19,6 +20,11 @@ from repro.core.searchability import (
     measure_scaling,
     measure_search_cost,
     omniscient_factory,
+)
+from repro.core.trials import (
+    choose_start,
+    result_from_dict,
+    result_to_dict,
 )
 from repro.errors import ExperimentError, InvalidParameterError
 from repro.search.algorithms import FloodingSearch, HighDegreeWeakSearch
@@ -275,6 +281,74 @@ class TestExperimentResult:
         assert loaded.params == {"seed": 3}
         assert loaded.derived == {"metric": 0.25}
         assert loaded.tables[0].rows == [("row", 2.5)]
+
+
+class TestStartRules:
+    """``choose_start`` resolves a trial's start rule to one vertex."""
+
+    def _instance(self):
+        family = MoriFamily(p=0.5, m=2)
+        graph = family.build(40, seed=3)
+        return family, graph, family.theorem_target(graph)
+
+    def test_default_is_the_family_start(self):
+        family, graph, target = self._instance()
+        assert choose_start(family, graph, target, "default", 3) == (
+            family.default_start(graph)
+        )
+
+    def test_newest_other_sits_next_to_the_target(self):
+        family, graph, _ = self._instance()
+        assert choose_start(family, graph, 30, "newest-other", 3) == 29
+        # Target 1 has no older neighbour, so the rule steps up.
+        assert choose_start(family, graph, 1, "newest-other", 3) == 2
+
+    def test_random_is_seeded_and_never_the_target(self):
+        family, graph, target = self._instance()
+        starts = [
+            choose_start(family, graph, target, "random", seed)
+            for seed in range(40)
+        ]
+        assert starts == [
+            choose_start(family, graph, target, "random", seed)
+            for seed in range(40)
+        ]
+        assert target not in starts
+        assert all(1 <= s <= graph.num_vertices for s in starts)
+        assert len(set(starts)) > 1
+
+    def test_unknown_rule_rejected(self):
+        family, graph, target = self._instance()
+        with pytest.raises(ExperimentError):
+            choose_start(family, graph, target, "oldest", 3)
+
+
+class TestResultSerialization:
+    def test_roundtrip_is_lossless(self):
+        from repro.search.metrics import SearchResult
+
+        result = SearchResult(
+            algorithm="flooding",
+            model="weak",
+            found=True,
+            requests=17,
+            start=1,
+            target=38,
+            extra={"hops": 4},
+        )
+        data = result_to_dict(result)
+        assert json.loads(json.dumps(data)) == data
+        assert result_from_dict(data) == result
+
+    def test_extra_is_copied_not_shared(self):
+        from repro.search.metrics import SearchResult
+
+        extra = {"hops": 2}
+        result = SearchResult("walk", "weak", False, 5, 1, 9, extra)
+        data = result_to_dict(result)
+        data["extra"]["hops"] = 99
+        assert result.extra == {"hops": 2}
+        assert result_from_dict(data).extra is not data["extra"]
 
 
 class TestCompareResults:

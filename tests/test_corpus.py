@@ -36,7 +36,7 @@ from repro.core.families import (
 from repro.core.trials import family_spec
 from repro.errors import ExperimentError
 from repro.graphs import FrozenGraph, freeze
-from repro.graphs.corpus import CORPUS_SCHEMA, GraphCorpus
+from repro.graphs.corpus import CORPUS_SCHEMA, GraphCorpus, spec_digest
 from repro.graphs.frozen import BLOB_ARRAYS, blob_layout
 
 FAMILIES = {
@@ -122,6 +122,36 @@ class TestRoundTrip:
         with open(_blob_path(path_b), "rb") as handle:
             blob_b = handle.read()
         assert blob_a == blob_b
+
+
+class TestAddressing:
+    def test_spec_digest_is_canonical(self):
+        spec = {"model": "mori", "p": 0.5, "m": 2}
+        reordered = {"m": 2, "p": 0.5, "model": "mori"}
+        digest = spec_digest(spec)
+        assert digest == spec_digest(reordered)
+        assert len(digest) == 16
+        int(digest, 16)  # hex
+        # A tuple and a list serialise alike, so they name one entry.
+        assert spec_digest({"q": (0.5, 0.5)}) == spec_digest(
+            {"q": [0.5, 0.5]}
+        )
+
+    def test_spec_digest_separates_parameters(self):
+        assert spec_digest({"model": "mori", "p": 0.25}) != (
+            spec_digest({"model": "mori", "p": 0.5})
+        )
+
+    def test_stem_names_model_size_seed_and_digest(self, tmp_path):
+        corpus = GraphCorpus(tmp_path)
+        spec = {"model": "mori", "p": 0.5, "m": 2}
+        assert corpus.stem_for(spec, 120, 3) == os.path.join(
+            str(tmp_path), "mori", f"n120-s3-{spec_digest(spec)}"
+        )
+        bare = {"k": 1}
+        assert corpus.stem_for(bare, 10, 0) == os.path.join(
+            str(tmp_path), "adhoc", f"n10-s0-{spec_digest(bare)}"
+        )
 
 
 class TestIntegrity:

@@ -252,6 +252,23 @@ class TestResnapshotFastPaths:
         assert delta.is_trivial()
         assert delta.resnapshot() is base
 
+    def test_any_change_makes_the_overlay_nontrivial(self):
+        base = freeze(model_graph("mori", seed=3))
+        removed_vertex = DeltaGraph(base)
+        removed_vertex.remove_vertex(base.num_vertices)
+        removed_edge = DeltaGraph(base)
+        removed_edge.remove_edge(0)
+        joined = DeltaGraph(base)
+        joined.add_vertex()
+        for delta in (removed_vertex, removed_edge, joined):
+            assert not delta.is_trivial()
+            assert delta.resnapshot() is not base
+        # An edgeless join still counts: it is an isolated vertex.
+        snapshot = joined.resnapshot()
+        assert snapshot.num_vertices == base.num_vertices + 1
+        assert snapshot.degree(snapshot.num_vertices) == 0
+        assert list(snapshot.edges()) == list(base.edges())
+
     def test_trailing_truncation_uses_prefix(self, monkeypatch):
         """Tombstoning only the newest vertices (and with them the
         newest edges) must compose with FrozenGraph.prefix — no

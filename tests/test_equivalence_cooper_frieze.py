@@ -162,6 +162,45 @@ class TestParentDegreeProfile:
         with pytest.raises(InvalidParameterError):
             window_parent_degree_profile(10, 5, 8, params, 0)
 
+    def test_event_rate_equals_the_probability_estimate(self):
+        """Both estimators read the same samples from one seed."""
+        params = CooperFriezeParams(alpha=0.75)
+        profile = window_parent_degree_profile(
+            64, 56, 64, params, num_samples=200, seed=6
+        )
+        assert profile.event_rate == estimate_untouched_probability(
+            64, 56, 64, params, num_samples=200, seed=6
+        )
+
+    def test_profile_flat_under_conditioning(self):
+        """Exchangeability: every window position has the same
+        conditional parent-degree mean.  The bound leaves room for the
+        sampling noise of a heavy-tailed mean over ~260 event draws."""
+        profile = window_parent_degree_profile(
+            64, 56, 64, CooperFriezeParams(alpha=0.75),
+            num_samples=400, seed=2,
+        )
+        assert profile.num_event_samples > 200
+        means = profile.mean_parent_degree
+        assert profile.spread < 0.25 * (sum(means) / len(means))
+
+    def test_empty_window_always_holds(self):
+        profile = window_parent_degree_profile(
+            30, 12, 12, CooperFriezeParams(), num_samples=15, seed=0
+        )
+        assert profile.num_event_samples == 15
+        assert profile.event_rate == 1.0
+        assert profile.mean_parent_degree == ()
+        assert profile.spread == 0.0
+
+    def test_rate_and_spread_of_a_given_profile(self):
+        profile = CFWindowProfile(
+            a=10, b=13, num_samples=8, num_event_samples=2,
+            mean_parent_degree=(4.0, 6.5, 5.0),
+        )
+        assert profile.event_rate == 0.25
+        assert profile.spread == 2.5
+
 
 #: Parameter corners for the flat replay, under both preferential
 #: modes: NEW/OLD mixes, uniform and preferential terminals, multi-edge

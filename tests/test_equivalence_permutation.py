@@ -52,6 +52,53 @@ class TestParentAction:
         with pytest.raises(InvalidParameterError):
             apply_permutation_to_parents((0, 0, 1), {4: 5, 5: 4})
 
+    def test_transposition_is_an_involution(self, small_tree):
+        sigma = {5: 9, 9: 5}
+        once = apply_permutation_to_parents(small_tree.parents, sigma)
+        assert once != small_tree.parents
+        assert apply_permutation_to_parents(once, sigma) == (
+            small_tree.parents
+        )
+
+    def test_child_counts_follow_the_relabeling(self, small_tree):
+        """The indegree of ``v`` becomes the indegree of ``sigma(v)``."""
+        sigma = {2: 6, 6: 11, 11: 2}
+        parents = small_tree.parents
+        image = apply_permutation_to_parents(parents, sigma)
+        for v in range(1, small_tree.n + 1):
+            assert image[2:].count(sigma.get(v, v)) == (
+                parents[2:].count(v)
+            )
+
+    def test_action_composes(self, small_tree):
+        """Acting by ``sigma`` then ``tau`` is acting by ``tau . sigma``."""
+        sigma = {3: 4, 4: 3}
+        tau = {4: 7, 7: 4}
+        composed = {}
+        for k in set(sigma) | set(tau):
+            image = tau.get(sigma.get(k, k), sigma.get(k, k))
+            if image != k:
+                composed[k] = image
+        parents = small_tree.parents
+        assert apply_permutation_to_parents(
+            apply_permutation_to_parents(parents, sigma), tau
+        ) == apply_permutation_to_parents(parents, composed)
+
+    def test_event_window_transpositions_keep_a_tree(self):
+        """Under ``E_{a,b}`` every window swap yields a recursive tree
+        (the step Lemma 2 needs); off the event a swap can fail."""
+        # 2->1, 3->1, 4->2, 5->2, 6->3: the window (3, 5] attaches
+        # at or below 3, so E_{3,5} holds.
+        parents = (0, 0, 1, 1, 2, 2, 3)
+        for sigma in window_transpositions([4, 5]):
+            assert is_valid_parent_vector(
+                apply_permutation_to_parents(parents, sigma)
+            )
+        # 4->3 breaks E_{2,4}: swapping 3 and 4 makes 3 a child of 4.
+        off_event = (0, 0, 1, 1, 3)
+        image = apply_permutation_to_parents(off_event, {3: 4, 4: 3})
+        assert not is_valid_parent_vector(image)
+
 
 class TestValidity:
     def test_valid_vectors(self):

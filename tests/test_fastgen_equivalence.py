@@ -230,6 +230,15 @@ GOLDEN_FAMILIES = {
 }
 
 
+#: Pins of ``fast_merged_mori_frozen(120, m, 0.5, seed=0)`` at the
+#: arities the family pins above leave out.  The m=1 value is the plain
+#: Móri tree's, pinned before the tree lost its own fast builder.
+MERGED_ARITY_GOLDEN = {
+    1: "27eafce69e852236b2bb3e07a0a2f764c5d36d1f6cabc94c2d28a03077ac5c6c",
+    3: "df25f2925d441da16606cbd956d9d640a6420d191a6e1241708d978ae976a302",
+}
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("model", sorted(GOLDEN_FAMILIES))
     def test_independent_builds_hit_the_pins(self, model):
@@ -254,6 +263,11 @@ class TestGoldenDigests:
         for n in GOLDEN_SIZES:
             snapshot = graph.prefix(n, marks[n])
             assert _digest(snapshot) == GOLDEN_DIGESTS[model][n]
+
+    @pytest.mark.parametrize("m", sorted(MERGED_ARITY_GOLDEN))
+    def test_merged_arity_pins(self, m):
+        fast = fast_merged_mori_frozen(120, m, 0.5, seed=0)
+        assert _digest(fast) == MERGED_ARITY_GOLDEN[m]
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +309,16 @@ class TestStreamDiscipline:
         fast_rng, serial_rng = random.Random(42), random.Random(42)
         fast_cooper_frieze_frozen(70, seed=fast_rng)
         cooper_frieze_graph(70, seed=serial_rng)
+        assert self._tail(fast_rng) == self._tail(serial_rng)
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("p", (0.0, 0.5, 1.0))
+    def test_merged_mori_grid(self, p, m):
+        """Every arity, and both p endpoints, where every step takes
+        the same one of the two attachment branches."""
+        fast_rng, serial_rng = random.Random(42), random.Random(42)
+        fast_merged_mori_frozen(90, m, p, seed=fast_rng)
+        merged_mori_graph(90, m, p, seed=serial_rng, keep_tree=False)
         assert self._tail(fast_rng) == self._tail(serial_rng)
 
     def test_interleaved_builds_stay_faithful(self):

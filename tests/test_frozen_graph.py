@@ -38,7 +38,11 @@ from repro.graphs.frozen import (
     vectorized_bfs_distances,
     vectorized_connected_components,
 )
-from repro.analysis.diameter import bfs_distances
+from repro.analysis.diameter import (
+    bfs_distances,
+    eccentricity,
+    estimate_diameter,
+)
 from repro.search.algorithms import FloodingSearch, RandomWalkSearch
 from repro.search.oracle import WeakOracle
 from repro.search.process import run_search
@@ -126,6 +130,18 @@ class TestBackendEquivalence:
                 assert bfs_distances(frozen, source) == (
                     bfs_distances(graph, source)
                 )
+
+    def test_diameter_sweeps_agree(self, model, seed):
+        """E9's sweeps follow the same farthest vertices on both."""
+        graph = model_graph(model, seed)
+        frozen = freeze(graph)
+        for source in (1, graph.num_vertices):
+            assert eccentricity(frozen, source) == (
+                eccentricity(graph, source)
+            )
+        assert estimate_diameter(frozen, seed=seed) == (
+            estimate_diameter(graph, seed=seed)
+        )
 
     def test_python_int_types_everywhere(self, model, seed):
         """No numpy scalars may leak into the scalar API (JSON safety)."""
@@ -728,6 +744,26 @@ class TestArrayNativeSnapshots:
     built on its first call; everything else (shared memory, the
     corpus, ``prefix``, components) reads the columns.
     """
+
+    def test_blob_columns_round_trip_through_one_buffer(self):
+        """``from_blob`` over the concatenated ``blob_columns`` (the
+        buffer a corpus file or a shm segment holds) is the snapshot."""
+        import numpy as np
+
+        from repro.graphs.frozen import blob_layout
+
+        frozen = freeze(model_graph("cooper-frieze", 7))
+        columns = frozen.blob_columns()
+        words = np.concatenate(columns)
+        rebuilt = FrozenGraph.from_blob(
+            words,
+            blob_layout(columns),
+            frozen.num_vertices,
+            frozen.num_self_loops(),
+        )
+        assert rebuilt == frozen
+        assert list(rebuilt.edges()) == list(frozen.edges())
+        assert rebuilt.num_self_loops() == frozen.num_self_loops()
 
     def test_no_lists_until_scalar_access(self, tmp_path):
         for name, graph, source, cleanup in _array_native_snapshots(

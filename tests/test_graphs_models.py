@@ -57,6 +57,11 @@ class TestPowerLawSequence:
         pmf = power_law_pmf(2.5, 1, 100)
         assert sum(pmf) == pytest.approx(1.0)
 
+    def test_pmf_ratio_follows_the_exponent(self):
+        pmf = power_law_pmf(2.5, 2, 40)
+        for d, (q, q_next) in enumerate(zip(pmf, pmf[1:]), start=2):
+            assert q / q_next == pytest.approx(((d + 1) / d) ** 2.5)
+
     def test_sequence_even_sum(self):
         for seed in range(20):
             degrees = power_law_degree_sequence(101, 2.5, seed=seed)
@@ -68,6 +73,14 @@ class TestPowerLawSequence:
         )
         assert min(degrees) >= 2
         assert max(degrees) <= 31  # +1 allowed via parity fix
+
+    def test_parity_fix_only_bumps_entries_below_the_cutoff(self):
+        for seed in range(30):
+            degrees = power_law_degree_sequence(
+                51, 2.0, min_degree=1, max_degree=4, seed=seed
+            )
+            assert sum(degrees) % 2 == 0
+            assert 1 <= min(degrees) and max(degrees) <= 4
 
     def test_empirical_distribution(self):
         degrees = power_law_degree_sequence(

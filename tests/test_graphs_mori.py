@@ -83,6 +83,11 @@ class TestMoriTree:
         small_p = mori_tree(500, 0.0, seed=7)
         assert big_p.graph.in_degree(1) > small_p.graph.in_degree(1)
 
+    def test_indegree_is_the_child_count(self, small_tree):
+        children = Counter(small_tree.parents[2:])
+        for v in range(1, small_tree.n + 1):
+            assert small_tree.graph.in_degree(v) == children[v]
+
     def test_satisfies_event(self):
         tree = mori_tree(6, 1.0, seed=0)  # star: all parents are 1
         assert tree.satisfies_event(2, 6)
@@ -275,6 +280,29 @@ class TestMergedMoriGraph:
             tree_tail, tree_head = tree.graph.edge_endpoints(eid)
             assert tail == small_merged.tree_vertex_to_merged(tree_tail)
             assert head == small_merged.tree_vertex_to_merged(tree_head)
+
+    @pytest.mark.parametrize("p", (0.0, 1.0))
+    def test_edges_point_to_older_blocks(self, p):
+        """Tree edges point to older vertices, so a merged head is never
+        newer than its tail."""
+        for seed in range(5):
+            graph = merged_mori_graph(30, 3, p, seed=seed).graph
+            assert all(head <= tail for _, tail, head in graph.edges())
+
+    def test_search_cost_far_exceeds_the_diameter(self):
+        """The paper's contrast on the merged graph: a weak search
+        for a new vertex pays far more than the ~7-hop diameter."""
+        from repro.analysis.diameter import estimate_diameter
+        from repro.search.algorithms import HighDegreeWeakSearch
+        from repro.search.process import run_search
+
+        graph = merged_mori_graph(400, 2, 0.5, seed=4).graph
+        result = run_search(
+            HighDegreeWeakSearch(), graph, 1, 380, seed=0
+        )
+        assert result.found
+        assert estimate_diameter(graph, seed=0) <= 10
+        assert result.requests > 20 * 10
 
     def test_keep_tree_false(self):
         merged = merged_mori_graph(10, 2, 0.5, seed=1, keep_tree=False)

@@ -11,7 +11,13 @@ from repro.graphs.components import (
     induced_subgraph,
     largest_component,
 )
+from repro.graphs.configuration import power_law_configuration_graph
 from repro.graphs.mori import mori_tree
+
+
+def _sparse_graph():
+    """A power-law configuration graph at min degree 1: many pieces."""
+    return power_law_configuration_graph(200, 2.5, seed=5)
 
 
 class TestComponents:
@@ -51,6 +57,25 @@ class TestComponents:
         sub = induced_subgraph(graph, [1, 2])
         assert sub.graph.num_edges == 1
 
+    def test_components_partition_the_vertices(self):
+        graph = _sparse_graph()
+        components = connected_components(graph)
+        assert len(components) > 1
+        members = [v for component in components for v in component]
+        assert sorted(members) == list(graph.vertices())
+        sizes = [len(component) for component in components]
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_induced_giant_is_connected_and_keeps_its_edges(self):
+        graph = _sparse_graph()
+        giant = largest_component(graph)
+        sub = induced_subgraph(graph, giant)
+        assert sub.graph.is_connected()
+        member = set(giant)
+        assert sub.graph.num_edges == sum(
+            1 for _, tail, _ in graph.edges() if tail in member
+        )
+
     def test_induced_subgraph_validates(self):
         graph = MultiGraph(2)
         with pytest.raises(InvalidParameterError):
@@ -75,3 +100,18 @@ class TestNetworkxOracle:
         theirs = networkx.single_source_shortest_path_length(nx_graph, 1)
         for v in tree.vertices():
             assert ours[v] == theirs[v]
+
+    def test_cross_validate_components_with_networkx(self):
+        """networkx is an independent labelling for the components."""
+        networkx = pytest.importorskip("networkx")
+
+        graph = _sparse_graph()
+        nx_graph = networkx.MultiGraph()
+        nx_graph.add_nodes_from(graph.vertices())
+        nx_graph.add_edges_from(
+            (tail, head) for _, tail, head in graph.edges()
+        )
+        theirs = sorted(
+            sorted(c) for c in networkx.connected_components(nx_graph)
+        )
+        assert sorted(connected_components(graph)) == theirs

@@ -29,6 +29,28 @@ p_fractions = st.fractions(
 
 
 class TestPermutationGroupAction:
+    @given(
+        n=st.integers(min_value=3, max_value=30),
+        seed=seeds,
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_parent_action_is_an_involution(self, n, seed, data):
+        """A transposition acts as an involution and moves each
+        vertex's child count onto its image."""
+        parents = mori_tree(n, 0.5, seed=seed).parents
+        v1 = data.draw(st.integers(2, n), label="v1")
+        v2 = data.draw(st.integers(2, n), label="v2")
+        if v1 == v2:
+            return
+        sigma = {v1: v2, v2: v1}
+        once = apply_permutation_to_parents(parents, sigma)
+        assert apply_permutation_to_parents(once, sigma) == parents
+        assert once[2:].count(v1) == parents[2:].count(v2)
+        assert sorted(once[2:]) == sorted(
+            sigma.get(u, u) for u in parents[2:]
+        )
+
     @given(n=st.integers(min_value=4, max_value=7), p=p_fractions)
     @settings(max_examples=15, deadline=None)
     def test_event_trees_closed_under_window_permutations(self, n, p):

@@ -52,6 +52,22 @@ class TestSubstream:
         mean = sum(draws) / len(draws)
         assert 0.45 < mean < 0.55
 
+    def test_seed_reduced_modulo_2_64(self):
+        # Negative and oversized seeds fold onto their 64-bit residue.
+        assert substream(-1, 3) == substream(2**64 - 1, 3)
+        assert substream(5 + 2**64, 3) == substream(5, 3)
+
+    def test_index_reduced_modulo_2_64(self):
+        assert substream(5, 2**64 + 9) == substream(5, 9)
+        assert substream(5, -1) == substream(5, 2**64 - 1)
+
+    def test_children_are_64_bit_words(self):
+        # A valid Mersenne Twister seed, and wide enough to use the
+        # high bits: some child of the first thousand exceeds 2**63.
+        children = [substream(2**63 + 11, i) for i in range(1000)]
+        assert all(0 <= c < 2**64 for c in children)
+        assert max(children) >= 2**63
+
 
 class TestBoundedDrawIdentity:
     """The identity the hot loops inline (see the ``repro.rng`` docstring).

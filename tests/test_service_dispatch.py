@@ -40,6 +40,7 @@ from repro.service import (
 from repro.service.client import ServiceHTTPError
 from repro.service.core import portfolio_algorithms
 from repro.service.loadgen import build_queries, parse_arrival
+from repro.service.stats import ServiceStats
 
 SIZE = 120
 SEED = 3
@@ -387,6 +388,71 @@ class TestLatencyHistogram:
         snap = LatencyHistogram().snapshot()
         assert snap["count"] == 0
         assert snap["p99_ms"] == 0.0
+
+    def test_negative_durations_record_as_zero(self):
+        histogram = LatencyHistogram()
+        histogram.record(-0.5)
+        assert histogram.count == 1
+        assert histogram.mean() == 0.0
+        assert histogram.percentile(0.99) == 0.0
+
+
+class TestServiceStats:
+    def test_routes_count_requests_and_errors(self):
+        stats = ServiceStats()
+        stats.record_request("search", 0.002)
+        stats.record_request("search", 0.004, error=True)
+        stats.record_request("graphs", 0.001)
+        routes = stats.snapshot()["routes"]
+        assert sorted(routes) == ["graphs", "search"]  # served only
+        assert routes["search"]["count"] == 2
+        assert routes["search"]["errors"] == 1
+        assert routes["graphs"]["errors"] == 0
+        assert routes["search"]["max_ms"] == 4.0
+
+    def test_batches_split_inline_and_spilled(self):
+        stats = ServiceStats()
+        for _ in range(3):
+            stats.record_batch(1, inline=True)
+        stats.record_batch(4, inline=False)
+        stats.record_batch_failure()
+        assert stats.snapshot()["batches"] == {
+            "count": 4,
+            "queries": 7,
+            "inline": 3,
+            "spilled": 4,
+            "failed": 1,
+            "mean_size": 1.75,
+            "size_distribution": {"1": 3, "4": 1},
+        }
+
+    def test_counters_gauge_and_cache_info(self):
+        stats = ServiceStats()
+        stats.cache_hit()
+        stats.cache_hit()
+        stats.cache_miss()
+        stats.record_shed()
+        stats.record_timeout()
+        stats.enter()
+        stats.enter()
+        stats.leave()
+        snap = stats.snapshot(cache_info={"entries": 5})
+        assert snap["cache"] == {"hits": 2, "misses": 1, "entries": 5}
+        assert (snap["shed"], snap["timeouts"]) == (1, 1)
+        assert snap["in_flight"] == stats.in_flight == 1
+        assert json.loads(json.dumps(snap)) == snap
+
+    def test_log_line_summarises_the_search_route(self):
+        stats = ServiceStats()
+        assert stats.log_line().startswith("stats: served=0 p50=0.0ms")
+        stats.record_request("search", 0.010)
+        stats.record_batch(1, inline=False)
+        stats.cache_hit()
+        stats.cache_miss()
+        line = stats.log_line()
+        assert "served=1 " in line
+        assert "p99=10.0ms" in line
+        assert "inline=0 spilled=1 cache=1/2 shed=0 timeouts=0" in line
 
 
 class TestParseArrival:
